@@ -92,10 +92,13 @@ def rollout(model, scaler, seed_window, horizon, truth=None, start_step=-1):
             diverged_at = h
             break
         preds_scaled[h] = pred
-        preds[h] = scaler.invert(pred)
-        if truth is not None and h < len(truth):
+        window[:-1] = window[1:]
+        window[-1] = pred
+    done = horizon if diverged_at is None else diverged_at
+    preds[:done] = scaler.invert(preds_scaled[:done])
+    if truth is not None:
+        for h in range(min(done, len(truth))):
             errors[h] = np.linalg.norm(preds[h] - truth[h])
-        window = np.vstack([window[1:], pred[None]])
     return RolloutResult(
         start_step=start_step,
         horizon=horizon,

@@ -4,6 +4,15 @@ Everything is float64 numpy. Forward passes record a Tape of
 intermediates; ``backward`` replays it in reverse for exact gradients.
 Batched inputs use the leading axis; single sequences are promoted
 internally and squeezed on the way out.
+
+Layout (fused gates, as in cuDNN). An LSTM keeps W (4H x D), U (4H x H)
+and b (4H), each stacking its gates in the order i, f, o, g; ``w_i`` ...
+``b_g`` are row-block views into them. A model keeps all its parameters
+in one float64 buffer, ``model.flat``, in the order W, U, b,
+head.weight, head.bias. ``model.params()`` maps the keys ``lstm.w_i``
+... ``lstm.b_g``, ``head.weight`` and ``head.bias`` to views into it, so
+the ROMF keys of saved models are unchanged. Gradients come back in the
+same layout, so Nadam and clipping act on the whole buffer at once.
 """
 
 import json
@@ -12,23 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import romf
-from .errors import (
-    InvalidConfig,
-    NonFiniteInput,
-    ShapeMismatch,
-    TapeMismatch,
-)
+from .errors import InvalidConfig, NonFiniteInput, ShapeMismatch, TapeMismatch
+from .optim import FlatParams
 
-GATES = ("i", "f", "o", "g")
+GATE_NAMES = tuple(kind + "_" + gate for kind in "wub" for gate in "ifog")
 
 
 def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function as 0.5 (1 + tanh(x / 2)), which cannot overflow."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def relu(x):
@@ -42,40 +43,40 @@ ACTIVATIONS = {
 }
 
 
-@dataclass
 class LstmParams:
-    """Gate weights (hidden x input), recurrent weights, biases."""
+    """Fused gate weights W (4H x D), U (4H x H) and biases b (4H).
 
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_g: np.ndarray
-    u_i: np.ndarray
-    u_f: np.ndarray
-    u_o: np.ndarray
-    u_g: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
+    Built from the twelve per-gate arrays (hidden x input, hidden x
+    hidden, hidden); ``w_i`` ... ``b_g`` are then views into W, U and b.
+    """
+
+    def __init__(self, w_i, w_f, w_o, w_g, u_i, u_f, u_o, u_g,
+                 b_i, b_f, b_o, b_g):
+        self.bind(
+            np.concatenate([w_i, w_f, w_o, w_g], dtype=np.float64),
+            np.concatenate([u_i, u_f, u_o, u_g], dtype=np.float64),
+            np.concatenate([b_i, b_f, b_o, b_g], dtype=np.float64),
+        )
+
+    def bind(self, W, U, b):
+        """Point W, U, b and every per-gate view at the given arrays."""
+        self.W, self.U, self.b = W, U, b
+        hidden = self.hidden_dim
+        for k, gate in enumerate("ifog"):
+            rows = slice(k * hidden, (k + 1) * hidden)
+            for kind, fused in (("w", W), ("u", U), ("b", b)):
+                setattr(self, kind + "_" + gate, fused[rows])
 
     @property
     def input_dim(self):
-        return self.w_i.shape[1]
+        return self.W.shape[1]
 
     @property
     def hidden_dim(self):
-        return self.w_i.shape[0]
+        return self.U.shape[1]
 
     def params(self, prefix=""):
-        return {
-            prefix + name: getattr(self, name)
-            for name in (
-                "w_i", "w_f", "w_o", "w_g",
-                "u_i", "u_f", "u_o", "u_g",
-                "b_i", "b_f", "b_o", "b_g",
-            )
-        }
+        return {prefix + name: getattr(self, name) for name in GATE_NAMES}
 
 
 @dataclass
@@ -88,11 +89,36 @@ class DenseParams:
 
 
 @dataclass
-class LstmForecaster:
-    """Single-layer LSTM plus dense output head predicting the next step."""
+class _Network:
+    """An LSTM and a dense head whose parameters share one flat buffer;
+    the given ``lstm`` and ``head`` are re-pointed at views into it."""
 
     lstm: LstmParams
     head: DenseParams
+
+    def __post_init__(self):
+        lstm, head = self.lstm, self.head
+        self._params = FlatParams.pack(
+            {**lstm.params("lstm."), **head.params("head.")}
+        )
+        self.flat = self._params.flat
+        n_w, n_u = lstm.W.size, lstm.U.size
+        lstm.bind(
+            self.flat[:n_w].reshape(lstm.W.shape),
+            self.flat[n_w:n_w + n_u].reshape(lstm.U.shape),
+            self.flat[n_w + n_u:n_w + n_u + lstm.b.size],
+        )
+        head.weight = self._params["head.weight"]
+        head.bias = self._params["head.bias"]
+
+    def params(self):
+        return self._params
+
+
+@dataclass
+class LstmForecaster(_Network):
+    """Single-layer LSTM plus dense output head predicting the next step."""
+
     output_activation: str = "sigmoid"
     dropout_rate: float = 0.0
     time_lag: int = 2
@@ -106,32 +132,22 @@ class LstmForecaster:
             raise InvalidConfig("dropout_rate must lie in [0, 1)")
         if self.time_lag < 1:
             raise InvalidConfig("time_lag must be >= 1")
+        super().__post_init__()
 
     @property
     def output_dim(self):
         return self.head.weight.shape[0]
 
-    def params(self):
-        out = self.lstm.params("lstm.")
-        out.update(self.head.params("head."))
-        return out
-
 
 @dataclass
-class Discriminator:
-    """Mirrored LSTM scoring a PC sequence as real (1) or predicted (0)."""
-
-    lstm: LstmParams
-    head: DenseParams  # output dim 1, sigmoid fixed
+class Discriminator(_Network):
+    """Mirrored LSTM scoring a PC sequence as real (1) or predicted (0);
+    its head outputs one logit, with the sigmoid fixed."""
 
     def __post_init__(self):
         if self.head.weight.shape[0] != 1:
             raise InvalidConfig("discriminator head must output a scalar")
-
-    def params(self):
-        out = self.lstm.params("lstm.")
-        out.update(self.head.params("head."))
-        return out
+        super().__post_init__()
 
 
 class Tape:
@@ -144,55 +160,37 @@ class Tape:
 
 def init_lstm_params(input_dim, hidden_dim, rng):
     """uniform(-s, s) matrices with s = 1/sqrt(hidden), zero biases,
-    forget-gate bias +1."""
+    forget-gate bias +1. W and U are each drawn as one block, which takes
+    the same numbers, in the same order, as drawing the gates i, f, o, g
+    one after another."""
     s = 1.0 / np.sqrt(hidden_dim)
-    def mat(rows, cols):
-        return rng.uniform(-s, s, size=(rows, cols))
+    W = rng.uniform(-s, s, size=(4 * hidden_dim, input_dim))
+    U = rng.uniform(-s, s, size=(4 * hidden_dim, hidden_dim))
+    b = np.zeros(4 * hidden_dim)
+    b[hidden_dim:2 * hidden_dim] = 1.0
+    return LstmParams(*np.split(W, 4), *np.split(U, 4), *np.split(b, 4))
 
-    params = LstmParams(
-        w_i=mat(hidden_dim, input_dim),
-        w_f=mat(hidden_dim, input_dim),
-        w_o=mat(hidden_dim, input_dim),
-        w_g=mat(hidden_dim, input_dim),
-        u_i=mat(hidden_dim, hidden_dim),
-        u_f=mat(hidden_dim, hidden_dim),
-        u_o=mat(hidden_dim, hidden_dim),
-        u_g=mat(hidden_dim, hidden_dim),
-        b_i=np.zeros(hidden_dim),
-        b_f=np.ones(hidden_dim),
-        b_o=np.zeros(hidden_dim),
-        b_g=np.zeros(hidden_dim),
+
+def _init_head(output_dim, hidden_dim, rng):
+    s = 1.0 / np.sqrt(hidden_dim)
+    return DenseParams(
+        weight=rng.uniform(-s, s, size=(output_dim, hidden_dim)),
+        bias=np.zeros(output_dim),
     )
-    return params
 
 
 def init_forecaster(input_dim, hidden_dim, output_dim, output_activation,
                     dropout_rate, time_lag, rng):
     rng = np.random.default_rng(rng)
     lstm = init_lstm_params(input_dim, hidden_dim, rng)
-    s = 1.0 / np.sqrt(hidden_dim)
-    head = DenseParams(
-        weight=rng.uniform(-s, s, size=(output_dim, hidden_dim)),
-        bias=np.zeros(output_dim),
-    )
-    return LstmForecaster(
-        lstm=lstm,
-        head=head,
-        output_activation=output_activation,
-        dropout_rate=dropout_rate,
-        time_lag=time_lag,
-    )
+    return LstmForecaster(lstm, _init_head(output_dim, hidden_dim, rng),
+                          output_activation, dropout_rate, time_lag)
 
 
 def init_discriminator(input_dim, hidden_dim, rng):
     rng = np.random.default_rng(rng)
     lstm = init_lstm_params(input_dim, hidden_dim, rng)
-    s = 1.0 / np.sqrt(hidden_dim)
-    head = DenseParams(
-        weight=rng.uniform(-s, s, size=(1, hidden_dim)),
-        bias=np.zeros(1),
-    )
-    return Discriminator(lstm=lstm, head=head)
+    return Discriminator(lstm=lstm, head=_init_head(1, hidden_dim, rng))
 
 
 def _promote_sequence(sequence, input_dim):
@@ -212,90 +210,110 @@ def _promote_sequence(sequence, input_dim):
     return seq, squeezed
 
 
-def lstm_forward(params, sequence, h0=None, c0=None):
-    """Run the standard LSTM recurrence over a (B,)T x input_dim sequence.
+def _recur(lstm, seq):
+    """The one LSTM kernel: the recurrence over a (B, T, D) sequence from
+    a zero state, for training and inference alike.
+
+    One GEMM projects the inputs of all steps; the loop keeps only
+    h @ U.T, which step 0 skips since h starts at zero. Gates, states and
+    tanh(c) land in preallocated step-major arrays, so the returned tape
+    costs nothing extra and inference just drops it.
+    """
+    batch, steps, dim = seq.shape
+    hidden = lstm.hidden_dim
+    n3 = 3 * hidden
+    x = np.ascontiguousarray(seq.swapaxes(0, 1)).reshape(steps * batch, dim)
+    gates = (x @ lstm.W.T).reshape(steps, batch, 4 * hidden)
+    gates += lstm.b
+    h = np.zeros((steps + 1, batch, hidden))
+    c = np.zeros((steps + 1, batch, hidden))
+    tc = np.empty((steps, batch, hidden))
+    for t in range(steps):
+        a = gates[t]
+        if t:
+            a += h[t] @ lstm.U.T
+        # i, f, o through sigmoid(z) = 0.5 (1 + tanh(z / 2)), g through tanh
+        sig = a[:, :n3]
+        sig *= 0.5
+        np.tanh(a, out=a)
+        sig += 1.0
+        sig *= 0.5
+        np.multiply(a[:, hidden:2 * hidden], c[t], out=c[t + 1])
+        c[t + 1] += a[:, :hidden] * a[:, n3:]
+        np.tanh(c[t + 1], out=tc[t])
+        np.multiply(a[:, 2 * hidden:n3], tc[t], out=h[t + 1])
+    return Tape("lstm", params=lstm, x=x, gates=gates, h=h, c=c, tc=tc)
+
+
+def lstm_forward(params, sequence):
+    """Run the standard LSTM recurrence over a (B,)T x input_dim sequence
+    from a zero state.
 
     Returns (hidden states over time, final hidden, tape).
     """
     seq, squeezed = _promote_sequence(sequence, params.input_dim)
-    batch, steps, _ = seq.shape
-    hidden = params.hidden_dim
-    h = np.zeros((batch, hidden)) if h0 is None else np.array(h0, dtype=np.float64)
-    c = np.zeros((batch, hidden)) if c0 is None else np.array(c0, dtype=np.float64)
-    if h.shape != (batch, hidden) or c.shape != (batch, hidden):
-        raise ShapeMismatch("initial state shape mismatch")
-
-    hs = np.empty((batch, steps, hidden))
-    gates = []
-    for t in range(steps):
-        x = seq[:, t]
-        a_i = x @ params.w_i.T + h @ params.u_i.T + params.b_i
-        a_f = x @ params.w_f.T + h @ params.u_f.T + params.b_f
-        a_o = x @ params.w_o.T + h @ params.u_o.T + params.b_o
-        a_g = x @ params.w_g.T + h @ params.u_g.T + params.b_g
-        gi, gf, go = sigmoid(a_i), sigmoid(a_f), sigmoid(a_o)
-        gg = np.tanh(a_g)
-        c_new = gf * c + gi * gg
-        tc = np.tanh(c_new)
-        h_new = go * tc
-        gates.append({
-            "x": x, "h_prev": h, "c_prev": c,
-            "i": gi, "f": gf, "o": go, "g": gg, "tc": tc,
-        })
-        h, c = h_new, c_new
-        hs[:, t] = h
-    tape = Tape(
-        "lstm",
-        params=params,
-        steps=gates,
-        hs=hs,
-        h_final=h,
-        squeezed=squeezed,
-        shape=seq.shape,
-    )
+    tape = _recur(params, seq)
+    tape.squeezed = squeezed
+    hs = tape.h[1:].swapaxes(0, 1)
     if squeezed:
-        return hs[0], h[0], tape
-    return hs, h, tape
+        return hs[0], tape.h[-1, 0], tape
+    return hs, tape.h[-1], tape
 
 
 def _lstm_backward(tape, d_h_final=None, d_hs=None):
-    """Exact BPTT. Returns (plain-key grads, d_sequence)."""
-    params = tape.params
-    batch, steps, _ = tape.shape
-    hidden = params.hidden_dim
-    grads = {key: np.zeros_like(val) for key, val in params.params().items()}
-    d_seq = np.zeros(tape.shape)
-    dh = np.zeros((batch, hidden)) if d_h_final is None else d_h_final.copy()
+    """Exact BPTT. Returns (dW, dU, db, d_sequence).
+
+    Only dh = dA @ U stays in the time loop; the weight and input
+    gradients are one GEMM each over all steps afterwards.
+    """
+    lstm = tape.params
+    gates = tape.gates
+    steps, batch, width = gates.shape
+    hidden = lstm.hidden_dim
+    n3 = 3 * hidden
+    # dL/da of a gate is (dL/dgate) * gate'(a), and dL/dgate is dc * g,
+    # dc * c_prev, dh * tanh(c) and dc * i for i, f, o, g: fold all but
+    # dc and dh into one factor per step
+    factor = gates * (1.0 - gates)
+    g = gates[..., n3:]
+    factor[..., n3:] = 1.0 - g * g
+    factor *= np.concatenate(
+        [g, tape.c[:-1], tape.tc, gates[..., :hidden]], axis=-1
+    )
+    dc_dh = gates[..., 2 * hidden:n3] * (1.0 - tape.tc * tape.tc)
+    forget = gates[..., hidden:2 * hidden]
+    d_gates = np.empty_like(gates)
+    dh = np.zeros((batch, hidden)) if d_h_final is None else d_h_final
     dc = np.zeros((batch, hidden))
     for t in reversed(range(steps)):
         if d_hs is not None:
             dh = dh + d_hs[:, t]
-        rec = tape.steps[t]
-        do = dh * rec["tc"]
-        dc = dc + dh * rec["o"] * (1.0 - rec["tc"] ** 2)
-        di = dc * rec["g"]
-        dg = dc * rec["i"]
-        df = dc * rec["c_prev"]
-        dc_prev = dc * rec["f"]
-        da_i = di * rec["i"] * (1.0 - rec["i"])
-        da_f = df * rec["f"] * (1.0 - rec["f"])
-        da_o = do * rec["o"] * (1.0 - rec["o"])
-        da_g = dg * (1.0 - rec["g"] ** 2)
-        x, h_prev = rec["x"], rec["h_prev"]
-        for name, da in (("i", da_i), ("f", da_f), ("o", da_o), ("g", da_g)):
-            grads["w_" + name] += da.T @ x
-            grads["u_" + name] += da.T @ h_prev
-            grads["b_" + name] += da.sum(axis=0)
-        d_seq[:, t] = (
-            da_i @ params.w_i + da_f @ params.w_f
-            + da_o @ params.w_o + da_g @ params.w_g
-        )
-        dh = (
-            da_i @ params.u_i + da_f @ params.u_f
-            + da_o @ params.u_o + da_g @ params.u_g
-        )
-        dc = dc_prev
-    return grads, d_seq
+        dc = dc + dh * dc_dh[t]
+        da = d_gates[t]
+        np.multiply(factor[t].reshape(batch, 4, hidden), dc[:, None],
+                    out=da.reshape(batch, 4, hidden))
+        np.multiply(factor[t, :, 2 * hidden:n3], dh,
+                    out=da[:, 2 * hidden:n3])
+        dc = dc * forget[t]
+        if t:
+            dh = da @ lstm.U
+    d_flat = d_gates.reshape(steps * batch, width)
+    # h is zero before step 0, so step 0 adds nothing to dU
+    h_prev = tape.h[1:-1].reshape((steps - 1) * batch, hidden)
+    dU = d_flat[batch:].T @ h_prev
+    d_seq = (d_flat @ lstm.W).reshape(steps, batch, -1).swapaxes(0, 1)
+    return d_flat.T @ tape.x, dU, d_flat.sum(axis=0), d_seq
+
+
+def _head(model, lstm_tape, activation, mask=None, squeezed=False):
+    """The dense head on the final hidden state (times the dropout mask,
+    if any); returns (output, tape)."""
+    h = lstm_tape.h[-1] if mask is None else lstm_tape.h[-1] * mask
+    y_lin = h @ model.head.weight.T + model.head.bias
+    pred = ACTIVATIONS[activation](y_lin)
+    return pred, Tape("head", model=model, lstm_tape=lstm_tape, h=h,
+                      mask=mask, y_lin=y_lin, pred=pred,
+                      activation=activation, squeezed=squeezed)
 
 
 def forecaster_forward(model, window, training_mode=False, rng=None):
@@ -305,88 +323,42 @@ def forecaster_forward(model, window, training_mode=False, rng=None):
     ``training_mode`` is set and the rate is nonzero; ``rng`` then supplies
     the mask.
     """
-    seq, squeezed = _promote_sequence(window, model.lstm.input_dim)
-    if seq.shape[1] != model.time_lag:
+    _, _, lstm_tape = lstm_forward(model.lstm, window)
+    steps = lstm_tape.gates.shape[0]
+    if steps != model.time_lag:
         raise ShapeMismatch(
-            f"window has {seq.shape[1]} rows, model expects {model.time_lag}"
+            f"window has {steps} rows, model expects {model.time_lag}"
         )
-    _, h_final, lstm_tape = lstm_forward(model.lstm, seq)
     mask = None
-    h_drop = h_final
     if training_mode and model.dropout_rate > 0.0:
         if rng is None:
             raise InvalidConfig("dropout in training mode needs an rng")
         keep = 1.0 - model.dropout_rate
-        mask = (rng.random(h_final.shape) >= model.dropout_rate) / keep
-        h_drop = h_final * mask
-    y_lin = h_drop @ model.head.weight.T + model.head.bias
-    pred = ACTIVATIONS[model.output_activation](y_lin)
-    tape = Tape(
-        "head",
-        model=model,
-        lstm_tape=lstm_tape,
-        h_final=h_final,
-        mask=mask,
-        h_drop=h_drop,
-        y_lin=y_lin,
-        pred=pred,
-        activation=model.output_activation,
-        squeezed=squeezed,
-    )
-    if squeezed:
-        return pred[0], tape
-    return pred, tape
+        mask = (rng.random(lstm_tape.h[-1].shape) >= model.dropout_rate) / keep
+    pred, tape = _head(model, lstm_tape, model.output_activation, mask,
+                       lstm_tape.squeezed)
+    return (pred[0] if tape.squeezed else pred), tape
 
 
 def forecaster_step(model, windows):
     """Tape-free inference: predictions for a (B,) N x tau window batch.
 
-    Performs the same operations in the same order as
-    ``forecaster_forward`` in inference mode, so outputs are bit-identical;
-    it skips the tape, input validation and dropout plumbing, which is what
-    makes autoregressive rollouts cheap.
+    Runs the kernel and head of ``forecaster_forward`` in inference mode,
+    so outputs are bit-identical, and drops the tape; it skips input
+    validation and dropout, which is what makes autoregressive rollouts
+    cheap.
     """
     squeezed = windows.ndim == 2
     seq = windows[None] if squeezed else windows
-    batch = seq.shape[0]
-    params = model.lstm
-    h = np.zeros((batch, params.hidden_dim))
-    c = np.zeros((batch, params.hidden_dim))
-    for t in range(seq.shape[1]):
-        x = seq[:, t]
-        gi = sigmoid(x @ params.w_i.T + h @ params.u_i.T + params.b_i)
-        gf = sigmoid(x @ params.w_f.T + h @ params.u_f.T + params.b_f)
-        go = sigmoid(x @ params.w_o.T + h @ params.u_o.T + params.b_o)
-        gg = np.tanh(x @ params.w_g.T + h @ params.u_g.T + params.b_g)
-        c = gf * c + gi * gg
-        h = go * np.tanh(c)
-    pred = ACTIVATIONS[model.output_activation](
-        h @ model.head.weight.T + model.head.bias
-    )
+    pred, _ = _head(model, _recur(model.lstm, seq), model.output_activation)
     return pred[0] if squeezed else pred
 
 
 def discriminator_forward(disc, sequence):
     """Score sequences; returns probabilities in (0, 1) plus the tape."""
-    seq, squeezed = _promote_sequence(sequence, disc.lstm.input_dim)
-    _, h_final, lstm_tape = lstm_forward(disc.lstm, seq)
-    y_lin = h_final @ disc.head.weight.T + disc.head.bias
-    prob = sigmoid(y_lin)
-    tape = Tape(
-        "head",
-        model=disc,
-        lstm_tape=lstm_tape,
-        h_final=h_final,
-        mask=None,
-        h_drop=h_final,
-        y_lin=y_lin,
-        pred=prob,
-        activation="sigmoid",
-        squeezed=squeezed,
-    )
-    if squeezed:
-        return prob[0, 0], tape
-    return prob[:, 0], tape
+    _, _, lstm_tape = lstm_forward(disc.lstm, sequence)
+    prob, tape = _head(disc, lstm_tape, "sigmoid", squeezed=lstm_tape.squeezed)
+    return (prob[0, 0] if tape.squeezed else prob[:, 0]), tape
 
 
 def _activation_deriv(tape):
@@ -401,24 +373,29 @@ def backward(tape, upstream):
     """Exact gradients of the recorded computation.
 
     For a model tape, ``upstream`` is dL/dprediction; returns
-    (param grads keyed like ``model.params()``, input grads). For a raw
-    LSTM tape, ``upstream`` is dL/d(final hidden) or dL/d(all hiddens).
+    (param grads laid out like ``model.params()``, input grads). For a
+    raw LSTM tape, ``upstream`` is dL/d(final hidden) or dL/d(all
+    hiddens), and the grads are keyed ``w_i`` ... ``b_g``.
     """
     if tape.kind == "lstm":
-        batch, steps, _ = tape.shape
+        steps, batch, _ = tape.gates.shape
         hidden = tape.params.hidden_dim
         up = np.asarray(upstream, dtype=np.float64)
         if tape.squeezed:
             up = up[None] if up.ndim in (1, 2) else up
         if up.shape == (batch, hidden):
-            grads, d_seq = _lstm_backward(tape, d_h_final=up)
+            dW, dU, db, d_seq = _lstm_backward(tape, d_h_final=up)
         elif up.shape == (batch, steps, hidden):
-            grads, d_seq = _lstm_backward(tape, d_hs=up)
+            dW, dU, db, d_seq = _lstm_backward(tape, d_hs=up)
         else:
             raise TapeMismatch(
                 f"upstream shape {np.shape(upstream)} matches neither the "
                 "final hidden nor the full hidden-state stack"
             )
+        grads = FlatParams.pack(dict(zip(
+            GATE_NAMES,
+            [*np.split(dW, 4), *np.split(dU, 4), *np.split(db, 4)],
+        )))
         return grads, d_seq[0] if tape.squeezed else d_seq
 
     if tape.kind != "head":
@@ -434,31 +411,16 @@ def backward(tape, upstream):
             f"{tape.pred.shape}"
         )
     d_ylin = d_pred * _activation_deriv(tape)
-    grads = {
-        "head.weight": d_ylin.T @ tape.h_drop,
-        "head.bias": d_ylin.sum(axis=0),
-    }
     d_h = d_ylin @ model.head.weight
     if tape.mask is not None:
         d_h = d_h * tape.mask
-    lstm_grads, d_seq = _lstm_backward(tape.lstm_tape, d_h_final=d_h)
-    grads.update({"lstm." + key: val for key, val in lstm_grads.items()})
+    dW, dU, db, d_seq = _lstm_backward(tape.lstm_tape, d_h_final=d_h)
+    flat = np.concatenate([
+        dW.ravel(), dU.ravel(), db,
+        (d_ylin.T @ tape.h).ravel(), d_ylin.sum(axis=0),
+    ])
+    grads = FlatParams(flat, model.params().layout)
     return grads, d_seq[0] if tape.squeezed else d_seq
-
-
-def replay(tape):
-    """Recompute the recorded forward output from the tape's inputs."""
-    if tape.kind == "lstm":
-        seq = np.stack([rec["x"] for rec in tape.steps], axis=1)
-        hs, h_final, _ = lstm_forward(tape.params, seq)
-        return hs[:, -1] if not tape.squeezed else h_final
-    lstm_tape = tape.lstm_tape
-    seq = np.stack([rec["x"] for rec in lstm_tape.steps], axis=1)
-    _, h_final, _ = lstm_forward(tape.model.lstm, seq)
-    h_drop = h_final if tape.mask is None else h_final * tape.mask
-    y_lin = h_drop @ tape.model.head.weight.T + tape.model.head.bias
-    pred = ACTIVATIONS[tape.activation](y_lin)
-    return pred[0] if tape.squeezed else pred
 
 
 def grad_check(params, loss_fn, grads, n_samples=100, epsilon=1e-5, rng=None):
@@ -528,21 +490,15 @@ def load_model(path):
     arrays = romf.read_arrays(path)
     with open(str(path) + ".json") as fh:
         meta = json.load(fh)
-    lstm_keys = {key for key in arrays if key.startswith("lstm.")}
-    lstm = LstmParams(**{key[5:]: arrays[key] for key in lstm_keys})
+    lstm = LstmParams(**{name: arrays["lstm." + name] for name in GATE_NAMES})
     head = DenseParams(weight=arrays["head.weight"], bias=arrays["head.bias"])
-    extras = {
-        key: val
-        for key, val in arrays.items()
-        if not key.startswith(("lstm.", "head."))
-    }
+    extras = {key: val for key, val in arrays.items()
+              if not key.startswith(("lstm.", "head."))}
     if meta["kind"] == "forecaster":
         model = LstmForecaster(
-            lstm=lstm,
-            head=head,
+            lstm=lstm, head=head,
             output_activation=meta["output_activation"],
-            dropout_rate=meta["dropout_rate"],
-            time_lag=meta["time_lag"],
+            dropout_rate=meta["dropout_rate"], time_lag=meta["time_lag"],
         )
     else:
         model = Discriminator(lstm=lstm, head=head)

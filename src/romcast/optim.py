@@ -1,6 +1,9 @@
-"""Losses (MSE, binary cross-entropy) and the Nadam optimizer."""
+"""Losses (MSE, binary cross-entropy), the flat parameter mapping and
+the Nadam optimizer."""
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,51 +55,90 @@ def bce_grad(pred, label):
     return grad / pred.size
 
 
+class FlatParams(Mapping):
+    """Named arrays laid out one after another in one float64 buffer.
+
+    ``flat`` is the buffer and ``self[name]`` a view into it, so writing
+    either writes both. ``layout`` maps each name to its (offset, shape);
+    mappings with equal layouts line up element for element, which lets
+    Nadam and clipping act on ``flat`` alone.
+    """
+
+    def __init__(self, flat, layout):
+        self.flat = flat
+        self.layout = layout
+
+    @classmethod
+    def pack(cls, arrays):
+        """Copy named arrays, in order, into a new buffer."""
+        layout = {}
+        offset = 0
+        for key, arr in arrays.items():
+            layout[key] = (offset, np.shape(arr))
+            offset += np.size(arr)
+        flat = np.empty(offset)
+        params = cls(flat, layout)
+        for key, arr in arrays.items():
+            params[key][...] = arr
+        return params
+
+    def __getitem__(self, key):
+        offset, shape = self.layout[key]
+        return self.flat[offset:offset + math.prod(shape)].reshape(shape)
+
+    def __iter__(self):
+        return iter(self.layout)
+
+    def __len__(self):
+        return len(self.layout)
+
+
 @dataclass
 class NadamState:
-    """Step count plus first/second-moment accumulators per parameter."""
+    """Step count plus first/second-moment accumulators, flat like the
+    parameter buffer (allocated on the first step)."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray = None
+    v: np.ndarray = None
 
 
 def nadam_step(state, params, grads):
     """One Nesterov-Adam update, in place on ``params``.
 
-    With t incremented first:
+    ``params`` and ``grads`` are ``FlatParams`` of one layout; the update
+    is one vectorised pass over their buffers. With t incremented first:
         m <- b1 m + (1-b1) g          v <- b2 v + (1-b2) g^2
         m_hat = m / (1 - b1^(t+1))    g_hat = g / (1 - b1^t)
         theta -= lr (b1 m_hat + (1-b1) g_hat) / (sqrt(v / (1 - b2^t)) + eps)
     """
+    if grads.layout != params.layout:
+        raise ShapeMismatch("gradient layout differs from the parameters'")
+    theta, g = params.flat, grads.flat
+    if state.m is None:
+        state.m = np.zeros_like(theta)
+        state.v = np.zeros_like(theta)
     state.t += 1
     t = state.t
     b1, b2 = state.beta1, state.beta2
-    m_corr = 1.0 - b1 ** (t + 1)
-    g_corr = 1.0 - b1**t
-    v_corr = 1.0 - b2**t
-    for key, theta in params.items():
-        g = grads[key]
-        if g.shape != theta.shape:
-            raise ShapeMismatch(f"gradient shape mismatch for {key!r}")
-        if key not in state.m:
-            state.m[key] = np.zeros_like(theta)
-            state.v[key] = np.zeros_like(theta)
-        m = state.m[key]
-        v = state.v[key]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / m_corr
-        g_hat = g / g_corr
-        theta -= state.lr * (b1 * m_hat + (1.0 - b1) * g_hat) / (
-            np.sqrt(v / v_corr) + state.eps
-        )
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    # the update above with its scalar factors folded: one division and
+    # one square root per element
+    step = m * (state.lr * b1 / (1.0 - b1 ** (t + 1)))
+    step += g * (state.lr * (1.0 - b1) / (1.0 - b1**t))
+    den = np.sqrt(v)
+    den *= 1.0 / math.sqrt(1.0 - b2**t)
+    den += state.eps
+    step /= den
+    theta -= step
     return params, state
 
 
@@ -104,9 +146,7 @@ def clip_global_norm(grads, max_norm):
     """Scale all gradients so their joint L2 norm is at most ``max_norm``."""
     if max_norm <= 0:
         return grads
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    total = math.sqrt(float(grads.flat @ grads.flat))
     if total > max_norm:
-        factor = max_norm / total
-        for g in grads.values():
-            g *= factor
+        grads.flat *= max_norm / total
     return grads

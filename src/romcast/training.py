@@ -24,6 +24,7 @@ from .neural import (
     backward,
     discriminator_forward,
     forecaster_forward,
+    forecaster_step,
     init_discriminator,
     init_forecaster,
 )
@@ -203,7 +204,7 @@ def _forecaster_step(model, opt, windows, targets, rng_dropout, config,
 def _discriminator_step(disc, opt, model, windows, targets, config):
     """One optimizer step on the discriminator; generator outputs are
     treated as constants."""
-    fake, _ = forecaster_forward(model, windows, training_mode=False)
+    fake = forecaster_step(model, windows)
     p_real, tape_real = discriminator_forward(
         disc, _disc_input(windows, targets, config.disc_mode)
     )
@@ -213,9 +214,9 @@ def _discriminator_step(disc, opt, model, windows, targets, config):
     loss = bce(p_real, 1.0) + bce(p_fake, 0.0)
     if not np.isfinite(loss):
         raise NonFiniteLoss("discriminator loss diverged")
-    g_real, _ = backward(tape_real, bce_grad(p_real, 1.0)[:, None])
+    grads, _ = backward(tape_real, bce_grad(p_real, 1.0)[:, None])
     g_fake, _ = backward(tape_fake, bce_grad(p_fake, 0.0)[:, None])
-    grads = {key: g_real[key] + g_fake[key] for key in g_real}
+    grads.flat += g_fake.flat
     clip_global_norm(grads, config.clip_norm)
     nadam_step(opt, disc.params(), grads)
     return loss

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,8 +59,9 @@ class TestLstmForward:
         seq = rng.uniform(-3, 3, size=(steps, 3))
         hs, _, tape = neural.lstm_forward(params, seq)
         assert np.all(np.abs(hs) < 1.0)
-        for t, rec in enumerate(tape.steps, start=1):
-            c = rec["f"] * rec["c_prev"] + rec["i"] * rec["g"]
+        for t in range(1, steps + 1):
+            gi, gf, _, gg = np.split(tape.gates[t - 1], 4, axis=-1)
+            c = gf * tape.c[t - 1] + gi * gg
             assert np.all(np.abs(c) <= t)
 
     def test_shape_and_finite_checks(self):
@@ -71,14 +73,15 @@ class TestLstmForward:
         with pytest.raises(NonFiniteInput):
             neural.lstm_forward(params, bad)
 
-    def test_forward_replay_bit_identical(self):
-        rng = np.random.default_rng(3)
-        params = neural.init_lstm_params(3, 4, rng)
-        seq = rng.random((4, 6, 3))
-        hs, h_final, tape = neural.lstm_forward(params, seq)
-        assert np.array_equal(neural.replay(tape), h_final)
-        hs2, h2, _ = neural.lstm_forward(params, seq)
-        assert hs.tobytes() == hs2.tobytes()
+    def test_sigmoid_overflow_free_and_accurate(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ends = neural.sigmoid(np.array([-800.0, 800.0]))
+        assert np.all(np.isfinite(ends))
+        assert np.array_equal(ends, [0.0, 1.0])
+        x = np.linspace(-40.0, 40.0, 4001)
+        exact = oracles.ld_sigmoid(x.astype(oracles.LD))
+        assert np.max(np.abs(neural.sigmoid(x) - exact)) <= 1e-15
 
 
 class TestForecasterForward:
@@ -262,6 +265,57 @@ class TestInitialization:
         bound = 1.0 / np.sqrt(16)
         assert np.abs(model.lstm.w_i).max() <= bound
         assert np.abs(model.head.weight).max() <= bound
+
+
+class TestFlatLayout:
+    def test_init_draws_gates_in_order_then_head(self):
+        model = neural.init_forecaster(3, 5, 2, "sigmoid", 0.0, 2,
+                                       np.random.default_rng(21))
+        rng = np.random.default_rng(21)
+        s = 1.0 / np.sqrt(5)
+        expected = {}
+        for kind, cols in (("w", 3), ("u", 5)):
+            for gate in "ifog":
+                expected[f"lstm.{kind}_{gate}"] = rng.uniform(-s, s,
+                                                              size=(5, cols))
+        for gate in "ifog":
+            expected[f"lstm.b_{gate}"] = np.full(5, 1.0 if gate == "f"
+                                                 else 0.0)
+        expected["head.weight"] = rng.uniform(-s, s, size=(2, 5))
+        expected["head.bias"] = np.zeros(2)
+        params = model.params()
+        assert list(params) == list(expected)
+        for key, val in expected.items():
+            assert params[key].tobytes() == val.tobytes(), key
+        assert model.flat.tobytes() == np.concatenate(
+            [val.ravel() for val in expected.values()]).tobytes()
+
+    def test_named_views_alias_the_buffer(self):
+        rng = np.random.default_rng(22)
+        model = neural.init_forecaster(3, 4, 3, "linear", 0.0, 2, rng)
+        window = rng.random((2, 3))
+        before, _ = neural.forecaster_forward(model, window)
+        flat_before = model.flat.copy()
+        view = model.params()["lstm.w_f"]
+        view[1, 2] += 0.5
+        after, _ = neural.forecaster_forward(model, window)
+        assert not np.array_equal(before, after)
+        changed = np.flatnonzero(model.flat != flat_before)
+        assert changed.size == 1
+        assert model.lstm.w_f[1, 2] == model.flat[changed[0]]
+        # w_f is the second block of four rows in the fused W
+        assert model.lstm.W[4 + 1, 2] == model.lstm.w_f[1, 2]
+
+    def test_batched_step_matches_inference_forward(self):
+        rng = np.random.default_rng(23)
+        model = neural.init_forecaster(4, 6, 4, "sigmoid", 0.3, 3, rng)
+        windows = rng.random((7, 3, 4))
+        step = neural.forecaster_step(model, windows)
+        forward, _ = neural.forecaster_forward(model, windows)
+        assert step.tobytes() == forward.tobytes()
+        single = neural.forecaster_step(model, windows[2])
+        direct, _ = neural.forecaster_forward(model, windows[2])
+        assert single.tobytes() == direct.tobytes()
 
 
 def test_save_load_round_trip(tmp_path):
