@@ -1,8 +1,23 @@
 """Mean + truncated principal-component decomposition of snapshot matrices.
 
 States decompose as ``x = scores @ eofs + mean``; truncation keeps the
-first tau components. EOF rows are orthonormal and sign-fixed (largest
-magnitude entry positive) so fitted bases are reproducible.
+first tau components, and a basis stores only those tau EOF rows. EOF
+rows are orthonormal and sign-fixed (largest magnitude entry positive)
+so fitted bases are reproducible.
+
+The fit uses the method of snapshots (Sirovich, Q. Appl. Math. 45,
+1987): instead of an SVD of the centered n x m matrix X, it takes the
+symmetric eigendecomposition of the Gram matrix of the shorter side,
+X X^T (n x n) when n <= m and X^T X (m x m) otherwise. Its eigenvalues
+are the squared singular values of X. One Rayleigh-Ritz step then turns
+the kept subspace into EOFs: with Q an orthonormal m x tau basis of it
+(the QR factor of X^T V_tau, or V_tau itself when n > m), the SVD of the
+small n x tau matrix X Q rotates Q into the EOF rows, which are thus
+orthonormal to machine precision even when the subspace takes in a null
+direction. Forming the Gram matrix squares the condition number, so the
+tail singular values are accurate in energy (sigma^2 to about
+n * eps * sigma_1^2), not relative to their own size; explained-variance
+fractions, the only use of the tail, need no more.
 """
 
 import json
@@ -23,19 +38,20 @@ from .errors import (
 @dataclass(frozen=True)
 class PcaBasis:
     mean: np.ndarray  # (m,)
-    eofs: np.ndarray  # (r, m), orthonormal rows
-    singular_values: np.ndarray  # (r,), nonincreasing
+    eofs: np.ndarray  # (tau, m), orthonormal rows; older files hold more
+    singular_values: np.ndarray  # (min(n, m),), nonincreasing
     tau: int
     n: int
     m: int
 
     def __post_init__(self):
-        if not 1 <= self.tau <= self.eofs.shape[0]:
-            raise InvalidConfig(f"tau={self.tau} outside [1, {self.eofs.shape[0]}]")
+        limit = min(self.eofs.shape[0], self.rank)
+        if not 1 <= self.tau <= limit:
+            raise InvalidConfig(f"tau={self.tau} outside [1, {limit}]")
 
     @property
     def rank(self):
-        return self.eofs.shape[0]
+        return self.singular_values.size
 
     def save(self, path):
         romf.write_arrays(path, {
@@ -87,17 +103,15 @@ def fit(snapshots, tau=None, variance=None):
     n, m = data.shape
     mean = data.mean(axis=0)
     centered = data - mean
+    wide = n <= m
+    gram = centered @ centered.T if wide else centered.T @ centered
     try:
-        u, s, vt = np.linalg.svd(centered, full_matrices=False)
+        energy, vecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD failed to converge: {exc}") from exc
+        raise NumericalFailure(f"eigh failed to converge: {exc}") from exc
+    s = np.sqrt(np.clip(energy[::-1], 0.0, None))
     if not np.any(s > 0):
         raise DegenerateData("centered snapshot matrix is zero; tau undefined")
-
-    # sign convention: each EOF's largest-magnitude entry is positive
-    flip = np.sign(vt[np.arange(vt.shape[0]), np.argmax(np.abs(vt), axis=1)])
-    flip[flip == 0] = 1.0
-    vt = vt * flip[:, None]
 
     if variance is not None:
         if not 0.0 < variance <= 1.0:
@@ -109,7 +123,20 @@ def fit(snapshots, tau=None, variance=None):
         tau = int(tau)
         if not 1 <= tau <= s.size:
             raise InvalidConfig(f"tau={tau} outside [1, {s.size}]")
-    return PcaBasis(mean=mean, eofs=vt, singular_values=s, tau=tau, n=n, m=m)
+
+    # Rayleigh-Ritz on the kept subspace, spanned by the orthonormal q (m, tau)
+    kept = vecs[:, ::-1][:, :tau]
+    try:
+        q = np.linalg.qr(centered.T @ kept)[0] if wide else kept
+        eofs = np.linalg.svd(centered @ q, full_matrices=False)[2] @ q.T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"Rayleigh-Ritz SVD failed: {exc}") from exc
+
+    # sign convention: each EOF's largest-magnitude entry is positive
+    flip = np.sign(eofs[np.arange(tau), np.argmax(np.abs(eofs), axis=1)])
+    flip[flip == 0] = 1.0
+    eofs *= flip[:, None]
+    return PcaBasis(mean=mean, eofs=eofs, singular_values=s, tau=tau, n=n, m=m)
 
 
 def project(basis, states):

@@ -5,6 +5,7 @@ each ``name_len:u32, name:utf-8, dtype_code:u32, rank:u32, dims:u32...,
 payload`` with the payload stored as little-endian float64.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -43,8 +44,14 @@ def write_arrays(path, arrays):
 
 
 def read_arrays(path):
-    """Read a ROMF container back into a dict of name -> float64 ndarray."""
+    """Read a ROMF container back into a dict of name -> float64 ndarray.
+
+    Every malformed file, truncated or corrupted anywhere, raises
+    FormatError: lengths are checked against the bytes left in the file
+    before anything is read or allocated.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
@@ -59,21 +66,32 @@ def read_arrays(path):
             if len(head) != 4:
                 raise FormatError(f"{path}: truncated record header")
             name_len = _U32.unpack(head)[0]
-            name = fh.read(name_len).decode("utf-8")
+            _check_left(fh, size, name_len, path, "name")
+            try:
+                name = fh.read(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: record name is not UTF-8") from exc
             dtype_code = _read_u32(fh, path)
             if dtype_code != DTYPE_F64:
                 raise FormatError(f"{path}: unknown dtype code {dtype_code}")
             rank = _read_u32(fh, path)
+            _check_left(fh, size, 4 * rank, path, f"dims of {name!r}")
             dims = tuple(_read_u32(fh, path) for _ in range(rank))
             count = 1
             for dim in dims:
                 count *= dim
+            _check_left(fh, size, 8 * count, path, f"payload of {name!r}")
             payload = fh.read(8 * count)
-            if len(payload) != 8 * count:
-                raise FormatError(f"{path}: truncated payload for {name!r}")
-            arrays[name] = np.frombuffer(payload, dtype="<f8").astype(
-                np.float64
-            ).reshape(dims)
+            try:
+                arr = np.frombuffer(payload, dtype="<f8").reshape(dims)
+            except ValueError as exc:  # over 64 dims, or zero-size but overflowing
+                raise FormatError(f"{path}: bad dims {dims} for {name!r}") from exc
+            arrays[name] = arr.astype(np.float64)
+
+
+def _check_left(fh, size, needed, path, what):
+    if needed > size - fh.tell():
+        raise FormatError(f"{path}: truncated {what}")
 
 
 def _read_u32(fh, path):

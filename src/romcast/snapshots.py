@@ -148,10 +148,15 @@ class SnapshotMatrix:
     @classmethod
     def load(cls, path):
         arrays = romf.read_arrays(path)
-        names = tuple(arrays)
-        data = np.hstack([arrays[name] for name in names])
-        nodes = next(iter(arrays.values())).shape[1]
-        return cls(data=data, field_names=names, nodes_per_field=nodes)
+        if not arrays:
+            raise EmptyInput(f"{path}: no fields")
+        fields = list(arrays.values())
+        if any(f.ndim != 2 for f in fields):
+            raise ShapeMismatch(f"{path}: every field must be 2-dimensional")
+        if len({f.shape[0] for f in fields}) != 1:
+            raise ShapeMismatch(f"{path}: fields have differing row counts")
+        return cls(data=np.hstack(fields), field_names=tuple(arrays),
+                   nodes_per_field=fields[0].shape[1])
 
     def to_csv(self, path):
         header = ",".join(self.column_labels())
@@ -185,12 +190,14 @@ def _pad(arr, boundary):
     return np.pad(arr, 1, mode=mode)
 
 
-def _advance(c, vx, vy, config):
-    """One explicit step: upwind advection + central diffusion, flux form."""
+def _advance(c, vxp, vyp, config):
+    """One explicit step: upwind advection + central diffusion, flux form.
+
+    ``vxp`` and ``vyp`` are the velocity components already padded by one
+    cell with ``_pad``.
+    """
     dx, dy, dt, kappa = config.dx, config.dy, config.dt, config.kappa
     cp = _pad(c, config.boundary)
-    vxp = _pad(vx, config.boundary)
-    vyp = _pad(vy, config.boundary)
 
     # x faces: (ny, nx + 1)
     ufx = 0.5 * (vxp[1:-1, :-1] + vxp[1:-1, 1:])
@@ -235,19 +242,19 @@ def generate(config, initial_tracer=None):
     else:
         c = config.init_amplitude * rng.random((ny, nx))
 
-    vx0, vy0 = _velocity_field(config)
+    # padding commutes with scaling, so the velocities are padded once
+    vxp0, vyp0 = (_pad(v, config.boundary) for v in _velocity_field(config))
+    vxp, vyp = vxp0, vyp0
     ix, iy = config.source_center
+    source = np.zeros((ny, nx))
     rows = np.empty((config.n_steps, 3 * nx * ny))
     for step in range(config.n_steps):
-        t = step * config.dt
-        s = _source_factor(t, config.source_period) if config.modulate_velocity else 1.0
-        vx, vy = vx0 * s, vy0 * s
-        rows[step] = vectorise([c, vx, vy])
-        source = np.zeros((ny, nx))
-        source[iy, ix] = config.source_amplitude * _source_factor(
-            t, config.source_period
-        )
-        c = _advance(c, vx, vy, config) + config.dt * source
+        s = _source_factor(step * config.dt, config.source_period)
+        if config.modulate_velocity:
+            vxp, vyp = vxp0 * s, vyp0 * s
+        rows[step] = vectorise([c, vxp[1:-1, 1:-1], vyp[1:-1, 1:-1]])
+        source[iy, ix] = config.source_amplitude * s
+        c = _advance(c, vxp, vyp, config) + config.dt * source
     return SnapshotMatrix(data=rows, field_names=FIELD_NAMES,
                           nodes_per_field=nx * ny)
 

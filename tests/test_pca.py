@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from romcast import pca
+from romcast import pca, romf, snapshots
 from romcast.errors import DegenerateData, InvalidConfig, ShapeMismatch
 
 from oracles import covariance_eig
@@ -59,7 +59,34 @@ class TestFit:
     def test_eofs_orthonormal(self, seed):
         basis = pca.fit(random_matrix(seed, n=8, m=15), variance=1.0)
         gram = basis.eofs @ basis.eofs.T
-        assert np.abs(gram - np.eye(basis.rank)).max() < 1e-10
+        assert np.abs(gram - np.eye(len(basis.eofs))).max() < 1e-10
+
+    def test_tall_matrix_matches_covariance_oracle(self):
+        data = random_matrix(14, n=50, m=20)
+        _, eigvals, vecs = covariance_eig(data)
+        full = pca.fit(data, variance=1.0)
+        oracle = np.cumsum(eigvals) / eigvals.sum()
+        assert np.abs(pca.explained_variance(full) - oracle).max() < 1e-10
+        assert np.abs(full.eofs - vecs[: full.tau]).max() < 1e-9
+        for tau in (1, 5, 12, 18):
+            basis = pca.fit(data, tau=tau)
+            rec = pca.reconstruct(basis, pca.project(basis, data))
+            expected = np.sqrt(eigvals[tau:].sum())
+            assert np.linalg.norm(rec - data) == pytest.approx(expected, rel=1e-8)
+
+    def test_tied_eof_entries_match_svd_oracle_scores(self):
+        # all fields with modulated velocity: EOF 0 has many entries of
+        # equal magnitude, so the sign fix must pick the same one
+        cfg = snapshots.default_config(
+            grid_nx=12, grid_ny=12, n_steps=90, u0=1.5, kappa=0.05,
+            source_period=4.0, source_center=(3, 3), modulate_velocity=True)
+        data = snapshots.generate(cfg).data
+        basis = pca.fit(data, tau=4)
+        centered = data - data.mean(axis=0)
+        u, s, vt = np.linalg.svd(centered, full_matrices=False)
+        flip = np.sign(vt[np.arange(vt.shape[0]), np.argmax(np.abs(vt), axis=1)])
+        oracle_scores = (u * s) * flip[None, :]
+        assert np.abs(pca.project(basis, data) - oracle_scores[:, :4]).max() < 1e-9
 
 
 class TestProjectReconstruct:
@@ -159,3 +186,20 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.eofs, basis.eofs)
     assert np.array_equal(loaded.singular_values, basis.singular_values)
     assert np.array_equal(loaded.mean, basis.mean)
+
+
+def test_saved_basis_keeps_tau_rows_and_full_row_files_load(tmp_path):
+    data = random_matrix(15)
+    basis = pca.fit(data, tau=3)
+    basis.save(tmp_path / "basis.romf")
+    assert romf.read_arrays(tmp_path / "basis.romf")["eofs"].shape == (3, 50)
+    # a file written with every EOF row, as bases were once saved
+    centered = data - data.mean(axis=0)
+    vt = np.linalg.svd(centered, full_matrices=False)[2]
+    vt[:3] = basis.eofs
+    full = pca.PcaBasis(mean=basis.mean, eofs=vt,
+                        singular_values=basis.singular_values, tau=3, n=20, m=50)
+    full.save(tmp_path / "full.romf")
+    loaded = pca.PcaBasis.load(tmp_path / "full.romf")
+    assert loaded.eofs.shape == (20, 50) and loaded.rank == 20
+    assert np.array_equal(pca.project(loaded, data), pca.project(basis, data))

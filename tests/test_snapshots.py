@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from romcast import snapshots
+from romcast import romf, snapshots
 from romcast.errors import (
     EmptyInput,
     InvalidConfig,
@@ -113,6 +113,46 @@ class TestGenerate:
         with pytest.raises(ShapeMismatch):
             snapshots.generate(small_config(), initial_tracer=np.ones((3, 3)))
 
+    @pytest.mark.parametrize("boundary", ["periodic", "zero_gradient"])
+    @pytest.mark.parametrize("modulate", [False, True])
+    def test_matches_per_step_reference_bit_for_bit(self, boundary, modulate):
+        cfg = small_config(boundary=boundary, modulate_velocity=modulate,
+                           grid_nx=12, grid_ny=9, n_steps=40)
+        c0 = np.random.default_rng(3).random((cfg.grid_ny, cfg.grid_nx))
+        snap = snapshots.generate(cfg, initial_tracer=c0)
+        assert snap.data.tobytes() == reference_generate(cfg, c0).tobytes()
+
+
+def reference_generate(cfg, c):
+    """The solver as a plain loop that pads every field on every step."""
+    mode = "wrap" if cfg.boundary == "periodic" else "edge"
+    vx0, vy0 = snapshots._velocity_field(cfg)
+    rows = []
+    for step in range(cfg.n_steps):
+        t = step * cfg.dt
+        pulse = 0.5 * (1.0 + np.sin(2.0 * np.pi * t / cfg.source_period))
+        s = pulse if cfg.modulate_velocity else 1.0
+        vx, vy = vx0 * s, vy0 * s
+        rows.append(np.concatenate([c.ravel(), vx.ravel(), vy.ravel()]))
+        cp, vxp, vyp = (np.pad(a, 1, mode=mode) for a in (c, vx, vy))
+        ufx = 0.5 * (vxp[1:-1, :-1] + vxp[1:-1, 1:])
+        cl, cr = cp[1:-1, :-1], cp[1:-1, 1:]
+        flux_x = np.where(ufx > 0.0, cl, cr) * ufx
+        dcdx_flux = cfg.kappa * (cr - cl) / cfg.dx
+        ufy = 0.5 * (vyp[:-1, 1:-1] + vyp[1:, 1:-1])
+        cb, ct = cp[:-1, 1:-1], cp[1:, 1:-1]
+        flux_y = np.where(ufy > 0.0, cb, ct) * ufy
+        dcdy_flux = cfg.kappa * (ct - cb) / cfg.dy
+        adv = (flux_x[:, 1:] - flux_x[:, :-1]) / cfg.dx + (
+            flux_y[1:, :] - flux_y[:-1, :]) / cfg.dy
+        diff = (dcdx_flux[:, 1:] - dcdx_flux[:, :-1]) / cfg.dx + (
+            dcdy_flux[1:, :] - dcdy_flux[:-1, :]) / cfg.dy
+        source = np.zeros_like(c)
+        ix, iy = cfg.source_center
+        source[iy, ix] = cfg.source_amplitude * pulse
+        c = c + cfg.dt * (diff - adv) + cfg.dt * source
+    return np.array(rows)
+
 
 class TestVectorise:
     def test_single_field_is_identity(self):
@@ -157,6 +197,19 @@ class TestSnapshotMatrix:
         loaded = snapshots.SnapshotMatrix.load(path)
         assert loaded.field_names == snap.field_names
         assert loaded.data.tobytes() == snap.data.tobytes()
+
+    def test_load_empty_container_rejected(self, tmp_path):
+        path = tmp_path / "empty.romf"
+        romf.write_arrays(path, {})
+        with pytest.raises(EmptyInput):
+            snapshots.SnapshotMatrix.load(path)
+
+    def test_load_differing_row_counts_rejected(self, tmp_path):
+        path = tmp_path / "ragged.romf"
+        romf.write_arrays(path, {"tracer": np.ones((4, 6)),
+                                 "vel_x": np.ones((3, 6))})
+        with pytest.raises(ShapeMismatch):
+            snapshots.SnapshotMatrix.load(path)
 
     def test_csv_header_labels(self, tmp_path):
         snap = snapshots.SnapshotMatrix(
