@@ -314,7 +314,8 @@ def cmd_evaluate(args):
                 "adv": args.adv},
         meta={"aggregate_reduction_pct": report.aggregate_reduction_pct,
               "diverged_classic": report.diverged_classic,
-              "diverged_adv": report.diverged_adv},
+              "diverged_adv": report.diverged_adv,
+              "n_pairs": report.n_pairs.tolist()},
     )
     print(f"evaluate: {out} starts={starts[0]}..{starts[-1]} "
           f"horizon={args.horizon} "
@@ -346,9 +347,7 @@ def cmd_bench(args):
     verify_artifact(args.model)
     verify_artifact(args.scaler)
     model, _, _ = load_model(args.model)
-    scaler = snapshots.MinMaxScaler.load(args.scaler)
-    timing = forecast.timing_benchmark(model, scaler, gen,
-                                       horizon=args.horizon,
+    timing = forecast.timing_benchmark(model, gen, horizon=args.horizon,
                                        ensemble_width=args.ensemble)
     print(f"bench: simulator {timing.sim_seconds_per_step * 1e6:.1f} us/step")
     print(f"bench: forecast (single trajectory) "
@@ -452,10 +451,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, InvalidConfig, json.JSONDecodeError) as exc:
-        print(f"romcast: error: {exc}", file=sys.stderr)
-        return 2
-    except MissingArtifact as exc:
+    except (FileNotFoundError, InvalidConfig, json.JSONDecodeError,
+            MissingArtifact) as exc:
         print(f"romcast: error: {exc}", file=sys.stderr)
         return 2
     except RomcastError as exc:

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pca, snapshots
+from . import snapshots
 from .errors import InvalidConfig, ShapeMismatch, StartOutOfRange
-from .neural import forecaster_forward, forecaster_step
+from .neural import forecaster_step
 
 
 @dataclass
@@ -37,6 +37,7 @@ class EnsembleReport:
     start_steps: tuple
     diverged_classic: int = 0
     diverged_adv: int = 0
+    n_pairs: np.ndarray = None  # (H,) starts both still finite; not in CSV
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -67,6 +68,39 @@ class EnsembleReport:
         )
 
 
+def _roll(model, windows, horizon):
+    """Roll a (B, N, tau) batch of scaled windows, shifted in place.
+
+    Returns (B, H, tau) scaled predictions and, per row, the step where
+    its prediction first went non-finite (``horizon`` if never). From that
+    step on the row's predictions are NaN and it is fed zeros, so it
+    cannot spoil the other rows or raise floating-point warnings.
+    """
+    if horizon < 0:
+        raise InvalidConfig("horizon must be >= 0")
+    preds = np.empty((len(windows), horizon, windows.shape[2]))
+    diverged_at = np.full(len(windows), horizon)
+    for h in range(horizon):
+        pred = forecaster_step(model, windows)
+        if not np.isfinite(pred).all():
+            bad = ~np.isfinite(pred).all(axis=1)
+            diverged_at[bad] = np.minimum(diverged_at[bad], h)
+            if np.all(diverged_at <= h):
+                break
+            pred[bad] = 0.0
+        preds[:, h] = pred
+        windows[:, :-1] = windows[:, 1:]
+        windows[:, -1] = pred
+    preds[np.arange(horizon) >= diverged_at[:, None]] = np.nan
+    return preds, diverged_at
+
+
+def _norms(diff):
+    """L2 norms over the last axis, each bit for bit ``np.linalg.norm`` of
+    its row (a dot product; ``norm(axis=-1)`` sums in another order)."""
+    return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+
+
 def rollout(model, scaler, seed_window, horizon, truth=None, start_step=-1):
     """Autoregressive forecast of ``horizon`` steps from a scaled window.
 
@@ -79,40 +113,27 @@ def rollout(model, scaler, seed_window, horizon, truth=None, start_step=-1):
         raise ShapeMismatch(
             f"seed window must be {model.time_lag} x tau, got {window.shape}"
         )
-    if horizon < 0:
-        raise InvalidConfig("horizon must be >= 0")
-    tau = window.shape[1]
-    preds_scaled = np.full((horizon, tau), np.nan)
-    preds = np.full((horizon, tau), np.nan)
-    errors = np.full(horizon, np.nan)
-    diverged_at = None
-    for h in range(horizon):
-        pred = forecaster_step(model, window)
-        if not np.all(np.isfinite(pred)):
-            diverged_at = h
-            break
-        preds_scaled[h] = pred
-        window[:-1] = window[1:]
-        window[-1] = pred
-    done = horizon if diverged_at is None else diverged_at
+    (preds_scaled,), (done,) = _roll(model, window[None], horizon)
+    preds = np.full_like(preds_scaled, np.nan)
     preds[:done] = scaler.invert(preds_scaled[:done])
+    errors = np.full(horizon, np.nan)
     if truth is not None:
-        for h in range(min(done, len(truth))):
-            errors[h] = np.linalg.norm(preds[h] - truth[h])
+        known = min(horizon, len(truth))
+        errors[:known] = _norms(preds[:known] - truth[:known])
     return RolloutResult(
         start_step=start_step,
         horizon=horizon,
         predictions_scaled=preds_scaled,
         predictions=preds,
         errors=errors,
-        diverged_at=diverged_at,
+        diverged_at=None if done == horizon else int(done),
     )
 
 
 def _reduction(classic, adv):
-    if not np.isfinite(classic) or classic == 0.0:
-        return 0.0
-    return 100.0 * (classic - adv) / classic
+    if not (np.isfinite(classic) and np.isfinite(adv)):
+        return np.nan
+    return 0.0 if classic == 0.0 else 100.0 * (classic - adv) / classic
 
 
 def evaluate_ensemble(model_classic, model_adv, scores, scaler, start_steps,
@@ -121,7 +142,10 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, start_steps,
 
     ``scores`` is the full unscaled n x tau score matrix (ground truth);
     a start step t seeds the window with rows [t, t+N) and forecasts rows
-    [t+N, t+N+horizon).
+    [t+N, t+N+horizon). At each horizon step both models are averaged
+    over the same starts: those where neither has diverged yet
+    (``n_pairs``), so a model that diverges more often cannot look better
+    by dropping its worst runs. Where no pair is left the means are NaN.
     """
     if model_classic.time_lag != model_adv.time_lag:
         raise InvalidConfig("models must share the time lag for a fair ensemble")
@@ -131,55 +155,39 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, start_steps,
     start_steps = tuple(int(s) for s in start_steps)
     if not start_steps:
         raise StartOutOfRange("no start steps given")
-    scaled = scaler.scale(scores)
-    errors = {"classic": [], "adv": []}
-    diverged = {"classic": 0, "adv": 0}
-    for start in start_steps:
-        if start < 0 or start + lag + horizon > n:
-            raise StartOutOfRange(
-                f"start {start} + lag {lag} + horizon {horizon} exceeds {n} steps"
-            )
-        window = scaled[start:start + lag]
-        truth = scores[start + lag:start + lag + horizon]
-        for name, model in (("classic", model_classic), ("adv", model_adv)):
-            result = rollout(model, scaler, window, horizon, truth=truth,
-                             start_step=start)
-            errors[name].append(result.errors)
-            if result.diverged_at is not None:
-                diverged[name] += 1
-    classic = np.array(errors["classic"])  # (S, H)
-    adv = np.array(errors["adv"])
+    bad = [s for s in start_steps if s < 0 or s + lag + max(horizon, 0) > n]
+    if bad:
+        raise StartOutOfRange(f"start {bad[0]} + lag {lag} + horizon "
+                              f"{horizon} exceeds {n} steps")
+    starts = np.array(start_steps)[:, None]
+    windows = scaler.scale(scores)[starts + np.arange(lag)]  # (S, N, tau)
+    preds, diverged_at = zip(*(_roll(model, windows.copy(), horizon)
+                               for model in (model_classic, model_adv)))
+    truth = scores[starts + lag + np.arange(horizon)]  # (S, H, tau)
+    errors = _norms(scaler.invert(np.stack(preds)) - truth)  # (2, S, H)
+    diverged_at = np.stack(diverged_at)  # (2, S)
+    paired = np.all(np.arange(horizon) < diverged_at[..., None], axis=0)
+    n_pairs = paired.sum(axis=0)
     with np.errstate(invalid="ignore"):
-        mean_c = np.nanmean(classic, axis=0) if horizon else np.empty(0)
-        std_c = np.nanstd(classic, axis=0) if horizon else np.empty(0)
-        mean_a = np.nanmean(adv, axis=0) if horizon else np.empty(0)
-        std_a = np.nanstd(adv, axis=0) if horizon else np.empty(0)
-    reduction = np.array([_reduction(c, a) for c, a in zip(mean_c, mean_a)])
-    aggregate = _reduction(
-        float(np.nanmean(mean_c)) if horizon else np.nan,
-        float(np.nanmean(mean_a)) if horizon else np.nan,
-    )
+        means = np.where(paired, errors, 0.0).sum(axis=1) / n_pairs
+        stds = np.sqrt(np.where(paired, (errors - means[:, None]) ** 2,
+                                0.0).sum(axis=1) / n_pairs)
+    reduction = np.array([_reduction(c, a) for c, a in means.T])
+    aggregate = (_reduction(*means[:, n_pairs > 0].mean(axis=1))
+                 if n_pairs.any() else np.nan)
     return EnsembleReport(
         horizons=np.arange(1, horizon + 1),
-        mean_classic=mean_c,
-        std_classic=std_c,
-        mean_adv=mean_a,
-        std_adv=std_a,
+        mean_classic=means[0],
+        std_classic=stds[0],
+        mean_adv=means[1],
+        std_adv=stds[1],
         reduction_pct=reduction,
         aggregate_reduction_pct=aggregate,
         start_steps=start_steps,
-        diverged_classic=diverged["classic"],
-        diverged_adv=diverged["adv"],
+        diverged_classic=int(np.sum(diverged_at[0] < horizon)),
+        diverged_adv=int(np.sum(diverged_at[1] < horizon)),
+        n_pairs=n_pairs,
     )
-
-
-def reconstruct_forecast(basis, result):
-    """Lift rollout predictions back to field space via the PCA basis."""
-    if result.predictions.shape[1] != basis.tau:
-        raise ShapeMismatch(
-            f"rollout tau {result.predictions.shape[1]} != basis tau {basis.tau}"
-        )
-    return pca.reconstruct(basis, result.predictions)
 
 
 @dataclass
@@ -190,13 +198,6 @@ class TimingReport:
     ensemble_width: int
     ratio_single: float
     ratio_ensemble: float
-
-
-def _batched_rollout(model, windows, horizon):
-    for _ in range(horizon):
-        pred = forecaster_step(model, windows)
-        windows = np.concatenate([windows[:, 1:], pred[:, None]], axis=1)
-    return windows
 
 
 def _timed(fn, min_seconds=0.1):
@@ -210,26 +211,22 @@ def _timed(fn, min_seconds=0.1):
     return elapsed / reps
 
 
-def timing_benchmark(model, scaler, generator_config, horizon=50,
-                     ensemble_width=50):
+def timing_benchmark(model, generator_config, horizon=50, ensemble_width=50):
     """Wall-clock per simulator step vs. per forecast step.
 
-    The single-trajectory number times ``rollout`` as-is; the ensemble
-    number rolls ``ensemble_width`` trajectories in one batch (the shape
-    of a Fig.-2-style ensemble evaluation) and divides by the width.
+    Both forecast numbers time the rollout engine on scaled windows: one
+    trajectory, and ``ensemble_width`` trajectories in one batch (the
+    shape of a Fig.-2-style ensemble evaluation) divided by the width.
     """
     tau = model.head.weight.shape[0]
-    window = np.full((model.time_lag, tau), 0.5)
-    windows = np.tile(window, (ensemble_width, 1, 1))
+    windows = np.full((ensemble_width, model.time_lag, tau), 0.5)
 
     sim_per_step = _timed(
         lambda: snapshots.generate(generator_config)
     ) / generator_config.n_steps
-    single = _timed(
-        lambda: rollout(model, scaler, window, horizon)
-    ) / horizon
+    single = _timed(lambda: _roll(model, windows[:1].copy(), horizon)) / horizon
     batched = _timed(
-        lambda: _batched_rollout(model, windows, horizon)
+        lambda: _roll(model, windows.copy(), horizon)
     ) / (horizon * ensemble_width)
     return TimingReport(
         sim_seconds_per_step=sim_per_step,

@@ -490,6 +490,12 @@ def load_model(path):
     arrays = romf.read_arrays(path)
     with open(str(path) + ".json") as fh:
         meta = json.load(fh)
+    romf.require(arrays, [f"lstm.{name}" for name in GATE_NAMES]
+                 + ["head.weight", "head.bias"], path)
+    romf.require(meta, ["kind"], path, "meta key")
+    if meta["kind"] == "forecaster":
+        romf.require(meta, ["output_activation", "dropout_rate", "time_lag"],
+                     path, "meta key")
     lstm = LstmParams(**{name: arrays["lstm." + name] for name in GATE_NAMES})
     head = DenseParams(weight=arrays["head.weight"], bias=arrays["head.bias"])
     extras = {key: val for key, val in arrays.items()

@@ -68,6 +68,8 @@ class PcaBasis:
         arrays = romf.read_arrays(path)
         with open(str(path) + ".json") as fh:
             meta = json.load(fh)
+        romf.require(arrays, ["mean", "eofs", "singular_values"], path)
+        romf.require(meta, ["tau", "n", "m"], path, "meta key")
         return cls(
             mean=arrays["mean"],
             eofs=arrays["eofs"],

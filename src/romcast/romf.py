@@ -89,6 +89,14 @@ def read_arrays(path):
             arrays[name] = arr.astype(np.float64)
 
 
+def require(mapping, names, path, what="array"):
+    """Raise FormatError naming the first of ``names`` missing from
+    ``mapping``: the check every artifact loader makes on what it read."""
+    for name in names:
+        if name not in mapping:
+            raise FormatError(f"{path}: missing {what} {name!r}")
+
+
 def _check_left(fh, size, needed, path, what):
     if needed > size - fh.tell():
         raise FormatError(f"{path}: truncated {what}")

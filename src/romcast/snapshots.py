@@ -335,6 +335,9 @@ class MinMaxScaler:
     @classmethod
     def load(cls, path):
         arrays = romf.read_arrays(path)
+        romf.require(arrays, ["mins", "maxs", "range"], path)
+        if arrays["range"].shape != (2,):
+            raise romf.FormatError(f"{path}: 'range' must hold (lo, hi)")
         lo, hi = arrays["range"]
         return cls(mins=arrays["mins"], maxs=arrays["maxs"], lo=lo, hi=hi)
 

@@ -72,6 +72,25 @@ class TestExitCodes:
         assert run("generate", "--config", "bad.json") == 2
 
 
+    @pytest.mark.parametrize("swap, missing", [
+        ({"--classic": "basis.romf"}, "'lstm.w_i'"),
+        ({"--basis": "classic.romf"}, "'mean'"),
+        ({"--scaler": "basis.romf"}, "'mins'"),
+    ])
+    def test_wrong_kind_artifact_is_format_error(self, workdir, capsys, swap,
+                                                 missing):
+        pipeline(workdir)
+        paths = {"--classic": "classic.romf", "--adv": "classic.romf",
+                 "--snapshots": "snap.romf", "--basis": "basis.romf",
+                 "--scaler": "scaler.romf", **swap}
+        args = [item for pair in paths.items() for item in pair]
+        capsys.readouterr()
+        assert run("evaluate", *args, "--starts", "40..42",
+                   "--horizon", "5") == 1
+        err = capsys.readouterr().err
+        assert "missing array" in err and missing in err
+
+
 class TestGenerate:
     def test_reruns_are_byte_identical(self, workdir):
         run("generate", "--config", "config.json", "--out", "a.romf")
@@ -127,6 +146,8 @@ class TestTrainEvaluateReport:
                    "40..50", "--horizon", "12", "--out", "report.csv") == 0
         lines = open("report.csv").read().splitlines()
         assert len(lines) == 13  # header + one row per horizon step
+        meta = json.load(open("report.csv.manifest.json"))["meta"]
+        assert meta["n_pairs"] == [11] * 12
         assert run("report", "report.csv") == 0
         out = capsys.readouterr().out
         assert "agg" in out

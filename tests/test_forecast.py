@@ -1,7 +1,10 @@
+import collections
+import warnings
+
 import numpy as np
 import pytest
 
-from romcast import forecast, neural, pca, snapshots, training
+from romcast import forecast, neural, snapshots
 from romcast.errors import InvalidConfig, ShapeMismatch, StartOutOfRange
 
 
@@ -26,8 +29,8 @@ class TestRollout:
     def test_stub_fixed_point(self, monkeypatch):
         scores, scaler, model = tiny_setup()
 
-        def last_row(model_, window):
-            return window[-1].copy()
+        def last_row(model_, windows):
+            return windows[..., -1, :]
 
         monkeypatch.setattr(forecast, "forecaster_step", last_row)
         window = scaler.scale(scores)[:2]
@@ -86,6 +89,9 @@ class TestEvaluateEnsemble:
     def test_reduction_formula(self):
         assert forecast._reduction(2.0, 1.0) == 50.0
         assert forecast._reduction(0.0, 1.0) == 0.0
+        assert np.isnan(forecast._reduction(np.nan, 1.0))
+        assert np.isnan(forecast._reduction(np.inf, 1.0))
+        assert np.isnan(forecast._reduction(1.0, np.nan))
 
     def test_swapping_models_swaps_curves(self):
         scores, scaler, model_a = tiny_setup(seed=1)
@@ -130,43 +136,146 @@ class TestEvaluateEnsemble:
             report.aggregate_reduction_pct, abs=1e-4)
 
 
-class TestReconstructForecast:
-    def test_zero_scores_give_mean_rows(self):
-        data = np.random.default_rng(0).standard_normal((20, 12))
-        basis = pca.fit(data, tau=3)
-        result = forecast.RolloutResult(
-            start_step=0, horizon=4,
-            predictions_scaled=np.zeros((4, 3)),
-            predictions=np.zeros((4, 3)),
-            errors=np.full(4, np.nan),
-        )
-        fields = forecast.reconstruct_forecast(basis, result)
-        assert np.allclose(fields, np.tile(basis.mean, (4, 1)))
+def reference_errors(model, scores, scaler, starts, horizon):
+    """Per-start rollouts from 2-D ``forecaster_step`` calls: (S, H)."""
+    scaled = scaler.scale(scores)
+    lag = model.time_lag
+    errors = []
+    for start in starts:
+        window = scaled[start:start + lag].copy()
+        row = []
+        for h in range(horizon):
+            pred = neural.forecaster_step(model, window)
+            window = np.vstack([window[1:], pred])
+            truth = scores[start + lag + h]
+            row.append(np.linalg.norm(scaler.invert(pred) - truth))
+        errors.append(row)
+    return np.array(errors)
 
-    def test_ground_truth_scores_match_pca_reconstruction(self):
-        data = np.random.default_rng(1).standard_normal((20, 12))
-        basis = pca.fit(data, tau=4)
-        scores = pca.project(basis, data[:5])
-        result = forecast.RolloutResult(
-            start_step=0, horizon=5,
-            predictions_scaled=scores,
-            predictions=scores,
-            errors=np.full(5, np.nan),
-        )
-        fields = forecast.reconstruct_forecast(basis, result)
-        assert np.allclose(fields, pca.reconstruct(basis, scores), atol=1e-9)
 
-    def test_tau_mismatch_rejected(self):
-        data = np.random.default_rng(2).standard_normal((20, 12))
-        basis = pca.fit(data, tau=4)
-        result = forecast.RolloutResult(
-            start_step=0, horizon=2,
-            predictions_scaled=np.zeros((2, 3)),
-            predictions=np.zeros((2, 3)),
-            errors=np.full(2, np.nan),
-        )
-        with pytest.raises(ShapeMismatch):
-            forecast.reconstruct_forecast(basis, result)
+class TestEngine:
+    def test_batched_ensemble_matches_per_start_loop(self):
+        scores, scaler, model_a = tiny_setup(seed=1)
+        _, _, model_b = tiny_setup(seed=2)
+        starts, horizon = range(3, 60), 20
+        report = forecast.evaluate_ensemble(model_a, model_b, scores, scaler,
+                                            starts, horizon)
+        for model, mean, std in ((model_a, report.mean_classic,
+                                  report.std_classic),
+                                 (model_b, report.mean_adv, report.std_adv)):
+            ref = reference_errors(model, scores, scaler, starts, horizon)
+            np.testing.assert_allclose(mean, ref.mean(axis=0), rtol=1e-12)
+            np.testing.assert_allclose(std, ref.std(axis=0), rtol=1e-12)
+        assert np.array_equal(report.n_pairs, np.full(horizon, len(starts)))
+        assert report.diverged_classic == report.diverged_adv == 0
+
+    def test_diverging_row_leaves_other_rows_bit_identical(self):
+        scores, scaler, model = tiny_setup()
+        scaled = scaler.scale(scores)
+        windows = np.stack([scaled[s:s + 2] for s in range(10, 16)])
+        spoiled = windows.copy()
+        spoiled[2, 0, 1] = np.nan
+        clean_preds, clean_at = forecast._roll(model, windows, 9)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            preds, diverged_at = forecast._roll(model, spoiled, 9)
+        others = [0, 1, 3, 4, 5]
+        assert preds[others].tobytes() == clean_preds[others].tobytes()
+        assert np.array_equal(diverged_at, [9, 9, 0, 9, 9, 9])
+        assert np.array_equal(clean_at, np.full(6, 9))
+        assert np.all(np.isnan(preds[2]))
+
+    def test_row_diverging_mid_rollout(self, monkeypatch):
+        calls = []
+
+        def stub(model_, windows):
+            pred = windows[..., -1, :] + 0.01
+            if len(calls) >= 3:
+                pred[1] = np.inf
+            calls.append(len(windows))
+            return pred
+
+        scores, scaler, model = tiny_setup()
+        monkeypatch.setattr(forecast, "forecaster_step", stub)
+        windows = np.stack([scaler.scale(scores)[s:s + 2] for s in (0, 5, 9)])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            preds, diverged_at = forecast._roll(model, windows, 6)
+        assert calls == [3] * 6
+        assert np.array_equal(diverged_at, [6, 3, 6])
+        assert np.all(np.isfinite(preds[1, :3]))
+        assert np.all(np.isnan(preds[1, 3:]))
+        assert np.all(np.isfinite(preds[[0, 2]]))
+        # the diverged row is fed zeros: its window holds no inf
+        assert np.all(np.isfinite(windows))
+
+
+class TestPairedAccounting:
+    """Both models are averaged over the starts where both are finite."""
+
+    def run(self, monkeypatch, plan, starts=range(10, 16), horizon=8):
+        scores, scaler, classic = tiny_setup(seed=1)
+        _, _, adv = tiny_setup(seed=2)
+        drift = {id(classic): 0.0, id(adv): 0.02}
+        rows = {id(classic): plan["classic"], id(adv): plan["adv"]}
+        calls = collections.Counter()
+
+        def stub(model_, windows):
+            step = calls[id(model_)]
+            calls[id(model_)] += 1
+            pred = windows[..., -1, :] + drift[id(model_)]
+            for row, at in rows[id(model_)].items():
+                if step >= at:
+                    pred[row] = np.nan
+            return pred
+
+        monkeypatch.setattr(forecast, "forecaster_step", stub)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            report = forecast.evaluate_ensemble(classic, adv, scores, scaler,
+                                                starts, horizon)
+        # the stub's rollouts in closed form: last seed row plus drift
+        scaled = scaler.scale(scores)
+        steps = np.arange(1, horizon + 1)[:, None]
+        errors, alive = [], []
+        for name, model in (("classic", classic), ("adv", adv)):
+            err = np.array([np.linalg.norm(
+                scaler.invert(scaled[s + 1] + drift[id(model)] * steps)
+                - scores[s + 2:s + 2 + horizon], axis=1) for s in starts])
+            at = [plan[name].get(i, horizon) for i in range(len(starts))]
+            errors.append(err)
+            alive.append(np.arange(horizon) < np.array(at)[:, None])
+        return report, np.array(errors), alive[0] & alive[1]
+
+    def test_means_over_pairs_where_both_survive(self, monkeypatch):
+        plan = {"classic": {1: 2, 3: 0}, "adv": {1: 5, 4: 4}}
+        report, errors, paired = self.run(monkeypatch, plan)
+        assert report.diverged_classic == 2 and report.diverged_adv == 2
+        assert np.array_equal(report.n_pairs, [5, 5, 4, 4, 3, 3, 3, 3])
+        assert np.array_equal(report.n_pairs, paired.sum(axis=0))
+        for mean, std, err in ((report.mean_classic, report.std_classic,
+                                errors[0]),
+                               (report.mean_adv, report.std_adv, errors[1])):
+            for h in range(8):
+                kept = err[paired[:, h], h]
+                assert mean[h] == pytest.approx(kept.mean(), rel=1e-12)
+                assert std[h] == pytest.approx(kept.std(), rel=1e-12)
+        # adv's surviving starts alone would give another mean from h=4 on
+        assert report.mean_adv[4] != pytest.approx(
+            errors[1][[0, 1, 2, 3, 5], 4].mean(), rel=1e-9)
+
+    def test_no_pairs_left_gives_nan_not_zero(self, monkeypatch):
+        plan = {"classic": {i: 3 for i in range(6)}, "adv": {}}
+        report, errors, paired = self.run(monkeypatch, plan)
+        assert report.diverged_classic == 6 and report.diverged_adv == 0
+        assert np.array_equal(report.n_pairs, [6, 6, 6, 0, 0, 0, 0, 0])
+        assert np.all(np.isnan(report.mean_classic[3:]))
+        assert np.all(np.isnan(report.mean_adv[3:]))
+        assert np.all(np.isnan(report.reduction_pct[3:]))
+        assert np.all(np.isfinite(report.reduction_pct[:3]))
+        means = errors[:, :, :3].mean(axis=1).mean(axis=1)
+        assert report.aggregate_reduction_pct == pytest.approx(
+            100.0 * (means[0] - means[1]) / means[0], rel=1e-12)
 
 
 class TestTimingBenchmark:
@@ -174,7 +283,7 @@ class TestTimingBenchmark:
         scores, scaler, model = tiny_setup()
         config = snapshots.default_config(grid_nx=16, grid_ny=16, n_steps=40,
                                           source_period=4.0)
-        timing = forecast.timing_benchmark(model, scaler, config, horizon=20,
+        timing = forecast.timing_benchmark(model, config, horizon=20,
                                            ensemble_width=16)
         assert timing.sim_seconds_per_step > 0
         assert timing.forecast_seconds_per_step > 0

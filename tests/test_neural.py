@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from romcast import neural, optim
+from romcast import neural, optim, romf
 from romcast.errors import InvalidConfig, NonFiniteInput, ShapeMismatch, TapeMismatch
 
 import oracles
@@ -334,3 +335,23 @@ def test_save_load_round_trip(tmp_path):
     a, _ = neural.forecaster_forward(model, window)
     b, _ = neural.forecaster_forward(loaded, window)
     assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("drop, missing", [
+    ("array", "'lstm.u_o'"), ("kind", "'kind'"), ("time_lag", "'time_lag'"),
+])
+def test_load_incomplete_model_is_format_error(tmp_path, drop, missing):
+    rng = np.random.default_rng(16)
+    model = neural.init_forecaster(3, 5, 3, "sigmoid", 0.0, 2, rng)
+    path = tmp_path / "model.romf"
+    neural.save_model(path, model)
+    if drop == "array":
+        arrays = dict(model.params())
+        del arrays["lstm.u_o"]
+        romf.write_arrays(path, arrays)
+    else:
+        meta = json.loads((tmp_path / "model.romf.json").read_text())
+        del meta[drop]
+        (tmp_path / "model.romf.json").write_text(json.dumps(meta))
+    with pytest.raises(romf.FormatError, match=missing):
+        neural.load_model(path)

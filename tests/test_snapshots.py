@@ -264,3 +264,22 @@ class TestScaler:
         loaded = snapshots.MinMaxScaler.load(path)
         data = np.random.default_rng(1).random((4, 3))
         assert np.array_equal(loaded.scale(data), scaler.scale(data))
+
+    @pytest.mark.parametrize("arrays, missing", [
+        ({"mins": np.zeros(2), "maxs": np.ones(2)}, "'range'"),
+        ({"mean": np.zeros(2)}, "'mins'"),
+    ])
+    def test_load_missing_array_is_format_error(self, tmp_path, arrays,
+                                                missing):
+        path = tmp_path / "scaler.romf"
+        romf.write_arrays(path, arrays)
+        with pytest.raises(romf.FormatError, match=missing):
+            snapshots.MinMaxScaler.load(path)
+
+    @pytest.mark.parametrize("bounds", [[0.0], [0.0, 1.0, 2.0], [[0.0, 1.0]]])
+    def test_load_malformed_range_is_format_error(self, tmp_path, bounds):
+        path = tmp_path / "scaler.romf"
+        romf.write_arrays(path, {"mins": np.zeros(2), "maxs": np.ones(2),
+                                 "range": np.array(bounds)})
+        with pytest.raises(romf.FormatError, match="range"):
+            snapshots.MinMaxScaler.load(path)
