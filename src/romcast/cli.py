@@ -1,8 +1,10 @@
 """Command-line pipeline: generate -> pca -> train -> evaluate -> report.
 
-Every command writes its artifact plus a JSON sidecar manifest recording
-the tool version, seed, config hash and the content hashes of its inputs;
-consumers re-hash their inputs and refuse to run on a stale pipeline.
+Every command writes its artifact and a manifest beside it,
+``<artifact>.manifest.json``, that records the tool version, seed,
+config hash and the content hashes of its inputs, whose paths are
+stored relative to the artifact's directory; consumers re-hash their
+inputs and refuse to run on a stale pipeline.
 Verbosity is controlled by the ROMCAST_LOG environment variable.
 """
 
@@ -13,9 +15,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, replace
-
-import numpy as np
+from dataclasses import asdict
 
 from . import __version__, forecast, pca, snapshots, training
 from .errors import HashMismatch, InvalidConfig, MissingArtifact, RomcastError
@@ -29,10 +29,6 @@ DEFAULT_PCA = {"field": "tracer", "tau": 16, "variance": None,
 DEFAULT_TRAIN = training.TrainConfig()
 DEFAULT_GRID = dict(training.DEFAULT_GRID)
 DEFAULT_SEARCH_EPOCHS = 60
-
-
-def _utcnow():
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def _sha256(path):
@@ -54,18 +50,22 @@ def _manifest_path(artifact):
     return str(artifact) + ".manifest.json"
 
 
+def _dir_of(artifact):
+    return os.path.dirname(os.path.abspath(artifact))
+
+
 def write_manifest(artifact, seed=None, config=None, inputs=None, meta=None):
-    inputs = inputs or {}
     manifest = {
         "tool_version": __version__,
-        "created_utc": _utcnow(),
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "seed": seed,
         "config_hash": _config_hash(config) if config is not None else None,
         "artifact": {"path": os.path.basename(str(artifact)),
                      "sha256": _sha256(artifact)},
         "inputs": {
-            name: {"path": str(path), "sha256": _sha256(path)}
-            for name, path in inputs.items()
+            name: {"path": os.path.relpath(path, _dir_of(artifact)),
+                   "sha256": _sha256(path)}
+            for name, path in (inputs or {}).items()
         },
         "meta": meta or {},
     }
@@ -89,17 +89,17 @@ def verify_artifact(path):
         raise MissingArtifact(f"manifest not found for artifact: {path}")
     with open(mpath) as fh:
         manifest = json.load(fh)
-    actual = _sha256(path)
-    if actual != manifest["artifact"]["sha256"]:
+    if _sha256(path) != manifest["artifact"]["sha256"]:
         raise HashMismatch(f"{path} changed after its manifest was written")
     for name, entry in manifest.get("inputs", {}).items():
-        if not os.path.exists(entry["path"]):
+        source = os.path.join(_dir_of(path), entry["path"])
+        if not os.path.exists(source):
             raise MissingArtifact(
-                f"{path}: recorded input {name!r} missing at {entry['path']}"
+                f"{path}: recorded input {name!r} missing at {source}"
             )
-        if _sha256(entry["path"]) != entry["sha256"]:
+        if _sha256(source) != entry["sha256"]:
             raise HashMismatch(
-                f"{path} is stale: input {name!r} ({entry['path']}) changed"
+                f"{path} is stale: input {name!r} ({source}) changed"
             )
     return manifest
 
@@ -229,19 +229,20 @@ def cmd_train(args):
                                     tcfg.train_fraction)
     out = args.out or ("model_adv.romf" if tcfg.adversarial else
                        "model_classic.romf")
+    inputs = {"snapshots": args.snapshots, "basis": args.basis,
+              "scaler": args.scaler}
     if tcfg.adversarial:
         model, disc, report = training.train_adversarial(dataset, tcfg)
-        save_model(out, model, seed=tcfg.seed)
         save_model(_disc_path(out), disc, seed=tcfg.seed)
+        write_manifest(_disc_path(out), seed=tcfg.seed, config=asdict(tcfg),
+                       inputs=inputs, meta={"field": field})
     else:
         model, report = training.train_classic(dataset, tcfg)
-        save_model(out, model, seed=tcfg.seed)
+    save_model(out, model, seed=tcfg.seed)
     report_path = args.report or (str(out) + ".report.csv")
     report.to_csv(report_path)
     write_manifest(
-        out, seed=tcfg.seed, config=asdict(tcfg),
-        inputs={"snapshots": args.snapshots, "basis": args.basis,
-                "scaler": args.scaler},
+        out, seed=tcfg.seed, config=asdict(tcfg), inputs=inputs,
         meta={"field": field, "final_train_mse": report.train_loss[-1],
               "final_val_mse": report.val_loss[-1],
               "report_csv": report_path},
@@ -335,8 +336,8 @@ def cmd_report(args):
         for idx in picks:
             print(f"  {rep.horizons[idx]:>4d} {rep.mean_classic[idx]:>12.6g} "
                   f"{rep.mean_adv[idx]:>12.6g} {rep.reduction_pct[idx]:>9.2f}%")
-        print(f"  {'agg':>4s} {np.nanmean(rep.mean_classic):>12.6g} "
-              f"{np.nanmean(rep.mean_adv):>12.6g} "
+        agg_classic, agg_adv = rep.aggregate
+        print(f"  {'agg':>4s} {agg_classic:>12.6g} {agg_adv:>12.6g} "
               f"{rep.aggregate_reduction_pct:>9.2f}%")
     return 0
 

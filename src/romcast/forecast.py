@@ -33,11 +33,24 @@ class EnsembleReport:
     mean_adv: np.ndarray
     std_adv: np.ndarray
     reduction_pct: np.ndarray  # 100 (mean_classic - mean_adv) / mean_classic
-    aggregate_reduction_pct: float
     start_steps: tuple
     diverged_classic: int = 0
     diverged_adv: int = 0
     n_pairs: np.ndarray = None  # (H,) starts both still finite; not in CSV
+
+    @property
+    def aggregate(self):
+        """Mean error (classic, adv) over the horizons where both means
+        exist, which are those with a pair; NaN when there are none."""
+        means = np.stack([self.mean_classic, self.mean_adv])
+        paired = ~np.isnan(means).any(axis=0)
+        if not paired.any():
+            return np.nan, np.nan
+        return tuple(means[:, paired].mean(axis=1))
+
+    @property
+    def aggregate_reduction_pct(self):
+        return _reduction(*self.aggregate)
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -54,16 +67,13 @@ class EnsembleReport:
         table = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
         if table.shape[1] != 6:
             raise ShapeMismatch(f"{path}: expected 6 report columns")
-        mean_c, mean_a = table[:, 1], table[:, 3]
         return cls(
             horizons=table[:, 0].astype(int),
-            mean_classic=mean_c,
+            mean_classic=table[:, 1],
             std_classic=table[:, 2],
-            mean_adv=mean_a,
+            mean_adv=table[:, 3],
             std_adv=table[:, 4],
             reduction_pct=table[:, 5],
-            aggregate_reduction_pct=_reduction(np.nanmean(mean_c),
-                                               np.nanmean(mean_a)),
             start_steps=(),
         )
 
@@ -173,8 +183,6 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, start_steps,
         stds = np.sqrt(np.where(paired, (errors - means[:, None]) ** 2,
                                 0.0).sum(axis=1) / n_pairs)
     reduction = np.array([_reduction(c, a) for c, a in means.T])
-    aggregate = (_reduction(*means[:, n_pairs > 0].mean(axis=1))
-                 if n_pairs.any() else np.nan)
     return EnsembleReport(
         horizons=np.arange(1, horizon + 1),
         mean_classic=means[0],
@@ -182,7 +190,6 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, start_steps,
         mean_adv=means[1],
         std_adv=stds[1],
         reduction_pct=reduction,
-        aggregate_reduction_pct=aggregate,
         start_steps=start_steps,
         diverged_classic=int(np.sum(diverged_at[0] < horizon)),
         diverged_adv=int(np.sum(diverged_at[1] < horizon)),

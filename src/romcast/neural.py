@@ -15,7 +15,6 @@ the ROMF keys of saved models are unchanged. Gradients come back in the
 same layout, so Nadam and clipping act on the whole buffer at once.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -423,89 +422,41 @@ def backward(tape, upstream):
     return grads, d_seq[0] if tape.squeezed else d_seq
 
 
-def grad_check(params, loss_fn, grads, n_samples=100, epsilon=1e-5, rng=None):
-    """Worst relative error between analytic grads and central differences.
-
-    ``params`` is a dict of live arrays that ``loss_fn()`` closes over;
-    entries are perturbed in place and restored. The loss must be
-    deterministic (dropout disabled or its mask frozen).
-    """
-    rng = np.random.default_rng(rng)
-    coords = []
-    for key in sorted(params):
-        for idx in range(params[key].size):
-            coords.append((key, idx))
-    if n_samples < len(coords):
-        chosen = [coords[k] for k in rng.choice(len(coords), size=n_samples,
-                                                replace=False)]
-    else:
-        chosen = coords
-    worst = 0.0
-    for key, idx in chosen:
-        arr = params[key]
-        orig = arr.flat[idx]
-        arr.flat[idx] = orig + epsilon
-        up = loss_fn()
-        arr.flat[idx] = orig - epsilon
-        down = loss_fn()
-        arr.flat[idx] = orig
-        fd = (up - down) / (2.0 * epsilon)
-        analytic = grads[key].flat[idx]
-        rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-8)
-        worst = max(worst, rel)
-    return worst
-
-
-def _meta(model, kind, seed):
-    meta = {
-        "kind": kind,
-        "input_dim": model.lstm.input_dim,
-        "hidden_dim": model.lstm.hidden_dim,
-        "output_dim": model.head.weight.shape[0],
-        "seed": seed,
-    }
-    if kind == "forecaster":
-        meta.update(
-            output_activation=model.output_activation,
-            dropout_rate=model.dropout_rate,
-            time_lag=model.time_lag,
-        )
-    return meta
+# the type of each value in a model's metadata record, checked on load
+_META = {"kind": str, "seed": (int, type(None))}
+_FORECASTER_META = {"output_activation": str, "dropout_rate": (int, float),
+                    "time_lag": int}
 
 
 def save_model(path, model, seed=None, extra_arrays=None):
-    """Persist weights in a ROMF container plus a JSON sidecar manifest."""
-    kind = "forecaster" if isinstance(model, LstmForecaster) else "discriminator"
+    """Persist weights, plus what their shapes cannot tell, in one ROMF file."""
     arrays = dict(model.params())
     if extra_arrays:
         arrays.update(extra_arrays)
-    romf.write_arrays(path, arrays)
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(_meta(model, kind, seed), fh, indent=2)
-        fh.write("\n")
+    meta = {"kind": "discriminator", "seed": seed}
+    if isinstance(model, LstmForecaster):
+        meta.update(kind="forecaster",
+                    output_activation=model.output_activation,
+                    dropout_rate=model.dropout_rate, time_lag=model.time_lag)
+    romf.write_arrays(path, arrays, meta)
 
 
 def load_model(path):
     """Load a model saved by ``save_model``; returns (model, meta, extras)."""
-    arrays = romf.read_arrays(path)
-    with open(str(path) + ".json") as fh:
-        meta = json.load(fh)
+    arrays, meta = romf.read_arrays(path)
     romf.require(arrays, [f"lstm.{name}" for name in GATE_NAMES]
                  + ["head.weight", "head.bias"], path)
-    romf.require(meta, ["kind"], path, "meta key")
+    romf.require(meta, _META, path, "meta key")
     if meta["kind"] == "forecaster":
-        romf.require(meta, ["output_activation", "dropout_rate", "time_lag"],
-                     path, "meta key")
-    lstm = LstmParams(**{name: arrays["lstm." + name] for name in GATE_NAMES})
-    head = DenseParams(weight=arrays["head.weight"], bias=arrays["head.bias"])
+        romf.require(meta, _FORECASTER_META, path, "meta key")
+    elif meta["kind"] != "discriminator":
+        raise romf.FormatError(f"{path}: unknown model kind {meta['kind']!r}")
     extras = {key: val for key, val in arrays.items()
               if not key.startswith(("lstm.", "head."))}
-    if meta["kind"] == "forecaster":
-        model = LstmForecaster(
-            lstm=lstm, head=head,
-            output_activation=meta["output_activation"],
-            dropout_rate=meta["dropout_rate"], time_lag=meta["time_lag"],
-        )
-    else:
-        model = Discriminator(lstm=lstm, head=head)
-    return model, meta, extras
+    with romf.building(path):
+        lstm = LstmParams(*(arrays["lstm." + name] for name in GATE_NAMES))
+        head = DenseParams(arrays["head.weight"], arrays["head.bias"])
+        if meta["kind"] == "discriminator":
+            return Discriminator(lstm, head), meta, extras
+        settings = {key: meta[key] for key in _FORECASTER_META}
+        return LstmForecaster(lstm, head, **settings), meta, extras

@@ -13,12 +13,14 @@ BCE_CLAMP = 1e-7  # predictions are clamped to [eps, 1-eps] before the log
 
 
 def mse(pred, target):
-    """Mean over all elements of the squared difference."""
+    """Mean over all elements of the squared difference; an error too
+    large to square gives inf, which training reports as diverged."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ShapeMismatch(f"{pred.shape} vs {target.shape}")
-    return float(np.mean((pred - target) ** 2))
+    with np.errstate(over="ignore"):
+        return float(np.mean((pred - target) ** 2))
 
 
 def mse_grad(pred, target):

@@ -20,7 +20,6 @@ n * eps * sigma_1^2), not relative to their own size; explained-variance
 fractions, the only use of the tail, need no more.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,46 +37,44 @@ from .errors import (
 @dataclass(frozen=True)
 class PcaBasis:
     mean: np.ndarray  # (m,)
-    eofs: np.ndarray  # (tau, m), orthonormal rows; older files hold more
+    eofs: np.ndarray  # (tau, m), orthonormal rows
     singular_values: np.ndarray  # (min(n, m),), nonincreasing
-    tau: int
     n: int
-    m: int
 
     def __post_init__(self):
-        limit = min(self.eofs.shape[0], self.rank)
-        if not 1 <= self.tau <= limit:
-            raise InvalidConfig(f"tau={self.tau} outside [1, {limit}]")
+        if (self.eofs.ndim != 2 or self.mean.shape != (self.eofs.shape[1],)
+                or self.singular_values.ndim != 1):
+            raise ShapeMismatch("a basis needs mean (m,), eofs (tau, m) and "
+                                "1-D singular values")
+        if not 1 <= self.tau <= self.rank:
+            raise InvalidConfig(f"tau={self.tau} outside [1, {self.rank}]")
+
+    @property
+    def tau(self):
+        return self.eofs.shape[0]
+
+    @property
+    def m(self):
+        return self.mean.size
 
     @property
     def rank(self):
         return self.singular_values.size
 
     def save(self, path):
-        romf.write_arrays(path, {
-            "mean": self.mean,
-            "eofs": self.eofs,
-            "singular_values": self.singular_values,
-        })
-        with open(str(path) + ".json", "w") as fh:
-            json.dump({"tau": self.tau, "n": self.n, "m": self.m}, fh, indent=2)
-            fh.write("\n")
+        romf.write_arrays(path, {"mean": self.mean, "eofs": self.eofs,
+                                 "singular_values": self.singular_values},
+                          {"n": self.n})
 
     @classmethod
     def load(cls, path):
-        arrays = romf.read_arrays(path)
-        with open(str(path) + ".json") as fh:
-            meta = json.load(fh)
+        arrays, meta = romf.read_arrays(path)
         romf.require(arrays, ["mean", "eofs", "singular_values"], path)
-        romf.require(meta, ["tau", "n", "m"], path, "meta key")
-        return cls(
-            mean=arrays["mean"],
-            eofs=arrays["eofs"],
-            singular_values=arrays["singular_values"],
-            tau=int(meta["tau"]),
-            n=int(meta["n"]),
-            m=int(meta["m"]),
-        )
+        romf.require(meta, {"n": int}, path, "meta key")
+        with romf.building(path):
+            return cls(mean=arrays["mean"], eofs=arrays["eofs"],
+                       singular_values=arrays["singular_values"],
+                       n=meta["n"])
 
 
 def _as_matrix(snapshots):
@@ -138,7 +135,7 @@ def fit(snapshots, tau=None, variance=None):
     flip = np.sign(eofs[np.arange(tau), np.argmax(np.abs(eofs), axis=1)])
     flip[flip == 0] = 1.0
     eofs *= flip[:, None]
-    return PcaBasis(mean=mean, eofs=eofs, singular_values=s, tau=tau, n=n, m=m)
+    return PcaBasis(mean=mean, eofs=eofs, singular_values=s, n=n)
 
 
 def project(basis, states):
@@ -149,7 +146,7 @@ def project(basis, states):
         states = states[None, :]
     if states.shape[1] != basis.m:
         raise ShapeMismatch(f"expected {basis.m} columns, got {states.shape[1]}")
-    scores = (states - basis.mean) @ basis.eofs[: basis.tau].T
+    scores = (states - basis.mean) @ basis.eofs.T
     return scores[0] if one_d else scores
 
 
@@ -161,7 +158,7 @@ def reconstruct(basis, scores):
         scores = scores[None, :]
     if scores.shape[1] != basis.tau:
         raise ShapeMismatch(f"expected {basis.tau} columns, got {scores.shape[1]}")
-    states = scores @ basis.eofs[: basis.tau] + basis.mean
+    states = scores @ basis.eofs + basis.mean
     return states[0] if one_d else states
 
 

@@ -147,7 +147,7 @@ class SnapshotMatrix:
 
     @classmethod
     def load(cls, path):
-        arrays = romf.read_arrays(path)
+        arrays, _ = romf.read_arrays(path)
         if not arrays:
             raise EmptyInput(f"{path}: no fields")
         fields = list(arrays.values())
@@ -334,7 +334,7 @@ class MinMaxScaler:
 
     @classmethod
     def load(cls, path):
-        arrays = romf.read_arrays(path)
+        arrays, _ = romf.read_arrays(path)
         romf.require(arrays, ["mins", "maxs", "range"], path)
         if arrays["range"].shape != (2,):
             raise romf.FormatError(f"{path}: 'range' must hold (lo, hi)")

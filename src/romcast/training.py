@@ -184,6 +184,8 @@ def _forecaster_step(model, opt, windows, targets, rng_dropout, config,
     pred, tape = forecaster_forward(model, windows, training_mode=True,
                                     rng=rng_dropout)
     loss = mse(pred, targets)
+    if not np.isfinite(loss):
+        raise NonFiniteLoss("forecaster loss diverged")
     d_pred = mse_grad(pred, targets)
     adv_loss = None
     if disc is not None:
@@ -191,10 +193,10 @@ def _forecaster_step(model, opt, windows, targets, rng_dropout, config,
             disc, _disc_input(windows, pred, config.disc_mode)
         )
         adv_loss = bce(prob, 1.0)
+        if not np.isfinite(adv_loss):
+            raise NonFiniteLoss("forecaster adversarial loss diverged")
         _, d_seq = backward(d_tape, bce_grad(prob, 1.0)[:, None])
         d_pred = d_pred + config.adv_weight * d_seq[:, -1, :]
-    if not np.isfinite(loss) or (adv_loss is not None and not np.isfinite(adv_loss)):
-        raise NonFiniteLoss("forecaster loss diverged")
     grads, _ = backward(tape, d_pred)
     clip_global_norm(grads, config.clip_norm)
     nadam_step(opt, model.params(), grads)

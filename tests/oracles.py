@@ -2,8 +2,9 @@
 
 Everything here is written against the mathematical definitions, not the
 package internals: extended-precision straight-line forward passes for
-finite-difference gradient checks, a brute-force covariance
-eigendecomposition for PCA, and a scalar Nesterov-Adam update.
+finite-difference gradient checks and the central-difference checker
+that runs them, a brute-force covariance eigendecomposition for PCA, and
+a scalar Nesterov-Adam update.
 """
 
 import math
@@ -138,3 +139,36 @@ def smooth_windows(rng, count, lag, tau, steps=300):
     idx = rng.integers(0, steps - lag - 1, size=count)
     windows = np.stack([base[i:i + lag] for i in idx])
     return windows, base[idx + lag]
+
+
+def grad_check(params, loss_fn, grads, n_samples=100, epsilon=1e-5, rng=None):
+    """Worst relative error between analytic grads and central differences.
+
+    ``params`` is a dict of live arrays that ``loss_fn()`` closes over;
+    entries are perturbed in place and restored. The loss must be
+    deterministic (dropout disabled or its mask frozen).
+    """
+    rng = np.random.default_rng(rng)
+    coords = []
+    for key in sorted(params):
+        for idx in range(params[key].size):
+            coords.append((key, idx))
+    if n_samples < len(coords):
+        chosen = [coords[k] for k in rng.choice(len(coords), size=n_samples,
+                                                replace=False)]
+    else:
+        chosen = coords
+    worst = 0.0
+    for key, idx in chosen:
+        arr = params[key]
+        orig = arr.flat[idx]
+        arr.flat[idx] = orig + epsilon
+        up = loss_fn()
+        arr.flat[idx] = orig - epsilon
+        down = loss_fn()
+        arr.flat[idx] = orig
+        fd = (up - down) / (2.0 * epsilon)
+        analytic = grads[key].flat[idx]
+        rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-8)
+        worst = max(worst, rel)
+    return worst

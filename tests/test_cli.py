@@ -1,10 +1,11 @@
+import glob
 import json
 import os
 
 import numpy as np
 import pytest
 
-from romcast import cli
+from romcast import cli, forecast
 
 SMALL_CONFIG = {
     "data": {
@@ -118,9 +119,9 @@ class TestPcaCommand:
         assert run("pca", "--config", "config.json", "--snapshots",
                    "snap.romf", "--out", "basis.romf",
                    "--scaler-out", "scaler.romf") == 0
-        for name in ("basis.romf", "basis.romf.json", "basis.romf.manifest.json",
-                     "scaler.romf", "scaler.romf.manifest.json"):
-            assert os.path.exists(name), name
+        assert sorted(glob.glob("*.romf*")) == [
+            "basis.romf", "basis.romf.manifest.json", "scaler.romf",
+            "scaler.romf.manifest.json", "snap.romf", "snap.romf.manifest.json"]
         manifest = json.load(open("basis.romf.manifest.json"))
         assert manifest["meta"]["tau"] == 4
         assert manifest["inputs"]["snapshots"]["path"] == "snap.romf"
@@ -138,8 +139,13 @@ class TestTrainEvaluateReport:
         assert run("train", "--config", "config.json", "--snapshots",
                    "snap.romf", "--basis", "basis.romf", "--scaler",
                    "scaler.romf", "--adversarial", "--out", "adv.romf") == 0
-        assert os.path.exists("adv.disc.romf")
+        cli.verify_artifact("adv.disc.romf")
         assert os.path.exists("classic.romf.report.csv")
+        # one file per artifact, plus its manifest
+        assert [path for path in glob.glob("*.json")
+                if not path.endswith(".manifest.json")] == ["config.json"]
+        for path in glob.glob("*.romf"):
+            cli.verify_artifact(path)
         assert run("evaluate", "--classic", "classic.romf", "--adv",
                    "adv.romf", "--snapshots", "snap.romf", "--basis",
                    "basis.romf", "--scaler", "scaler.romf", "--starts",
@@ -151,6 +157,63 @@ class TestTrainEvaluateReport:
         assert run("report", "report.csv") == 0
         out = capsys.readouterr().out
         assert "agg" in out
+
+    def test_verify_and_evaluate_from_another_directory(self, workdir,
+                                                         monkeypatch):
+        os.mkdir("run")
+        os.mkdir("elsewhere")
+        data = ["--snapshots", "run/snap.romf", "--basis", "run/basis.romf",
+                "--scaler", "run/scaler.romf"]
+        assert run("generate", "--config", "config.json",
+                   "--out", "run/snap.romf") == 0
+        assert run("pca", "--config", "config.json", "--snapshots",
+                   "run/snap.romf", "--out", "run/basis.romf",
+                   "--scaler-out", "run/scaler.romf") == 0
+        assert run("train", "--config", "config.json", *data,
+                   "--out", "run/classic.romf") == 0
+        inputs = json.load(open("run/classic.romf.manifest.json"))["inputs"]
+        assert inputs["basis"]["path"] == "basis.romf"
+        monkeypatch.chdir("elsewhere")
+        for name in ("snap", "basis", "scaler", "classic"):
+            cli.verify_artifact(f"../run/{name}.romf")
+        data = [arg.replace("run/", "../run/") for arg in data]
+        assert run("evaluate", "--classic", "../run/classic.romf",
+                   "--adv", "../run/classic.romf", *data, "--starts", "40..42",
+                   "--horizon", "5", "--out", "../run/report.csv") == 0
+        cli.verify_artifact(os.path.join(workdir, "run", "report.csv"))
+
+    @pytest.mark.parametrize("artifact, old, new", [
+        ("classic.romf", b'"time_lag":2', b'"time_lag":3'),
+        ("basis.romf", b'"n":90', b'"n":91'),
+    ])
+    def test_edited_metadata_is_hash_mismatch(self, workdir, capsys,
+                                              artifact, old, new):
+        # a model's meta is hashed with it; a basis's is an input of the model
+        pipeline(workdir)
+        with open(artifact, "rb") as fh:
+            raw = fh.read()
+        assert raw.count(old) == 1
+        with open(artifact, "wb") as fh:
+            fh.write(raw.replace(old, new))
+        capsys.readouterr()
+        assert run("evaluate", "--classic", "classic.romf", "--adv",
+                   "classic.romf", "--snapshots", "snap.romf", "--basis",
+                   "basis.romf", "--scaler", "scaler.romf", "--starts",
+                   "40..42", "--horizon", "5") == 1
+        err = capsys.readouterr().err
+        assert artifact in err and "changed" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_report_without_pairs_prints_nan(self, workdir, capsys):
+        nan = np.full(4, np.nan)
+        forecast.EnsembleReport(
+            horizons=np.arange(1, 5), mean_classic=nan, std_classic=nan,
+            mean_adv=nan, std_adv=nan, reduction_pct=nan, start_steps=(0,),
+        ).to_csv("nan.csv")
+        assert run("report", "nan.csv") == 0
+        agg = [line for line in capsys.readouterr().out.splitlines()
+               if "agg" in line]
+        assert agg[0].split() == ["agg", "nan", "nan", "nan%"]
 
     def test_report_on_equal_models_prints_zero(self, workdir, capsys):
         pipeline(workdir)

@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -193,9 +192,9 @@ class TestBackward:
             grads, _ = neural.backward(tape, optim.mse_grad(pred, targets))
             loss = oracles.forecaster_mse_loss(params, windows, targets,
                                                "sigmoid")
-            worst = max(worst, neural.grad_check(params, loss, grads,
-                                                 n_samples=100, epsilon=1e-5,
-                                                 rng=seed))
+            worst = max(worst, oracles.grad_check(params, loss, grads,
+                                                  n_samples=100, epsilon=1e-5,
+                                                  rng=seed))
         assert worst < 1e-5
 
     def test_gradients_with_frozen_dropout_mask(self):
@@ -209,8 +208,8 @@ class TestBackward:
         grads, _ = neural.backward(tape, optim.mse_grad(pred, targets))
         loss = oracles.forecaster_mse_loss(params, windows, targets,
                                            "sigmoid", mask=tape.mask)
-        err = neural.grad_check(params, loss, grads, n_samples=100,
-                                epsilon=1e-5, rng=1)
+        err = oracles.grad_check(params, loss, grads, n_samples=100,
+                                 epsilon=1e-5, rng=1)
         assert err < 1e-5
 
     def test_input_gradients_match_finite_differences(self):
@@ -245,7 +244,7 @@ class TestGradCheckOperation:
                            - target.astype(np.longdouble)) ** 2)
 
         grads = {"w": 2.0 * (theta["w"] - target)}
-        err = neural.grad_check(theta, loss, grads, n_samples=6, epsilon=1e-5)
+        err = oracles.grad_check(theta, loss, grads, n_samples=6, epsilon=1e-5)
         assert err < 1e-9
 
 
@@ -345,13 +344,58 @@ def test_load_incomplete_model_is_format_error(tmp_path, drop, missing):
     model = neural.init_forecaster(3, 5, 3, "sigmoid", 0.0, 2, rng)
     path = tmp_path / "model.romf"
     neural.save_model(path, model)
+    arrays, meta = romf.read_arrays(path)
     if drop == "array":
-        arrays = dict(model.params())
         del arrays["lstm.u_o"]
-        romf.write_arrays(path, arrays)
     else:
-        meta = json.loads((tmp_path / "model.romf.json").read_text())
         del meta[drop]
-        (tmp_path / "model.romf.json").write_text(json.dumps(meta))
+    romf.write_arrays(path, arrays, meta)
     with pytest.raises(romf.FormatError, match=missing):
         neural.load_model(path)
+
+
+def _rewrite_meta(path, key, value):
+    arrays, meta = romf.read_arrays(path)
+    romf.write_arrays(path, arrays, {**meta, key: value})
+
+
+# null is a seed's value when the model was saved without one
+@pytest.mark.parametrize("key, value", [
+    (key, value)
+    for key in ("kind", "seed", "output_activation", "dropout_rate", "time_lag")
+    for value in (None, "2", [2], True) if (key, value) != ("seed", None)
+])
+def test_load_model_meta_of_wrong_type_is_format_error(tmp_path, key, value):
+    rng = np.random.default_rng(17)
+    path = tmp_path / "model.romf"
+    neural.save_model(path, neural.init_forecaster(3, 5, 3, "sigmoid", 0.0,
+                                                   2, rng), seed=4)
+    _rewrite_meta(path, key, value)
+    with pytest.raises(romf.FormatError, match="model.romf"):
+        neural.load_model(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("time_lag", 0, "time_lag"), ("dropout_rate", 1.5, "dropout_rate"),
+    ("output_activation", "tanh", "activation"), ("kind", "critic", "kind"),
+])
+def test_load_model_meta_out_of_range_is_format_error(tmp_path, key, value,
+                                                      message):
+    rng = np.random.default_rng(18)
+    path = tmp_path / "model.romf"
+    neural.save_model(path, neural.init_forecaster(3, 5, 3, "sigmoid", 0.0,
+                                                   2, rng))
+    _rewrite_meta(path, key, value)
+    with pytest.raises(romf.FormatError, match=message):
+        neural.load_model(path)
+
+
+def test_discriminator_round_trip_and_one_file(tmp_path):
+    disc = neural.init_discriminator(3, 4, np.random.default_rng(19))
+    path = tmp_path / "disc.romf"
+    neural.save_model(path, disc, seed=6)
+    loaded, meta, extras = neural.load_model(path)
+    assert isinstance(loaded, neural.Discriminator) and extras == {}
+    assert meta == {"kind": "discriminator", "seed": 6}
+    assert loaded.flat.tobytes() == disc.flat.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["disc.romf"]

@@ -170,10 +170,8 @@ class TestExplainedVariance:
 
 def _basis_with_singular_values(values):
     values = np.asarray(values, dtype=np.float64)
-    r = values.size
-    eofs = np.eye(r, 5)
-    return pca.PcaBasis(mean=np.zeros(5), eofs=eofs, singular_values=values,
-                        tau=1, n=6, m=5)
+    return pca.PcaBasis(mean=np.zeros(5), eofs=np.eye(1, 5),
+                        singular_values=values, n=6)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -188,18 +186,37 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.mean, basis.mean)
 
 
-def test_saved_basis_keeps_tau_rows_and_full_row_files_load(tmp_path):
-    data = random_matrix(15)
-    basis = pca.fit(data, tau=3)
+def test_saved_basis_keeps_tau_rows(tmp_path):
+    basis = pca.fit(random_matrix(15), tau=3)
     basis.save(tmp_path / "basis.romf")
-    assert romf.read_arrays(tmp_path / "basis.romf")["eofs"].shape == (3, 50)
-    # a file written with every EOF row, as bases were once saved
-    centered = data - data.mean(axis=0)
-    vt = np.linalg.svd(centered, full_matrices=False)[2]
-    vt[:3] = basis.eofs
-    full = pca.PcaBasis(mean=basis.mean, eofs=vt,
-                        singular_values=basis.singular_values, tau=3, n=20, m=50)
-    full.save(tmp_path / "full.romf")
-    loaded = pca.PcaBasis.load(tmp_path / "full.romf")
-    assert loaded.eofs.shape == (20, 50) and loaded.rank == 20
-    assert np.array_equal(pca.project(loaded, data), pca.project(basis, data))
+    arrays, meta = romf.read_arrays(tmp_path / "basis.romf")
+    assert arrays["eofs"].shape == (3, 50) and meta == {"n": 20}
+    assert [p.name for p in tmp_path.iterdir()] == ["basis.romf"]
+
+
+def _rewrite(path, meta=None, **arrays):
+    old_arrays, old_meta = romf.read_arrays(path)
+    romf.write_arrays(path, {**old_arrays, **arrays},
+                      {**old_meta, **(meta or {})})
+
+
+@pytest.mark.parametrize("value", [None, "20", [20], True, 20.0])
+def test_load_meta_of_wrong_type_is_format_error(tmp_path, value):
+    path = tmp_path / "basis.romf"
+    pca.fit(random_matrix(16), tau=3).save(path)
+    _rewrite(path, meta={"n": value})
+    with pytest.raises(romf.FormatError, match="'n' has the wrong type"):
+        pca.PcaBasis.load(path)
+
+
+@pytest.mark.parametrize("arrays, message", [
+    ({"singular_values": np.ones(2)}, "tau=3 outside"),
+    ({"mean": np.zeros(49)}, "mean"),
+    ({"eofs": np.ones(50)}, "eofs"),
+])
+def test_load_inconsistent_arrays_is_format_error(tmp_path, arrays, message):
+    path = tmp_path / "basis.romf"
+    pca.fit(random_matrix(17), tau=3).save(path)
+    _rewrite(path, **arrays)
+    with pytest.raises(romf.FormatError, match=message):
+        pca.PcaBasis.load(path)

@@ -19,19 +19,34 @@ def test_round_trip_preserves_values_and_order(tmp_path):
         "scalar": np.array(3.5),
     }
     romf.write_arrays(path, arrays)
-    loaded = romf.read_arrays(path)
+    loaded, meta = romf.read_arrays(path)
+    assert meta == {}
     assert list(loaded) == list(arrays)
     for name, arr in arrays.items():
         assert loaded[name].shape == arr.shape
         assert np.array_equal(loaded[name], arr)
 
 
+def test_meta_round_trips_with_sorted_keys(tmp_path):
+    path = tmp_path / "meta.romf"
+    meta = {"kind": "forecaster", "dropout_rate": 0.25, "seed": None,
+            "tags": ["a", 1]}
+    romf.write_arrays(path, {"x": np.ones(2)}, meta)
+    arrays, loaded = romf.read_arrays(path)
+    assert loaded == meta and np.array_equal(arrays["x"], np.ones(2))
+    first = path.read_bytes()
+    romf.write_arrays(path, {"x": np.ones(2)}, dict(reversed(meta.items())))
+    assert path.read_bytes() == first
+    assert b'{"dropout_rate":0.25,"kind":"forecaster",' in first
+
+
 def test_exact_byte_layout(tmp_path):
     path = tmp_path / "one.romf"
-    romf.write_arrays(path, {"ab": np.array([1.0, 2.0])})
+    romf.write_arrays(path, {"ab": np.array([1.0, 2.0])}, {"n": 3})
     raw = path.read_bytes()
     expected = b"ROMF"
-    expected += struct.pack("<I", 1)  # version
+    expected += struct.pack("<I", 2)  # version
+    expected += struct.pack("<I", 7) + b'{"n":3}'  # metadata record
     expected += struct.pack("<I", 2) + b"ab"  # name
     expected += struct.pack("<I", 0)  # dtype code f64
     expected += struct.pack("<I", 1) + struct.pack("<I", 2)  # rank, dims
@@ -61,9 +76,38 @@ def test_unsupported_version_rejected(tmp_path):
         romf.read_arrays(path)
 
 
+def test_version_1_file_rejected_by_name(tmp_path):
+    path = tmp_path / "old.romf"
+    # version 1: the array records follow the version directly
+    records = _container(b"x", [1])[14:]
+    path.write_bytes(b"ROMF" + struct.pack("<I", 1) + records)
+    with pytest.raises(romf.FormatError, match="version 1 .*regenerate"):
+        romf.read_arrays(path)
+
+
+@pytest.mark.parametrize("record", [
+    b"\xff\xfe", b'{"n":', b"[1, 2]", b"3", b"null", b'"text"', b"",
+])
+def test_bad_metadata_record_rejected(tmp_path, record):
+    path = tmp_path / "meta.romf"
+    path.write_bytes(b"ROMF" + struct.pack("<I", 2)
+                     + struct.pack("<I", len(record)) + record)
+    with pytest.raises(romf.FormatError, match="metadata record"):
+        romf.read_arrays(path)
+
+
+def test_metadata_record_longer_than_file_rejected(tmp_path):
+    path = tmp_path / "meta.romf"
+    path.write_bytes(b"ROMF" + struct.pack("<I", 2) + struct.pack("<I", 9)
+                     + b"{}")
+    with pytest.raises(romf.FormatError, match="truncated metadata record"):
+        romf.read_arrays(path)
+
+
 def _container(name, dims, payload=b"\0" * 8):
-    """A version-1 file of one record, with dims and payload as given."""
-    raw = b"ROMF" + struct.pack("<I", 1)
+    """A version-2 file with an empty metadata record and one array
+    record, with dims and payload as given."""
+    raw = b"ROMF" + struct.pack("<I", 2) + struct.pack("<I", 2) + b"{}"
     raw += struct.pack("<I", len(name)) + name + struct.pack("<I", 0)
     raw += struct.pack(f"<{len(dims) + 1}I", len(dims), *dims)
     return raw + payload
@@ -87,7 +131,7 @@ def test_impossible_dims_rejected(tmp_path, dims):
 
 def test_name_longer_than_file_rejected(tmp_path):
     path = tmp_path / "long.romf"
-    path.write_bytes(_container(b"x", [1])[:8] + struct.pack("<I", 2**32 - 1))
+    path.write_bytes(_container(b"x", [1])[:14] + struct.pack("<I", 2**32 - 1))
     with pytest.raises(romf.FormatError):
         romf.read_arrays(path)
 
@@ -97,7 +141,8 @@ def _valid_container():
               "scalar": np.array(2.5), "empty": np.zeros((0, 2))}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "valid.romf")
-        romf.write_arrays(path, arrays)
+        romf.write_arrays(path, arrays, {"kind": "forecaster", "n": 3,
+                                         "rate": 0.25, "tags": ["a", None]})
         with open(path, "rb") as fh:
             return fh.read()
 
@@ -117,7 +162,7 @@ def test_truncated_or_flipped_file_is_dict_or_format_error(tmp_path, cut, flip):
     path = tmp_path / "fuzz.romf"
     path.write_bytes(bytes(raw[:cut]))
     try:
-        arrays = romf.read_arrays(path)
+        arrays, meta = romf.read_arrays(path)
     except romf.FormatError:
         return
-    assert isinstance(arrays, dict)
+    assert isinstance(arrays, dict) and isinstance(meta, dict)

@@ -105,6 +105,7 @@ class TestTrainClassic:
         with pytest.raises(InvalidConfig):
             training.train_classic(ds, quick_config(adversarial=True))
 
+    @pytest.mark.filterwarnings("error")
     def test_diverged_training_raises(self):
         # bounded LSTM activations survive huge rates; the head does not
         ds = training.make_windows(wave_scores(), 2, 0.9)
