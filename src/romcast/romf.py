@@ -91,7 +91,7 @@ def read_arrays(path):
             nbytes = 8 * math.prod(dims)
             _check_left(fh, size, nbytes, path, f"payload of {name!r}")
             try:
-                arr = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(dims)
+                arr = np.frombuffer(fh.read(nbytes), "<f8").reshape(dims)
             except ValueError as exc:  # over 64 dims, or zero-size but overflowing
                 raise FormatError(f"{path}: bad dims {dims} for {name!r}") from exc
             arrays[name] = arr.astype(np.float64)
