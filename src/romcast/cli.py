@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import __version__, forecast, pca, snapshots, training
 from .errors import HashMismatch, InvalidConfig, MissingArtifact, RomcastError
@@ -159,13 +159,13 @@ def _train_config(config, args):
 
 def _load_scores(args):
     """Common path: verified snapshots + basis + scaler -> score matrices."""
-    verify_artifact(args.snapshots)
-    basis_manifest = verify_artifact(args.basis)
-    verify_artifact(args.scaler)
+    for path in (args.snapshots, args.basis, args.scaler):
+        verify_artifact(path)
     snap = snapshots.SnapshotMatrix.load(args.snapshots)
     basis = pca.PcaBasis.load(args.basis)
     scaler = snapshots.MinMaxScaler.load(args.scaler)
-    field = basis_manifest["meta"].get("field", "tracer")
+    # the field is in the basis file's metadata, under its hash
+    field = basis.field
     data = snap.data if field == "all" else snap.field(field)
     scores = pca.project(basis, data)
     return snap, basis, scaler, scores, field
@@ -201,8 +201,8 @@ def cmd_pca(args):
     snap = snapshots.SnapshotMatrix.load(args.snapshots)
     field = section["field"]
     data = snap.data if field == "all" else snap.field(field)
-    basis = pca.fit(data, tau=section.get("tau"),
-                    variance=section.get("variance"))
+    basis = replace(pca.fit(data, tau=section.get("tau"),
+                            variance=section.get("variance")), field=field)
     out = args.out or "basis.romf"
     basis.save(out)
     write_manifest(out, config=section, inputs={"snapshots": args.snapshots},

@@ -13,6 +13,12 @@ head.weight, head.bias. ``model.params()`` maps the keys ``lstm.w_i``
 ... ``lstm.b_g``, ``head.weight`` and ``head.bias`` to views into it, so
 the ROMF keys of saved models are unchanged. Gradients come back in the
 same layout, so Nadam and clipping act on the whole buffer at once.
+
+Sequences that share a prefix (the discriminator's real and fake inputs
+in training) share its work: ``discriminator_branches`` runs the prefix
+once and each last step from its final state, through the starting
+state (h0, c0) that ``_recur`` takes and ``_lstm_backward`` returns the
+gradient of.
 """
 
 from dataclasses import dataclass
@@ -209,14 +215,17 @@ def _promote_sequence(sequence, input_dim):
     return seq, squeezed
 
 
-def _recur(lstm, seq):
-    """The one LSTM kernel: the recurrence over a (B, T, D) sequence from
-    a zero state, for training and inference alike.
+def _recur(lstm, seq, h0=None, c0=None):
+    """The one LSTM kernel: the recurrence over a (B, T, D) sequence, for
+    training and inference alike.
 
-    One GEMM projects the inputs of all steps; the loop keeps only
-    h @ U.T, which step 0 skips since h starts at zero. Gates, states and
-    tanh(c) land in preallocated step-major arrays, so the returned tape
-    costs nothing extra and inference just drops it.
+    It starts from a zero state, or from the state (h0, c0), each
+    (B, H), when given: a run then continues one that ended there, as
+    the discriminator's last step continues the prefix it shares with
+    other sequences. One GEMM projects the inputs of all steps; the loop
+    keeps only h @ U.T, which step 0 skips when h starts at zero. Gates,
+    states and tanh(c) land in preallocated step-major arrays, so the
+    returned tape costs nothing extra and inference just drops it.
     """
     batch, steps, dim = seq.shape
     hidden = lstm.hidden_dim
@@ -226,10 +235,13 @@ def _recur(lstm, seq):
     gates += lstm.b
     h = np.zeros((steps + 1, batch, hidden))
     c = np.zeros((steps + 1, batch, hidden))
+    start = h0 is not None
+    if start:
+        h[0], c[0] = h0, c0
     tc = np.empty((steps, batch, hidden))
     for t in range(steps):
         a = gates[t]
-        if t:
+        if t or start:
             a += h[t] @ lstm.U.T
         # i, f, o through sigmoid(z) = 0.5 (1 + tanh(z / 2)), g through tanh
         sig = a[:, :n3]
@@ -241,7 +253,8 @@ def _recur(lstm, seq):
         c[t + 1] += a[:, :hidden] * a[:, n3:]
         np.tanh(c[t + 1], out=tc[t])
         np.multiply(a[:, 2 * hidden:n3], tc[t], out=h[t + 1])
-    return Tape("lstm", params=lstm, x=x, gates=gates, h=h, c=c, tc=tc)
+    return Tape("lstm", params=lstm, x=x, gates=gates, h=h, c=c, tc=tc,
+                start=start)
 
 
 def lstm_forward(params, sequence):
@@ -259,11 +272,15 @@ def lstm_forward(params, sequence):
     return hs, tape.h[-1], tape
 
 
-def _lstm_backward(tape, d_h_final=None, d_hs=None):
-    """Exact BPTT. Returns (dW, dU, db, d_sequence).
+def _lstm_backward(tape, d_h_final=None, d_hs=None, d_c_final=None):
+    """Exact BPTT down to the gate pre-activations.
 
-    Only dh = dA @ U stays in the time loop; the weight and input
-    gradients are one GEMM each over all steps afterwards.
+    Starts from dL/d(final h) (or dL/d(every h)) and, if given,
+    dL/d(final c). Returns (dA, dc0): dA = dL/d(gates) as a step-major
+    (T*B, 4H) matrix and dc0 = dL/dc0. Only dh = dA @ U stays in the
+    time loop; the rest is one GEMM each afterwards: ``_weight_grads``
+    for dW, dU and db, dA @ W for the inputs and, for a run that started
+    from a given state, dA[:B] @ U for dL/dh0.
     """
     lstm = tape.params
     gates = tape.gates
@@ -283,7 +300,7 @@ def _lstm_backward(tape, d_h_final=None, d_hs=None):
     forget = gates[..., hidden:2 * hidden]
     d_gates = np.empty_like(gates)
     dh = np.zeros((batch, hidden)) if d_h_final is None else d_h_final
-    dc = np.zeros((batch, hidden))
+    dc = np.zeros((batch, hidden)) if d_c_final is None else d_c_final
     for t in reversed(range(steps)):
         if d_hs is not None:
             dh = dh + d_hs[:, t]
@@ -296,12 +313,41 @@ def _lstm_backward(tape, d_h_final=None, d_hs=None):
         dc = dc * forget[t]
         if t:
             dh = da @ lstm.U
-    d_flat = d_gates.reshape(steps * batch, width)
-    # h is zero before step 0, so step 0 adds nothing to dU
-    h_prev = tape.h[1:-1].reshape((steps - 1) * batch, hidden)
-    dU = d_flat[batch:].T @ h_prev
-    d_seq = (d_flat @ lstm.W).reshape(steps, batch, -1).swapaxes(0, 1)
-    return d_flat.T @ tape.x, dU, d_flat.sum(axis=0), d_seq
+    return d_gates.reshape(steps * batch, width), dc
+
+
+def _weight_grads(tape, d_flat):
+    """(dW, dU, db) from the dA of ``_lstm_backward``."""
+    batch, hidden = tape.h.shape[1:]
+    if tape.start:
+        h_prev, d_rows = tape.h[:-1], d_flat
+    else:
+        # h is zero before step 0, so step 0 adds nothing to dU
+        h_prev, d_rows = tape.h[1:-1], d_flat[batch:]
+    dU = d_rows.T @ h_prev.reshape(-1, hidden)
+    return d_flat.T @ tape.x, dU, d_flat.sum(axis=0)
+
+
+def _input_grads(tape, d_flat):
+    """dL/d(sequence), (B, T, D), from the dA of ``_lstm_backward``."""
+    steps, batch, _ = tape.gates.shape
+    return (d_flat @ tape.params.W).reshape(steps, batch, -1).swapaxes(0, 1)
+
+
+def _flat_grads(head_tape, d_ylin, parts):
+    """A model's gradients in the layout of ``model.params()``: the
+    head's, from dL/d(logits) ``d_ylin``, and the LSTM's, summed over the
+    (tape, dA) pairs in ``parts``."""
+    dW, dU, db = _weight_grads(*parts[0])
+    for part in parts[1:]:
+        for total, more in zip((dW, dU, db), _weight_grads(*part)):
+            total += more
+    model = head_tape.model
+    flat = np.concatenate([
+        dW.ravel(), dU.ravel(), db,
+        (d_ylin.T @ head_tape.h).ravel(), d_ylin.sum(axis=0),
+    ])
+    return FlatParams(flat, model.params().layout)
 
 
 def _head(model, lstm_tape, activation, mask=None, squeezed=False):
@@ -360,6 +406,70 @@ def discriminator_forward(disc, sequence):
     return (prob[0, 0] if tape.squeezed else prob[:, 0]), tape
 
 
+def discriminator_branches(disc, prefix, candidates):
+    """Score each sequence [prefix, candidate] for k candidate batches
+    that share one prefix; returns probabilities (k, B) and the tape.
+
+    ``prefix`` is (B, N, D) with N >= 0 and ``candidates`` is (k, B, D).
+    The prefix runs once from a zero state; the last step then runs for
+    all k*B rows from its final (h, c). With N = 0 the candidates are
+    scored alone, from a zero state. The probabilities equal
+    ``discriminator_forward`` on each concatenated sequence up to the
+    rounding of the separate input projections.
+    """
+    if not (np.isfinite(prefix).all() and np.isfinite(candidates).all()):
+        raise NonFiniteInput("discriminator input contains NaN/Inf")
+    k, batch, dim = candidates.shape
+    pre = h0 = c0 = None
+    if prefix.shape[1]:
+        pre = _recur(disc.lstm, prefix)
+        h0 = np.concatenate([pre.h[-1]] * k)
+        c0 = np.concatenate([pre.c[-1]] * k)
+    last = _recur(disc.lstm, candidates.reshape(k * batch, 1, dim), h0, c0)
+    prob, tape = _head(disc, last, "sigmoid")
+    tape.prefix = pre
+    return prob.reshape(k, batch), tape
+
+
+def _branch_logit_grads(tape, d_prob):
+    """dL/d(logits) and the dA of the last step from dL/dprob (k, B)."""
+    d_ylin = d_prob.reshape(-1, 1) * _activation_deriv(tape)
+    d_flat, dc0 = _lstm_backward(tape.lstm_tape,
+                                 d_h_final=d_ylin @ tape.model.head.weight)
+    return d_ylin, d_flat, dc0
+
+
+def branch_backward(tape, d_prob):
+    """Parameter gradients of a ``discriminator_branches`` tape, given
+    dL/dprob (k, B), laid out like ``disc.params()``.
+
+    The k branches' dh and dc at the end of the prefix add up, and the
+    prefix is back-propagated once; no input gradient is formed.
+    """
+    d_ylin, d_flat, dc0 = _branch_logit_grads(tape, d_prob)
+    parts = [(tape.lstm_tape, d_flat)]
+    pre = tape.prefix
+    if pre is not None:
+        k, batch = d_prob.shape
+        lstm = tape.model.lstm
+        dh = (d_flat @ lstm.U).reshape(k, batch, -1).sum(axis=0)
+        dc = dc0.reshape(k, batch, -1).sum(axis=0)
+        pre_flat, _ = _lstm_backward(pre, d_h_final=dh, d_c_final=dc)
+        parts.append((pre, pre_flat))
+    return _flat_grads(tape, d_ylin, parts)
+
+
+def candidate_grad(tape, d_prob):
+    """dL/d(candidates), (k, B, D), of a ``discriminator_branches`` tape.
+
+    A candidate enters only the last step's gates, so this is that
+    step's dA @ W: nothing runs through the prefix, and no weight
+    gradient is formed.
+    """
+    _, d_flat, _ = _branch_logit_grads(tape, d_prob)
+    return (d_flat @ tape.model.lstm.W).reshape(*d_prob.shape, -1)
+
+
 def _activation_deriv(tape):
     if tape.activation == "relu":
         return (tape.y_lin > 0).astype(np.float64)
@@ -383,18 +493,20 @@ def backward(tape, upstream):
         if tape.squeezed:
             up = up[None] if up.ndim in (1, 2) else up
         if up.shape == (batch, hidden):
-            dW, dU, db, d_seq = _lstm_backward(tape, d_h_final=up)
+            d_flat, _ = _lstm_backward(tape, d_h_final=up)
         elif up.shape == (batch, steps, hidden):
-            dW, dU, db, d_seq = _lstm_backward(tape, d_hs=up)
+            d_flat, _ = _lstm_backward(tape, d_hs=up)
         else:
             raise TapeMismatch(
                 f"upstream shape {np.shape(upstream)} matches neither the "
                 "final hidden nor the full hidden-state stack"
             )
+        dW, dU, db = _weight_grads(tape, d_flat)
         grads = FlatParams.pack(dict(zip(
             GATE_NAMES,
             [*np.split(dW, 4), *np.split(dU, 4), *np.split(db, 4)],
         )))
+        d_seq = _input_grads(tape, d_flat)
         return grads, d_seq[0] if tape.squeezed else d_seq
 
     if tape.kind != "head":
@@ -413,12 +525,10 @@ def backward(tape, upstream):
     d_h = d_ylin @ model.head.weight
     if tape.mask is not None:
         d_h = d_h * tape.mask
-    dW, dU, db, d_seq = _lstm_backward(tape.lstm_tape, d_h_final=d_h)
-    flat = np.concatenate([
-        dW.ravel(), dU.ravel(), db,
-        (d_ylin.T @ tape.h).ravel(), d_ylin.sum(axis=0),
-    ])
-    grads = FlatParams(flat, model.params().layout)
+    lstm_tape = tape.lstm_tape
+    d_flat, _ = _lstm_backward(lstm_tape, d_h_final=d_h)
+    grads = _flat_grads(tape, d_ylin, [(lstm_tape, d_flat)])
+    d_seq = _input_grads(lstm_tape, d_flat)
     return grads, d_seq[0] if tape.squeezed else d_seq
 
 
@@ -441,6 +551,24 @@ def save_model(path, model, seed=None, extra_arrays=None):
     romf.write_arrays(path, arrays, meta)
 
 
+def _check_shapes(arrays, path):
+    """Raise FormatError unless the gate arrays and the head agree in
+    shape with ``lstm.w_i`` (hidden x input) and ``head.weight``."""
+    w, head = arrays["lstm.w_i"], arrays["head.weight"]
+    if w.ndim != 2 or head.ndim != 2:
+        raise romf.FormatError(f"{path}: 'lstm.w_i' and 'head.weight' "
+                               "must be 2-D")
+    hidden, dim = w.shape
+    want = {"w": (hidden, dim), "u": (hidden, hidden), "b": (hidden,)}
+    shapes = {f"lstm.{name}": want[name[0]] for name in GATE_NAMES}
+    shapes.update({"head.weight": (head.shape[0], hidden),
+                   "head.bias": head.shape[:1]})
+    for key, shape in shapes.items():
+        if arrays[key].shape != shape:
+            raise romf.FormatError(f"{path}: {key!r} has shape "
+                                   f"{arrays[key].shape}, expected {shape}")
+
+
 def load_model(path):
     """Load a model saved by ``save_model``; returns (model, meta, extras)."""
     arrays, meta = romf.read_arrays(path)
@@ -451,6 +579,7 @@ def load_model(path):
         romf.require(meta, _FORECASTER_META, path, "meta key")
     elif meta["kind"] != "discriminator":
         raise romf.FormatError(f"{path}: unknown model kind {meta['kind']!r}")
+    _check_shapes(arrays, path)
     extras = {key: val for key, val in arrays.items()
               if not key.startswith(("lstm.", "head."))}
     with romf.building(path):

@@ -32,29 +32,26 @@ def mse_grad(pred, target):
     return 2.0 * (pred - target) / pred.size
 
 
-def _check_labels(label, shape):
-    label = np.broadcast_to(np.asarray(label, dtype=np.float64), shape)
-    if not np.all((label == 0.0) | (label == 1.0)):
-        raise LabelOutOfRange("labels must be exactly 0 or 1")
-    return label
-
-
 def bce(pred, label):
-    """Binary cross-entropy averaged over the batch, with clamped preds."""
+    """Binary cross-entropy averaged over the batch, with clamped preds,
+    and its gradient d bce / d pred, zero where the clamp is active.
+
+    ``label`` is one literal 0 or 1 for the whole batch. Returns
+    (loss, grad).
+    """
+    if not isinstance(label, (int, float)) or label not in (0, 1):
+        raise LabelOutOfRange("the label must be a literal 0 or 1")
     pred = np.atleast_1d(np.asarray(pred, dtype=np.float64))
-    label = _check_labels(label, pred.shape)
-    p = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    return float(np.mean(-(label * np.log(p) + (1.0 - label) * np.log1p(-p))))
+    p = np.minimum(np.maximum(pred, BCE_CLAMP), 1.0 - BCE_CLAMP)
+    loss = -float((np.log(p) if label else np.log1p(-p)).sum()) / pred.size
+    inside = (pred > BCE_CLAMP) & (pred < 1.0 - BCE_CLAMP)
+    grad = np.where(inside, (p - label) / (p * (1.0 - p)), 0.0)
+    return loss, grad / pred.size
 
 
 def bce_grad(pred, label):
-    """d bce / d pred; zero where the clamp is active."""
-    pred = np.atleast_1d(np.asarray(pred, dtype=np.float64))
-    label = _check_labels(label, pred.shape)
-    p = np.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    inside = (pred > BCE_CLAMP) & (pred < 1.0 - BCE_CLAMP)
-    grad = np.where(inside, (p - label) / (p * (1.0 - p)), 0.0)
-    return grad / pred.size
+    """The gradient of ``bce`` alone (``perfbench/spans.py`` traces it)."""
+    return bce(pred, label)[1]
 
 
 class FlatParams(Mapping):

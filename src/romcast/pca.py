@@ -40,6 +40,7 @@ class PcaBasis:
     eofs: np.ndarray  # (tau, m), orthonormal rows
     singular_values: np.ndarray  # (min(n, m),), nonincreasing
     n: int
+    field: str = "all"  # the snapshot field fitted, or "all" for every column
 
     def __post_init__(self):
         if (self.eofs.ndim != 2 or self.mean.shape != (self.eofs.shape[1],)
@@ -64,17 +65,17 @@ class PcaBasis:
     def save(self, path):
         romf.write_arrays(path, {"mean": self.mean, "eofs": self.eofs,
                                  "singular_values": self.singular_values},
-                          {"n": self.n})
+                          {"n": self.n, "field": self.field})
 
     @classmethod
     def load(cls, path):
         arrays, meta = romf.read_arrays(path)
         romf.require(arrays, ["mean", "eofs", "singular_values"], path)
-        romf.require(meta, {"n": int}, path, "meta key")
+        romf.require(meta, {"n": int, "field": str}, path, "meta key")
         with romf.building(path):
             return cls(mean=arrays["mean"], eofs=arrays["eofs"],
                        singular_values=arrays["singular_values"],
-                       n=meta["n"])
+                       n=meta["n"], field=meta["field"])
 
 
 def _as_matrix(snapshots):

@@ -190,14 +190,27 @@ def _pad(arr, boundary):
     return np.pad(arr, 1, mode=mode)
 
 
-def _advance(c, vxp, vyp, config):
+def _fill_halo(cp, boundary):
+    """Fill the one-cell halo of the padded array ``cp`` from its
+    interior, as ``_pad`` would: wrapped or edge-repeated rows first,
+    then columns, which fills the corners too."""
+    if boundary == "periodic":
+        cp[0, 1:-1], cp[-1, 1:-1] = cp[-2, 1:-1], cp[1, 1:-1]
+        cp[:, 0], cp[:, -1] = cp[:, -2], cp[:, 1]
+    else:
+        cp[0, 1:-1], cp[-1, 1:-1] = cp[1, 1:-1], cp[-2, 1:-1]
+        cp[:, 0], cp[:, -1] = cp[:, 1], cp[:, -2]
+
+
+def _advance(cp, vxp, vyp, config):
     """One explicit step: upwind advection + central diffusion, flux form.
 
-    ``vxp`` and ``vyp`` are the velocity components already padded by one
-    cell with ``_pad``.
+    ``cp`` is the tracer with its halo filled by ``_fill_halo``, and
+    ``vxp`` and ``vyp`` are the velocity components, all padded by one
+    cell; returns the new interior.
     """
     dx, dy, dt, kappa = config.dx, config.dy, config.dt, config.kappa
-    cp = _pad(c, config.boundary)
+    c = cp[1:-1, 1:-1]
 
     # x faces: (ny, nx + 1)
     ufx = 0.5 * (vxp[1:-1, :-1] + vxp[1:-1, 1:])
@@ -241,6 +254,11 @@ def generate(config, initial_tracer=None):
             raise InvalidConfig("initial tracer must be nonnegative")
     else:
         c = config.init_amplitude * rng.random((ny, nx))
+    # the tracer lives in the interior of a padded buffer whose halo is
+    # refilled each step
+    cp = np.empty((ny + 2, nx + 2))
+    cp[1:-1, 1:-1] = c
+    c = cp[1:-1, 1:-1]
 
     # padding commutes with scaling, so the velocities are padded once
     vxp0, vyp0 = (_pad(v, config.boundary) for v in _velocity_field(config))
@@ -254,7 +272,8 @@ def generate(config, initial_tracer=None):
             vxp, vyp = vxp0 * s, vyp0 * s
         rows[step] = vectorise([c, vxp[1:-1, 1:-1], vyp[1:-1, 1:-1]])
         source[iy, ix] = config.source_amplitude * s
-        c = _advance(c, vxp, vyp, config) + config.dt * source
+        _fill_halo(cp, config.boundary)
+        c[...] = _advance(cp, vxp, vyp, config) + config.dt * source
     return SnapshotMatrix(data=rows, field_names=FIELD_NAMES,
                           nodes_per_field=nx * ny)
 

@@ -1,10 +1,22 @@
 """Supervised and adversarial training of the LSTM forecaster.
 
 Classic training minimises next-step MSE. Adversarial co-training
-alternates, per mini-batch, a discriminator step (real next steps
-labelled 1, forecaster outputs labelled 0) with a generator step whose
-loss adds ``adv_weight * bce(D(prediction), 1)`` on top of the MSE;
-gradients flow through the discriminator without updating it.
+alternates, per mini-batch, ``d_steps`` discriminator steps (real next
+steps labelled 1, forecaster outputs labelled 0) with a generator step
+whose loss adds ``adv_weight * bce(D(prediction), 1)`` on top of the
+MSE; gradients flow through the discriminator without updating it.
+
+A mini-batch does each piece of that work once. The fake batch (the
+forecaster's output on the windows) is computed once for all
+discriminator steps, since the forecaster does not change between them.
+Real [window, target] and fake [window, fake] share the window steps:
+D runs that prefix once and the last step for both branches from its
+final (h, c), and backward adds the branches' dh and dc there and
+back-propagates the prefix once (``neural.discriminator_branches``,
+``branch_backward``); step mode is the same path with an empty prefix.
+The prediction enters only D's last step, so the generator step's
+dL/d(prediction) through D is that step's dA @ W
+(``neural.candidate_grad``), with no weight gradients.
 """
 
 import itertools
@@ -13,22 +25,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    InvalidConfig,
-    NonFiniteLoss,
-    TooFewSteps,
-)
+from .errors import EmptyInput, InvalidConfig, NonFiniteLoss, TooFewSteps
 from .neural import (
     ACTIVATIONS,
     backward,
-    discriminator_forward,
+    branch_backward,
+    candidate_grad,
+    discriminator_branches,
     forecaster_forward,
     forecaster_step,
     init_discriminator,
     init_forecaster,
 )
-from .optim import NadamState, bce, bce_grad, clip_global_norm, mse, mse_grad, nadam_step
+from .optim import NadamState, bce, clip_global_norm, mse, mse_grad, nadam_step
 
 DISC_MODES = ("step", "conditional")
 
@@ -171,11 +180,10 @@ def _rng_streams(seed):
     }
 
 
-def _disc_input(windows, candidates, mode):
-    step = candidates[:, None, :]
-    if mode == "step":
-        return step
-    return np.concatenate([windows, step], axis=1)
+def _prefix(windows, config):
+    """The steps D sees before the candidate: the window in conditional
+    mode, none in step mode."""
+    return windows if config.disc_mode == "conditional" else windows[:, :0]
 
 
 def _forecaster_step(model, opt, windows, targets, rng_dropout, config,
@@ -189,39 +197,32 @@ def _forecaster_step(model, opt, windows, targets, rng_dropout, config,
     d_pred = mse_grad(pred, targets)
     adv_loss = None
     if disc is not None:
-        prob, d_tape = discriminator_forward(
-            disc, _disc_input(windows, pred, config.disc_mode)
-        )
-        adv_loss = bce(prob, 1.0)
+        prob, d_tape = discriminator_branches(disc, _prefix(windows, config),
+                                              pred[None])
+        adv_loss, d_prob = bce(prob[0], 1.0)
         if not np.isfinite(adv_loss):
             raise NonFiniteLoss("forecaster adversarial loss diverged")
-        _, d_seq = backward(d_tape, bce_grad(prob, 1.0)[:, None])
-        d_pred = d_pred + config.adv_weight * d_seq[:, -1, :]
+        d_adv = candidate_grad(d_tape, d_prob[None])[0]
+        d_pred = d_pred + config.adv_weight * d_adv
     grads, _ = backward(tape, d_pred)
     clip_global_norm(grads, config.clip_norm)
     nadam_step(opt, model.params(), grads)
     return loss, adv_loss
 
 
-def _discriminator_step(disc, opt, model, windows, targets, config):
-    """One optimizer step on the discriminator; generator outputs are
-    treated as constants."""
-    fake = forecaster_step(model, windows)
-    p_real, tape_real = discriminator_forward(
-        disc, _disc_input(windows, targets, config.disc_mode)
-    )
-    p_fake, tape_fake = discriminator_forward(
-        disc, _disc_input(windows, fake, config.disc_mode)
-    )
-    loss = bce(p_real, 1.0) + bce(p_fake, 0.0)
-    if not np.isfinite(loss):
+def _discriminator_step(disc, opt, windows, targets, fake, config):
+    """One optimizer step on the discriminator, real next steps
+    ``targets`` against the forecaster's ``fake`` ones."""
+    prob, tape = discriminator_branches(disc, _prefix(windows, config),
+                                        np.stack([targets, fake]))
+    loss_real, d_real = bce(prob[0], 1.0)
+    loss_fake, d_fake = bce(prob[1], 0.0)
+    if not np.isfinite(loss_real + loss_fake):
         raise NonFiniteLoss("discriminator loss diverged")
-    grads, _ = backward(tape_real, bce_grad(p_real, 1.0)[:, None])
-    g_fake, _ = backward(tape_fake, bce_grad(p_fake, 0.0)[:, None])
-    grads.flat += g_fake.flat
+    grads = branch_backward(tape, np.stack([d_real, d_fake]))
     clip_global_norm(grads, config.clip_norm)
     nadam_step(opt, disc.params(), grads)
-    return loss
+    return loss_real + loss_fake
 
 
 def _validation_loss(model, dataset):
@@ -270,9 +271,10 @@ def _train(dataset, config):
             windows = dataset.inputs[idx]
             targets = dataset.targets[idx]
             if config.adversarial:
+                fake = forecaster_step(model, windows)
                 for _ in range(config.d_steps):
-                    d_sum += _discriminator_step(disc, opt_d, model, windows,
-                                                 targets, config)
+                    d_sum += _discriminator_step(disc, opt_d, windows,
+                                                 targets, fake, config)
             loss, adv_loss = _forecaster_step(
                 model, opt_g, windows, targets, streams["dropout"], config,
                 disc=disc if config.adversarial else None,

@@ -158,6 +158,24 @@ class TestTrainEvaluateReport:
         out = capsys.readouterr().out
         assert "agg" in out
 
+    def test_basis_field_comes_from_the_hashed_file(self, workdir):
+        # the manifest's meta.field is not hashed; editing it must not
+        # change which field train projects
+        pipeline(workdir)
+        path = "basis.romf.manifest.json"
+        manifest = json.load(open(path))
+        assert manifest["meta"]["field"] == "tracer"
+        manifest["meta"]["field"] = "vel_x"
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        assert run("train", "--config", "config.json", "--snapshots",
+                   "snap.romf", "--basis", "basis.romf", "--scaler",
+                   "scaler.romf", "--out", "again.romf") == 0
+        with open("classic.romf", "rb") as fa, open("again.romf", "rb") as fb:
+            assert fa.read() == fb.read()
+        meta = json.load(open("again.romf.manifest.json"))["meta"]
+        assert meta["field"] == "tracer"
+
     def test_verify_and_evaluate_from_another_directory(self, workdir,
                                                          monkeypatch):
         os.mkdir("run")

@@ -217,7 +217,7 @@ class TestBackward:
         disc = neural.init_discriminator(4, 6, rng)
         seq = rng.random((5, 1, 4))
         prob, tape = neural.discriminator_forward(disc, seq)
-        _, d_seq = neural.backward(tape, optim.bce_grad(prob, 1.0)[:, None])
+        _, d_seq = neural.backward(tape, optim.bce(prob, 1.0)[1][:, None])
         params = disc.params()
         eps = 1e-6
         for (b, t, j) in [(0, 0, 0), (2, 0, 1), (4, 0, 3)]:
@@ -230,6 +230,103 @@ class TestBackward:
             seq[b, t, j] = orig
             fd = float((up - down) / (2 * eps))
             assert d_seq[b, t, j] == pytest.approx(fd, rel=1e-6, abs=1e-12)
+
+
+def _branch_case(seed, prefix_steps, batch=6, dim=4, hidden=5):
+    """A discriminator, a shared prefix and real and fake last steps."""
+    rng = np.random.default_rng(seed)
+    disc = neural.init_discriminator(dim, hidden, rng)
+    windows, targets = oracles.smooth_windows(rng, batch, prefix_steps, dim)
+    fake = targets + 0.1 * rng.standard_normal(targets.shape)
+    return disc, windows, targets, fake
+
+
+def _whole(windows, last):
+    return np.concatenate([windows, last[:, None]], axis=1)
+
+
+class TestDiscriminatorBranches:
+    def test_state_carrying_kernel_matches_finite_differences(self):
+        # the last step runs from the prefix's final (h, c): its step 0
+        # feeds dU, and dh0 and dc0 carry the gradient into the prefix
+        worst = 0.0
+        for seed in range(3):
+            disc, windows, targets, _ = _branch_case(seed, 3)
+            prob, tape = neural.discriminator_branches(disc, windows,
+                                                       targets[None])
+            assert tape.lstm_tape.start and not tape.prefix.start
+            grads = neural.branch_backward(tape, optim.bce(prob[0], 1.0)[1][None])
+            params = disc.params()
+            loss = oracles.discriminator_bce_loss(
+                params, _whole(windows, targets), 1.0)
+            worst = max(worst, oracles.grad_check(params, loss, grads,
+                                                  n_samples=400,
+                                                  epsilon=1e-5, rng=seed))
+        assert worst < 1e-5
+
+    def test_initial_state_gradients_match_finite_differences(self):
+        # a run continued from the prefix's final state: the prefix's
+        # inputs reach the loss only through dh0 and dc0
+        rng = np.random.default_rng(21)
+        disc = neural.init_discriminator(3, 4, rng)
+        lstm, params = disc.lstm, disc.params()
+        seq = rng.random((2, 3, 3))
+        weights = rng.standard_normal((2, 4))
+        pre = neural._recur(lstm, seq[:, :2])
+        last = neural._recur(lstm, seq[:, 2:], pre.h[-1], pre.c[-1])
+        assert np.allclose(last.h[-1], neural._recur(lstm, seq).h[-1],
+                           rtol=1e-14, atol=0.0)
+        d_last, dc0 = neural._lstm_backward(last, d_h_final=weights)
+        dh0 = d_last[:2] @ lstm.U
+        d_pre, _ = neural._lstm_backward(pre, d_h_final=dh0, d_c_final=dc0)
+        d_seq = np.concatenate([neural._input_grads(pre, d_pre),
+                                neural._input_grads(last, d_last)], axis=1)
+        eps = 1e-6
+        for idx in [(0, 0, 0), (1, 0, 2), (0, 1, 1), (1, 1, 0), (1, 2, 2)]:
+            orig = seq[idx]
+            seq[idx] = orig + eps
+            h_up, _ = oracles.ld_lstm_final_hidden(params, seq)
+            seq[idx] = orig - eps
+            h_down, _ = oracles.ld_lstm_final_hidden(params, seq)
+            seq[idx] = orig
+            fd = float(np.sum(weights * (h_up - h_down)) / (2 * eps))
+            assert d_seq[idx] == pytest.approx(fd, rel=1e-6, abs=1e-12)
+
+    @pytest.mark.parametrize("prefix_steps", [2, 0])
+    def test_shared_prefix_equals_two_separate_passes(self, prefix_steps):
+        disc, windows, targets, fake = _branch_case(22, prefix_steps)
+        prob, tape = neural.discriminator_branches(
+            disc, windows, np.stack([targets, fake]))
+        d_prob = np.stack([optim.bce(prob[0], 1.0)[1],
+                           optim.bce(prob[1], 0.0)[1]])
+        grads = neural.branch_backward(tape, d_prob)
+        total = np.zeros_like(grads.flat)
+        for branch, last in enumerate((targets, fake)):
+            p_sep, t_sep = neural.discriminator_forward(disc,
+                                                        _whole(windows, last))
+            assert np.allclose(prob[branch], p_sep, rtol=1e-13, atol=0.0)
+            g_sep, _ = neural.backward(t_sep, d_prob[branch][:, None])
+            total += g_sep.flat
+        assert grads.layout == disc.params().layout
+        scale = np.abs(total).max()
+        assert np.abs(grads.flat - total).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("prefix_steps", [2, 0])
+    def test_candidate_grad_equals_full_input_gradient(self, prefix_steps):
+        disc, windows, _, fake = _branch_case(23, prefix_steps)
+        prob, tape = neural.discriminator_branches(disc, windows, fake[None])
+        d_prob = optim.bce(prob[0], 1.0)[1]
+        got = neural.candidate_grad(tape, d_prob[None])[0]
+        p_sep, t_sep = neural.discriminator_forward(disc, _whole(windows, fake))
+        _, d_seq = neural.backward(t_sep, d_prob[:, None])
+        want = d_seq[:, -1]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_non_finite_input_rejected(self):
+        disc, windows, targets, _ = _branch_case(24, 2)
+        windows[1, 0, 2] = np.inf
+        with pytest.raises(NonFiniteInput):
+            neural.discriminator_branches(disc, windows, targets[None])
 
 
 class TestGradCheckOperation:
@@ -388,6 +485,29 @@ def test_load_model_meta_out_of_range_is_format_error(tmp_path, key, value,
     _rewrite_meta(path, key, value)
     with pytest.raises(romf.FormatError, match=message):
         neural.load_model(path)
+
+
+# one array of the wrong shape each, for a model with input 3, hidden 5
+# and output 3
+@pytest.mark.parametrize("key, shape", [
+    ("lstm.w_f", (5, 4)),  # a gate with an extra input column
+    ("lstm.w_o", (6, 3)),  # a gate with an extra row
+    ("lstm.u_i", (5, 4)),
+    ("lstm.b_i", (5, 1)),
+    ("head.weight", (3, 4)),  # head reads another hidden size
+    ("head.bias", (2,)),
+    ("lstm.w_i", ()),
+])
+def test_load_model_wrong_shape_is_format_error(tmp_path, key, shape):
+    path = tmp_path / "model.romf"
+    neural.save_model(path, neural.init_forecaster(
+        3, 5, 3, "sigmoid", 0.0, 2, np.random.default_rng(20)))
+    arrays, meta = romf.read_arrays(path)
+    arrays[key] = np.zeros(shape)
+    romf.write_arrays(path, arrays, meta)
+    with pytest.raises(romf.FormatError, match="model.romf") as info:
+        neural.load_model(path)
+    assert "shape" in str(info.value) or "2-D" in str(info.value)
 
 
 def test_discriminator_round_trip_and_one_file(tmp_path):

@@ -41,13 +41,13 @@ class TestMse:
 
 class TestBce:
     def test_half_prediction(self):
-        assert optim.bce(0.5, 1.0) == pytest.approx(math.log(2), rel=1e-12)
+        assert optim.bce(0.5, 1.0)[0] == pytest.approx(math.log(2), rel=1e-12)
 
     def test_near_one_prediction(self):
-        assert optim.bce(1.0 - 1e-7, 1.0) < 1.1e-7
+        assert optim.bce(1.0 - 1e-7, 1.0)[0] < 1.1e-7
 
     def test_clamped_zero_prediction(self):
-        assert optim.bce(0.0, 1.0) == pytest.approx(-math.log(1e-7), rel=1e-12)
+        assert optim.bce(0.0, 1.0)[0] == pytest.approx(-math.log(1e-7), rel=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
@@ -67,22 +67,48 @@ class TestBce:
         clamped = np.clip([lo, hi], optim.BCE_CLAMP, 1.0 - optim.BCE_CLAMP)
         log_lo, log_hi = -np.log(clamped)
         if log_lo != log_hi:
-            assert optim.bce(lo, 1.0) > optim.bce(hi, 1.0)
+            assert optim.bce(lo, 1.0)[0] > optim.bce(hi, 1.0)[0]
         else:
-            assert optim.bce(lo, 1.0) >= optim.bce(hi, 1.0)
+            assert optim.bce(lo, 1.0)[0] >= optim.bce(hi, 1.0)[0]
+
+    @pytest.mark.parametrize("label", [0.0, 1.0, 0, 1, True])
+    def test_matches_separate_loss_and_gradient(self, label):
+        # the separate loss and gradient formulas, over both clamp zones,
+        # their edges and the inside
+        eps = optim.BCE_CLAMP
+        pred = np.concatenate([
+            [0.0, 1e-12, eps, np.nextafter(eps, 1.0), 0.5,
+             np.nextafter(1.0 - eps, 0.0), 1.0 - eps, 1.0 - 1e-12, 1.0],
+            np.random.default_rng(2).random(23),
+        ])
+        p = np.clip(pred, eps, 1.0 - eps)
+        want_loss = float(np.mean(-(label * np.log(p)
+                                    + (1.0 - label) * np.log1p(-p))))
+        inside = (pred > eps) & (pred < 1.0 - eps)
+        want_grad = np.where(inside, (p - label) / (p * (1.0 - p)), 0.0)
+        loss, grad = optim.bce(pred, label)
+        assert loss == want_loss
+        assert grad.tobytes() == (want_grad / pred.size).tobytes()
+        assert np.all(grad[[0, 1, 2, 6, 7, 8]] == 0.0)
+
+    @pytest.mark.parametrize("label", [0.5, 2.0, -1, np.nan,
+                                       np.array([1.0, 0.0]), "1"])
+    def test_label_other_than_literal_zero_or_one(self, label):
+        with pytest.raises(LabelOutOfRange):
+            optim.bce(np.array([0.2, 0.7]), label)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         pred = rng.uniform(0.05, 0.95, size=8)
         for label in (0.0, 1.0):
-            grad = optim.bce_grad(pred, label)
+            grad = optim.bce(pred, label)[1]
             eps = 1e-6
             for idx in (0, 3, 7):
                 orig = pred[idx]
                 pred[idx] = orig + eps
-                up = optim.bce(pred, label)
+                up = optim.bce(pred, label)[0]
                 pred[idx] = orig - eps
-                down = optim.bce(pred, label)
+                down = optim.bce(pred, label)[0]
                 pred[idx] = orig
                 fd = (up - down) / (2 * eps)
                 assert grad[idx] == pytest.approx(fd, abs=1e-7)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,13 +186,17 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.eofs, basis.eofs)
     assert np.array_equal(loaded.singular_values, basis.singular_values)
     assert np.array_equal(loaded.mean, basis.mean)
+    assert loaded.field == "all"
+    replace(basis, field="tracer").save(path)
+    assert pca.PcaBasis.load(path).field == "tracer"
 
 
 def test_saved_basis_keeps_tau_rows(tmp_path):
     basis = pca.fit(random_matrix(15), tau=3)
     basis.save(tmp_path / "basis.romf")
     arrays, meta = romf.read_arrays(tmp_path / "basis.romf")
-    assert arrays["eofs"].shape == (3, 50) and meta == {"n": 20}
+    assert arrays["eofs"].shape == (3, 50)
+    assert meta == {"n": 20, "field": "all"}
     assert [p.name for p in tmp_path.iterdir()] == ["basis.romf"]
 
 
@@ -206,6 +212,15 @@ def test_load_meta_of_wrong_type_is_format_error(tmp_path, value):
     pca.fit(random_matrix(16), tau=3).save(path)
     _rewrite(path, meta={"n": value})
     with pytest.raises(romf.FormatError, match="'n' has the wrong type"):
+        pca.PcaBasis.load(path)
+
+
+@pytest.mark.parametrize("value", [None, 1, ["tracer"]])
+def test_load_field_of_wrong_type_is_format_error(tmp_path, value):
+    path = tmp_path / "basis.romf"
+    pca.fit(random_matrix(16), tau=3).save(path)
+    _rewrite(path, meta={"field": value})
+    with pytest.raises(romf.FormatError, match="'field' has the wrong type"):
         pca.PcaBasis.load(path)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from romcast import neural, optim, training
 from romcast.errors import (
     EmptyInput,
     InvalidConfig,
+    NonFiniteInput,
     NonFiniteLoss,
     TooFewSteps,
 )
@@ -125,18 +127,23 @@ class TestTrainAdversarial:
         disc.head.bias[:] = 0.0
         seq = rng.random((10, 1, 3))
         prob, _ = neural.discriminator_forward(disc, seq)
-        loss = optim.bce(prob, 1.0) + optim.bce(prob, 0.0)
+        loss = optim.bce(prob, 1.0)[0] + optim.bce(prob, 0.0)[0]
         assert loss == pytest.approx(2 * math.log(2), rel=1e-12)
 
     def test_lambda_zero_generator_step_equals_classic_step(self):
+        # the control arm: with adv_weight=0 the adversarial term is the
+        # only difference, so the forecaster must match classic training
+        # bit for bit over several epochs of several mini-batches
         ds = training.make_windows(wave_scores(), 2, 0.9)
-        config = quick_config(epochs=1, batch_size=ds.split, dropout=0.3)
+        config = quick_config(epochs=3, batch_size=32, dropout=0.3, seed=4)
+        assert ds.split > 3 * config.batch_size
         classic, _ = training.train_classic(ds, config)
-        adv_cfg = quick_config(epochs=1, batch_size=ds.split, dropout=0.3,
-                               adversarial=True, adv_weight=0.0)
-        adv, _, _ = training.train_adversarial(ds, adv_cfg)
-        for key, val in classic.params().items():
-            assert val.tobytes() == adv.params()[key].tobytes(), key
+        for mode in training.DISC_MODES:
+            adv_cfg = replace(config, adversarial=True, adv_weight=0.0,
+                              disc_mode=mode)
+            adv, _, report = training.train_adversarial(ds, adv_cfg)
+            assert np.all(np.isfinite(report.g_adv_loss)), mode
+            assert adv.flat.tobytes() == classic.flat.tobytes(), mode
 
     def test_phase_isolation(self):
         ds = training.make_windows(wave_scores(), 2, 0.9)
@@ -150,7 +157,8 @@ class TestTrainAdversarial:
         windows, targets = ds.inputs[:16], ds.targets[:16]
 
         g_before = {k: v.copy() for k, v in model.params().items()}
-        training._discriminator_step(disc, opt_d, model, windows, targets,
+        fake = neural.forecaster_step(model, windows)
+        training._discriminator_step(disc, opt_d, windows, targets, fake,
                                      config)
         for key, val in model.params().items():
             assert val.tobytes() == g_before[key].tobytes()
@@ -161,6 +169,36 @@ class TestTrainAdversarial:
         for key, val in disc.params().items():
             assert val.tobytes() == d_before[key].tobytes()
 
+    @pytest.mark.parametrize("mode", training.DISC_MODES)
+    def test_nan_fake_batch_is_non_finite_input(self, mode):
+        ds = training.make_windows(wave_scores(), 2, 0.9)
+        disc = neural.init_discriminator(3, 8, np.random.default_rng(1))
+        opt = optim.NadamState()
+        windows, targets = ds.inputs[:16], ds.targets[:16]
+        fake = targets.copy()
+        fake[3, 1] = np.nan
+        before = disc.flat.copy()
+        with pytest.raises(NonFiniteInput):
+            training._discriminator_step(disc, opt, windows, targets, fake,
+                                         quick_config(disc_mode=mode))
+        assert opt.t == 0 and disc.flat.tobytes() == before.tobytes()
+
+    def test_discriminator_steps_per_epoch(self, monkeypatch):
+        ds = training.make_windows(wave_scores(), 2, 0.9)
+        config = quick_config(epochs=2, adversarial=True, d_steps=3)
+        real_step = training.nadam_step
+        sides = []
+
+        def counting(state, params, grads):
+            sides.append("d" if params["head.weight"].shape[0] == 1 else "g")
+            return real_step(state, params, grads)
+
+        monkeypatch.setattr(training, "nadam_step", counting)
+        training.train_adversarial(ds, config)
+        batches = 2 * math.ceil(ds.split / 16)
+        assert sides.count("g") == batches
+        assert sides.count("d") == 3 * batches
+
     def test_adversarial_losses_finite_and_discriminator_useful(self):
         scores = wave_scores(n=160)
         ds = training.make_windows(scores, 2, 0.9)
@@ -170,11 +208,13 @@ class TestTrainAdversarial:
         assert all(np.isfinite(report.d_loss))
         assert all(np.isfinite(report.g_adv_loss))
         assert all(np.isfinite(report.train_loss))
-        # held-out accuracy of D on real vs predicted pairs
+        # held-out accuracy of D on real vs predicted pairs, scored as
+        # whole sequences
         pred, _ = neural.forecaster_forward(model, ds.val_inputs)
-        seq_real = training._disc_input(ds.val_inputs, ds.val_targets,
-                                        config.disc_mode)
-        seq_fake = training._disc_input(ds.val_inputs, pred, config.disc_mode)
+        seq_real, seq_fake = (
+            np.concatenate([ds.val_inputs, last[:, None]], axis=1)
+            for last in (ds.val_targets, pred)
+        )
         p_real, _ = neural.discriminator_forward(disc, seq_real)
         p_fake, _ = neural.discriminator_forward(disc, seq_fake)
         accuracy = 0.5 * ((p_real > 0.5).mean() + (p_fake < 0.5).mean())
