@@ -166,8 +166,7 @@ def _load_scores(args):
     scaler = snapshots.MinMaxScaler.load(args.scaler)
     # the field is in the basis file's metadata, under its hash
     field = basis.field
-    data = snap.data if field == "all" else snap.field(field)
-    scores = pca.project(basis, data)
+    scores = pca.project(basis, snap.field(field))
     return snap, basis, scaler, scores, field
 
 
@@ -200,7 +199,7 @@ def cmd_pca(args):
     verify_artifact(args.snapshots)
     snap = snapshots.SnapshotMatrix.load(args.snapshots)
     field = section["field"]
-    data = snap.data if field == "all" else snap.field(field)
+    data = snap.field(field)
     basis = replace(pca.fit(data, tau=section.get("tau"),
                             variance=section.get("variance")), field=field)
     out = args.out or "basis.romf"

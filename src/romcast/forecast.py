@@ -88,6 +88,9 @@ def _roll(model, windows, horizon):
     """
     if horizon < 0:
         raise InvalidConfig("horizon must be >= 0")
+    if windows.shape[2] != model.lstm.input_dim:
+        raise ShapeMismatch(f"windows hold {windows.shape[2]} PCs, the model "
+                            f"takes {model.lstm.input_dim}")
     preds = np.empty((len(windows), horizon, windows.shape[2]))
     diverged_at = np.full(len(windows), horizon)
     for h in range(horizon):

@@ -6,13 +6,13 @@ Batched inputs use the leading axis; single sequences are promoted
 internally and squeezed on the way out.
 
 Layout (fused gates, as in cuDNN). An LSTM keeps W (4H x D), U (4H x H)
-and b (4H), each stacking its gates in the order i, f, o, g; ``w_i`` ...
-``b_g`` are row-block views into them. A model keeps all its parameters
-in one float64 buffer, ``model.flat``, in the order W, U, b,
-head.weight, head.bias. ``model.params()`` maps the keys ``lstm.w_i``
-... ``lstm.b_g``, ``head.weight`` and ``head.bias`` to views into it, so
-the ROMF keys of saved models are unchanged. Gradients come back in the
-same layout, so Nadam and clipping act on the whole buffer at once.
+and b (4H), each stacking its gates in the order i, f, o, g. A model
+keeps all its parameters in one float64 buffer, ``model.flat``, in the
+order W, U, b, head.weight, head.bias; ``model.params()`` maps the keys
+``lstm.W``, ``lstm.U``, ``lstm.b``, ``head.weight`` and ``head.bias`` to
+views into it, and a saved model stores these five blocks under the same
+keys. Gradients come back in the same layout, so Nadam and clipping act
+on the whole buffer at once.
 
 Sequences that share a prefix (the discriminator's real and fake inputs
 in training) share its work: ``discriminator_branches`` runs the prefix
@@ -28,8 +28,6 @@ import numpy as np
 from . import romf
 from .errors import InvalidConfig, NonFiniteInput, ShapeMismatch, TapeMismatch
 from .optim import FlatParams
-
-GATE_NAMES = tuple(kind + "_" + gate for kind in "wub" for gate in "ifog")
 
 
 def sigmoid(x):
@@ -48,29 +46,13 @@ ACTIVATIONS = {
 }
 
 
+@dataclass
 class LstmParams:
-    """Fused gate weights W (4H x D), U (4H x H) and biases b (4H).
+    """Fused gate weights, each stacking the gates i, f, o, g."""
 
-    Built from the twelve per-gate arrays (hidden x input, hidden x
-    hidden, hidden); ``w_i`` ... ``b_g`` are then views into W, U and b.
-    """
-
-    def __init__(self, w_i, w_f, w_o, w_g, u_i, u_f, u_o, u_g,
-                 b_i, b_f, b_o, b_g):
-        self.bind(
-            np.concatenate([w_i, w_f, w_o, w_g], dtype=np.float64),
-            np.concatenate([u_i, u_f, u_o, u_g], dtype=np.float64),
-            np.concatenate([b_i, b_f, b_o, b_g], dtype=np.float64),
-        )
-
-    def bind(self, W, U, b):
-        """Point W, U, b and every per-gate view at the given arrays."""
-        self.W, self.U, self.b = W, U, b
-        hidden = self.hidden_dim
-        for k, gate in enumerate("ifog"):
-            rows = slice(k * hidden, (k + 1) * hidden)
-            for kind, fused in (("w", W), ("u", U), ("b", b)):
-                setattr(self, kind + "_" + gate, fused[rows])
+    W: np.ndarray  # (4H, in)
+    U: np.ndarray  # (4H, H)
+    b: np.ndarray  # (4H,)
 
     @property
     def input_dim(self):
@@ -81,7 +63,8 @@ class LstmParams:
         return self.U.shape[1]
 
     def params(self, prefix=""):
-        return {prefix + name: getattr(self, name) for name in GATE_NAMES}
+        return {prefix + "W": self.W, prefix + "U": self.U,
+                prefix + "b": self.b}
 
 
 @dataclass
@@ -102,19 +85,13 @@ class _Network:
     head: DenseParams
 
     def __post_init__(self):
-        lstm, head = self.lstm, self.head
         self._params = FlatParams.pack(
-            {**lstm.params("lstm."), **head.params("head.")}
+            {**self.lstm.params("lstm."), **self.head.params("head.")}
         )
         self.flat = self._params.flat
-        n_w, n_u = lstm.W.size, lstm.U.size
-        lstm.bind(
-            self.flat[:n_w].reshape(lstm.W.shape),
-            self.flat[n_w:n_w + n_u].reshape(lstm.U.shape),
-            self.flat[n_w + n_u:n_w + n_u + lstm.b.size],
-        )
-        head.weight = self._params["head.weight"]
-        head.bias = self._params["head.bias"]
+        for key, view in self._params.items():
+            part, name = key.split(".")
+            setattr(getattr(self, part), name, view)
 
     def params(self):
         return self._params
@@ -173,7 +150,7 @@ def init_lstm_params(input_dim, hidden_dim, rng):
     U = rng.uniform(-s, s, size=(4 * hidden_dim, hidden_dim))
     b = np.zeros(4 * hidden_dim)
     b[hidden_dim:2 * hidden_dim] = 1.0
-    return LstmParams(*np.split(W, 4), *np.split(U, 4), *np.split(b, 4))
+    return LstmParams(W, U, b)
 
 
 def _init_head(output_dim, hidden_dim, rng):
@@ -272,15 +249,15 @@ def lstm_forward(params, sequence):
     return hs, tape.h[-1], tape
 
 
-def _lstm_backward(tape, d_h_final=None, d_hs=None, d_c_final=None):
+def _lstm_backward(tape, d_h_final, d_c_final=None):
     """Exact BPTT down to the gate pre-activations.
 
-    Starts from dL/d(final h) (or dL/d(every h)) and, if given,
-    dL/d(final c). Returns (dA, dc0): dA = dL/d(gates) as a step-major
-    (T*B, 4H) matrix and dc0 = dL/dc0. Only dh = dA @ U stays in the
-    time loop; the rest is one GEMM each afterwards: ``_weight_grads``
-    for dW, dU and db, dA @ W for the inputs and, for a run that started
-    from a given state, dA[:B] @ U for dL/dh0.
+    Starts from dL/d(final h) and, if given, dL/d(final c). Returns
+    (dA, dc0): dA = dL/d(gates) as a step-major (T*B, 4H) matrix and
+    dc0 = dL/dc0. Only dh = dA @ U stays in the time loop; the rest is
+    one GEMM each afterwards: ``_weight_grads`` for dW, dU and db,
+    dA @ W for the inputs and, for a run that started from a given
+    state, dA[:B] @ U for dL/dh0.
     """
     lstm = tape.params
     gates = tape.gates
@@ -299,11 +276,9 @@ def _lstm_backward(tape, d_h_final=None, d_hs=None, d_c_final=None):
     dc_dh = gates[..., 2 * hidden:n3] * (1.0 - tape.tc * tape.tc)
     forget = gates[..., hidden:2 * hidden]
     d_gates = np.empty_like(gates)
-    dh = np.zeros((batch, hidden)) if d_h_final is None else d_h_final
+    dh = d_h_final
     dc = np.zeros((batch, hidden)) if d_c_final is None else d_c_final
     for t in reversed(range(steps)):
-        if d_hs is not None:
-            dh = dh + d_hs[:, t]
         dc = dc + dh * dc_dh[t]
         da = d_gates[t]
         np.multiply(factor[t].reshape(batch, 4, hidden), dc[:, None],
@@ -481,36 +456,12 @@ def _activation_deriv(tape):
 def backward(tape, upstream):
     """Exact gradients of the recorded computation.
 
-    For a model tape, ``upstream`` is dL/dprediction; returns
-    (param grads laid out like ``model.params()``, input grads). For a
-    raw LSTM tape, ``upstream`` is dL/d(final hidden) or dL/d(all
-    hiddens), and the grads are keyed ``w_i`` ... ``b_g``.
+    ``tape`` comes from ``forecaster_forward`` or
+    ``discriminator_forward`` and ``upstream`` is dL/dprediction; returns
+    (param grads laid out like ``model.params()``, input grads).
     """
-    if tape.kind == "lstm":
-        steps, batch, _ = tape.gates.shape
-        hidden = tape.params.hidden_dim
-        up = np.asarray(upstream, dtype=np.float64)
-        if tape.squeezed:
-            up = up[None] if up.ndim in (1, 2) else up
-        if up.shape == (batch, hidden):
-            d_flat, _ = _lstm_backward(tape, d_h_final=up)
-        elif up.shape == (batch, steps, hidden):
-            d_flat, _ = _lstm_backward(tape, d_hs=up)
-        else:
-            raise TapeMismatch(
-                f"upstream shape {np.shape(upstream)} matches neither the "
-                "final hidden nor the full hidden-state stack"
-            )
-        dW, dU, db = _weight_grads(tape, d_flat)
-        grads = FlatParams.pack(dict(zip(
-            GATE_NAMES,
-            [*np.split(dW, 4), *np.split(dU, 4), *np.split(db, 4)],
-        )))
-        d_seq = _input_grads(tape, d_flat)
-        return grads, d_seq[0] if tape.squeezed else d_seq
-
     if tape.kind != "head":
-        raise TapeMismatch(f"unknown tape kind {tape.kind!r}")
+        raise TapeMismatch(f"backward needs a model's tape, not {tape.kind!r}")
     model = tape.model
     d_pred = np.asarray(upstream, dtype=np.float64)
     if tape.squeezed:
@@ -538,31 +489,30 @@ _FORECASTER_META = {"output_activation": str, "dropout_rate": (int, float),
                     "time_lag": int}
 
 
-def save_model(path, model, seed=None, extra_arrays=None):
+def save_model(path, model, seed=None):
     """Persist weights, plus what their shapes cannot tell, in one ROMF file."""
-    arrays = dict(model.params())
-    if extra_arrays:
-        arrays.update(extra_arrays)
     meta = {"kind": "discriminator", "seed": seed}
     if isinstance(model, LstmForecaster):
         meta.update(kind="forecaster",
                     output_activation=model.output_activation,
                     dropout_rate=model.dropout_rate, time_lag=model.time_lag)
-    romf.write_arrays(path, arrays, meta)
+    romf.write_arrays(path, model.params(), meta)
 
 
-def _check_shapes(arrays, path):
-    """Raise FormatError unless the gate arrays and the head agree in
-    shape with ``lstm.w_i`` (hidden x input) and ``head.weight``."""
-    w, head = arrays["lstm.w_i"], arrays["head.weight"]
-    if w.ndim != 2 or head.ndim != 2:
-        raise romf.FormatError(f"{path}: 'lstm.w_i' and 'head.weight' "
-                               "must be 2-D")
-    hidden, dim = w.shape
-    want = {"w": (hidden, dim), "u": (hidden, hidden), "b": (hidden,)}
-    shapes = {f"lstm.{name}": want[name[0]] for name in GATE_NAMES}
-    shapes.update({"head.weight": (head.shape[0], hidden),
-                   "head.bias": head.shape[:1]})
+def _check_shapes(arrays, path, kind):
+    """Raise FormatError unless the five blocks agree in shape with
+    H = ``lstm.U.shape[1]``, D = ``lstm.W.shape[1]`` and O =
+    ``head.weight.shape[0]``, where a forecaster's O is D: each of its
+    predictions is its next input."""
+    W, U, head = arrays["lstm.W"], arrays["lstm.U"], arrays["head.weight"]
+    if W.ndim != 2 or U.ndim != 2 or head.ndim != 2:
+        raise romf.FormatError(f"{path}: 'lstm.W', 'lstm.U' and "
+                               "'head.weight' must be 2-D")
+    hidden, dim = U.shape[1], W.shape[1]
+    out = dim if kind == "forecaster" else head.shape[0]
+    shapes = {"lstm.W": (4 * hidden, dim), "lstm.U": (4 * hidden, hidden),
+              "lstm.b": (4 * hidden,), "head.weight": (out, hidden),
+              "head.bias": (out,)}
     for key, shape in shapes.items():
         if arrays[key].shape != shape:
             raise romf.FormatError(f"{path}: {key!r} has shape "
@@ -570,22 +520,23 @@ def _check_shapes(arrays, path):
 
 
 def load_model(path):
-    """Load a model saved by ``save_model``; returns (model, meta, extras)."""
+    """Load a model saved by ``save_model``; returns (model, meta, {}).
+
+    A model file holds no arrays beyond the model's; the empty third item
+    keeps the 3-tuple that callers unpack."""
     arrays, meta = romf.read_arrays(path)
-    romf.require(arrays, [f"lstm.{name}" for name in GATE_NAMES]
-                 + ["head.weight", "head.bias"], path)
+    romf.require(arrays, ["lstm.W", "lstm.U", "lstm.b", "head.weight",
+                          "head.bias"], path)
     romf.require(meta, _META, path, "meta key")
     if meta["kind"] == "forecaster":
         romf.require(meta, _FORECASTER_META, path, "meta key")
     elif meta["kind"] != "discriminator":
         raise romf.FormatError(f"{path}: unknown model kind {meta['kind']!r}")
-    _check_shapes(arrays, path)
-    extras = {key: val for key, val in arrays.items()
-              if not key.startswith(("lstm.", "head."))}
+    _check_shapes(arrays, path, meta["kind"])
     with romf.building(path):
-        lstm = LstmParams(*(arrays["lstm." + name] for name in GATE_NAMES))
+        lstm = LstmParams(arrays["lstm.W"], arrays["lstm.U"], arrays["lstm.b"])
         head = DenseParams(arrays["head.weight"], arrays["head.bias"])
         if meta["kind"] == "discriminator":
-            return Discriminator(lstm, head), meta, extras
+            return Discriminator(lstm, head), meta, {}
         settings = {key: meta[key] for key in _FORECASTER_META}
-        return LstmForecaster(lstm, head, **settings), meta, extras
+        return LstmForecaster(lstm, head, **settings), meta, {}

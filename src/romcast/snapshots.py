@@ -7,7 +7,7 @@ into one row of the snapshot matrix: tracer nodes, then velocity nodes.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,12 +126,19 @@ class SnapshotMatrix:
         return self.data.shape[1]
 
     def field_slice(self, name):
+        """The columns of one named field, or of all of them for "all"."""
+        if name == "all":
+            return slice(None)
+        if name not in self.field_names:
+            raise InvalidConfig(f"unknown field {name!r}; expected "
+                                f"{', '.join(self.field_names)} or all")
         idx = self.field_names.index(name)
         lo = idx * self.nodes_per_field
         return slice(lo, lo + self.nodes_per_field)
 
     def field(self, name):
-        """Return the n x nodes submatrix of one named field."""
+        """Return the n x nodes submatrix of one named field (or the whole
+        matrix for "all")."""
         return self.data[:, self.field_slice(name)]
 
     def column_labels(self):
@@ -292,18 +299,6 @@ def vectorise(fields):
     return np.concatenate(flats)
 
 
-def devectorise(row, n_fields):
-    """Split a state row back into its per-field node arrays."""
-    row = np.asarray(row, dtype=np.float64).ravel()
-    if n_fields < 1:
-        raise EmptyInput("n_fields must be >= 1")
-    if row.size % n_fields != 0:
-        raise ShapeMismatch(
-            f"row of length {row.size} does not split into {n_fields} fields"
-        )
-    return list(row.reshape(n_fields, -1))
-
-
 @dataclass(frozen=True)
 class MinMaxScaler:
     """Column-affine map onto [lo, hi]; constant columns map to the midpoint."""
@@ -373,8 +368,3 @@ def fit_scaler(data, lo=0.0, hi=1.0):
     return MinMaxScaler(
         mins=data.min(axis=0), maxs=data.max(axis=0), lo=float(lo), hi=float(hi)
     )
-
-
-def default_config(**overrides):
-    """The desk-scale default generator configuration."""
-    return replace(GeneratorConfig(), **overrides)

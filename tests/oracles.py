@@ -27,21 +27,26 @@ def ld_sigmoid(x):
 def ld_lstm_final_hidden(params, seq):
     """Final hidden state of the standard LSTM recurrence in longdouble.
 
-    ``params`` uses the live float64 arrays keyed "lstm.w_i", ...;
-    ``seq`` is (B, T, D).
+    ``params`` uses the live float64 arrays keyed "lstm.W", "lstm.U",
+    "lstm.b", whose row blocks are the gates i, f, o, g; ``seq`` is
+    (B, T, D).
     """
     P = {key: val.astype(LD) for key, val in params.items()}
     x = seq.astype(LD)
     batch, steps, _ = x.shape
-    hidden = P["lstm.w_i"].shape[0]
+    hidden = P["lstm.U"].shape[1]
+    gate = {}
+    for k, name in enumerate("ifog"):
+        rows = slice(k * hidden, (k + 1) * hidden)
+        gate[name] = (P["lstm.W"][rows], P["lstm.U"][rows], P["lstm.b"][rows])
     h = np.zeros((batch, hidden), dtype=LD)
     c = np.zeros((batch, hidden), dtype=LD)
     for t in range(steps):
         xt = x[:, t]
-        gi = ld_sigmoid(xt @ P["lstm.w_i"].T + h @ P["lstm.u_i"].T + P["lstm.b_i"])
-        gf = ld_sigmoid(xt @ P["lstm.w_f"].T + h @ P["lstm.u_f"].T + P["lstm.b_f"])
-        go = ld_sigmoid(xt @ P["lstm.w_o"].T + h @ P["lstm.u_o"].T + P["lstm.b_o"])
-        gg = np.tanh(xt @ P["lstm.w_g"].T + h @ P["lstm.u_g"].T + P["lstm.b_g"])
+        pre = {name: xt @ w.T + h @ u.T + b
+               for name, (w, u, b) in gate.items()}
+        gi, gf, go = (ld_sigmoid(pre[name]) for name in "ifo")
+        gg = np.tanh(pre["g"])
         c = gf * c + gi * gg
         h = go * np.tanh(c)
     return h, P

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from romcast import cli, forecast
+from romcast import cli, forecast, romf
 
 SMALL_CONFIG = {
     "data": {
@@ -74,7 +74,7 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize("swap, missing", [
-        ({"--classic": "basis.romf"}, "'lstm.w_i'"),
+        ({"--classic": "basis.romf"}, "'lstm.W'"),
         ({"--basis": "classic.romf"}, "'mean'"),
         ({"--scaler": "basis.romf"}, "'mins'"),
     ])
@@ -91,6 +91,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "missing array" in err and missing in err
 
+    def test_unknown_field_is_usage_error(self, workdir, capsys):
+        run("generate", "--config", "config.json", "--out", "snap.romf")
+        capsys.readouterr()
+        assert run("pca", "--config", "config.json", "--snapshots",
+                   "snap.romf", "--field", "bogus") == 2
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and "tracer, vel_x, vel_y or all" in err
+
+    def test_basis_of_unknown_field_is_usage_error(self, workdir, capsys):
+        # a basis file, hash-consistent with its manifests, that records a
+        # field the snapshots do not have
+        pipeline(workdir)
+        arrays, meta = romf.read_arrays("basis.romf")
+        romf.write_arrays("basis.romf", arrays, {**meta, "field": "bogus"})
+        cli.write_manifest("basis.romf", inputs={"snapshots": "snap.romf"})
+        inputs = {"snapshots": "snap.romf", "basis": "basis.romf"}
+        cli.write_manifest("scaler.romf", inputs=inputs)
+        cli.write_manifest("classic.romf",
+                           inputs={**inputs, "scaler": "scaler.romf"})
+        data = ["--snapshots", "snap.romf", "--basis", "basis.romf",
+                "--scaler", "scaler.romf"]
+        capsys.readouterr()
+        assert run("train", "--config", "config.json", *data,
+                   "--out", "again.romf") == 2
+        assert "'bogus'" in capsys.readouterr().err
+        assert run("evaluate", "--classic", "classic.romf", "--adv",
+                   "classic.romf", *data, "--starts", "40..42",
+                   "--horizon", "5") == 2
+        assert "'bogus'" in capsys.readouterr().err
+
+    def test_model_and_basis_of_other_sizes_is_runtime_error(self, workdir,
+                                                             capsys):
+        # the models take 4 PCs; a basis and scaler of 2 must not reach
+        # the kernel's matmul
+        pipeline(workdir)
+        assert run("pca", "--config", "config.json", "--snapshots",
+                   "snap.romf", "--tau", "2", "--out", "basis2.romf",
+                   "--scaler-out", "scaler2.romf") == 0
+        capsys.readouterr()
+        assert run("evaluate", "--classic", "classic.romf", "--adv",
+                   "classic.romf", "--snapshots", "snap.romf", "--basis",
+                   "basis2.romf", "--scaler", "scaler2.romf", "--starts",
+                   "40..42", "--horizon", "5") == 1
+        assert "2 PCs, the model takes 4" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_reruns_are_byte_identical(self, workdir):
@@ -99,7 +144,7 @@ class TestGenerate:
         with open("a.romf", "rb") as fa, open("b.romf", "rb") as fb:
             assert fa.read() == fb.read()
 
-    def test_default_config_shape(self, workdir, capsys):
+    def test_built_in_defaults_shape(self, workdir, capsys):
         # default grid is 32x32 with 3 fields: m = 3072, n = 600
         assert run("generate", "--out", "default.romf") == 0
         out = capsys.readouterr().out

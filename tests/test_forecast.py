@@ -209,6 +209,25 @@ class TestEngine:
         # the diverged row is fed zeros: its window holds no inf
         assert np.all(np.isfinite(windows))
 
+    def test_window_width_other_than_model_input_rejected(self, monkeypatch):
+        # a model trained on 3 PCs against a basis of 2: checked once per
+        # call, before any step runs, in every caller of the engine
+        calls = []
+        monkeypatch.setattr(forecast, "forecaster_step",
+                            lambda *args: calls.append(args))
+        scores, _, model = tiny_setup(tau=3)
+        narrow = scores[:, :2]
+        scaler = snapshots.fit_scaler(narrow)
+        windows = scaler.scale(narrow)[None, :2]
+        with pytest.raises(ShapeMismatch, match="2 PCs"):
+            forecast._roll(model, windows, 5)
+        with pytest.raises(ShapeMismatch, match="2 PCs"):
+            forecast.rollout(model, scaler, windows[0], 5)
+        with pytest.raises(ShapeMismatch, match="2 PCs"):
+            forecast.evaluate_ensemble(model, model, narrow, scaler,
+                                       range(3, 8), 5)
+        assert calls == []
+
 
 class TestPairedAccounting:
     """Both models are averaged over the starts where both are finite."""
@@ -281,8 +300,8 @@ class TestPairedAccounting:
 class TestTimingBenchmark:
     def test_smoke_and_single_ratio(self):
         scores, scaler, model = tiny_setup()
-        config = snapshots.default_config(grid_nx=16, grid_ny=16, n_steps=40,
-                                          source_period=4.0)
+        config = snapshots.GeneratorConfig(grid_nx=16, grid_ny=16, n_steps=40,
+                                           source_period=4.0)
         timing = forecast.timing_benchmark(model, config, horizon=20,
                                            ensemble_width=16)
         assert timing.sim_seconds_per_step > 0

@@ -13,14 +13,9 @@ import oracles
 
 
 def zero_lstm(input_dim=3, hidden_dim=4):
-    zeros_w = lambda: np.zeros((hidden_dim, input_dim))
-    zeros_u = lambda: np.zeros((hidden_dim, hidden_dim))
-    zeros_b = lambda: np.zeros(hidden_dim)
-    return neural.LstmParams(
-        w_i=zeros_w(), w_f=zeros_w(), w_o=zeros_w(), w_g=zeros_w(),
-        u_i=zeros_u(), u_f=zeros_u(), u_o=zeros_u(), u_g=zeros_u(),
-        b_i=zeros_b(), b_f=zeros_b(), b_o=zeros_b(), b_g=zeros_b(),
-    )
+    return neural.LstmParams(np.zeros((4 * hidden_dim, input_dim)),
+                             np.zeros((4 * hidden_dim, hidden_dim)),
+                             np.zeros(4 * hidden_dim))
 
 
 class TestLstmForward:
@@ -34,14 +29,9 @@ class TestLstmForward:
     def test_scalar_step_matches_hand_calculation(self):
         # hidden_dim = input_dim = 1 with hand-set scalar weights
         w, u, b = 0.7, -0.3, 0.1
-        params = neural.LstmParams(
-            w_i=np.array([[w]]), w_f=np.array([[2 * w]]),
-            w_o=np.array([[-w]]), w_g=np.array([[0.5]]),
-            u_i=np.array([[u]]), u_f=np.array([[u]]),
-            u_o=np.array([[u]]), u_g=np.array([[u]]),
-            b_i=np.array([b]), b_f=np.array([b]),
-            b_o=np.array([b]), b_g=np.array([b]),
-        )
+        # rows are the gates i, f, o, g
+        params = neural.LstmParams(W=np.array([[w], [2 * w], [-w], [0.5]]),
+                                   U=np.full((4, 1), u), b=np.full(4, b))
         x = 0.9
         sig = lambda z: 1.0 / (1.0 + math.exp(-z))
         gi, gf = sig(w * x + b), sig(2 * w * x + b)
@@ -162,16 +152,29 @@ class TestBackward:
         assert np.all(d_in == 0)
 
     def test_zero_params_gradient_pattern(self):
-        # at all-zero weights only the cell-candidate path (w_g, b_g) and
-        # the head see gradient; i/f/o gate weight grads vanish
-        params = zero_lstm()
+        # at all-zero LSTM weights only the cell-candidate rows (g) of W
+        # and b and the head bias see gradient; the i/f/o rows and all of
+        # U stay zero
+        hidden = 4
+        head = neural.DenseParams(np.ones((3, hidden)), np.zeros(3))
+        model = neural.LstmForecaster(zero_lstm(3, hidden), head, "linear",
+                                      0.0, 3)
         seq = np.random.default_rng(8).random((3, 3))
-        _, h_final, tape = neural.lstm_forward(params, seq)
-        grads, _ = neural.backward(tape, np.ones_like(h_final))
-        assert np.any(grads["w_g"] != 0)
-        assert np.any(grads["b_g"] != 0)
-        for name in ("w_i", "w_f", "w_o", "u_i", "u_f", "u_o", "u_g"):
-            assert np.all(grads[name] == 0), name
+        pred, tape = neural.forecaster_forward(model, seq)
+        grads, _ = neural.backward(tape, np.ones_like(pred))
+        g_rows = slice(3 * hidden, 4 * hidden)
+        assert np.all(grads["lstm.W"][g_rows] != 0)
+        assert np.all(grads["lstm.b"][g_rows] != 0)
+        assert np.all(grads["lstm.W"][:3 * hidden] == 0)
+        assert np.all(grads["lstm.b"][:3 * hidden] == 0)
+        assert np.all(grads["lstm.U"] == 0)
+        assert np.all(grads["head.weight"] == 0)  # h is zero
+        assert np.all(grads["head.bias"] == 1.0)
+
+    def test_bare_lstm_tape_rejected(self):
+        _, h_final, tape = neural.lstm_forward(zero_lstm(), np.ones((2, 3)))
+        with pytest.raises(TapeMismatch):
+            neural.backward(tape, np.ones_like(h_final))
 
     def test_upstream_shape_mismatch_rejected(self):
         rng = np.random.default_rng(9)
@@ -357,10 +360,12 @@ class TestInitialization:
     def test_forget_bias_and_scale(self):
         model = neural.init_forecaster(3, 16, 3, "relu", 0.0, 2,
                                        np.random.default_rng(12))
-        assert np.all(model.lstm.b_f == 1.0)
-        assert np.all(model.lstm.b_i == 0.0)
+        # b stacks the gates i, f, o, g: only the forget block is one
+        assert np.array_equal(model.lstm.b,
+                              np.repeat([0.0, 1.0, 0.0, 0.0], 16))
         bound = 1.0 / np.sqrt(16)
-        assert np.abs(model.lstm.w_i).max() <= bound
+        assert np.abs(model.lstm.W).max() <= bound
+        assert np.abs(model.lstm.U).max() <= bound
         assert np.abs(model.head.weight).max() <= bound
 
 
@@ -370,22 +375,25 @@ class TestFlatLayout:
                                        np.random.default_rng(21))
         rng = np.random.default_rng(21)
         s = 1.0 / np.sqrt(5)
-        expected = {}
-        for kind, cols in (("w", 3), ("u", 5)):
-            for gate in "ifog":
-                expected[f"lstm.{kind}_{gate}"] = rng.uniform(-s, s,
-                                                              size=(5, cols))
-        for gate in "ifog":
-            expected[f"lstm.b_{gate}"] = np.full(5, 1.0 if gate == "f"
-                                                 else 0.0)
+        # one draw per gate, i, f, o, g, for W and then for U: the buffer
+        # holds exactly these numbers, in this order
+        gates = {"lstm.W": [rng.uniform(-s, s, size=(5, 3)) for _ in "ifog"],
+                 "lstm.U": [rng.uniform(-s, s, size=(5, 5)) for _ in "ifog"],
+                 "lstm.b": [np.full(5, 1.0 if gate == "f" else 0.0)
+                            for gate in "ifog"]}
+        expected = {key: np.concatenate(blocks)
+                    for key, blocks in gates.items()}
         expected["head.weight"] = rng.uniform(-s, s, size=(2, 5))
         expected["head.bias"] = np.zeros(2)
         params = model.params()
         assert list(params) == list(expected)
         for key, val in expected.items():
             assert params[key].tobytes() == val.tobytes(), key
+        per_gate = [block.ravel() for blocks in gates.values()
+                    for block in blocks]
         assert model.flat.tobytes() == np.concatenate(
-            [val.ravel() for val in expected.values()]).tobytes()
+            per_gate + [expected["head.weight"].ravel(),
+                        expected["head.bias"]]).tobytes()
 
     def test_named_views_alias_the_buffer(self):
         rng = np.random.default_rng(22)
@@ -393,15 +401,14 @@ class TestFlatLayout:
         window = rng.random((2, 3))
         before, _ = neural.forecaster_forward(model, window)
         flat_before = model.flat.copy()
-        view = model.params()["lstm.w_f"]
-        view[1, 2] += 0.5
+        # row 1 of the forget gate, the second block of four rows in W
+        view = model.params()["lstm.W"]
+        view[4 + 1, 2] += 0.5
         after, _ = neural.forecaster_forward(model, window)
         assert not np.array_equal(before, after)
         changed = np.flatnonzero(model.flat != flat_before)
-        assert changed.size == 1
-        assert model.lstm.w_f[1, 2] == model.flat[changed[0]]
-        # w_f is the second block of four rows in the fused W
-        assert model.lstm.W[4 + 1, 2] == model.lstm.w_f[1, 2]
+        assert changed.tolist() == [(4 + 1) * 3 + 2]
+        assert model.lstm.W[4 + 1, 2] == model.flat[changed[0]]
 
     def test_batched_step_matches_inference_forward(self):
         rng = np.random.default_rng(23)
@@ -434,7 +441,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("drop, missing", [
-    ("array", "'lstm.u_o'"), ("kind", "'kind'"), ("time_lag", "'time_lag'"),
+    ("array", "'lstm.U'"), ("kind", "'kind'"), ("time_lag", "'time_lag'"),
 ])
 def test_load_incomplete_model_is_format_error(tmp_path, drop, missing):
     rng = np.random.default_rng(16)
@@ -443,7 +450,7 @@ def test_load_incomplete_model_is_format_error(tmp_path, drop, missing):
     neural.save_model(path, model)
     arrays, meta = romf.read_arrays(path)
     if drop == "array":
-        del arrays["lstm.u_o"]
+        del arrays["lstm.U"]
     else:
         del meta[drop]
     romf.write_arrays(path, arrays, meta)
@@ -488,15 +495,17 @@ def test_load_model_meta_out_of_range_is_format_error(tmp_path, key, value,
 
 
 # one array of the wrong shape each, for a model with input 3, hidden 5
-# and output 3
+# and output 3; H is read from U's columns
 @pytest.mark.parametrize("key, shape", [
-    ("lstm.w_f", (5, 4)),  # a gate with an extra input column
-    ("lstm.w_o", (6, 3)),  # a gate with an extra row
-    ("lstm.u_i", (5, 4)),
-    ("lstm.b_i", (5, 1)),
+    ("lstm.W", (19, 3)),  # rows other than 4H
+    ("lstm.U", (19, 5)),
+    ("lstm.U", (20, 4)),  # H = 4, which W and b no longer fit
+    ("lstm.b", (20, 1)),
     ("head.weight", (3, 4)),  # head reads another hidden size
     ("head.bias", (2,)),
-    ("lstm.w_i", ()),
+    ("lstm.W", ()),
+    ("lstm.b", (19,)),
+    ("lstm.W", (20, 4)),  # the forecaster's input is not its output
 ])
 def test_load_model_wrong_shape_is_format_error(tmp_path, key, shape):
     path = tmp_path / "model.romf"
@@ -508,6 +517,24 @@ def test_load_model_wrong_shape_is_format_error(tmp_path, key, shape):
     with pytest.raises(romf.FormatError, match="model.romf") as info:
         neural.load_model(path)
     assert "shape" in str(info.value) or "2-D" in str(info.value)
+
+
+def test_per_gate_file_is_format_error(tmp_path):
+    # the layout before the fused blocks were stored: twelve gate arrays
+    model = neural.init_forecaster(3, 5, 3, "sigmoid", 0.0, 2,
+                                   np.random.default_rng(25))
+    arrays = {}
+    for kind, fused in zip("wub", (model.lstm.W, model.lstm.U, model.lstm.b)):
+        for gate, block in zip("ifog", np.split(fused, 4)):
+            arrays[f"lstm.{kind}_{gate}"] = block
+    arrays["head.weight"] = model.head.weight
+    arrays["head.bias"] = model.head.bias
+    path = tmp_path / "model.romf"
+    romf.write_arrays(path, arrays, {
+        "kind": "forecaster", "seed": None, "output_activation": "sigmoid",
+        "dropout_rate": 0.0, "time_lag": 2})
+    with pytest.raises(romf.FormatError, match="missing array 'lstm.W'"):
+        neural.load_model(path)
 
 
 def test_discriminator_round_trip_and_one_file(tmp_path):

@@ -79,7 +79,7 @@ class TestFit:
     def test_tied_eof_entries_match_svd_oracle_scores(self):
         # all fields with modulated velocity: EOF 0 has many entries of
         # equal magnitude, so the sign fix must pick the same one
-        cfg = snapshots.default_config(
+        cfg = snapshots.GeneratorConfig(
             grid_nx=12, grid_ny=12, n_steps=90, u0=1.5, kappa=0.05,
             source_period=4.0, source_center=(3, 3), modulate_velocity=True)
         data = snapshots.generate(cfg).data

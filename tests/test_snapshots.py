@@ -17,7 +17,7 @@ def small_config(**overrides):
     base = dict(grid_nx=16, grid_ny=16, n_steps=60, u0=1.0, kappa=0.05,
                 source_period=4.0)
     base.update(overrides)
-    return snapshots.default_config(**base)
+    return snapshots.GeneratorConfig(**base)
 
 
 class TestConfigValidation:
@@ -68,8 +68,8 @@ class TestGenerate:
 
     def test_source_node_oscillates_at_source_period(self):
         # dominant FFT component of the tracer at the source node
-        cfg = snapshots.default_config(u0=2.5, kappa=0.02, source_period=8.0,
-                                       n_steps=600)
+        cfg = snapshots.GeneratorConfig(u0=2.5, kappa=0.02,
+                                        source_period=8.0, n_steps=600)
         snap = snapshots.generate(cfg)
         ix, iy = cfg.source_center
         column = snap.field("tracer")[:, iy * cfg.grid_nx + ix]
@@ -79,7 +79,7 @@ class TestGenerate:
         assert measured_period == pytest.approx(cfg.source_period, rel=1e-12)
 
     def test_expected_matrix_shape(self):
-        cfg = snapshots.default_config()
+        cfg = snapshots.GeneratorConfig()
         snap = snapshots.generate(cfg)
         assert (snap.n, snap.m) == (600, 3072)
 
@@ -162,12 +162,6 @@ class TestVectorise:
     def test_declared_order(self):
         row = snapshots.vectorise([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
         assert np.array_equal(row, [1.0, 2.0, 3.0, 4.0])
-
-    def test_round_trip(self):
-        fields = [np.array([1.0, 2.0]), np.array([5.0, 7.0])]
-        back = snapshots.devectorise(snapshots.vectorise(fields), 2)
-        for orig, rec in zip(fields, back):
-            assert np.array_equal(orig, rec)
 
     def test_mismatched_nodes_rejected(self):
         with pytest.raises(ShapeMismatch):
