@@ -128,7 +128,11 @@ def load_config(path):
         else:
             config[section].update(part)
     if "search_epochs" in user:
-        config["search_epochs"] = int(user["search_epochs"])
+        try:
+            config["search_epochs"] = int(user["search_epochs"])
+        except (TypeError, ValueError):
+            raise InvalidConfig("search_epochs must be an integer, got "
+                                f"{user['search_epochs']!r}") from None
     return config
 
 
@@ -289,10 +293,14 @@ def cmd_gridsearch(args):
 
 
 def _parse_starts(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise InvalidConfig("--starts must be A..B or a comma list of "
+                            f"integers, got {text!r}") from None
 
 
 def cmd_evaluate(args):

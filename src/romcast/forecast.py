@@ -162,13 +162,15 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, start_steps,
     """
     if model_classic.time_lag != model_adv.time_lag:
         raise InvalidConfig("models must share the time lag for a fair ensemble")
+    if horizon < 1:
+        raise InvalidConfig("horizon must be >= 1")
     scores = np.asarray(scores, dtype=np.float64)
     lag = model_classic.time_lag
     n = scores.shape[0]
     start_steps = tuple(int(s) for s in start_steps)
     if not start_steps:
         raise StartOutOfRange("no start steps given")
-    bad = [s for s in start_steps if s < 0 or s + lag + max(horizon, 0) > n]
+    bad = [s for s in start_steps if s < 0 or s + lag + horizon > n]
     if bad:
         raise StartOutOfRange(f"start {bad[0]} + lag {lag} + horizon "
                               f"{horizon} exceeds {n} steps")
@@ -228,6 +230,8 @@ def timing_benchmark(model, generator_config, horizon=50, ensemble_width=50):
     trajectory, and ``ensemble_width`` trajectories in one batch (the
     shape of a Fig.-2-style ensemble evaluation) divided by the width.
     """
+    if horizon < 1 or ensemble_width < 1:
+        raise InvalidConfig("horizon and ensemble width must be >= 1")
     tau = model.head.weight.shape[0]
     windows = np.full((ensemble_width, model.time_lag, tau), 0.5)
 

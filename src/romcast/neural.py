@@ -14,6 +14,19 @@ views into it, and a saved model stores these five blocks under the same
 keys. Gradients come back in the same layout, so Nadam and clipping act
 on the whole buffer at once.
 
+Inside the kernel the activations are gate-major, as cuDNN lays them out
+(Appleyard et al. 2016, arXiv:1604.01946): the gates of a run are
+(T, 4H, B), h and c are (T+1, H, B) and tanh(c) is (T, H, B), so each
+gate of a step is one contiguous (H, B) block. A step's input projection
+is W @ x_t and its recurrence U @ h_t. Nearly all of a step's work is
+elementwise passes over the gates, which on batch-major (B, 4H) rows
+would each stride over a column block; here each is one contiguous
+pass. Backward keeps the layout and hands on dL/d(gates) as one (4H, T*B)
+matrix, from which dW, dU and the input gradient are one GEMM each.
+Only the kernel's tape sees this layout: ``lstm_forward`` returns (B, T, H)
+and (B, H) views, predictions are (B, O), input gradients (B, T, D) and
+dropout masks (B, H).
+
 Sequences that share a prefix (the discriminator's real and fake inputs
 in training) share its work: ``discriminator_branches`` runs the prefix
 once and each last step from its final state, through the starting
@@ -99,7 +112,9 @@ class _Network:
 
 @dataclass
 class LstmForecaster(_Network):
-    """Single-layer LSTM plus dense output head predicting the next step."""
+    """Single-layer LSTM plus dense output head predicting the next step;
+    each prediction is the next input, so the head outputs the LSTM's
+    input size."""
 
     output_activation: str = "sigmoid"
     dropout_rate: float = 0.0
@@ -114,11 +129,13 @@ class LstmForecaster(_Network):
             raise InvalidConfig("dropout_rate must lie in [0, 1)")
         if self.time_lag < 1:
             raise InvalidConfig("time_lag must be >= 1")
+        if self.head.weight.shape[0] != self.lstm.input_dim:
+            raise ShapeMismatch(
+                f"head.weight has shape {self.head.weight.shape}; a "
+                f"forecaster's head outputs its input size "
+                f"{self.lstm.input_dim}"
+            )
         super().__post_init__()
-
-    @property
-    def output_dim(self):
-        return self.head.weight.shape[0]
 
 
 @dataclass
@@ -197,39 +214,40 @@ def _recur(lstm, seq, h0=None, c0=None):
     training and inference alike.
 
     It starts from a zero state, or from the state (h0, c0), each
-    (B, H), when given: a run then continues one that ended there, as
+    (H, B), when given: a run then continues one that ended there, as
     the discriminator's last step continues the prefix it shares with
-    other sequences. One GEMM projects the inputs of all steps; the loop
-    keeps only h @ U.T, which step 0 skips when h starts at zero. Gates,
-    states and tanh(c) land in preallocated step-major arrays, so the
-    returned tape costs nothing extra and inference just drops it.
+    other sequences. The input projection W @ x_t of all steps is one
+    batched matmul; the loop keeps only U @ h_t, which step 0 skips when
+    h starts at zero. Gates (T, 4H, B), states (T+1, H, B) and tanh(c)
+    (T, H, B) land in preallocated arrays, so the returned tape costs
+    nothing extra and inference just drops it.
     """
     batch, steps, dim = seq.shape
     hidden = lstm.hidden_dim
     n3 = 3 * hidden
     x = np.ascontiguousarray(seq.swapaxes(0, 1)).reshape(steps * batch, dim)
-    gates = (x @ lstm.W.T).reshape(steps, batch, 4 * hidden)
-    gates += lstm.b
-    h = np.zeros((steps + 1, batch, hidden))
-    c = np.zeros((steps + 1, batch, hidden))
+    gates = np.matmul(lstm.W, x.reshape(steps, batch, dim).transpose(0, 2, 1))
+    gates += lstm.b[:, None]
+    h = np.zeros((steps + 1, hidden, batch))
+    c = np.zeros((steps + 1, hidden, batch))
     start = h0 is not None
     if start:
         h[0], c[0] = h0, c0
-    tc = np.empty((steps, batch, hidden))
+    tc = np.empty((steps, hidden, batch))
     for t in range(steps):
         a = gates[t]
         if t or start:
-            a += h[t] @ lstm.U.T
+            a += lstm.U @ h[t]
         # i, f, o through sigmoid(z) = 0.5 (1 + tanh(z / 2)), g through tanh
-        sig = a[:, :n3]
+        sig = a[:n3]
         sig *= 0.5
         np.tanh(a, out=a)
         sig += 1.0
         sig *= 0.5
-        np.multiply(a[:, hidden:2 * hidden], c[t], out=c[t + 1])
-        c[t + 1] += a[:, :hidden] * a[:, n3:]
+        np.multiply(a[hidden:2 * hidden], c[t], out=c[t + 1])
+        c[t + 1] += a[:hidden] * a[n3:]
         np.tanh(c[t + 1], out=tc[t])
-        np.multiply(a[:, 2 * hidden:n3], tc[t], out=h[t + 1])
+        np.multiply(a[2 * hidden:n3], tc[t], out=h[t + 1])
     return Tape("lstm", params=lstm, x=x, gates=gates, h=h, c=c, tc=tc,
                 start=start)
 
@@ -238,75 +256,83 @@ def lstm_forward(params, sequence):
     """Run the standard LSTM recurrence over a (B,)T x input_dim sequence
     from a zero state.
 
-    Returns (hidden states over time, final hidden, tape).
+    Returns (hidden states over time, final hidden, tape); the first two
+    are (B,)T x H and (B,)H views into the tape.
     """
     seq, squeezed = _promote_sequence(sequence, params.input_dim)
     tape = _recur(params, seq)
     tape.squeezed = squeezed
-    hs = tape.h[1:].swapaxes(0, 1)
+    hs = tape.h[1:].transpose(2, 0, 1)
+    h_final = tape.h[-1].T
     if squeezed:
-        return hs[0], tape.h[-1, 0], tape
-    return hs, tape.h[-1], tape
+        return hs[0], h_final[0], tape
+    return hs, h_final, tape
 
 
 def _lstm_backward(tape, d_h_final, d_c_final=None):
     """Exact BPTT down to the gate pre-activations.
 
-    Starts from dL/d(final h) and, if given, dL/d(final c). Returns
-    (dA, dc0): dA = dL/d(gates) as a step-major (T*B, 4H) matrix and
-    dc0 = dL/dc0. Only dh = dA @ U stays in the time loop; the rest is
-    one GEMM each afterwards: ``_weight_grads`` for dW, dU and db,
-    dA @ W for the inputs and, for a run that started from a given
-    state, dA[:B] @ U for dL/dh0.
+    Starts from dL/d(final h) and, if given, dL/d(final c), each (H, B).
+    Returns (dA, dc0): dA = dL/d(gates) as a (4H, T*B) matrix whose
+    columns run step by step, like the rows of ``tape.x``, and dc0 =
+    dL/dc0 (H, B). The loop writes each step's (4H, B) block of dA in
+    place, so no copy reorders it, and keeps only dh = U^T dA_t; the
+    rest is one GEMM each afterwards: ``_weight_grads`` for dW, dU and
+    db, ``_input_grads`` for the inputs and, for a run that started from
+    a given state, U^T dA_0 for dL/dh0.
     """
     lstm = tape.params
-    gates = tape.gates
-    steps, batch, width = gates.shape
+    steps, width, batch = tape.gates.shape
     hidden = lstm.hidden_dim
-    n3 = 3 * hidden
+    gates = tape.gates.reshape(steps, 4, hidden, batch)
+    i, f, o, g = (gates[:, k] for k in range(4))
     # dL/da of a gate is (dL/dgate) * gate'(a), and dL/dgate is dc * g,
     # dc * c_prev, dh * tanh(c) and dc * i for i, f, o, g: fold all but
-    # dc and dh into one factor per step
-    factor = gates * (1.0 - gates)
-    g = gates[..., n3:]
-    factor[..., n3:] = 1.0 - g * g
-    factor *= np.concatenate(
-        [g, tape.c[:-1], tape.tc, gates[..., :hidden]], axis=-1
-    )
-    dc_dh = gates[..., 2 * hidden:n3] * (1.0 - tape.tc * tape.tc)
-    forget = gates[..., hidden:2 * hidden]
-    d_gates = np.empty_like(gates)
+    # dc and dh into one factor per step, in place and gate by gate, with
+    # tanh' = 1 - g^2 as (1 - g)(1 + g)
+    factor = 1.0 - gates
+    factor[:, :3] *= gates[:, :3]
+    factor[:, 3] *= 1.0 + g
+    factor[:, 0] *= g
+    factor[:, 1] *= tape.c[:-1]
+    factor[:, 2] *= tape.tc
+    factor[:, 3] *= i
+    dc_dh = o * (1.0 - tape.tc * tape.tc)
+    d_cols = np.empty((width, steps * batch))
+    d_steps = d_cols.reshape(4, hidden, steps, batch)
     dh = d_h_final
-    dc = np.zeros((batch, hidden)) if d_c_final is None else d_c_final
+    dc = np.zeros((hidden, batch)) if d_c_final is None else d_c_final
     for t in reversed(range(steps)):
         dc = dc + dh * dc_dh[t]
-        da = d_gates[t]
-        np.multiply(factor[t].reshape(batch, 4, hidden), dc[:, None],
-                    out=da.reshape(batch, 4, hidden))
-        np.multiply(factor[t, :, 2 * hidden:n3], dh,
-                    out=da[:, 2 * hidden:n3])
-        dc = dc * forget[t]
+        da = d_steps[:, :, t]
+        np.multiply(factor[t], dc, out=da)
+        np.multiply(factor[t, 2], dh, out=da[2])
+        dc = dc * f[t]
         if t:
-            dh = da @ lstm.U
-    return d_gates.reshape(steps * batch, width), dc
+            dh = lstm.U.T @ d_cols[:, t * batch:(t + 1) * batch]
+    return d_cols, dc
 
 
-def _weight_grads(tape, d_flat):
-    """(dW, dU, db) from the dA of ``_lstm_backward``."""
-    batch, hidden = tape.h.shape[1:]
+def _weight_grads(tape, d_cols):
+    """(dW, dU, db) from the dA of ``_lstm_backward``: one GEMM each, with
+    db as dA times a column of ones."""
+    hidden, batch = tape.h.shape[1:]
     if tape.start:
-        h_prev, d_rows = tape.h[:-1], d_flat
+        h_prev, d_cols_u = tape.h[:-1], d_cols
     else:
         # h is zero before step 0, so step 0 adds nothing to dU
-        h_prev, d_rows = tape.h[1:-1], d_flat[batch:]
-    dU = d_rows.T @ h_prev.reshape(-1, hidden)
-    return d_flat.T @ tape.x, dU, d_flat.sum(axis=0)
+        h_prev, d_cols_u = tape.h[1:-1], d_cols[:, batch:]
+    # h as rows, one per (step, sequence) like tape.x: BLAS takes the
+    # plain product faster than one against a transposed operand
+    h_rows = np.ascontiguousarray(h_prev.transpose(0, 2, 1))
+    dU = d_cols_u @ h_rows.reshape(-1, hidden)
+    return d_cols @ tape.x, dU, d_cols @ np.ones(d_cols.shape[1])
 
 
-def _input_grads(tape, d_flat):
+def _input_grads(tape, d_cols):
     """dL/d(sequence), (B, T, D), from the dA of ``_lstm_backward``."""
-    steps, batch, _ = tape.gates.shape
-    return (d_flat @ tape.params.W).reshape(steps, batch, -1).swapaxes(0, 1)
+    steps, _, batch = tape.gates.shape
+    return (d_cols.T @ tape.params.W).reshape(steps, batch, -1).swapaxes(0, 1)
 
 
 def _flat_grads(head_tape, d_ylin, parts):
@@ -320,20 +346,30 @@ def _flat_grads(head_tape, d_ylin, parts):
     model = head_tape.model
     flat = np.concatenate([
         dW.ravel(), dU.ravel(), db,
-        (d_ylin.T @ head_tape.h).ravel(), d_ylin.sum(axis=0),
+        (d_ylin.T @ head_tape.h.T).ravel(), d_ylin.sum(axis=0),
     ])
     return FlatParams(flat, model.params().layout)
 
 
 def _head(model, lstm_tape, activation, mask=None, squeezed=False):
     """The dense head on the final hidden state (times the dropout mask,
-    if any); returns (output, tape)."""
-    h = lstm_tape.h[-1] if mask is None else lstm_tape.h[-1] * mask
-    y_lin = h @ model.head.weight.T + model.head.bias
+    if any); returns (output, tape). The head runs on the kernel's
+    (H, B) state, and the output is (B, O)."""
+    h = lstm_tape.h[-1] if mask is None else lstm_tape.h[-1] * mask.T
+    y_lin = (model.head.weight @ h).T + model.head.bias
     pred = ACTIVATIONS[activation](y_lin)
     return pred, Tape("head", model=model, lstm_tape=lstm_tape, h=h,
                       mask=mask, y_lin=y_lin, pred=pred,
                       activation=activation, squeezed=squeezed)
+
+
+def _d_hidden(tape, d_ylin):
+    """dL/d(final h), (H, B), from dL/d(logits) (B, O) through the head
+    and the dropout mask, if any."""
+    d_h = tape.model.head.weight.T @ d_ylin.T
+    if tape.mask is not None:
+        d_h *= tape.mask.T
+    return d_h
 
 
 def forecaster_forward(model, window, training_mode=False, rng=None):
@@ -349,12 +385,24 @@ def forecaster_forward(model, window, training_mode=False, rng=None):
         raise ShapeMismatch(
             f"window has {steps} rows, model expects {model.time_lag}"
         )
+    return forecaster_head(model, lstm_tape, training_mode, rng)
+
+
+def forecaster_head(model, lstm_tape, training_mode=False, rng=None):
+    """The head of ``forecaster_forward`` on the tape of an LSTM pass
+    that ``lstm_forward`` recorded; returns (prediction, tape).
+
+    Heads on one pass share its LSTM work: adversarial training takes
+    the fake batch without dropout and the generator step with it from
+    the same pass.
+    """
     mask = None
     if training_mode and model.dropout_rate > 0.0:
         if rng is None:
             raise InvalidConfig("dropout in training mode needs an rng")
         keep = 1.0 - model.dropout_rate
-        mask = (rng.random(lstm_tape.h[-1].shape) >= model.dropout_rate) / keep
+        hidden, batch = lstm_tape.h.shape[1:]
+        mask = (rng.random((batch, hidden)) >= model.dropout_rate) / keep
     pred, tape = _head(model, lstm_tape, model.output_activation, mask,
                        lstm_tape.squeezed)
     return (pred[0] if tape.squeezed else pred), tape
@@ -387,7 +435,7 @@ def discriminator_branches(disc, prefix, candidates):
 
     ``prefix`` is (B, N, D) with N >= 0 and ``candidates`` is (k, B, D).
     The prefix runs once from a zero state; the last step then runs for
-    all k*B rows from its final (h, c). With N = 0 the candidates are
+    all k*B sequences from its final (h, c). With N = 0 the candidates are
     scored alone, from a zero state. The probabilities equal
     ``discriminator_forward`` on each concatenated sequence up to the
     rounding of the separate input projections.
@@ -398,8 +446,8 @@ def discriminator_branches(disc, prefix, candidates):
     pre = h0 = c0 = None
     if prefix.shape[1]:
         pre = _recur(disc.lstm, prefix)
-        h0 = np.concatenate([pre.h[-1]] * k)
-        c0 = np.concatenate([pre.c[-1]] * k)
+        h0 = np.concatenate([pre.h[-1]] * k, axis=1)
+        c0 = np.concatenate([pre.c[-1]] * k, axis=1)
     last = _recur(disc.lstm, candidates.reshape(k * batch, 1, dim), h0, c0)
     prob, tape = _head(disc, last, "sigmoid")
     tape.prefix = pre
@@ -409,9 +457,8 @@ def discriminator_branches(disc, prefix, candidates):
 def _branch_logit_grads(tape, d_prob):
     """dL/d(logits) and the dA of the last step from dL/dprob (k, B)."""
     d_ylin = d_prob.reshape(-1, 1) * _activation_deriv(tape)
-    d_flat, dc0 = _lstm_backward(tape.lstm_tape,
-                                 d_h_final=d_ylin @ tape.model.head.weight)
-    return d_ylin, d_flat, dc0
+    d_cols, dc0 = _lstm_backward(tape.lstm_tape, _d_hidden(tape, d_ylin))
+    return d_ylin, d_cols, dc0
 
 
 def branch_backward(tape, d_prob):
@@ -421,16 +468,15 @@ def branch_backward(tape, d_prob):
     The k branches' dh and dc at the end of the prefix add up, and the
     prefix is back-propagated once; no input gradient is formed.
     """
-    d_ylin, d_flat, dc0 = _branch_logit_grads(tape, d_prob)
-    parts = [(tape.lstm_tape, d_flat)]
+    d_ylin, d_cols, dc0 = _branch_logit_grads(tape, d_prob)
+    parts = [(tape.lstm_tape, d_cols)]
     pre = tape.prefix
     if pre is not None:
         k, batch = d_prob.shape
-        lstm = tape.model.lstm
-        dh = (d_flat @ lstm.U).reshape(k, batch, -1).sum(axis=0)
-        dc = dc0.reshape(k, batch, -1).sum(axis=0)
-        pre_flat, _ = _lstm_backward(pre, d_h_final=dh, d_c_final=dc)
-        parts.append((pre, pre_flat))
+        dh = (tape.model.lstm.U.T @ d_cols).reshape(-1, k, batch).sum(axis=1)
+        dc = dc0.reshape(-1, k, batch).sum(axis=1)
+        pre_cols, _ = _lstm_backward(pre, d_h_final=dh, d_c_final=dc)
+        parts.append((pre, pre_cols))
     return _flat_grads(tape, d_ylin, parts)
 
 
@@ -438,11 +484,11 @@ def candidate_grad(tape, d_prob):
     """dL/d(candidates), (k, B, D), of a ``discriminator_branches`` tape.
 
     A candidate enters only the last step's gates, so this is that
-    step's dA @ W: nothing runs through the prefix, and no weight
+    step's dA^T W: nothing runs through the prefix, and no weight
     gradient is formed.
     """
-    _, d_flat, _ = _branch_logit_grads(tape, d_prob)
-    return (d_flat @ tape.model.lstm.W).reshape(*d_prob.shape, -1)
+    _, d_cols, _ = _branch_logit_grads(tape, d_prob)
+    return (d_cols.T @ tape.model.lstm.W).reshape(*d_prob.shape, -1)
 
 
 def _activation_deriv(tape):
@@ -462,7 +508,6 @@ def backward(tape, upstream):
     """
     if tape.kind != "head":
         raise TapeMismatch(f"backward needs a model's tape, not {tape.kind!r}")
-    model = tape.model
     d_pred = np.asarray(upstream, dtype=np.float64)
     if tape.squeezed:
         d_pred = np.atleast_1d(d_pred)
@@ -473,13 +518,10 @@ def backward(tape, upstream):
             f"{tape.pred.shape}"
         )
     d_ylin = d_pred * _activation_deriv(tape)
-    d_h = d_ylin @ model.head.weight
-    if tape.mask is not None:
-        d_h = d_h * tape.mask
     lstm_tape = tape.lstm_tape
-    d_flat, _ = _lstm_backward(lstm_tape, d_h_final=d_h)
-    grads = _flat_grads(tape, d_ylin, [(lstm_tape, d_flat)])
-    d_seq = _input_grads(lstm_tape, d_flat)
+    d_cols, _ = _lstm_backward(lstm_tape, _d_hidden(tape, d_ylin))
+    grads = _flat_grads(tape, d_ylin, [(lstm_tape, d_cols)])
+    d_seq = _input_grads(lstm_tape, d_cols)
     return grads, d_seq[0] if tape.squeezed else d_seq
 
 
@@ -499,17 +541,16 @@ def save_model(path, model, seed=None):
     romf.write_arrays(path, model.params(), meta)
 
 
-def _check_shapes(arrays, path, kind):
+def _check_shapes(arrays, path):
     """Raise FormatError unless the five blocks agree in shape with
     H = ``lstm.U.shape[1]``, D = ``lstm.W.shape[1]`` and O =
-    ``head.weight.shape[0]``, where a forecaster's O is D: each of its
-    predictions is its next input."""
+    ``head.weight.shape[0]``. That a forecaster's O is D, and a
+    discriminator's 1, the model classes check."""
     W, U, head = arrays["lstm.W"], arrays["lstm.U"], arrays["head.weight"]
     if W.ndim != 2 or U.ndim != 2 or head.ndim != 2:
         raise romf.FormatError(f"{path}: 'lstm.W', 'lstm.U' and "
                                "'head.weight' must be 2-D")
-    hidden, dim = U.shape[1], W.shape[1]
-    out = dim if kind == "forecaster" else head.shape[0]
+    hidden, dim, out = U.shape[1], W.shape[1], head.shape[0]
     shapes = {"lstm.W": (4 * hidden, dim), "lstm.U": (4 * hidden, hidden),
               "lstm.b": (4 * hidden,), "head.weight": (out, hidden),
               "head.bias": (out,)}
@@ -532,7 +573,7 @@ def load_model(path):
         romf.require(meta, _FORECASTER_META, path, "meta key")
     elif meta["kind"] != "discriminator":
         raise romf.FormatError(f"{path}: unknown model kind {meta['kind']!r}")
-    _check_shapes(arrays, path, meta["kind"])
+    _check_shapes(arrays, path)
     with romf.building(path):
         lstm = LstmParams(arrays["lstm.W"], arrays["lstm.U"], arrays["lstm.b"])
         head = DenseParams(arrays["head.weight"], arrays["head.bias"])

@@ -6,17 +6,27 @@ steps labelled 1, forecaster outputs labelled 0) with a generator step
 whose loss adds ``adv_weight * bce(D(prediction), 1)`` on top of the
 MSE; gradients flow through the discriminator without updating it.
 
-A mini-batch does each piece of that work once. The fake batch (the
-forecaster's output on the windows) is computed once for all
-discriminator steps, since the forecaster does not change between them.
+A mini-batch does each piece of that work once. The forecaster's LSTM
+runs once on the windows (``neural.lstm_forward``), since the
+forecaster does not change before the generator step. The fake batch
+and the generator step share that one pass: the head on it without
+dropout is the fake batch for all discriminator steps, and the
+generator step then draws the dropout mask, as the only draw of the
+mini-batch, and applies the mask and the head to the same pass
+(``neural.forecaster_head``). Classic training runs the same pass and
+generator step, with no fake batch.
+
 Real [window, target] and fake [window, fake] share the window steps:
 D runs that prefix once and the last step for both branches from its
 final (h, c), and backward adds the branches' dh and dc there and
 back-propagates the prefix once (``neural.discriminator_branches``,
 ``branch_backward``); step mode is the same path with an empty prefix.
 The prediction enters only D's last step, so the generator step's
-dL/d(prediction) through D is that step's dA @ W
-(``neural.candidate_grad``), with no weight gradients.
+dL/d(prediction) through D is that step's dA^T W
+(``neural.candidate_grad``), with no weight gradients. With the default
+``d_steps`` = 2 in conditional mode, a mini-batch thus runs the LSTM
+kernel seven times: once for the forecaster, and D's prefix and last
+step once per discriminator step and once for the generator step.
 """
 
 import itertools
@@ -33,9 +43,10 @@ from .neural import (
     candidate_grad,
     discriminator_branches,
     forecaster_forward,
-    forecaster_step,
+    forecaster_head,
     init_discriminator,
     init_forecaster,
+    lstm_forward,
 )
 from .optim import NadamState, bce, clip_global_norm, mse, mse_grad, nadam_step
 
@@ -186,11 +197,12 @@ def _prefix(windows, config):
     return windows if config.disc_mode == "conditional" else windows[:, :0]
 
 
-def _forecaster_step(model, opt, windows, targets, rng_dropout, config,
-                     disc=None):
-    """One optimizer step on the forecaster; returns (mse, adv bce or None)."""
-    pred, tape = forecaster_forward(model, windows, training_mode=True,
-                                    rng=rng_dropout)
+def _forecaster_step(model, opt, lstm_tape, windows, targets, rng_dropout,
+                     config, disc=None):
+    """One optimizer step on the forecaster from ``lstm_tape``, its LSTM
+    pass over ``windows``; returns (mse, adv bce or None)."""
+    pred, tape = forecaster_head(model, lstm_tape, training_mode=True,
+                                 rng=rng_dropout)
     loss = mse(pred, targets)
     if not np.isfinite(loss):
         raise NonFiniteLoss("forecaster loss diverged")
@@ -270,14 +282,15 @@ def _train(dataset, config):
             idx = perm[lo:lo + config.batch_size]
             windows = dataset.inputs[idx]
             targets = dataset.targets[idx]
+            _, _, lstm_tape = lstm_forward(model.lstm, windows)
             if config.adversarial:
-                fake = forecaster_step(model, windows)
+                fake, _ = forecaster_head(model, lstm_tape)
                 for _ in range(config.d_steps):
                     d_sum += _discriminator_step(disc, opt_d, windows,
                                                  targets, fake, config)
             loss, adv_loss = _forecaster_step(
-                model, opt_g, windows, targets, streams["dropout"], config,
-                disc=disc if config.adversarial else None,
+                model, opt_g, lstm_tape, windows, targets, streams["dropout"],
+                config, disc=disc if config.adversarial else None,
             )
             sq_sum += loss * len(idx)
             if adv_loss is not None:

@@ -72,6 +72,33 @@ class TestExitCodes:
             json.dump(bad, fh)
         assert run("generate", "--config", "bad.json") == 2
 
+    def test_non_integer_search_epochs_is_usage_error(self, workdir, capsys):
+        with open("bad.json", "w") as fh:
+            json.dump(dict(SMALL_CONFIG, search_epochs="x"), fh)
+        assert run("generate", "--config", "bad.json") == 2
+        assert "search_epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        (("--starts", "40..x"), "--starts"),
+        (("--starts", "40..42", "--horizon", "0"), "horizon"),
+    ])
+    def test_bad_evaluate_number_is_usage_error(self, workdir, capsys, extra,
+                                                message):
+        pipeline(workdir)
+        capsys.readouterr()
+        assert run("evaluate", "--classic", "classic.romf", "--adv",
+                   "classic.romf", "--snapshots", "snap.romf", "--basis",
+                   "basis.romf", "--scaler", "scaler.romf", *extra) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists("ensemble_report.csv")
+
+    @pytest.mark.parametrize("flag", ["--horizon", "--ensemble"])
+    def test_bench_of_zero_is_usage_error(self, workdir, capsys, flag):
+        pipeline(workdir)
+        capsys.readouterr()
+        assert run("bench", "--model", "classic.romf", "--scaler",
+                   "scaler.romf", "--config", "config.json", flag, "0") == 2
+        assert ">= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("swap, missing", [
         ({"--classic": "basis.romf"}, "'lstm.W'"),

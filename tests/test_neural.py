@@ -49,8 +49,9 @@ class TestLstmForward:
         seq = rng.uniform(-3, 3, size=(steps, 3))
         hs, _, tape = neural.lstm_forward(params, seq)
         assert np.all(np.abs(hs) < 1.0)
+        # gate-major tape: gates (T, 4H, B), cell states (T+1, H, B)
         for t in range(1, steps + 1):
-            gi, gf, _, gg = np.split(tape.gates[t - 1], 4, axis=-1)
+            gi, gf, _, gg = np.split(tape.gates[t - 1], 4, axis=0)
             c = gf * tape.c[t - 1] + gi * gg
             assert np.all(np.abs(c) <= t)
 
@@ -124,6 +125,12 @@ class TestForecasterForward:
         with pytest.raises(InvalidConfig):
             neural.forecaster_forward(model, np.zeros((2, 3)),
                                       training_mode=True)
+
+    def test_head_of_other_size_than_input_rejected(self):
+        # each prediction is the next input, which a rollout feeds back
+        with pytest.raises(ShapeMismatch, match="head.weight"):
+            neural.init_forecaster(4, 5, 3, "sigmoid", 0.0, 2,
+                                   np.random.default_rng(0))
 
 
 class TestDiscriminatorForward:
@@ -279,8 +286,8 @@ class TestDiscriminatorBranches:
         last = neural._recur(lstm, seq[:, 2:], pre.h[-1], pre.c[-1])
         assert np.allclose(last.h[-1], neural._recur(lstm, seq).h[-1],
                            rtol=1e-14, atol=0.0)
-        d_last, dc0 = neural._lstm_backward(last, d_h_final=weights)
-        dh0 = d_last[:2] @ lstm.U
+        d_last, dc0 = neural._lstm_backward(last, d_h_final=weights.T)
+        dh0 = lstm.U.T @ d_last[:, :2]
         d_pre, _ = neural._lstm_backward(pre, d_h_final=dh0, d_c_final=dc0)
         d_seq = np.concatenate([neural._input_grads(pre, d_pre),
                                 neural._input_grads(last, d_last)], axis=1)
@@ -371,7 +378,7 @@ class TestInitialization:
 
 class TestFlatLayout:
     def test_init_draws_gates_in_order_then_head(self):
-        model = neural.init_forecaster(3, 5, 2, "sigmoid", 0.0, 2,
+        model = neural.init_forecaster(3, 5, 3, "sigmoid", 0.0, 2,
                                        np.random.default_rng(21))
         rng = np.random.default_rng(21)
         s = 1.0 / np.sqrt(5)
@@ -383,8 +390,8 @@ class TestFlatLayout:
                             for gate in "ifog"]}
         expected = {key: np.concatenate(blocks)
                     for key, blocks in gates.items()}
-        expected["head.weight"] = rng.uniform(-s, s, size=(2, 5))
-        expected["head.bias"] = np.zeros(2)
+        expected["head.weight"] = rng.uniform(-s, s, size=(3, 5))
+        expected["head.bias"] = np.zeros(3)
         params = model.params()
         assert list(params) == list(expected)
         for key, val in expected.items():

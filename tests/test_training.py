@@ -157,14 +157,15 @@ class TestTrainAdversarial:
         windows, targets = ds.inputs[:16], ds.targets[:16]
 
         g_before = {k: v.copy() for k, v in model.params().items()}
-        fake = neural.forecaster_step(model, windows)
+        _, _, lstm_tape = neural.lstm_forward(model.lstm, windows)
+        fake, _ = neural.forecaster_head(model, lstm_tape)
         training._discriminator_step(disc, opt_d, windows, targets, fake,
                                      config)
         for key, val in model.params().items():
             assert val.tobytes() == g_before[key].tobytes()
 
         d_before = {k: v.copy() for k, v in disc.params().items()}
-        training._forecaster_step(model, opt_g, windows, targets,
+        training._forecaster_step(model, opt_g, lstm_tape, windows, targets,
                                   rng_streams["dropout"], config, disc=disc)
         for key, val in disc.params().items():
             assert val.tobytes() == d_before[key].tobytes()
@@ -198,6 +199,30 @@ class TestTrainAdversarial:
         batches = 2 * math.ceil(ds.split / 16)
         assert sides.count("g") == batches
         assert sides.count("d") == 3 * batches
+
+    @pytest.mark.parametrize("mode, disc_runs", [("conditional", 6),
+                                                 ("step", 3)])
+    def test_mini_batch_runs_the_forecasters_lstm_once(self, monkeypatch,
+                                                       mode, disc_runs):
+        # the fake batch and the generator step share one LSTM pass; D
+        # runs its prefix (if any) and last step per d_step and for G
+        ds = training.make_windows(wave_scores(), 2, 0.9)
+        config = quick_config(epochs=2, adversarial=True, dropout=0.3,
+                              disc_mode=mode)
+        real_recur = neural._recur
+        runs = []
+
+        def counting(lstm, seq, *state):
+            runs.append(lstm)
+            return real_recur(lstm, seq, *state)
+
+        monkeypatch.setattr(neural, "_recur", counting)
+        model, disc, _ = training.train_adversarial(ds, config)
+        batches = config.epochs * math.ceil(ds.split / config.batch_size)
+        # plus one validation pass per epoch
+        assert sum(lstm is model.lstm for lstm in runs) == \
+            batches + config.epochs
+        assert sum(lstm is disc.lstm for lstm in runs) == disc_runs * batches
 
     def test_adversarial_losses_finite_and_discriminator_useful(self):
         scores = wave_scores(n=160)
