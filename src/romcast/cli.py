@@ -3,12 +3,15 @@
 Every command writes its artifact and a manifest beside it,
 ``<artifact>.manifest.json``, that records the tool version, seed,
 config hash and the content hashes of its inputs, whose paths are
-stored relative to the artifact's directory; consumers re-hash their
-inputs and refuse to run on a stale pipeline.
+stored relative to the artifact's directory. A command hashes each file
+it reads or writes once, checks every manifest record against that hash
+and refuses to run on a stale pipeline; no command writes over one of
+its inputs, or writes two outputs to one file.
 Verbosity is controlled by the ROMCAST_LOG environment variable.
 """
 
 import argparse
+import contextvars
 import datetime
 import hashlib
 import json
@@ -31,12 +34,30 @@ DEFAULT_GRID = dict(training.DEFAULT_GRID)
 DEFAULT_SEARCH_EPOCHS = 60
 
 
+# realpath -> sha256 of each file hashed while one command runs; ``main``
+# sets an empty table and drops it when the command returns
+_digests = contextvars.ContextVar("romcast_digests", default=None)
+
+
 def _sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _digest(path, fresh=False):
+    """The sha256 of ``path``. Within a command a file is hashed on its
+    first use and read from the table after; ``fresh`` hashes a file the
+    command has just written, and records it."""
+    table = _digests.get()
+    if table is None:
+        return _sha256(path)
+    key = os.path.realpath(path)
+    if fresh or key not in table:
+        table[key] = _sha256(path)
+    return table[key]
 
 
 def _config_hash(obj):
@@ -61,10 +82,10 @@ def write_manifest(artifact, seed=None, config=None, inputs=None, meta=None):
         "seed": seed,
         "config_hash": _config_hash(config) if config is not None else None,
         "artifact": {"path": os.path.basename(str(artifact)),
-                     "sha256": _sha256(artifact)},
+                     "sha256": _digest(artifact, fresh=True)},
         "inputs": {
             name: {"path": os.path.relpath(path, _dir_of(artifact)),
-                   "sha256": _sha256(path)}
+                   "sha256": _digest(path)}
             for name, path in (inputs or {}).items()
         },
         "meta": meta or {},
@@ -89,7 +110,7 @@ def verify_artifact(path):
         raise MissingArtifact(f"manifest not found for artifact: {path}")
     with open(mpath) as fh:
         manifest = json.load(fh)
-    if _sha256(path) != manifest["artifact"]["sha256"]:
+    if _digest(path) != manifest["artifact"]["sha256"]:
         raise HashMismatch(f"{path} changed after its manifest was written")
     for name, entry in manifest.get("inputs", {}).items():
         source = os.path.join(_dir_of(path), entry["path"])
@@ -97,7 +118,7 @@ def verify_artifact(path):
             raise MissingArtifact(
                 f"{path}: recorded input {name!r} missing at {source}"
             )
-        if _sha256(source) != entry["sha256"]:
+        if _digest(source) != entry["sha256"]:
             raise HashMismatch(
                 f"{path} is stale: input {name!r} ({source}) changed"
             )
@@ -161,9 +182,38 @@ def _train_config(config, args):
         raise InvalidConfig(f"bad train config: {exc}") from None
 
 
+def _check_outputs(inputs, outputs):
+    """Raise InvalidConfig, before anything is written, when a path in
+    ``outputs`` names the same file as one of the command's ``inputs``,
+    an input's manifest or another output.
+
+    ``inputs`` maps an input's name to its path, as a manifest records
+    it, and ``outputs`` maps an option to the path it writes (None when
+    nothing is written).
+    """
+    claimed = {}
+    for name, path in inputs.items():
+        claimed.setdefault(os.path.realpath(path), f"--{name}")
+        claimed.setdefault(os.path.realpath(_manifest_path(path)),
+                           f"the manifest of --{name}")
+    for option, path in outputs.items():
+        if path is None:
+            continue
+        key = os.path.realpath(path)
+        if key in claimed:
+            raise InvalidConfig(f"{option} {path} is the same file as "
+                                f"{claimed[key]}; give it another path")
+        claimed[key] = option
+
+
+def _data_inputs(args):
+    return {"snapshots": args.snapshots, "basis": args.basis,
+            "scaler": args.scaler}
+
+
 def _load_scores(args):
     """Common path: verified snapshots + basis + scaler -> score matrices."""
-    for path in (args.snapshots, args.basis, args.scaler):
+    for path in _data_inputs(args).values():
         verify_artifact(path)
     snap = snapshots.SnapshotMatrix.load(args.snapshots)
     basis = pca.PcaBasis.load(args.basis)
@@ -175,10 +225,11 @@ def _load_scores(args):
 
 
 def cmd_generate(args):
+    out = args.out or "snapshots.romf"
+    _check_outputs({}, {"--out": out, "--csv": args.csv})
     config = load_config(args.config)
     gen = _data_config(config, seed=args.seed)
     snap = snapshots.generate(gen)
-    out = args.out or "snapshots.romf"
     snap.save(out)
     write_manifest(out, seed=gen.seed, config=asdict(gen),
                    meta={"n": snap.n, "m": snap.m,
@@ -192,6 +243,10 @@ def cmd_generate(args):
 
 
 def cmd_pca(args):
+    out = args.out or "basis.romf"
+    scaler_out = args.scaler_out or "scaler.romf"
+    _check_outputs({"snapshots": args.snapshots},
+                   {"--out": out, "--scaler-out": scaler_out})
     config = load_config(args.config)
     section = dict(config["pca"])
     if args.tau is not None:
@@ -206,14 +261,12 @@ def cmd_pca(args):
     data = snap.field(field)
     basis = replace(pca.fit(data, tau=section.get("tau"),
                             variance=section.get("variance")), field=field)
-    out = args.out or "basis.romf"
     basis.save(out)
     write_manifest(out, config=section, inputs={"snapshots": args.snapshots},
                    meta={"field": field, "tau": basis.tau, "rank": basis.rank})
     scores = pca.project(basis, data)
     scaler = snapshots.fit_scaler(scores, lo=section["scale_lo"],
                                   hi=section["scale_hi"])
-    scaler_out = args.scaler_out or "scaler.romf"
     scaler.save(scaler_out)
     write_manifest(scaler_out, config=section,
                    inputs={"snapshots": args.snapshots, "basis": out},
@@ -227,13 +280,16 @@ def cmd_pca(args):
 def cmd_train(args):
     config = load_config(args.config)
     tcfg = _train_config(config, args)
+    out = args.out or ("model_adv.romf" if tcfg.adversarial else
+                       "model_classic.romf")
+    report_path = args.report or (str(out) + ".report.csv")
+    inputs = _data_inputs(args)
+    _check_outputs(inputs, {
+        "--out": out, "--report": report_path,
+        "the discriminator": _disc_path(out) if tcfg.adversarial else None})
     _, _, scaler, scores, field = _load_scores(args)
     dataset = training.make_windows(scaler.scale(scores), tcfg.time_lag,
                                     tcfg.train_fraction)
-    out = args.out or ("model_adv.romf" if tcfg.adversarial else
-                       "model_classic.romf")
-    inputs = {"snapshots": args.snapshots, "basis": args.basis,
-              "scaler": args.scaler}
     if tcfg.adversarial:
         model, disc, report = training.train_adversarial(dataset, tcfg)
         save_model(_disc_path(out), disc, seed=tcfg.seed)
@@ -242,7 +298,6 @@ def cmd_train(args):
     else:
         model, report = training.train_classic(dataset, tcfg)
     save_model(out, model, seed=tcfg.seed)
-    report_path = args.report or (str(out) + ".report.csv")
     report.to_csv(report_path)
     write_manifest(
         out, seed=tcfg.seed, config=asdict(tcfg), inputs=inputs,
@@ -263,6 +318,10 @@ def _disc_path(model_path):
 
 
 def cmd_gridsearch(args):
+    out = args.out or "gridsearch.csv"
+    best_out = args.best_out or "best_config.json"
+    inputs = _data_inputs(args)
+    _check_outputs(inputs, {"--out": out, "--best-out": best_out})
     config = load_config(args.config)
     base = _train_config(config, args)
     _, _, scaler, scores, _ = _load_scores(args)
@@ -270,7 +329,6 @@ def cmd_gridsearch(args):
     epochs = args.epochs or config["search_epochs"]
     best, results = training.grid_search(scaler.scale(scores), grid, base,
                                          search_epochs=epochs)
-    out = args.out or "gridsearch.csv"
     axes = list(grid)
     with open(out, "w") as fh:
         fh.write(",".join(axes) + ",val_mse,failed\n")
@@ -278,13 +336,11 @@ def cmd_gridsearch(args):
             row = [str(getattr(point.config, axis)) for axis in axes]
             fh.write(",".join(row) +
                      f",{point.val_mse:.6g},{int(point.failed)}\n")
-    best_out = args.best_out or "best_config.json"
     with open(best_out, "w") as fh:
         json.dump({"train": asdict(best)}, fh, indent=2)
         fh.write("\n")
     write_manifest(out, config={"grid": grid, "epochs": epochs},
-                   inputs={"snapshots": args.snapshots, "basis": args.basis,
-                           "scaler": args.scaler},
+                   inputs=inputs,
                    meta={"points": len(results), "best": asdict(best)})
     print(f"gridsearch: {len(results)} points -> {out}; best -> {best_out} "
           f"(hidden={best.hidden_nodes} dropout={best.dropout} "
@@ -304,6 +360,9 @@ def _parse_starts(text):
 
 
 def cmd_evaluate(args):
+    out = args.out or "ensemble_report.csv"
+    inputs = {**_data_inputs(args), "classic": args.classic, "adv": args.adv}
+    _check_outputs(inputs, {"--out": out})
     verify_artifact(args.classic)
     verify_artifact(args.adv)
     _, _, scaler, scores, _ = _load_scores(args)
@@ -312,14 +371,11 @@ def cmd_evaluate(args):
     starts = _parse_starts(args.starts)
     report = forecast.evaluate_ensemble(classic, adv, scores, scaler, starts,
                                         args.horizon)
-    out = args.out or "ensemble_report.csv"
     report.to_csv(out)
     write_manifest(
         out,
         config={"starts": starts, "horizon": args.horizon},
-        inputs={"snapshots": args.snapshots, "basis": args.basis,
-                "scaler": args.scaler, "classic": args.classic,
-                "adv": args.adv},
+        inputs=inputs,
         meta={"aggregate_reduction_pct": report.aggregate_reduction_pct,
               "diverged_classic": report.diverged_classic,
               "diverged_adv": report.diverged_adv,
@@ -350,6 +406,8 @@ def cmd_report(args):
 
 
 def cmd_bench(args):
+    _check_outputs({"model": args.model, "scaler": args.scaler},
+                   {"--out": args.out})
     config = load_config(args.config)
     gen = _data_config(config)
     verify_artifact(args.model)
@@ -457,6 +515,7 @@ def main(argv=None):
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    token = _digests.set({})
     try:
         return args.func(args)
     except (FileNotFoundError, InvalidConfig, json.JSONDecodeError,
@@ -466,6 +525,8 @@ def main(argv=None):
     except RomcastError as exc:
         print(f"romcast: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _digests.reset(token)
 
 
 if __name__ == "__main__":

@@ -506,6 +506,14 @@ def backward(tape, upstream):
     ``discriminator_forward`` and ``upstream`` is dL/dprediction; returns
     (param grads laid out like ``model.params()``, input grads).
     """
+    grads, d_cols = _param_grads(tape, upstream)
+    d_seq = _input_grads(tape.lstm_tape, d_cols)
+    return grads, d_seq[0] if tape.squeezed else d_seq
+
+
+def _param_grads(tape, upstream):
+    """``backward`` without the input gradient: (param grads, dA), for
+    a training step that needs only the former."""
     if tape.kind != "head":
         raise TapeMismatch(f"backward needs a model's tape, not {tape.kind!r}")
     d_pred = np.asarray(upstream, dtype=np.float64)
@@ -520,9 +528,7 @@ def backward(tape, upstream):
     d_ylin = d_pred * _activation_deriv(tape)
     lstm_tape = tape.lstm_tape
     d_cols, _ = _lstm_backward(lstm_tape, _d_hidden(tape, d_ylin))
-    grads = _flat_grads(tape, d_ylin, [(lstm_tape, d_cols)])
-    d_seq = _input_grads(lstm_tape, d_cols)
-    return grads, d_seq[0] if tape.squeezed else d_seq
+    return _flat_grads(tape, d_ylin, [(lstm_tape, d_cols)]), d_cols
 
 
 # the type of each value in a model's metadata record, checked on load

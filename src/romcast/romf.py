@@ -91,10 +91,14 @@ def read_arrays(path):
             nbytes = 8 * math.prod(dims)
             _check_left(fh, size, nbytes, path, f"payload of {name!r}")
             try:
-                arr = np.frombuffer(fh.read(nbytes), "<f8").reshape(dims)
+                arr = np.empty(dims, "<f8")
             except ValueError as exc:  # over 64 dims, or zero-size but overflowing
                 raise FormatError(f"{path}: bad dims {dims} for {name!r}") from exc
-            arrays[name] = arr.astype(np.float64)
+            # the payload goes straight into the array, with no bytes copy
+            if fh.readinto(arr) != nbytes:
+                raise FormatError(f"{path}: truncated payload of {name!r}")
+            # native byte order: no copy on a little-endian host
+            arrays[name] = arr.astype(np.float64, copy=False)
         return arrays, meta
 
 

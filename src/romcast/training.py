@@ -38,7 +38,7 @@ import numpy as np
 from .errors import EmptyInput, InvalidConfig, NonFiniteLoss, TooFewSteps
 from .neural import (
     ACTIVATIONS,
-    backward,
+    _param_grads,
     branch_backward,
     candidate_grad,
     discriminator_branches,
@@ -216,7 +216,7 @@ def _forecaster_step(model, opt, lstm_tape, windows, targets, rng_dropout,
             raise NonFiniteLoss("forecaster adversarial loss diverged")
         d_adv = candidate_grad(d_tape, d_prob[None])[0]
         d_pred = d_pred + config.adv_weight * d_adv
-    grads, _ = backward(tape, d_pred)
+    grads, _ = _param_grads(tape, d_pred)
     clip_global_norm(grads, config.clip_norm)
     nadam_step(opt, model.params(), grads)
     return loss, adv_loss

@@ -31,6 +31,11 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+DATA = ["--snapshots", "snap.romf", "--basis", "basis.romf",
+        "--scaler", "scaler.romf"]
+CONFIG = ["--config", "config.json"]
+
+
 def run(*argv):
     return cli.main(list(argv))
 
@@ -162,6 +167,40 @@ class TestExitCodes:
                    "basis2.romf", "--scaler", "scaler2.romf", "--starts",
                    "40..42", "--horizon", "5") == 1
         assert "2 PCs, the model takes 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", *CONFIG, *DATA, "--out", "basis.romf"],
+        ["train", *CONFIG, *DATA, "--out", "./snap.romf"],
+        ["train", *CONFIG, *DATA, "--out", "m.romf", "--report",
+         "scaler.romf"],
+        ["train", *CONFIG, *DATA, "--out", "m.romf", "--report",
+         "basis.romf.manifest.json"],
+        ["train", *CONFIG, *DATA, "--adversarial", "--out", "m.romf",
+         "--report", "m.disc.romf"],
+        ["pca", *CONFIG, "--snapshots", "snap.romf", "--out", "x.romf",
+         "--scaler-out", "x.romf"],
+        ["pca", *CONFIG, "--snapshots", "snap.romf", "--scaler-out",
+         "snap.romf"],
+        ["gridsearch", *CONFIG, *DATA, "--best-out", "scaler.romf"],
+        ["gridsearch", *CONFIG, *DATA, "--out", "g.csv", "--best-out",
+         "g.csv"],
+        ["evaluate", "--classic", "classic.romf", "--adv", "classic.romf",
+         *DATA, "--starts", "40..42", "--out", "classic.romf"],
+        ["bench", *CONFIG, "--model", "classic.romf", "--scaler",
+         "scaler.romf", "--out", "classic.romf"],
+        ["generate", *CONFIG, "--out", "s.romf", "--csv", "s.romf"],
+    ])
+    def test_output_over_an_input_is_usage_error(self, workdir, capsys,
+                                                 argv):
+        # a command that would write over one of its inputs, or write two
+        # outputs to one file, stops before it writes anything
+        pipeline(workdir)
+        before = {path.name: path.read_bytes() for path in workdir.iterdir()}
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert "is the same file as" in capsys.readouterr().err
+        after = {path.name: path.read_bytes() for path in workdir.iterdir()}
+        assert after == before
 
 
 class TestGenerate:
@@ -354,3 +393,64 @@ class TestBench:
         assert "ratio" in out
         timing = json.load(open("bench.json"))
         assert timing["sim_seconds_per_step"] > 0
+
+
+class TestOneHashPerFile:
+    @pytest.fixture()
+    def hashes(self, monkeypatch):
+        counts = {}
+        sha256 = cli._sha256
+
+        def counted(path):
+            key = os.path.realpath(path)
+            counts[key] = counts.get(key, 0) + 1
+            return sha256(path)
+
+        monkeypatch.setattr(cli, "_sha256", counted)
+        return counts
+
+    def test_each_command_hashes_each_file_once(self, workdir, hashes):
+        evaluate = ["evaluate", "--classic", "classic.romf", "--adv",
+                    "adv.romf", *DATA, "--starts", "40..42", "--horizon",
+                    "5", "--out", "report.csv"]
+        commands = [
+            (["generate", *CONFIG, "--out", "snap.romf"], 1),
+            (["pca", *CONFIG, "--snapshots", "snap.romf", "--out",
+              "basis.romf", "--scaler-out", "scaler.romf"], 3),
+            (["train", *CONFIG, *DATA, "--out", "classic.romf"], 4),
+            (["train", *CONFIG, *DATA, "--adversarial", "--out",
+              "adv.romf"], 5),
+            (evaluate, 6),
+        ]
+        for argv, total in commands:
+            hashes.clear()
+            assert run(*argv) == 0
+            assert set(hashes.values()) == {1}
+            assert sum(hashes.values()) == total
+        # outside a command nothing is kept: each check hashes again
+        hashes.clear()
+        for _ in range(2):
+            cli.verify_artifact("adv.romf")
+        assert sum(hashes.values()) == 8
+
+    def test_snapshots_edited_in_place_are_stale(self, workdir, capsys):
+        # one payload byte changes and the size stays, as when the file is
+        # regenerated; its own manifest is rewritten to match, so only the
+        # records of the basis, scaler and model can tell
+        pipeline(workdir)
+        size = os.path.getsize("snap.romf")
+        with open("snap.romf", "r+b") as fh:
+            fh.seek(-1, os.SEEK_END)
+            last = fh.read(1)
+            fh.seek(-1, os.SEEK_END)
+            fh.write(bytes([last[0] ^ 1]))
+        assert os.path.getsize("snap.romf") == size
+        cli.write_manifest("snap.romf")
+        capsys.readouterr()
+        assert run("train", "--config", "config.json", *DATA,
+                   "--out", "again.romf") == 1
+        assert "stale" in capsys.readouterr().err
+        assert run("evaluate", "--classic", "classic.romf", "--adv",
+                   "classic.romf", *DATA, "--starts", "40..42",
+                   "--horizon", "5") == 1
+        assert "stale" in capsys.readouterr().err

@@ -17,6 +17,7 @@ def test_round_trip_preserves_values_and_order(tmp_path):
         "eofs": np.linspace(-1, 1, 12).reshape(3, 4),
         "cube": np.arange(24.0).reshape(2, 3, 4),
         "scalar": np.array(3.5),
+        "empty": np.zeros((0, 3)),
     }
     romf.write_arrays(path, arrays)
     loaded, meta = romf.read_arrays(path)
@@ -25,6 +26,9 @@ def test_round_trip_preserves_values_and_order(tmp_path):
     for name, arr in arrays.items():
         assert loaded[name].shape == arr.shape
         assert np.array_equal(loaded[name], arr)
+        assert loaded[name].dtype == np.float64
+        assert loaded[name].dtype.isnative
+        assert loaded[name].flags.writeable
 
 
 def test_meta_round_trips_with_sorted_keys(tmp_path):
