@@ -99,20 +99,31 @@ def write_manifest(artifact, seed=None, config=None, inputs=None, meta=None):
 def verify_artifact(path):
     """Check a pipeline artifact against its manifest; returns the manifest.
 
-    Raises MissingArtifact when the file or manifest is absent and
-    HashMismatch when the artifact or any recorded input changed since
-    the manifest was written.
+    Raises MissingArtifact when the file or manifest is absent, and
+    HashMismatch when the manifest is not a JSON object whose
+    ``artifact.sha256`` is a string and whose ``inputs``, if any, map
+    names to ``{path, sha256}`` strings, or when the artifact or any
+    recorded input changed since the manifest was written.
     """
     if not os.path.exists(path):
         raise MissingArtifact(f"artifact not found: {path}")
     mpath = _manifest_path(path)
     if not os.path.exists(mpath):
         raise MissingArtifact(f"manifest not found for artifact: {path}")
-    with open(mpath) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(mpath, "rb") as fh:
+            manifest = json.load(fh)
+        inputs = manifest.get("inputs", {})
+        fields = [manifest["artifact"]["sha256"]]
+        for entry in inputs.values():
+            fields += [entry["path"], entry["sha256"]]
+    except (ValueError, LookupError, TypeError, AttributeError):
+        fields = [None]
+    if not all(isinstance(field, str) for field in fields):
+        raise HashMismatch(f"{mpath} is not a valid manifest")
     if _digest(path) != manifest["artifact"]["sha256"]:
         raise HashMismatch(f"{path} changed after its manifest was written")
-    for name, entry in manifest.get("inputs", {}).items():
+    for name, entry in inputs.items():
         source = os.path.join(_dir_of(path), entry["path"])
         if not os.path.exists(source):
             raise MissingArtifact(
@@ -125,14 +136,39 @@ def verify_artifact(path):
     return manifest
 
 
+def _fits(value, default):
+    """Whether a config value has the JSON type of its default: a bool
+    for a bool, a string for a string, an integer for an int, a number
+    for a float or a null, and for a tuple a list of as many items that
+    fit."""
+    if isinstance(default, tuple):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(map(_fits, value, default)))
+    if isinstance(default, (bool, str)) or isinstance(value, bool):
+        return type(value) is type(default)
+    return type(value) is int or (type(value) is float
+                                  and not isinstance(default, int))
+
+
 def load_config(path):
-    """Merge a user JSON config over the built-in defaults."""
+    """Merge a user JSON config over the built-in defaults.
+
+    The data, pca and train sections and search_epochs take only the
+    keys of the defaults, each value of its default's type (``_fits``);
+    of the pca section's two truncations, tau and variance, the one not
+    used is null.
+    """
     user = {}
     if path is not None:
         if not os.path.exists(path):
             raise FileNotFoundError(f"config file not found: {path}")
         with open(path) as fh:
-            user = json.load(fh)
+            try:
+                user = json.load(fh)
+            except ValueError as exc:
+                raise InvalidConfig(f"{path} is not JSON: {exc}") from None
+        if not isinstance(user, dict):
+            raise InvalidConfig(f"{path}: a config must be a JSON object")
     config = {
         "data": asdict(DEFAULT_DATA),
         "pca": dict(DEFAULT_PCA),
@@ -144,16 +180,22 @@ def load_config(path):
         part = user.get(section, {})
         if not isinstance(part, dict):
             raise InvalidConfig(f"config section {section!r} must be an object")
-        if section == "grid" and part:
-            config["grid"] = dict(part)
-        else:
-            config[section].update(part)
-    if "search_epochs" in user:
-        try:
-            config["search_epochs"] = int(user["search_epochs"])
-        except (TypeError, ValueError):
-            raise InvalidConfig("search_epochs must be an integer, got "
-                                f"{user['search_epochs']!r}") from None
+        if section == "grid":
+            config["grid"] = dict(part) or config["grid"]
+            continue
+        for key, value in part.items():
+            if key not in config[section]:
+                raise InvalidConfig(f"unknown {section} config key {key!r}")
+            default = config[section][key]
+            if not (_fits(value, default)
+                    or value is None and key in ("tau", "variance")):
+                raise InvalidConfig(f"{section} config {key}={value!r} is "
+                                    f"not of the type of {default!r}")
+        config[section].update(part)
+    config["search_epochs"] = user.get("search_epochs", DEFAULT_SEARCH_EPOCHS)
+    if not _fits(config["search_epochs"], DEFAULT_SEARCH_EPOCHS):
+        raise InvalidConfig("search_epochs must be an integer, got "
+                            f"{config['search_epochs']!r}")
     return config
 
 
@@ -162,10 +204,7 @@ def _data_config(config, seed=None):
     data["source_center"] = tuple(data["source_center"])
     if seed is not None:
         data["seed"] = seed
-    try:
-        return snapshots.GeneratorConfig(**data)
-    except TypeError as exc:
-        raise InvalidConfig(f"bad data config: {exc}") from None
+    return snapshots.GeneratorConfig(**data)
 
 
 def _train_config(config, args):
@@ -176,16 +215,14 @@ def _train_config(config, args):
         train["epochs"] = args.epochs
     if getattr(args, "adversarial", False):
         train["adversarial"] = True
-    try:
-        return training.TrainConfig(**train)
-    except TypeError as exc:
-        raise InvalidConfig(f"bad train config: {exc}") from None
+    return training.TrainConfig(**train)
 
 
-def _check_outputs(inputs, outputs):
-    """Raise InvalidConfig, before anything is written, when a path in
-    ``outputs`` names the same file as one of the command's ``inputs``,
-    an input's manifest or another output.
+def _verify_io(inputs, outputs):
+    """Check a command's files before it writes any: raise InvalidConfig
+    when a path in ``outputs`` names the same file as one of the
+    command's ``inputs``, an input's manifest or another output, then
+    verify each input against its manifest (``verify_artifact``).
 
     ``inputs`` maps an input's name to its path, as a manifest records
     it, and ``outputs`` maps an option to the path it writes (None when
@@ -204,29 +241,32 @@ def _check_outputs(inputs, outputs):
             raise InvalidConfig(f"{option} {path} is the same file as "
                                 f"{claimed[key]}; give it another path")
         claimed[key] = option
+    for path in inputs.values():
+        verify_artifact(path)
+
+
+# the inputs that train, gridsearch and evaluate take their scores from
+_DATA_INPUTS = ("snapshots", "basis", "scaler")
 
 
 def _data_inputs(args):
-    return {"snapshots": args.snapshots, "basis": args.basis,
-            "scaler": args.scaler}
+    return {name: getattr(args, name) for name in _DATA_INPUTS}
 
 
-def _load_scores(args):
-    """Common path: verified snapshots + basis + scaler -> score matrices."""
-    for path in _data_inputs(args).values():
-        verify_artifact(path)
-    snap = snapshots.SnapshotMatrix.load(args.snapshots)
-    basis = pca.PcaBasis.load(args.basis)
-    scaler = snapshots.MinMaxScaler.load(args.scaler)
+def _load_scores(inputs):
+    """(scaler, scores, field) from the verified snapshots, basis and
+    scaler in ``inputs``."""
+    snap = snapshots.SnapshotMatrix.load(inputs["snapshots"])
+    basis = pca.PcaBasis.load(inputs["basis"])
+    scaler = snapshots.MinMaxScaler.load(inputs["scaler"])
     # the field is in the basis file's metadata, under its hash
     field = basis.field
-    scores = pca.project(basis, snap.field(field))
-    return snap, basis, scaler, scores, field
+    return scaler, pca.project(basis, snap.field(field)), field
 
 
 def cmd_generate(args):
     out = args.out or "snapshots.romf"
-    _check_outputs({}, {"--out": out, "--csv": args.csv})
+    _verify_io({}, {"--out": out, "--csv": args.csv})
     config = load_config(args.config)
     gen = _data_config(config, seed=args.seed)
     snap = snapshots.generate(gen)
@@ -245,8 +285,8 @@ def cmd_generate(args):
 def cmd_pca(args):
     out = args.out or "basis.romf"
     scaler_out = args.scaler_out or "scaler.romf"
-    _check_outputs({"snapshots": args.snapshots},
-                   {"--out": out, "--scaler-out": scaler_out})
+    inputs = {"snapshots": args.snapshots}
+    _verify_io(inputs, {"--out": out, "--scaler-out": scaler_out})
     config = load_config(args.config)
     section = dict(config["pca"])
     if args.tau is not None:
@@ -255,21 +295,20 @@ def cmd_pca(args):
         section["tau"], section["variance"] = None, args.variance
     if args.field is not None:
         section["field"] = args.field
-    verify_artifact(args.snapshots)
     snap = snapshots.SnapshotMatrix.load(args.snapshots)
     field = section["field"]
     data = snap.field(field)
     basis = replace(pca.fit(data, tau=section.get("tau"),
                             variance=section.get("variance")), field=field)
     basis.save(out)
-    write_manifest(out, config=section, inputs={"snapshots": args.snapshots},
+    write_manifest(out, config=section, inputs=inputs,
                    meta={"field": field, "tau": basis.tau, "rank": basis.rank})
     scores = pca.project(basis, data)
     scaler = snapshots.fit_scaler(scores, lo=section["scale_lo"],
                                   hi=section["scale_hi"])
     scaler.save(scaler_out)
     write_manifest(scaler_out, config=section,
-                   inputs={"snapshots": args.snapshots, "basis": out},
+                   inputs={**inputs, "basis": out},
                    meta={"field": field})
     explained = pca.explained_variance(basis)[basis.tau - 1]
     print(f"pca: {out} field={field} tau={basis.tau} "
@@ -284,10 +323,10 @@ def cmd_train(args):
                        "model_classic.romf")
     report_path = args.report or (str(out) + ".report.csv")
     inputs = _data_inputs(args)
-    _check_outputs(inputs, {
+    _verify_io(inputs, {
         "--out": out, "--report": report_path,
         "the discriminator": _disc_path(out) if tcfg.adversarial else None})
-    _, _, scaler, scores, field = _load_scores(args)
+    scaler, scores, field = _load_scores(inputs)
     dataset = training.make_windows(scaler.scale(scores), tcfg.time_lag,
                                     tcfg.train_fraction)
     if tcfg.adversarial:
@@ -321,12 +360,12 @@ def cmd_gridsearch(args):
     out = args.out or "gridsearch.csv"
     best_out = args.best_out or "best_config.json"
     inputs = _data_inputs(args)
-    _check_outputs(inputs, {"--out": out, "--best-out": best_out})
+    _verify_io(inputs, {"--out": out, "--best-out": best_out})
     config = load_config(args.config)
     base = _train_config(config, args)
-    _, _, scaler, scores, _ = _load_scores(args)
+    scaler, scores, _ = _load_scores(inputs)
     grid = config["grid"]
-    epochs = args.epochs or config["search_epochs"]
+    epochs = config["search_epochs"] if args.epochs is None else args.epochs
     best, results = training.grid_search(scaler.scale(scores), grid, base,
                                          search_epochs=epochs)
     axes = list(grid)
@@ -362,10 +401,8 @@ def _parse_starts(text):
 def cmd_evaluate(args):
     out = args.out or "ensemble_report.csv"
     inputs = {**_data_inputs(args), "classic": args.classic, "adv": args.adv}
-    _check_outputs(inputs, {"--out": out})
-    verify_artifact(args.classic)
-    verify_artifact(args.adv)
-    _, _, scaler, scores, _ = _load_scores(args)
+    _verify_io(inputs, {"--out": out})
+    scaler, scores, _ = _load_scores(inputs)
     classic, _, _ = load_model(args.classic)
     adv, _, _ = load_model(args.adv)
     starts = _parse_starts(args.starts)
@@ -406,12 +443,10 @@ def cmd_report(args):
 
 
 def cmd_bench(args):
-    _check_outputs({"model": args.model, "scaler": args.scaler},
-                   {"--out": args.out})
+    _verify_io({"model": args.model, "scaler": args.scaler},
+               {"--out": args.out})
     config = load_config(args.config)
     gen = _data_config(config)
-    verify_artifact(args.model)
-    verify_artifact(args.scaler)
     model, _, _ = load_model(args.model)
     timing = forecast.timing_benchmark(model, gen, horizon=args.horizon,
                                        ensemble_width=args.ensemble)
@@ -457,9 +492,8 @@ def build_parser():
     p.set_defaults(func=cmd_pca)
 
     p = sub.add_parser("train", help="train the LSTM forecaster")
-    p.add_argument("--snapshots", required=True)
-    p.add_argument("--basis", required=True)
-    p.add_argument("--scaler", required=True)
+    for name in _DATA_INPUTS:
+        p.add_argument(f"--{name}", required=True)
     p.add_argument("--config")
     p.add_argument("--adversarial", action="store_true")
     p.add_argument("--epochs", type=int)
@@ -469,9 +503,8 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("gridsearch", help="hyperparameter grid search")
-    p.add_argument("--snapshots", required=True)
-    p.add_argument("--basis", required=True)
-    p.add_argument("--scaler", required=True)
+    for name in _DATA_INPUTS:
+        p.add_argument(f"--{name}", required=True)
     p.add_argument("--config")
     p.add_argument("--epochs", type=int, help="per-point epoch budget")
     p.add_argument("--seed", type=int)
@@ -482,9 +515,8 @@ def build_parser():
     p = sub.add_parser("evaluate", help="classic-vs-adversarial rollout ensemble")
     p.add_argument("--classic", required=True)
     p.add_argument("--adv", required=True)
-    p.add_argument("--snapshots", required=True)
-    p.add_argument("--basis", required=True)
-    p.add_argument("--scaler", required=True)
+    for name in _DATA_INPUTS:
+        p.add_argument(f"--{name}", required=True)
     p.add_argument("--starts", required=True, help="A..B or comma list")
     p.add_argument("--horizon", type=int, default=50)
     p.add_argument("--out")
@@ -518,8 +550,7 @@ def main(argv=None):
     token = _digests.set({})
     try:
         return args.func(args)
-    except (FileNotFoundError, InvalidConfig, json.JSONDecodeError,
-            MissingArtifact) as exc:
+    except (FileNotFoundError, InvalidConfig, MissingArtifact) as exc:
         print(f"romcast: error: {exc}", file=sys.stderr)
         return 2
     except RomcastError as exc:

@@ -2,8 +2,8 @@
 
 Everything is float64 numpy. Forward passes record a Tape of
 intermediates; ``backward`` replays it in reverse for exact gradients.
-Batched inputs use the leading axis; single sequences are promoted
-internally and squeezed on the way out.
+Every input is batched on the leading axis: sequences are (B, T, D);
+only ``forecaster_step`` also takes one (T, D) window.
 
 Layout (fused gates, as in cuDNN). An LSTM keeps W (4H x D), U (4H x H)
 and b (4H), each stacking its gates in the order i, f, o, g. A model
@@ -31,7 +31,8 @@ Sequences that share a prefix (the discriminator's real and fake inputs
 in training) share its work: ``discriminator_branches`` runs the prefix
 once and each last step from its final state, through the starting
 state (h0, c0) that ``_recur`` takes and ``_lstm_backward`` returns the
-gradient of.
+gradient of. It is the discriminator's one forward path, and
+``_param_grads`` is every model's one backward path.
 """
 
 from dataclasses import dataclass
@@ -192,21 +193,14 @@ def init_discriminator(input_dim, hidden_dim, rng):
     return Discriminator(lstm=lstm, head=_init_head(1, hidden_dim, rng))
 
 
-def _promote_sequence(sequence, input_dim):
+def _check_sequence(sequence, input_dim):
     seq = np.asarray(sequence, dtype=np.float64)
-    squeezed = seq.ndim == 2
-    if squeezed:
-        seq = seq[None]
-    if seq.ndim != 3 or seq.shape[2] != input_dim:
-        raise ShapeMismatch(
-            f"sequence shape {np.shape(sequence)} incompatible with "
-            f"input_dim {input_dim}"
-        )
-    if seq.shape[1] < 1:
-        raise ShapeMismatch("sequence must have at least one step")
+    if seq.ndim != 3 or seq.shape[2] != input_dim or seq.shape[1] < 1:
+        raise ShapeMismatch(f"sequence shape {seq.shape} is not (B, T >= 1, "
+                            f"{input_dim})")
     if not np.all(np.isfinite(seq)):
         raise NonFiniteInput("sequence contains NaN/Inf")
-    return seq, squeezed
+    return seq
 
 
 def _recur(lstm, seq, h0=None, c0=None):
@@ -253,20 +247,14 @@ def _recur(lstm, seq, h0=None, c0=None):
 
 
 def lstm_forward(params, sequence):
-    """Run the standard LSTM recurrence over a (B,)T x input_dim sequence
-    from a zero state.
+    """Run the standard LSTM recurrence over a (B, T, D) sequence from a
+    zero state.
 
     Returns (hidden states over time, final hidden, tape); the first two
-    are (B,)T x H and (B,)H views into the tape.
+    are (B, T, H) and (B, H) views into the tape.
     """
-    seq, squeezed = _promote_sequence(sequence, params.input_dim)
-    tape = _recur(params, seq)
-    tape.squeezed = squeezed
-    hs = tape.h[1:].transpose(2, 0, 1)
-    h_final = tape.h[-1].T
-    if squeezed:
-        return hs[0], h_final[0], tape
-    return hs, h_final, tape
+    tape = _recur(params, _check_sequence(sequence, params.input_dim))
+    return tape.h[1:].transpose(2, 0, 1), tape.h[-1].T, tape
 
 
 def _lstm_backward(tape, d_h_final, d_c_final=None):
@@ -335,13 +323,13 @@ def _input_grads(tape, d_cols):
     return (d_cols.T @ tape.params.W).reshape(steps, batch, -1).swapaxes(0, 1)
 
 
-def _flat_grads(head_tape, d_ylin, parts):
+def _flat_grads(head_tape, d_ylin, segments):
     """A model's gradients in the layout of ``model.params()``: the
     head's, from dL/d(logits) ``d_ylin``, and the LSTM's, summed over the
-    (tape, dA) pairs in ``parts``."""
-    dW, dU, db = _weight_grads(*parts[0])
-    for part in parts[1:]:
-        for total, more in zip((dW, dU, db), _weight_grads(*part)):
+    (tape, dA) pairs in ``segments``."""
+    dW, dU, db = _weight_grads(*segments[0])
+    for segment in segments[1:]:
+        for total, more in zip((dW, dU, db), _weight_grads(*segment)):
             total += more
     model = head_tape.model
     flat = np.concatenate([
@@ -351,35 +339,53 @@ def _flat_grads(head_tape, d_ylin, parts):
     return FlatParams(flat, model.params().layout)
 
 
-def _head(model, lstm_tape, activation, mask=None, squeezed=False):
+def _head(model, lstm_tape, activation, mask=None, prefix=None):
     """The dense head on the final hidden state (times the dropout mask,
     if any); returns (output, tape). The head runs on the kernel's
-    (H, B) state, and the output is (B, O)."""
+    (H, B) state, and the output is (B, O). ``prefix`` is the tape of
+    the shared run that ``lstm_tape`` continues, if any."""
     h = lstm_tape.h[-1] if mask is None else lstm_tape.h[-1] * mask.T
     y_lin = (model.head.weight @ h).T + model.head.bias
     pred = ACTIVATIONS[activation](y_lin)
-    return pred, Tape("head", model=model, lstm_tape=lstm_tape, h=h,
-                      mask=mask, y_lin=y_lin, pred=pred,
-                      activation=activation, squeezed=squeezed)
+    return pred, Tape("head", model=model, lstm_tape=lstm_tape,
+                      prefix=prefix, h=h, mask=mask, y_lin=y_lin, pred=pred,
+                      activation=activation)
 
 
-def _d_hidden(tape, d_ylin):
-    """dL/d(final h), (H, B), from dL/d(logits) (B, O) through the head
-    and the dropout mask, if any."""
+def _head_backward(tape, d_pred):
+    """dL/d(logits), (B, O), and dL/d(final h), (H, B), from
+    dL/dprediction through the head and the dropout mask, if any."""
+    if tape.kind != "head":
+        raise TapeMismatch(f"backward needs a model's tape, not {tape.kind!r}")
+    d_pred = np.asarray(d_pred, dtype=np.float64)
+    if d_pred.shape != tape.pred.shape:
+        raise TapeMismatch(
+            f"upstream shape {d_pred.shape} != prediction shape "
+            f"{tape.pred.shape}"
+        )
+    d_ylin = d_pred * _activation_deriv(tape)
     d_h = tape.model.head.weight.T @ d_ylin.T
     if tape.mask is not None:
         d_h *= tape.mask.T
-    return d_h
+    return d_ylin, d_h
 
 
-def forecaster_forward(model, window, training_mode=False, rng=None):
-    """Predict the next PC vector from an N x tau window.
+def _activation_deriv(tape):
+    if tape.activation == "relu":
+        return (tape.y_lin > 0).astype(np.float64)
+    if tape.activation == "sigmoid":
+        return tape.pred * (1.0 - tape.pred)
+    return np.ones_like(tape.y_lin)
+
+
+def forecaster_forward(model, windows, training_mode=False, rng=None):
+    """Predict the next PC vector from each window of a (B, N, tau) batch.
 
     Inverted dropout is applied to the final hidden state only when
     ``training_mode`` is set and the rate is nonzero; ``rng`` then supplies
     the mask.
     """
-    _, _, lstm_tape = lstm_forward(model.lstm, window)
+    _, _, lstm_tape = lstm_forward(model.lstm, windows)
     steps = lstm_tape.gates.shape[0]
     if steps != model.time_lag:
         raise ShapeMismatch(
@@ -403,42 +409,45 @@ def forecaster_head(model, lstm_tape, training_mode=False, rng=None):
         keep = 1.0 - model.dropout_rate
         hidden, batch = lstm_tape.h.shape[1:]
         mask = (rng.random((batch, hidden)) >= model.dropout_rate) / keep
-    pred, tape = _head(model, lstm_tape, model.output_activation, mask,
-                       lstm_tape.squeezed)
-    return (pred[0] if tape.squeezed else pred), tape
+    return _head(model, lstm_tape, model.output_activation, mask)
 
 
 def forecaster_step(model, windows):
-    """Tape-free inference: predictions for a (B,) N x tau window batch.
+    """Tape-free inference: predictions (B, tau) for a (B, N, tau) window
+    batch, or (tau,) for one N x tau window.
 
     Runs the kernel and head of ``forecaster_forward`` in inference mode,
     so outputs are bit-identical, and drops the tape; it skips input
     validation and dropout, which is what makes autoregressive rollouts
     cheap.
     """
-    squeezed = windows.ndim == 2
-    seq = windows[None] if squeezed else windows
-    pred, _ = _head(model, _recur(model.lstm, seq), model.output_activation)
-    return pred[0] if squeezed else pred
+    if windows.ndim == 2:
+        return forecaster_step(model, windows[None])[0]
+    pred, _ = _head(model, _recur(model.lstm, windows), model.output_activation)
+    return pred
 
 
 def discriminator_forward(disc, sequence):
-    """Score sequences; returns probabilities in (0, 1) plus the tape."""
-    _, _, lstm_tape = lstm_forward(disc.lstm, sequence)
-    prob, tape = _head(disc, lstm_tape, "sigmoid", squeezed=lstm_tape.squeezed)
-    return (prob[0, 0] if tape.squeezed else prob[:, 0]), tape
+    """Score (B, T, D) sequences; returns probabilities (B,) and the tape.
+
+    Each sequence's last step is the one candidate of
+    ``discriminator_branches``, scored from the state its first T - 1
+    steps leave.
+    """
+    seq = _check_sequence(sequence, disc.lstm.input_dim)
+    prob, tape = discriminator_branches(disc, seq[:, :-1], seq[None, :, -1])
+    return prob[0], tape
 
 
 def discriminator_branches(disc, prefix, candidates):
     """Score each sequence [prefix, candidate] for k candidate batches
     that share one prefix; returns probabilities (k, B) and the tape.
 
-    ``prefix`` is (B, N, D) with N >= 0 and ``candidates`` is (k, B, D).
-    The prefix runs once from a zero state; the last step then runs for
-    all k*B sequences from its final (h, c). With N = 0 the candidates are
-    scored alone, from a zero state. The probabilities equal
-    ``discriminator_forward`` on each concatenated sequence up to the
-    rounding of the separate input projections.
+    This is the discriminator's one forward path. ``prefix`` is
+    (B, N, D) with N >= 0 and ``candidates`` is (k, B, D). The prefix
+    runs once from a zero state; the last step then runs for all k*B
+    sequences from its final (h, c). With N = 0 the candidates are
+    scored alone, from a zero state.
     """
     if not (np.isfinite(prefix).all() and np.isfinite(candidates).all()):
         raise NonFiniteInput("discriminator input contains NaN/Inf")
@@ -449,86 +458,63 @@ def discriminator_branches(disc, prefix, candidates):
         h0 = np.concatenate([pre.h[-1]] * k, axis=1)
         c0 = np.concatenate([pre.c[-1]] * k, axis=1)
     last = _recur(disc.lstm, candidates.reshape(k * batch, 1, dim), h0, c0)
-    prob, tape = _head(disc, last, "sigmoid")
-    tape.prefix = pre
+    prob, tape = _head(disc, last, "sigmoid", prefix=pre)
     return prob.reshape(k, batch), tape
-
-
-def _branch_logit_grads(tape, d_prob):
-    """dL/d(logits) and the dA of the last step from dL/dprob (k, B)."""
-    d_ylin = d_prob.reshape(-1, 1) * _activation_deriv(tape)
-    d_cols, dc0 = _lstm_backward(tape.lstm_tape, _d_hidden(tape, d_ylin))
-    return d_ylin, d_cols, dc0
 
 
 def branch_backward(tape, d_prob):
     """Parameter gradients of a ``discriminator_branches`` tape, given
-    dL/dprob (k, B), laid out like ``disc.params()``.
-
-    The k branches' dh and dc at the end of the prefix add up, and the
-    prefix is back-propagated once; no input gradient is formed.
-    """
-    d_ylin, d_cols, dc0 = _branch_logit_grads(tape, d_prob)
-    parts = [(tape.lstm_tape, d_cols)]
-    pre = tape.prefix
-    if pre is not None:
-        k, batch = d_prob.shape
-        dh = (tape.model.lstm.U.T @ d_cols).reshape(-1, k, batch).sum(axis=1)
-        dc = dc0.reshape(-1, k, batch).sum(axis=1)
-        pre_cols, _ = _lstm_backward(pre, d_h_final=dh, d_c_final=dc)
-        parts.append((pre, pre_cols))
-    return _flat_grads(tape, d_ylin, parts)
+    dL/dprob (k, B), laid out like ``disc.params()``."""
+    return _param_grads(tape, d_prob.reshape(-1, 1))[0]
 
 
 def candidate_grad(tape, d_prob):
     """dL/d(candidates), (k, B, D), of a ``discriminator_branches`` tape.
 
-    A candidate enters only the last step's gates, so this is that
-    step's dA^T W: nothing runs through the prefix, and no weight
+    A candidate enters only the last segment, so this is that segment's
+    input gradient: nothing runs through the prefix, and no weight
     gradient is formed.
     """
-    _, d_cols, _ = _branch_logit_grads(tape, d_prob)
-    return (d_cols.T @ tape.model.lstm.W).reshape(*d_prob.shape, -1)
-
-
-def _activation_deriv(tape):
-    if tape.activation == "relu":
-        return (tape.y_lin > 0).astype(np.float64)
-    if tape.activation == "sigmoid":
-        return tape.pred * (1.0 - tape.pred)
-    return np.ones_like(tape.y_lin)
+    _, d_h = _head_backward(tape, d_prob.reshape(-1, 1))
+    d_cols, _ = _lstm_backward(tape.lstm_tape, d_h)
+    return _input_grads(tape.lstm_tape, d_cols).reshape(*d_prob.shape, -1)
 
 
 def backward(tape, upstream):
-    """Exact gradients of the recorded computation.
+    """Exact gradients of the recorded computation: the one backward
+    path, ``_param_grads``, plus the input gradient.
 
     ``tape`` comes from ``forecaster_forward`` or
     ``discriminator_forward`` and ``upstream`` is dL/dprediction; returns
-    (param grads laid out like ``model.params()``, input grads).
+    (param grads laid out like ``model.params()``, input grads (B, T, D)),
+    the segments' input grads joined in time.
     """
-    grads, d_cols = _param_grads(tape, upstream)
-    d_seq = _input_grads(tape.lstm_tape, d_cols)
-    return grads, d_seq[0] if tape.squeezed else d_seq
+    grads, segments = _param_grads(tape, upstream)
+    d_seq = np.concatenate([_input_grads(*seg) for seg in segments], axis=1)
+    return grads, d_seq
 
 
-def _param_grads(tape, upstream):
-    """``backward`` without the input gradient: (param grads, dA), for
-    a training step that needs only the former."""
-    if tape.kind != "head":
-        raise TapeMismatch(f"backward needs a model's tape, not {tape.kind!r}")
-    d_pred = np.asarray(upstream, dtype=np.float64)
-    if tape.squeezed:
-        d_pred = np.atleast_1d(d_pred)
-        d_pred = d_pred.reshape(tape.pred[0].shape)[None]
-    if d_pred.shape != tape.pred.shape:
-        raise TapeMismatch(
-            f"upstream shape {np.shape(upstream)} != prediction shape "
-            f"{tape.pred.shape}"
-        )
-    d_ylin = d_pred * _activation_deriv(tape)
-    lstm_tape = tape.lstm_tape
-    d_cols, _ = _lstm_backward(lstm_tape, _d_hidden(tape, d_ylin))
-    return _flat_grads(tape, d_ylin, [(lstm_tape, d_cols)]), d_cols
+def _param_grads(tape, d_pred):
+    """The one backward path, for forecaster, discriminator and branch
+    tapes alike. Returns (param grads laid out like ``model.params()``,
+    the (segment tape, dA) pairs in time order); no input gradient is
+    formed.
+
+    When the tape's run continues a shared prefix, the k branches' dh
+    and dc at its end add up, and the prefix is back-propagated once.
+    """
+    d_ylin, d_h = _head_backward(tape, d_pred)
+    last = tape.lstm_tape
+    d_cols, dc0 = _lstm_backward(last, d_h)
+    segments = [(last, d_cols)]
+    pre = tape.prefix
+    if pre is not None:
+        hidden, batch = pre.h.shape[1:]
+        dh = (last.params.U.T @ d_cols).reshape(hidden, -1, batch).sum(axis=1)
+        dc = dc0.reshape(hidden, -1, batch).sum(axis=1)
+        pre_cols, _ = _lstm_backward(pre, d_h_final=dh, d_c_final=dc)
+        segments.insert(0, (pre, pre_cols))
+    return _flat_grads(tape, d_ylin, segments), segments
 
 
 # the type of each value in a model's metadata record, checked on load

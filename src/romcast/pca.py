@@ -140,27 +140,19 @@ def fit(snapshots, tau=None, variance=None):
 
 
 def project(basis, states):
-    """Map k x m states to k x tau scores: (states - mean) @ eofs_tau.T."""
+    """Map (..., m) states to (..., tau) scores: (states - mean) @ eofs_tau.T."""
     states = np.asarray(states, dtype=np.float64)
-    one_d = states.ndim == 1
-    if one_d:
-        states = states[None, :]
-    if states.shape[1] != basis.m:
-        raise ShapeMismatch(f"expected {basis.m} columns, got {states.shape[1]}")
-    scores = (states - basis.mean) @ basis.eofs.T
-    return scores[0] if one_d else scores
+    if states.shape[-1:] != (basis.m,):
+        raise ShapeMismatch(f"expected {basis.m} columns, got {states.shape}")
+    return (states - basis.mean) @ basis.eofs.T
 
 
 def reconstruct(basis, scores):
-    """Map k x tau scores back to state space: scores @ eofs_tau + mean."""
+    """Map (..., tau) scores back to state space: scores @ eofs_tau + mean."""
     scores = np.asarray(scores, dtype=np.float64)
-    one_d = scores.ndim == 1
-    if one_d:
-        scores = scores[None, :]
-    if scores.shape[1] != basis.tau:
-        raise ShapeMismatch(f"expected {basis.tau} columns, got {scores.shape[1]}")
-    states = scores @ basis.eofs + basis.mean
-    return states[0] if one_d else states
+    if scores.shape[-1:] != (basis.tau,):
+        raise ShapeMismatch(f"expected {basis.tau} columns, got {scores.shape}")
+    return scores @ basis.eofs + basis.mean
 
 
 def explained_variance(basis):

@@ -192,21 +192,25 @@ def _source_factor(t, period):
     return 0.5 * (1.0 + np.sin(2.0 * np.pi * t / period))
 
 
-def _pad(arr, boundary):
-    mode = "wrap" if boundary == "periodic" else "edge"
-    return np.pad(arr, 1, mode=mode)
-
-
 def _fill_halo(cp, boundary):
     """Fill the one-cell halo of the padded array ``cp`` from its
-    interior, as ``_pad`` would: wrapped or edge-repeated rows first,
-    then columns, which fills the corners too."""
+    interior, wrapped or edge-repeated by ``boundary``: rows first, then
+    columns, which fills the corners too. This is the solver's one
+    boundary rule."""
     if boundary == "periodic":
         cp[0, 1:-1], cp[-1, 1:-1] = cp[-2, 1:-1], cp[1, 1:-1]
         cp[:, 0], cp[:, -1] = cp[:, -2], cp[:, 1]
     else:
         cp[0, 1:-1], cp[-1, 1:-1] = cp[1, 1:-1], cp[-2, 1:-1]
         cp[:, 0], cp[:, -1] = cp[:, 1], cp[:, -2]
+
+
+def _padded(arr, boundary):
+    """A copy of ``arr`` inside a one-cell halo filled by ``_fill_halo``."""
+    cp = np.empty((arr.shape[0] + 2, arr.shape[1] + 2))
+    cp[1:-1, 1:-1] = arr
+    _fill_halo(cp, boundary)
+    return cp
 
 
 def _advance(cp, vxp, vyp, config):
@@ -263,40 +267,31 @@ def generate(config, initial_tracer=None):
         c = config.init_amplitude * rng.random((ny, nx))
     # the tracer lives in the interior of a padded buffer whose halo is
     # refilled each step
-    cp = np.empty((ny + 2, nx + 2))
-    cp[1:-1, 1:-1] = c
+    cp = _padded(c, config.boundary)
     c = cp[1:-1, 1:-1]
 
     # padding commutes with scaling, so the velocities are padded once
-    vxp0, vyp0 = (_pad(v, config.boundary) for v in _velocity_field(config))
-    vxp, vyp = vxp0, vyp0
+    vx, vy = _velocity_field(config)
+    vxp = vxp0 = _padded(vx, config.boundary)
+    vyp = vyp0 = _padded(vy, config.boundary)
     ix, iy = config.source_center
     source = np.zeros((ny, nx))
     rows = np.empty((config.n_steps, 3 * nx * ny))
+    # row t is the fields (tracer, vel_x, vel_y) of step t, each (ny, nx)
+    fields = rows.reshape(config.n_steps, 3, ny, nx)
+    if not config.modulate_velocity:
+        fields[:, 1], fields[:, 2] = vx, vy
     for step in range(config.n_steps):
         s = _source_factor(step * config.dt, config.source_period)
         if config.modulate_velocity:
             vxp, vyp = vxp0 * s, vyp0 * s
-        rows[step] = vectorise([c, vxp[1:-1, 1:-1], vyp[1:-1, 1:-1]])
+            fields[step, 1], fields[step, 2] = vxp[1:-1, 1:-1], vyp[1:-1, 1:-1]
+        fields[step, 0] = c
         source[iy, ix] = config.source_amplitude * s
         _fill_halo(cp, config.boundary)
         c[...] = _advance(cp, vxp, vyp, config) + config.dt * source
     return SnapshotMatrix(data=rows, field_names=FIELD_NAMES,
                           nodes_per_field=nx * ny)
-
-
-def vectorise(fields):
-    """Concatenate per-node field arrays into one state row.
-
-    Fields are flattened in C order; all fields must share the node count.
-    """
-    flats = [np.asarray(f, dtype=np.float64).ravel() for f in fields]
-    if not flats:
-        raise EmptyInput("no fields to vectorise")
-    nodes = flats[0].size
-    if any(f.size != nodes for f in flats):
-        raise ShapeMismatch("fields have differing node counts")
-    return np.concatenate(flats)
 
 
 @dataclass(frozen=True)
@@ -308,36 +303,28 @@ class MinMaxScaler:
     lo: float = 0.0
     hi: float = 1.0
 
-    def _span(self):
-        return self.maxs - self.mins
-
     def _check(self, data):
+        """``data`` as float64, whether each column's span is nonzero,
+        and the spans with 1 in place of 0."""
         data = np.asarray(data, dtype=np.float64)
-        one_d = data.ndim == 1
-        if one_d:
-            data = data[None, :]
-        if data.shape[-1] != self.mins.size:
+        if data.shape[-1:] != (self.mins.size,):
             raise ShapeMismatch(
-                f"expected {self.mins.size} columns, got {data.shape[-1]}"
+                f"expected {self.mins.size} columns, got {data.shape}"
             )
-        return data, one_d
+        span = self.maxs - self.mins
+        return data, span > 0, np.where(span > 0, span, 1.0)
 
     def scale(self, data):
-        data, one_d = self._check(data)
-        span = self._span()
-        safe = np.where(span > 0, span, 1.0)
-        scaled = self.lo + (data - self.mins) * (self.hi - self.lo) / safe
-        mid = 0.5 * (self.lo + self.hi)
-        out = np.where(span > 0, scaled, mid)
-        return out[0] if one_d else out
+        """Map (..., columns) data onto [lo, hi], column by column."""
+        data, varies, span = self._check(data)
+        scaled = self.lo + (data - self.mins) * (self.hi - self.lo) / span
+        return np.where(varies, scaled, 0.5 * (self.lo + self.hi))
 
     def invert(self, data):
-        data, one_d = self._check(data)
-        span = self._span()
-        safe = np.where(span > 0, span, 1.0)
-        raw = self.mins + (data - self.lo) * safe / (self.hi - self.lo)
-        out = np.where(span > 0, raw, self.mins)
-        return out[0] if one_d else out
+        """The inverse of ``scale``; a constant column maps to its value."""
+        data, varies, span = self._check(data)
+        raw = self.mins + (data - self.lo) * span / (self.hi - self.lo)
+        return np.where(varies, raw, self.mins)
 
     def save(self, path):
         romf.write_arrays(path, {
@@ -357,11 +344,11 @@ class MinMaxScaler:
 
 
 def fit_scaler(data, lo=0.0, hi=1.0):
-    """Fit per-column min/max from rows of ``data``."""
+    """Fit per-column min/max from the rows of an (n, columns) matrix."""
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 1:
-        data = data[None, :]
-    if data.shape[0] < 1 or data.size == 0:
+    if data.ndim != 2:
+        raise ShapeMismatch("a scaler is fitted on an (n, columns) matrix")
+    if data.size == 0:
         raise EmptyInput("cannot fit a scaler on empty data")
     if not hi > lo:
         raise InvalidConfig("scaler range needs hi > lo")

@@ -18,15 +18,16 @@ generator step, with no fake batch.
 
 Real [window, target] and fake [window, fake] share the window steps:
 D runs that prefix once and the last step for both branches from its
-final (h, c), and backward adds the branches' dh and dc there and
-back-propagates the prefix once (``neural.discriminator_branches``,
-``branch_backward``); step mode is the same path with an empty prefix.
-The prediction enters only D's last step, so the generator step's
-dL/d(prediction) through D is that step's dA^T W
-(``neural.candidate_grad``), with no weight gradients. With the default
-``d_steps`` = 2 in conditional mode, a mini-batch thus runs the LSTM
-kernel seven times: once for the forecaster, and D's prefix and last
-step once per discriminator step and once for the generator step.
+final (h, c) (``neural.discriminator_branches``). The one backward path,
+``neural._param_grads``, which ``branch_backward`` wraps, adds the
+branches' dh and dc there and back-propagates the prefix once; step mode
+is the same path with an empty prefix. The prediction enters only D's
+last step, so the generator step's dL/d(prediction) through D is that
+step's input gradient (``neural.candidate_grad``), with no weight
+gradients. With the default ``d_steps`` = 2 in conditional mode, a
+mini-batch thus runs the LSTM kernel seven times: once for the
+forecaster, and D's prefix and last step once per discriminator step
+and once for the generator step.
 """
 
 import itertools

@@ -72,10 +72,56 @@ class TestExitCodes:
         assert "stale" in capsys.readouterr().err
 
     def test_bad_config_value_is_usage_error(self, workdir, capsys):
-        bad = dict(SMALL_CONFIG, data=dict(SMALL_CONFIG["data"], grid_nx=1))
-        with open("bad.json", "w") as fh:
-            json.dump(bad, fh)
-        assert run("generate", "--config", "bad.json") == 2
+        def spoil(section, **change):
+            return json.dumps(dict(
+                SMALL_CONFIG, **{section: {**SMALL_CONFIG[section], **change}}))
+
+        # (the config file's text, what the error names)
+        cases = [
+            (spoil("data", grid_nx=1), "grid_nx"),
+            ("[]", "JSON object"),
+            ("not json", "bad.json"),
+            (spoil("data", source_center=3), "source_center"),
+            (spoil("data", source_center=["3", 3]), "source_center"),
+            (spoil("data", grid_nx="32"), "grid_nx"),
+            (spoil("data", modulate_velocity=1), "modulate_velocity"),
+            (spoil("train", epochs="2"), "epochs"),
+            (spoil("train", dropout=None), "dropout"),
+            (spoil("pca", variance="0.9"), "variance"),
+            (spoil("pca", tua=3), "'tua'"),
+        ]
+        for text, message in cases:
+            with open("bad.json", "w") as fh:
+                fh.write(text)
+            assert run("generate", "--config", "bad.json") == 2, text
+            assert message in capsys.readouterr().err, text
+
+    def test_gridsearch_of_zero_epochs_is_usage_error(self, workdir, capsys):
+        pipeline(workdir)
+        capsys.readouterr()
+        assert run("gridsearch", *CONFIG, *DATA, "--epochs", "0") == 2
+        assert "epochs" in capsys.readouterr().err
+        assert not os.path.exists("gridsearch.csv")
+
+    @pytest.mark.parametrize("manifest, text", [
+        ("snap.romf.manifest.json", "{}"),
+        ("snap.romf.manifest.json", "[]"),
+        ("snap.romf.manifest.json", "not json"),
+        ("basis.romf.manifest.json", None),  # an input record without path
+    ])
+    def test_malformed_manifest_is_runtime_error(self, workdir, capsys,
+                                                 manifest, text):
+        pipeline(workdir)
+        if text is None:
+            record = json.load(open(manifest))
+            del record["inputs"]["snapshots"]["path"]
+            text = json.dumps(record)
+        with open(manifest, "w") as fh:
+            fh.write(text)
+        capsys.readouterr()
+        assert run("train", *CONFIG, *DATA, "--out", "again.romf") == 1
+        assert manifest in capsys.readouterr().err
+        assert not os.path.exists("again.romf")
 
     def test_non_integer_search_epochs_is_usage_error(self, workdir, capsys):
         with open("bad.json", "w") as fh:

@@ -41,9 +41,9 @@ class TestRollout:
     def test_first_step_equals_direct_prediction(self):
         scores, scaler, model = tiny_setup()
         window = scaler.scale(scores)[10:12]
-        direct, _ = neural.forecaster_forward(model, window)
+        direct, _ = neural.forecaster_forward(model, window[None])
         result = forecast.rollout(model, scaler, window, 5)
-        assert result.predictions_scaled[0].tobytes() == direct.tobytes()
+        assert result.predictions_scaled[0].tobytes() == direct[0].tobytes()
 
     def test_errors_fill_only_where_truth_exists(self):
         scores, scaler, model = tiny_setup()

@@ -154,24 +154,6 @@ def reference_generate(cfg, c):
     return np.array(rows)
 
 
-class TestVectorise:
-    def test_single_field_is_identity(self):
-        row = snapshots.vectorise([np.array([1.0, 2.0, 3.0])])
-        assert np.array_equal(row, [1.0, 2.0, 3.0])
-
-    def test_declared_order(self):
-        row = snapshots.vectorise([np.array([1.0, 2.0]), np.array([3.0, 4.0])])
-        assert np.array_equal(row, [1.0, 2.0, 3.0, 4.0])
-
-    def test_mismatched_nodes_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            snapshots.vectorise([np.zeros(3), np.zeros(4)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            snapshots.vectorise([])
-
-
 class TestSnapshotMatrix:
     def test_warns_when_n_not_less_than_m(self):
         with pytest.warns(UserWarning):
