@@ -153,10 +153,12 @@ def _fits(value, default):
 def load_config(path):
     """Merge a user JSON config over the built-in defaults.
 
-    The data, pca and train sections and search_epochs take only the
-    keys of the defaults, each value of its default's type (``_fits``);
-    of the pca section's two truncations, tau and variance, the one not
-    used is null.
+    A config takes only the top-level keys of the defaults. The data, pca
+    and train sections and search_epochs take only the keys of the
+    defaults, each value of its default's type (``_fits``); of the pca
+    section's two truncations, tau and variance, the one not used is
+    null. Each grid axis is a train key that ``training.GRID_KEYS``
+    names, with a non-empty list of values that fit its default.
     """
     user = {}
     if path is not None:
@@ -176,11 +178,23 @@ def load_config(path):
         "grid": dict(DEFAULT_GRID),
         "search_epochs": DEFAULT_SEARCH_EPOCHS,
     }
+    for key in user:
+        if key not in config:
+            raise InvalidConfig(f"unknown config key {key!r}")
     for section in ("data", "pca", "train", "grid"):
         part = user.get(section, {})
         if not isinstance(part, dict):
             raise InvalidConfig(f"config section {section!r} must be an object")
         if section == "grid":
+            for axis, values in part.items():
+                if axis not in training.GRID_KEYS:
+                    raise InvalidConfig(f"unknown grid axis {axis!r}")
+                default = getattr(DEFAULT_TRAIN, axis)
+                if not (isinstance(values, list) and values
+                        and all(_fits(value, default) for value in values)):
+                    raise InvalidConfig(
+                        f"grid axis {axis}={values!r} is not a non-empty "
+                        f"list of values of the type of {default!r}")
             config["grid"] = dict(part) or config["grid"]
             continue
         for key, value in part.items():
@@ -424,21 +438,49 @@ def cmd_evaluate(args):
     return 0
 
 
+def _evaluation_meta(path, horizon):
+    """The ``meta`` of the evaluate manifest beside the report at
+    ``path``, verified against the report, or None when it has none.
+    The diverged counts and ``n_pairs`` are only there, not in the CSV."""
+    if not os.path.exists(_manifest_path(path)):
+        return None
+    meta = verify_artifact(path).get("meta")
+    try:
+        counts = [meta["diverged_classic"], meta["diverged_adv"]]
+        pairs = meta["n_pairs"]
+        valid = (isinstance(pairs, list) and len(pairs) == horizon
+                 and all(type(n) is int for n in counts + pairs))
+    except (LookupError, TypeError):
+        valid = False
+    if not valid:
+        raise HashMismatch(f"{_manifest_path(path)} records no ensemble "
+                           f"evaluation of {horizon} steps")
+    return meta
+
+
 def cmd_report(args):
     for path in args.reports:
         if not os.path.exists(path):
             raise MissingArtifact(f"report not found: {path}")
         rep = forecast.EnsembleReport.from_csv(path)
         horizon = len(rep.horizons)
+        meta = _evaluation_meta(path, horizon)
         picks = sorted({0, horizon // 2 - 1, horizon - 1} & set(range(horizon)))
         print(f"\n{path}  (horizon {horizon})")
-        print(f"  {'h':>4s} {'classic':>12s} {'adv':>12s} {'reduction':>10s}")
+        pairs = "" if meta is None else f" {'pairs':>6s}"
+        print(f"  {'h':>4s} {'classic':>12s} {'adv':>12s} {'reduction':>10s}"
+              + pairs)
         for idx in picks:
+            pairs = "" if meta is None else f" {meta['n_pairs'][idx]:>6d}"
             print(f"  {rep.horizons[idx]:>4d} {rep.mean_classic[idx]:>12.6g} "
-                  f"{rep.mean_adv[idx]:>12.6g} {rep.reduction_pct[idx]:>9.2f}%")
+                  f"{rep.mean_adv[idx]:>12.6g} {rep.reduction_pct[idx]:>9.2f}%"
+                  + pairs)
         agg_classic, agg_adv = rep.aggregate
         print(f"  {'agg':>4s} {agg_classic:>12.6g} {agg_adv:>12.6g} "
               f"{rep.aggregate_reduction_pct:>9.2f}%")
+        if meta is not None:
+            print(f"  diverged rollouts: classic {meta['diverged_classic']}, "
+                  f"adv {meta['diverged_adv']}")
     return 0
 
 

@@ -1,13 +1,23 @@
 """From-scratch differentiable primitives: LSTM, dense head, dropout, BPTT.
 
-Everything is float64 numpy. Forward passes record a Tape of
-intermediates; ``backward`` replays it in reverse for exact gradients.
-Every input is batched on the leading axis: sequences are (B, T, D);
-only ``forecaster_step`` also takes one (T, D) window.
+Forward passes record a Tape of intermediates; ``backward`` replays it
+in reverse for exact gradients. Every input is batched on the leading
+axis: sequences are (B, T, D); only ``forecaster_step`` also takes one
+(T, D) window.
+
+Dtype. A model computes in the dtype of its parameter buffer: every
+array a forward or backward pass allocates, the dropout mask and the
+gradient buffer take it, and inputs are cast to it. ``model.astype``
+makes a copy in another dtype. Training works on float32 copies, which
+run elementwise passes and small GEMMs several times faster, and hands
+out every model widened back to float64, which is exact. Saved files,
+loaded models and inference stay float64: a rollout feeds each
+prediction back for tens of steps, and a reported metric is recomputed
+from the saved model to 1e-12.
 
 Layout (fused gates, as in cuDNN). An LSTM keeps W (4H x D), U (4H x H)
 and b (4H), each stacking its gates in the order i, f, o, g. A model
-keeps all its parameters in one float64 buffer, ``model.flat``, in the
+keeps all its parameters in one buffer, ``model.flat``, in the
 order W, U, b, head.weight, head.bias; ``model.params()`` maps the keys
 ``lstm.W``, ``lstm.U``, ``lstm.b``, ``head.weight`` and ``head.bias`` to
 views into it, and a saved model stores these five blocks under the same
@@ -35,7 +45,7 @@ gradient of. It is the discriminator's one forward path, and
 ``_param_grads`` is every model's one backward path.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,6 +119,15 @@ class _Network:
 
     def params(self):
         return self._params
+
+    def astype(self, dtype):
+        """A copy of the network with its parameters cast to ``dtype``."""
+        params = self.params()
+        lstm = LstmParams(*(params["lstm." + key].astype(dtype)
+                            for key in "WUb"))
+        head = DenseParams(params["head.weight"].astype(dtype),
+                           params["head.bias"].astype(dtype))
+        return replace(self, lstm=lstm, head=head)
 
 
 @dataclass
@@ -193,8 +212,10 @@ def init_discriminator(input_dim, hidden_dim, rng):
     return Discriminator(lstm=lstm, head=_init_head(1, hidden_dim, rng))
 
 
-def _check_sequence(sequence, input_dim):
-    seq = np.asarray(sequence, dtype=np.float64)
+def _check_sequence(sequence, lstm):
+    """The (B, T, D) sequence as an array of the LSTM's dtype."""
+    input_dim = lstm.input_dim
+    seq = np.asarray(sequence, dtype=lstm.W.dtype)
     if seq.ndim != 3 or seq.shape[2] != input_dim or seq.shape[1] < 1:
         raise ShapeMismatch(f"sequence shape {seq.shape} is not (B, T >= 1, "
                             f"{input_dim})")
@@ -219,15 +240,17 @@ def _recur(lstm, seq, h0=None, c0=None):
     batch, steps, dim = seq.shape
     hidden = lstm.hidden_dim
     n3 = 3 * hidden
-    x = np.ascontiguousarray(seq.swapaxes(0, 1)).reshape(steps * batch, dim)
+    dtype = lstm.W.dtype
+    x = np.ascontiguousarray(seq.swapaxes(0, 1), dtype=dtype)
+    x = x.reshape(steps * batch, dim)
     gates = np.matmul(lstm.W, x.reshape(steps, batch, dim).transpose(0, 2, 1))
     gates += lstm.b[:, None]
-    h = np.zeros((steps + 1, hidden, batch))
-    c = np.zeros((steps + 1, hidden, batch))
+    h = np.zeros((steps + 1, hidden, batch), dtype)
+    c = np.zeros((steps + 1, hidden, batch), dtype)
     start = h0 is not None
     if start:
         h[0], c[0] = h0, c0
-    tc = np.empty((steps, hidden, batch))
+    tc = np.empty((steps, hidden, batch), dtype)
     for t in range(steps):
         a = gates[t]
         if t or start:
@@ -253,7 +276,7 @@ def lstm_forward(params, sequence):
     Returns (hidden states over time, final hidden, tape); the first two
     are (B, T, H) and (B, H) views into the tape.
     """
-    tape = _recur(params, _check_sequence(sequence, params.input_dim))
+    tape = _recur(params, _check_sequence(sequence, params))
     return tape.h[1:].transpose(2, 0, 1), tape.h[-1].T, tape
 
 
@@ -286,10 +309,12 @@ def _lstm_backward(tape, d_h_final, d_c_final=None):
     factor[:, 2] *= tape.tc
     factor[:, 3] *= i
     dc_dh = o * (1.0 - tape.tc * tape.tc)
-    d_cols = np.empty((width, steps * batch))
+    d_cols = np.empty((width, steps * batch), gates.dtype)
     d_steps = d_cols.reshape(4, hidden, steps, batch)
     dh = d_h_final
-    dc = np.zeros((hidden, batch)) if d_c_final is None else d_c_final
+    dc = d_c_final
+    if dc is None:
+        dc = np.zeros((hidden, batch), gates.dtype)
     for t in reversed(range(steps)):
         dc = dc + dh * dc_dh[t]
         da = d_steps[:, :, t]
@@ -314,7 +339,8 @@ def _weight_grads(tape, d_cols):
     # plain product faster than one against a transposed operand
     h_rows = np.ascontiguousarray(h_prev.transpose(0, 2, 1))
     dU = d_cols_u @ h_rows.reshape(-1, hidden)
-    return d_cols @ tape.x, dU, d_cols @ np.ones(d_cols.shape[1])
+    ones = np.ones(d_cols.shape[1], d_cols.dtype)
+    return d_cols @ tape.x, dU, d_cols @ ones
 
 
 def _input_grads(tape, d_cols):
@@ -357,7 +383,7 @@ def _head_backward(tape, d_pred):
     dL/dprediction through the head and the dropout mask, if any."""
     if tape.kind != "head":
         raise TapeMismatch(f"backward needs a model's tape, not {tape.kind!r}")
-    d_pred = np.asarray(d_pred, dtype=np.float64)
+    d_pred = np.asarray(d_pred, dtype=tape.pred.dtype)
     if d_pred.shape != tape.pred.shape:
         raise TapeMismatch(
             f"upstream shape {d_pred.shape} != prediction shape "
@@ -372,7 +398,7 @@ def _head_backward(tape, d_pred):
 
 def _activation_deriv(tape):
     if tape.activation == "relu":
-        return (tape.y_lin > 0).astype(np.float64)
+        return (tape.y_lin > 0).astype(tape.y_lin.dtype)
     if tape.activation == "sigmoid":
         return tape.pred * (1.0 - tape.pred)
     return np.ones_like(tape.y_lin)
@@ -408,7 +434,8 @@ def forecaster_head(model, lstm_tape, training_mode=False, rng=None):
             raise InvalidConfig("dropout in training mode needs an rng")
         keep = 1.0 - model.dropout_rate
         hidden, batch = lstm_tape.h.shape[1:]
-        mask = (rng.random((batch, hidden)) >= model.dropout_rate) / keep
+        kept = rng.random((batch, hidden)) >= model.dropout_rate
+        mask = kept.astype(model.flat.dtype) / keep
     return _head(model, lstm_tape, model.output_activation, mask)
 
 
@@ -434,7 +461,7 @@ def discriminator_forward(disc, sequence):
     ``discriminator_branches``, scored from the state its first T - 1
     steps leave.
     """
-    seq = _check_sequence(sequence, disc.lstm.input_dim)
+    seq = _check_sequence(sequence, disc.lstm)
     prob, tape = discriminator_branches(disc, seq[:, :-1], seq[None, :, -1])
     return prob[0], tape
 

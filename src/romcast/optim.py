@@ -24,9 +24,9 @@ def mse(pred, target):
 
 
 def mse_grad(pred, target):
-    """d mse / d pred = 2 (pred - target) / count."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    """d mse / d pred = 2 (pred - target) / count, in the inputs' dtype."""
+    pred = np.asarray(pred)
+    target = np.asarray(target)
     if pred.shape != target.shape:
         raise ShapeMismatch(f"{pred.shape} vs {target.shape}")
     return 2.0 * (pred - target) / pred.size
@@ -37,11 +37,11 @@ def bce(pred, label):
     and its gradient d bce / d pred, zero where the clamp is active.
 
     ``label`` is one literal 0 or 1 for the whole batch. Returns
-    (loss, grad).
+    (loss, grad), the gradient in the dtype of ``pred``.
     """
     if not isinstance(label, (int, float)) or label not in (0, 1):
         raise LabelOutOfRange("the label must be a literal 0 or 1")
-    pred = np.atleast_1d(np.asarray(pred, dtype=np.float64))
+    pred = np.atleast_1d(np.asarray(pred))
     p = np.minimum(np.maximum(pred, BCE_CLAMP), 1.0 - BCE_CLAMP)
     loss = -float((np.log(p) if label else np.log1p(-p)).sum()) / pred.size
     inside = (pred > BCE_CLAMP) & (pred < 1.0 - BCE_CLAMP)
@@ -55,7 +55,9 @@ def bce_grad(pred, label):
 
 
 class FlatParams(Mapping):
-    """Named arrays laid out one after another in one float64 buffer.
+    """Named arrays laid out one after another in one buffer, of their
+    common floating dtype (float64 for models on disk and in inference,
+    float32 while training).
 
     ``flat`` is the buffer and ``self[name]`` a view into it, so writing
     either writes both. ``layout`` maps each name to its (offset, shape);
@@ -69,13 +71,14 @@ class FlatParams(Mapping):
 
     @classmethod
     def pack(cls, arrays):
-        """Copy named arrays, in order, into a new buffer."""
+        """Copy named arrays, in order, into a new buffer of their
+        common floating dtype."""
         layout = {}
         offset = 0
         for key, arr in arrays.items():
             layout[key] = (offset, np.shape(arr))
             offset += np.size(arr)
-        flat = np.empty(offset)
+        flat = np.empty(offset, np.result_type(np.float32, *arrays.values()))
         params = cls(flat, layout)
         for key, arr in arrays.items():
             params[key][...] = arr
@@ -142,10 +145,14 @@ def nadam_step(state, params, grads):
 
 
 def clip_global_norm(grads, max_norm):
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``."""
+    """Scale all gradients so their joint L2 norm is at most ``max_norm``.
+
+    The norm is taken in float64: a float32 sum of squares overflows
+    above ~1e19 and would scale the gradient to zero."""
     if max_norm <= 0:
         return grads
-    total = math.sqrt(float(grads.flat @ grads.flat))
+    flat = grads.flat.astype(np.float64, copy=False)
+    total = math.sqrt(float(flat @ flat))
     if total > max_norm:
         grads.flat *= max_norm / total
     return grads

@@ -28,6 +28,13 @@ gradients. With the default ``d_steps`` = 2 in conditional mode, a
 mini-batch thus runs the LSTM kernel seven times: once for the
 forecaster, and D's prefix and last step once per discriminator step
 and once for the generator step.
+
+Training computes in float32, the one place the dtype is chosen: the
+freshly drawn forecaster and discriminator are rounded to float32 copies
+(``astype``), and the windows and targets are cast once per call; the
+kernel, the losses and Nadam follow the buffers' dtype. Each epoch's
+validation MSE is taken on the float64 widening of the forecaster, the
+model that is returned, so it equals what the saved model scores.
 """
 
 import itertools
@@ -260,12 +267,15 @@ def _train(dataset, config):
     model = init_forecaster(
         tau, config.hidden_nodes, tau, config.output_activation,
         config.dropout, config.time_lag, streams["model"],
-    )
+    ).astype(np.float32)
+    train_inputs = dataset.train_inputs.astype(np.float32)
+    train_targets = dataset.train_targets.astype(np.float32)
     opt_g = NadamState(lr=config.lr, beta1=config.beta1, beta2=config.beta2,
                        eps=config.eps)
     disc = opt_d = None
     if config.adversarial:
-        disc = init_discriminator(tau, config.hidden_nodes, streams["disc"])
+        disc = init_discriminator(tau, config.hidden_nodes,
+                                  streams["disc"]).astype(np.float32)
         opt_d = NadamState(lr=config.d_lr, beta1=config.beta1,
                            beta2=config.beta2, eps=config.eps)
     report = TrainReport(
@@ -279,32 +289,43 @@ def _train(dataset, config):
         d_sum = 0.0
         adv_sum = 0.0
         n_batches = 0
-        for lo in range(0, k_train, config.batch_size):
-            idx = perm[lo:lo + config.batch_size]
-            windows = dataset.inputs[idx]
-            targets = dataset.targets[idx]
-            _, _, lstm_tape = lstm_forward(model.lstm, windows)
-            if config.adversarial:
-                fake, _ = forecaster_head(model, lstm_tape)
-                for _ in range(config.d_steps):
-                    d_sum += _discriminator_step(disc, opt_d, windows,
-                                                 targets, fake, config)
-            loss, adv_loss = _forecaster_step(
-                model, opt_g, lstm_tape, windows, targets, streams["dropout"],
-                config, disc=disc if config.adversarial else None,
-            )
-            sq_sum += loss * len(idx)
-            if adv_loss is not None:
-                adv_sum += adv_loss
-            n_batches += 1
+        # an update too large for float32 leaves inf or NaN weights, which
+        # the next loss check reports as NonFiniteLoss
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, k_train, config.batch_size):
+                idx = perm[lo:lo + config.batch_size]
+                windows = train_inputs[idx]
+                targets = train_targets[idx]
+                _, _, lstm_tape = lstm_forward(model.lstm, windows)
+                if config.adversarial:
+                    fake, _ = forecaster_head(model, lstm_tape)
+                    for _ in range(config.d_steps):
+                        d_sum += _discriminator_step(disc, opt_d, windows,
+                                                     targets, fake, config)
+                loss, adv_loss = _forecaster_step(
+                    model, opt_g, lstm_tape, windows, targets,
+                    streams["dropout"], config, disc=disc,
+                )
+                sq_sum += loss * len(idx)
+                if adv_loss is not None:
+                    adv_sum += adv_loss
+                n_batches += 1
+        # no loss in the loop sees what the epoch's last updates left
+        for net in (model, disc):
+            if net is not None and not np.isfinite(net.flat).all():
+                raise NonFiniteLoss("training diverged to non-finite weights")
         report.train_loss.append(sq_sum / k_train)
-        report.val_loss.append(_validation_loss(model, dataset))
+        # validate the float64 model that is handed out
+        wide = model.astype(np.float64)
+        report.val_loss.append(_validation_loss(wide, dataset))
         if config.adversarial:
             report.d_loss.append(d_sum / (n_batches * config.d_steps))
             report.g_adv_loss.append(adv_sum / n_batches)
         report.epoch_seconds.append(time.perf_counter() - tic)
     report.optimizer_steps = opt_g.t
-    return model, disc, report
+    if disc is not None:
+        disc = disc.astype(np.float64)
+    return wide, disc, report
 
 
 def train_classic(dataset, config):

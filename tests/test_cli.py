@@ -89,6 +89,13 @@ class TestExitCodes:
             (spoil("train", dropout=None), "dropout"),
             (spoil("pca", variance="0.9"), "variance"),
             (spoil("pca", tua=3), "'tua'"),
+            (spoil("grid", hidden_nodes=["8"]), "hidden_nodes"),
+            (spoil("grid", hidden_nodes=8), "hidden_nodes"),
+            (spoil("grid", hidden_nodes=[]), "hidden_nodes"),
+            (spoil("grid", dropout=[0.1, True]), "dropout"),
+            (spoil("grid", lr=[0.1]), "'lr'"),
+            (json.dumps(dict(SMALL_CONFIG, serach_epochs=1)),
+             "'serach_epochs'"),
         ]
         for text, message in cases:
             with open("bad.json", "w") as fh:
@@ -101,6 +108,15 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("gridsearch", *CONFIG, *DATA, "--epochs", "0") == 2
         assert "epochs" in capsys.readouterr().err
+        assert not os.path.exists("gridsearch.csv")
+
+    def test_bad_grid_is_usage_error_before_training(self, workdir, capsys):
+        pipeline(workdir)
+        with open("bad.json", "w") as fh:
+            json.dump(dict(SMALL_CONFIG, grid={"hidden_nodes": ["8"]}), fh)
+        capsys.readouterr()
+        assert run("gridsearch", "--config", "bad.json", *DATA) == 2
+        assert "hidden_nodes" in capsys.readouterr().err
         assert not os.path.exists("gridsearch.csv")
 
     @pytest.mark.parametrize("manifest, text", [
@@ -402,6 +418,39 @@ class TestTrainEvaluateReport:
         for line in out.splitlines():
             if "%" in line:
                 assert "0.00%" in line
+
+    def test_report_shows_what_only_the_manifest_records(self, workdir,
+                                                         capsys):
+        pipeline(workdir)
+        assert run("evaluate", "--classic", "classic.romf", "--adv",
+                   "classic.romf", *DATA, "--starts", "40..49", "--horizon",
+                   "10", "--out", "same.csv") == 0
+        path = "same.csv.manifest.json"
+        manifest = json.load(open(path))
+        manifest["meta"].update(n_pairs=list(range(10, 0, -1)),
+                                diverged_classic=2, diverged_adv=3)
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        capsys.readouterr()
+        assert run("report", "same.csv") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].split() == ["h", "classic", "adv", "reduction",
+                                    "pairs"]
+        # horizons 1, 5 and 10
+        assert [line.split()[-1] for line in lines[3:6]] == ["10", "6", "1"]
+        assert lines[6].split()[0] == "agg"
+        assert lines[7].split() == ["diverged", "rollouts:", "classic",
+                                    "2,", "adv", "3"]
+        # a manifest that no longer describes the report is refused
+        with open("same.csv", "a") as fh:
+            fh.write("\n")
+        assert run("report", "same.csv") == 1
+        assert "same.csv changed" in capsys.readouterr().err
+        # a report without a manifest prints what the CSV holds
+        os.remove(path)
+        assert run("report", "same.csv") == 0
+        out = capsys.readouterr().out
+        assert "pairs" not in out and "diverged" not in out
 
     def test_epoch_and_seed_overrides(self, workdir):
         pipeline(workdir)

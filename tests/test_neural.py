@@ -387,6 +387,66 @@ class TestInitialization:
         assert np.abs(model.head.weight).max() <= bound
 
 
+class TestFloat32:
+    """A model computes in its buffer's dtype; training runs float32
+    copies of float64 models."""
+
+    def test_astype_rounds_and_widens_exactly(self):
+        model = neural.init_forecaster(4, 6, 4, "relu", 0.3, 3,
+                                       np.random.default_rng(30))
+        narrow = model.astype(np.float32)
+        assert narrow.flat.dtype == np.float32
+        assert narrow.params().layout == model.params().layout
+        assert np.shares_memory(narrow.lstm.U, narrow.flat)
+        assert (narrow.output_activation, narrow.dropout_rate,
+                narrow.time_lag) == ("relu", 0.3, 3)
+        assert narrow.flat.tobytes() == model.flat.astype(np.float32).tobytes()
+        wide = narrow.astype(np.float64)
+        assert wide.flat.dtype == np.float64
+        assert np.array_equal(wide.flat, narrow.flat)
+
+    @staticmethod
+    def _forecaster_grads(model, windows, targets):
+        pred, tape = neural.forecaster_forward(
+            model, windows, training_mode=True, rng=np.random.default_rng(3))
+        return neural._param_grads(tape, optim.mse_grad(pred, targets))
+
+    @staticmethod
+    def _branch_grads(disc, windows, targets):
+        fake = targets[::-1]
+        prob, tape = neural.discriminator_branches(
+            disc, windows, np.stack([targets, fake]))
+        d_prob = np.stack([optim.bce(prob[0], 1.0)[1],
+                           optim.bce(prob[1], 0.0)[1]])
+        return neural._param_grads(tape, d_prob.reshape(-1, 1))
+
+    @pytest.mark.parametrize("kind", ["forecaster", "branches"])
+    def test_float32_gradients_match_float64(self, kind):
+        # the same weights and inputs, all exact in float32, run in both
+        # dtypes: only the arithmetic differs
+        rng = np.random.default_rng(31)
+        if kind == "forecaster":
+            net = neural.init_forecaster(4, 8, 4, "sigmoid", 0.3, 3, rng)
+            grads_of = self._forecaster_grads
+        else:
+            net = neural.init_discriminator(4, 8, rng)
+            grads_of = self._branch_grads
+        windows, targets = oracles.smooth_windows(rng, 8, 3, 4)
+        windows = windows.astype(np.float32)
+        targets = targets.astype(np.float32)
+        got = {}
+        for dtype in (np.float32, np.float64):
+            grads, segments = grads_of(net.astype(dtype), windows,
+                                       targets.astype(dtype))
+            d_inputs = np.concatenate([neural._input_grads(*seg).ravel()
+                                       for seg in segments])
+            got[dtype] = (grads.flat, d_inputs)
+        for narrow, wide in zip(got[np.float32], got[np.float64]):
+            assert narrow.dtype == np.float32 and wide.dtype == np.float64
+            np.testing.assert_allclose(narrow, wide, rtol=1e-4,
+                                       atol=1e-4 * np.abs(wide).max())
+
+
 class TestFlatLayout:
     def test_init_draws_gates_in_order_then_head(self):
         model = neural.init_forecaster(3, 5, 3, "sigmoid", 0.0, 2,

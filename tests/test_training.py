@@ -117,6 +117,17 @@ class TestTrainClassic:
                                  epochs=40)
             )
 
+    @pytest.mark.filterwarnings("error")
+    def test_diverged_last_update_raises(self):
+        # one mini-batch in one epoch: no later loss sees the overflow
+        ds = training.make_windows(wave_scores(n=20), 2, 0.9)
+        assert ds.split <= 16
+        with pytest.raises(NonFiniteLoss):
+            training.train_classic(
+                ds, quick_config(output_activation="linear", lr=1e200,
+                                 epochs=1)
+            )
+
 
 class TestTrainAdversarial:
     def test_untrained_discriminator_loss_is_two_ln_two(self):
@@ -210,19 +221,34 @@ class TestTrainAdversarial:
         config = quick_config(epochs=2, adversarial=True, dropout=0.3,
                               disc_mode=mode)
         real_recur = neural._recur
+        real_astype = neural._Network.astype
         runs = []
+        # training runs float32 copies and validates float64 ones; every
+        # copy of a network comes from ``astype``
+        copies = {neural.LstmForecaster: [], neural.Discriminator: []}
 
         def counting(lstm, seq, *state):
             runs.append(lstm)
             return real_recur(lstm, seq, *state)
 
+        def recording(net, dtype):
+            copy = real_astype(net, dtype)
+            copies[type(copy)].append(copy.lstm)
+            return copy
+
         monkeypatch.setattr(neural, "_recur", counting)
-        model, disc, _ = training.train_adversarial(ds, config)
+        monkeypatch.setattr(neural._Network, "astype", recording)
+        training.train_adversarial(ds, config)
         batches = config.epochs * math.ceil(ds.split / config.batch_size)
+
+        def runs_of(kind):
+            return sum(any(lstm is own for own in copies[kind])
+                       for lstm in runs)
+
         # plus one validation pass per epoch
-        assert sum(lstm is model.lstm for lstm in runs) == \
-            batches + config.epochs
-        assert sum(lstm is disc.lstm for lstm in runs) == disc_runs * batches
+        assert runs_of(neural.LstmForecaster) == batches + config.epochs
+        assert runs_of(neural.Discriminator) == disc_runs * batches
+        assert len(runs) == (1 + disc_runs) * batches + config.epochs
 
     def test_adversarial_losses_finite_and_discriminator_useful(self):
         scores = wave_scores(n=160)
@@ -249,6 +275,91 @@ class TestTrainAdversarial:
         ds = training.make_windows(wave_scores(), 2, 0.9)
         with pytest.raises(InvalidConfig):
             training.train_adversarial(ds, quick_config())
+
+
+class TestFloat32Training:
+    @pytest.mark.parametrize("mode", training.DISC_MODES)
+    def test_steps_keep_every_array_float32(self, monkeypatch, mode):
+        ds = training.make_windows(wave_scores(), 2, 0.9)
+        streams = training._rng_streams(3)
+        model = neural.init_forecaster(3, 8, 3, "relu", 0.3, 2,
+                                       streams["model"]).astype(np.float32)
+        disc = neural.init_discriminator(3, 8,
+                                         streams["disc"]).astype(np.float32)
+        opt_g, opt_d = optim.NadamState(), optim.NadamState()
+        config = quick_config(adversarial=True, dropout=0.3, disc_mode=mode,
+                              clip_norm=1.0)
+        windows = ds.inputs[:16].astype(np.float32)
+        targets = ds.targets[:16].astype(np.float32)
+        arrays = []  # (what, array) for every array the steps hand on
+
+        real_tape = neural.Tape.__init__
+
+        def recording_tape(tape, kind, **fields):
+            arrays.extend((f"{kind}.{name}", value)
+                          for name, value in fields.items()
+                          if isinstance(value, np.ndarray))
+            real_tape(tape, kind, **fields)
+
+        def recording(module, name, pick):
+            fn = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                arrays.extend((name, value) for value in pick(args, out))
+                return out
+            monkeypatch.setattr(module, name, wrapped)
+
+        recording(training, "mse_grad", lambda args, out: [out])
+        recording(training, "bce", lambda args, out: [out[1]])
+        recording(training, "candidate_grad", lambda args, out: [out])
+        recording(training, "branch_backward", lambda args, out: [out.flat])
+        recording(training, "_param_grads", lambda args, out: [out[0].flat])
+        recording(neural, "_lstm_backward", lambda args, out: out)
+        recording(training, "nadam_step",
+                  lambda args, out: [args[0].m, args[0].v, args[1].flat])
+        monkeypatch.setattr(neural.Tape, "__init__", recording_tape)
+
+        _, _, lstm_tape = neural.lstm_forward(model.lstm, windows)
+        fake, _ = neural.forecaster_head(model, lstm_tape)
+        training._discriminator_step(disc, opt_d, windows, targets, fake,
+                                     config)
+        training._forecaster_step(model, opt_g, lstm_tape, windows, targets,
+                                  streams["dropout"], config, disc=disc)
+        names = {name for name, _ in arrays}
+        assert {"lstm.gates", "lstm.c", "head.mask", "head.y_lin", "mse_grad",
+                "bce", "candidate_grad", "branch_backward", "_param_grads",
+                "_lstm_backward", "nadam_step"} <= names
+        for name, array in arrays:
+            assert array.dtype == np.float32, name
+        assert fake.dtype == np.float32
+        assert opt_g.t == opt_d.t == 1
+
+    @pytest.mark.parametrize("adversarial", [False, True])
+    def test_trained_networks_are_float64_of_float32_values(self, tmp_path,
+                                                            adversarial):
+        ds = training.make_windows(wave_scores(), 2, 0.9)
+        config = quick_config(epochs=3, dropout=0.3, adversarial=adversarial)
+        if adversarial:
+            model, disc, report = training.train_adversarial(ds, config)
+            nets = [model, disc]
+        else:
+            model, report = training.train_classic(ds, config)
+            nets = [model]
+        for net in nets:
+            assert net.flat.dtype == np.float64
+            narrowed = net.flat.astype(np.float32).astype(np.float64)
+            assert narrowed.tobytes() == net.flat.tobytes()
+
+        def val_mse(net):
+            pred, _ = neural.forecaster_forward(net, ds.val_inputs)
+            return optim.mse(pred, ds.val_targets)
+
+        assert report.val_loss[-1] == val_mse(model)
+        neural.save_model(tmp_path / "model.romf", model)
+        loaded, _, _ = neural.load_model(tmp_path / "model.romf")
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+        assert report.val_loss[-1] == val_mse(loaded)
 
 
 class TestGridSearch:
