@@ -20,9 +20,9 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-from . import __version__, forecast, pca, snapshots, training
+from . import __version__, forecast, pca, romf, snapshots, training
 from .errors import HashMismatch, InvalidConfig, MissingArtifact, RomcastError
-from .neural import load_model, save_model
+from .neural import LstmForecaster, load_model, save_model
 
 log = logging.getLogger("romcast")
 
@@ -412,13 +412,21 @@ def _parse_starts(text):
                             f"integers, got {text!r}") from None
 
 
+def _load_forecaster(path):
+    """The forecaster saved at ``path``; a discriminator is a FormatError."""
+    model, _, _ = load_model(path)
+    if not isinstance(model, LstmForecaster):
+        raise romf.FormatError(f"{path}: a discriminator, not a forecaster")
+    return model
+
+
 def cmd_evaluate(args):
     out = args.out or "ensemble_report.csv"
     inputs = {**_data_inputs(args), "classic": args.classic, "adv": args.adv}
     _verify_io(inputs, {"--out": out})
     scaler, scores, _ = _load_scores(inputs)
-    classic, _, _ = load_model(args.classic)
-    adv, _, _ = load_model(args.adv)
+    classic = _load_forecaster(args.classic)
+    adv = _load_forecaster(args.adv)
     starts = _parse_starts(args.starts)
     report = forecast.evaluate_ensemble(classic, adv, scores, scaler, starts,
                                         args.horizon)
@@ -489,7 +497,7 @@ def cmd_bench(args):
                {"--out": args.out})
     config = load_config(args.config)
     gen = _data_config(config)
-    model, _, _ = load_model(args.model)
+    model = _load_forecaster(args.model)
     timing = forecast.timing_benchmark(model, gen, horizon=args.horizon,
                                        ensemble_width=args.ensemble)
     print(f"bench: simulator {timing.sim_seconds_per_step * 1e6:.1f} us/step")

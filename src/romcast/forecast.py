@@ -6,6 +6,7 @@ aggregates them over start points for the classic/adversarial pair.
 """
 
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +18,8 @@ from .neural import forecaster_step
 
 @dataclass
 class RolloutResult:
-    start_step: int
     horizon: int
-    predictions_scaled: np.ndarray  # (H, tau)
-    predictions: np.ndarray  # (H, tau), unscaled PC space
-    errors: np.ndarray  # (H,), NaN where no ground truth / past divergence
+    predictions: np.ndarray  # (H, tau), unscaled PC space; NaN once diverged
     diverged_at: int = None
 
 
@@ -64,9 +62,15 @@ class EnsembleReport:
 
     @classmethod
     def from_csv(cls, path):
-        table = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header alone
+            try:
+                table = np.genfromtxt(path, delimiter=",", skip_header=1,
+                                      ndmin=2)
+            except ValueError:  # ragged rows
+                table = np.empty((0, 0))
         if table.shape[1] != 6:
-            raise ShapeMismatch(f"{path}: expected 6 report columns")
+            raise ShapeMismatch(f"{path}: expected rows of 6 report columns")
         return cls(
             horizons=table[:, 0].astype(int),
             mean_classic=table[:, 1],
@@ -114,33 +118,24 @@ def _norms(diff):
     return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
 
 
-def rollout(model, scaler, seed_window, horizon, truth=None, start_step=-1):
-    """Autoregressive forecast of ``horizon`` steps from a scaled window.
+def rollout(model, scaler, seed_window, horizon):
+    """Autoregressive forecast of ``horizon`` steps from one scaled
+    N x tau window, on the engine that ``evaluate_ensemble`` runs.
 
-    ``truth``, when given, holds the upcoming unscaled PC rows used to
-    fill per-step errors. Divergence (non-finite prediction) truncates
-    the rollout and is recorded, not raised.
+    The predictions are unscaled. A non-finite prediction ends the
+    rollout and is recorded, not raised: ``diverged_at`` is its step,
+    from which the predictions are NaN, and None when every step is
+    finite. Errors against ground truth are ``evaluate_ensemble``'s.
     """
     window = np.array(seed_window, dtype=np.float64)
     if window.ndim != 2 or window.shape[0] != model.time_lag:
         raise ShapeMismatch(
             f"seed window must be {model.time_lag} x tau, got {window.shape}"
         )
-    (preds_scaled,), (done,) = _roll(model, window[None], horizon)
-    preds = np.full_like(preds_scaled, np.nan)
-    preds[:done] = scaler.invert(preds_scaled[:done])
-    errors = np.full(horizon, np.nan)
-    if truth is not None:
-        known = min(horizon, len(truth))
-        errors[:known] = _norms(preds[:known] - truth[:known])
-    return RolloutResult(
-        start_step=start_step,
-        horizon=horizon,
-        predictions_scaled=preds_scaled,
-        predictions=preds,
-        errors=errors,
-        diverged_at=None if done == horizon else int(done),
-    )
+    (preds,), (done,) = _roll(model, window[None], horizon)
+    preds[:done] = scaler.invert(preds[:done])
+    return RolloutResult(horizon=horizon, predictions=preds,
+                         diverged_at=None if done == horizon else int(done))
 
 
 def _reduction(classic, adv):

@@ -24,6 +24,11 @@ views into it, and a saved model stores these five blocks under the same
 keys. Gradients come back in the same layout, so Nadam and clipping act
 on the whole buffer at once.
 
+Construction alone checks a network's shapes (``ShapeMismatch``), and
+copies the blocks it is given into its own buffer, never writing them.
+Dropout has one entry point, ``forecaster_head``; ``forecaster_forward``
+and ``forecaster_step`` are inference.
+
 Inside the kernel the activations are gate-major, as cuDNN lays them out
 (Appleyard et al. 2016, arXiv:1604.01946): the gates of a run are
 (T, 4H, B), h and c are (T+1, H, B) and tanh(c) is (T, H, B), so each
@@ -70,7 +75,7 @@ ACTIVATIONS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class LstmParams:
     """Fused gate weights, each stacking the gates i, f, o, g."""
 
@@ -86,47 +91,54 @@ class LstmParams:
     def hidden_dim(self):
         return self.U.shape[1]
 
-    def params(self, prefix=""):
-        return {prefix + "W": self.W, prefix + "U": self.U,
-                prefix + "b": self.b}
 
-
-@dataclass
+@dataclass(frozen=True)
 class DenseParams:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
 
-    def params(self, prefix=""):
-        return {prefix + "weight": self.weight, prefix + "bias": self.bias}
-
 
 @dataclass
 class _Network:
-    """An LSTM and a dense head whose parameters share one flat buffer;
-    the given ``lstm`` and ``head`` are re-pointed at views into it."""
+    """An LSTM and a dense head whose parameters share one flat buffer.
+
+    Construction checks the five blocks' shapes and copies them into a
+    buffer of the network's own; ``lstm`` and ``head`` are then new views
+    into it, and the given ones are never written."""
 
     lstm: LstmParams
     head: DenseParams
 
     def __post_init__(self):
-        self._params = FlatParams.pack(
-            {**self.lstm.params("lstm."), **self.head.params("head.")}
-        )
+        blocks = {f"{part}.{name}": block for part in ("lstm", "head")
+                  for name, block in vars(getattr(self, part)).items()}
+        shapes = {key: np.shape(block) for key, block in blocks.items()}
+        if not (len(shapes["lstm.W"]) == len(shapes["lstm.U"])
+                == len(shapes["head.weight"]) == 2):
+            raise ShapeMismatch("'lstm.W', 'lstm.U' and 'head.weight' must "
+                                "be 2-D")
+        dim, hidden = shapes["lstm.W"][1], shapes["lstm.U"][1]
+        out = shapes["head.weight"][0]
+        expected = {"lstm.W": (4 * hidden, dim), "lstm.U": (4 * hidden, hidden),
+                    "lstm.b": (4 * hidden,), "head.weight": (out, hidden),
+                    "head.bias": (out,)}
+        for key, shape in expected.items():
+            if shapes[key] != shape:
+                raise ShapeMismatch(f"{key!r} has shape {shapes[key]}, "
+                                    f"expected {shape}")
+        self._params = FlatParams.pack(blocks)
         self.flat = self._params.flat
-        for key, view in self._params.items():
-            part, name = key.split(".")
-            setattr(getattr(self, part), name, view)
+        W, U, b, weight, bias = self._params.values()
+        self.lstm, self.head = LstmParams(W, U, b), DenseParams(weight, bias)
 
     def params(self):
         return self._params
 
     def astype(self, dtype):
         """A copy of the network with its parameters cast to ``dtype``."""
-        params = self.params()
-        lstm = LstmParams(*(params["lstm." + key].astype(dtype)
-                            for key in "WUb"))
-        head = DenseParams(params["head.weight"].astype(dtype),
-                           params["head.bias"].astype(dtype))
+        lstm, head = (type(part)(*(block.astype(dtype)
+                                   for block in vars(part).values()))
+                      for part in (self.lstm, self.head))
         return replace(self, lstm=lstm, head=head)
 
 
@@ -141,6 +153,7 @@ class LstmForecaster(_Network):
     time_lag: int = 2
 
     def __post_init__(self):
+        super().__post_init__()
         if self.output_activation not in ACTIVATIONS:
             raise InvalidConfig(
                 f"unknown output activation {self.output_activation!r}"
@@ -155,7 +168,6 @@ class LstmForecaster(_Network):
                 f"forecaster's head outputs its input size "
                 f"{self.lstm.input_dim}"
             )
-        super().__post_init__()
 
 
 @dataclass
@@ -164,9 +176,9 @@ class Discriminator(_Network):
     its head outputs one logit, with the sigmoid fixed."""
 
     def __post_init__(self):
+        super().__post_init__()
         if self.head.weight.shape[0] != 1:
             raise InvalidConfig("discriminator head must output a scalar")
-        super().__post_init__()
 
 
 class Tape:
@@ -198,11 +210,11 @@ def _init_head(output_dim, hidden_dim, rng):
     )
 
 
-def init_forecaster(input_dim, hidden_dim, output_dim, output_activation,
-                    dropout_rate, time_lag, rng):
+def init_forecaster(input_dim, hidden_dim, output_activation, dropout_rate,
+                    time_lag, rng):
     rng = np.random.default_rng(rng)
     lstm = init_lstm_params(input_dim, hidden_dim, rng)
-    return LstmForecaster(lstm, _init_head(output_dim, hidden_dim, rng),
+    return LstmForecaster(lstm, _init_head(input_dim, hidden_dim, rng),
                           output_activation, dropout_rate, time_lag)
 
 
@@ -404,25 +416,23 @@ def _activation_deriv(tape):
     return np.ones_like(tape.y_lin)
 
 
-def forecaster_forward(model, windows, training_mode=False, rng=None):
-    """Predict the next PC vector from each window of a (B, N, tau) batch.
-
-    Inverted dropout is applied to the final hidden state only when
-    ``training_mode`` is set and the rate is nonzero; ``rng`` then supplies
-    the mask.
-    """
+def forecaster_forward(model, windows):
+    """Predict the next PC vector from each window of a (B, N, tau)
+    batch, in inference mode; returns (prediction, tape)."""
     _, _, lstm_tape = lstm_forward(model.lstm, windows)
     steps = lstm_tape.gates.shape[0]
     if steps != model.time_lag:
         raise ShapeMismatch(
             f"window has {steps} rows, model expects {model.time_lag}"
         )
-    return forecaster_head(model, lstm_tape, training_mode, rng)
+    return _head(model, lstm_tape, model.output_activation)
 
 
 def forecaster_head(model, lstm_tape, training_mode=False, rng=None):
-    """The head of ``forecaster_forward`` on the tape of an LSTM pass
-    that ``lstm_forward`` recorded; returns (prediction, tape).
+    """The head on the tape of an LSTM pass that ``lstm_forward``
+    recorded; returns (prediction, tape). The one place dropout applies:
+    inverted, on the final hidden state, when ``training_mode`` is set
+    and the rate is nonzero, with the mask drawn from ``rng``.
 
     Heads on one pass share its LSTM work: adversarial training takes
     the fake batch without dropout and the generator step with it from
@@ -443,10 +453,9 @@ def forecaster_step(model, windows):
     """Tape-free inference: predictions (B, tau) for a (B, N, tau) window
     batch, or (tau,) for one N x tau window.
 
-    Runs the kernel and head of ``forecaster_forward`` in inference mode,
-    so outputs are bit-identical, and drops the tape; it skips input
-    validation and dropout, which is what makes autoregressive rollouts
-    cheap.
+    Runs the kernel and head of ``forecaster_forward``, so outputs are
+    bit-identical, and drops the tape; it skips input validation, which
+    is what makes autoregressive rollouts cheap.
     """
     if windows.ndim == 2:
         return forecaster_step(model, windows[None])[0]
@@ -489,12 +498,6 @@ def discriminator_branches(disc, prefix, candidates):
     return prob.reshape(k, batch), tape
 
 
-def branch_backward(tape, d_prob):
-    """Parameter gradients of a ``discriminator_branches`` tape, given
-    dL/dprob (k, B), laid out like ``disc.params()``."""
-    return _param_grads(tape, d_prob.reshape(-1, 1))[0]
-
-
 def candidate_grad(tape, d_prob):
     """dL/d(candidates), (k, B, D), of a ``discriminator_branches`` tape.
 
@@ -511,7 +514,7 @@ def backward(tape, upstream):
     """Exact gradients of the recorded computation: the one backward
     path, ``_param_grads``, plus the input gradient.
 
-    ``tape`` comes from ``forecaster_forward`` or
+    ``tape`` comes from ``forecaster_forward``, ``forecaster_head`` or
     ``discriminator_forward`` and ``upstream`` is dL/dprediction; returns
     (param grads laid out like ``model.params()``, input grads (B, T, D)),
     the segments' input grads joined in time.
@@ -560,25 +563,6 @@ def save_model(path, model, seed=None):
     romf.write_arrays(path, model.params(), meta)
 
 
-def _check_shapes(arrays, path):
-    """Raise FormatError unless the five blocks agree in shape with
-    H = ``lstm.U.shape[1]``, D = ``lstm.W.shape[1]`` and O =
-    ``head.weight.shape[0]``. That a forecaster's O is D, and a
-    discriminator's 1, the model classes check."""
-    W, U, head = arrays["lstm.W"], arrays["lstm.U"], arrays["head.weight"]
-    if W.ndim != 2 or U.ndim != 2 or head.ndim != 2:
-        raise romf.FormatError(f"{path}: 'lstm.W', 'lstm.U' and "
-                               "'head.weight' must be 2-D")
-    hidden, dim, out = U.shape[1], W.shape[1], head.shape[0]
-    shapes = {"lstm.W": (4 * hidden, dim), "lstm.U": (4 * hidden, hidden),
-              "lstm.b": (4 * hidden,), "head.weight": (out, hidden),
-              "head.bias": (out,)}
-    for key, shape in shapes.items():
-        if arrays[key].shape != shape:
-            raise romf.FormatError(f"{path}: {key!r} has shape "
-                                   f"{arrays[key].shape}, expected {shape}")
-
-
 def load_model(path):
     """Load a model saved by ``save_model``; returns (model, meta, {}).
 
@@ -592,7 +576,6 @@ def load_model(path):
         romf.require(meta, _FORECASTER_META, path, "meta key")
     elif meta["kind"] != "discriminator":
         raise romf.FormatError(f"{path}: unknown model kind {meta['kind']!r}")
-    _check_shapes(arrays, path)
     with romf.building(path):
         lstm = LstmParams(arrays["lstm.W"], arrays["lstm.U"], arrays["lstm.b"])
         head = DenseParams(arrays["head.weight"], arrays["head.bias"])

@@ -303,6 +303,13 @@ class MinMaxScaler:
     lo: float = 0.0
     hi: float = 1.0
 
+    def __post_init__(self):
+        if np.ndim(self.mins) != 1 or np.shape(self.mins) != np.shape(self.maxs):
+            raise ShapeMismatch(f"scaler mins {np.shape(self.mins)} and maxs "
+                                f"{np.shape(self.maxs)} are not 1-D of one size")
+        if not self.hi > self.lo:
+            raise InvalidConfig("scaler range needs hi > lo")
+
     def _check(self, data):
         """``data`` as float64, whether each column's span is nonzero,
         and the spans with 1 in place of 0."""
@@ -340,7 +347,8 @@ class MinMaxScaler:
         if arrays["range"].shape != (2,):
             raise romf.FormatError(f"{path}: 'range' must hold (lo, hi)")
         lo, hi = arrays["range"]
-        return cls(mins=arrays["mins"], maxs=arrays["maxs"], lo=lo, hi=hi)
+        with romf.building(path):
+            return cls(mins=arrays["mins"], maxs=arrays["maxs"], lo=lo, hi=hi)
 
 
 def fit_scaler(data, lo=0.0, hi=1.0):
@@ -350,8 +358,6 @@ def fit_scaler(data, lo=0.0, hi=1.0):
         raise ShapeMismatch("a scaler is fitted on an (n, columns) matrix")
     if data.size == 0:
         raise EmptyInput("cannot fit a scaler on empty data")
-    if not hi > lo:
-        raise InvalidConfig("scaler range needs hi > lo")
     return MinMaxScaler(
         mins=data.min(axis=0), maxs=data.max(axis=0), lo=float(lo), hi=float(hi)
     )

@@ -19,9 +19,9 @@ generator step, with no fake batch.
 Real [window, target] and fake [window, fake] share the window steps:
 D runs that prefix once and the last step for both branches from its
 final (h, c) (``neural.discriminator_branches``). The one backward path,
-``neural._param_grads``, which ``branch_backward`` wraps, adds the
-branches' dh and dc there and back-propagates the prefix once; step mode
-is the same path with an empty prefix. The prediction enters only D's
+``neural._param_grads``, adds the branches' dh and dc there and
+back-propagates the prefix once; step mode is the same path with an
+empty prefix. The prediction enters only D's
 last step, so the generator step's dL/d(prediction) through D is that
 step's input gradient (``neural.candidate_grad``), with no weight
 gradients. With the default ``d_steps`` = 2 in conditional mode, a
@@ -47,7 +47,6 @@ from .errors import EmptyInput, InvalidConfig, NonFiniteLoss, TooFewSteps
 from .neural import (
     ACTIVATIONS,
     _param_grads,
-    branch_backward,
     candidate_grad,
     discriminator_branches,
     forecaster_forward,
@@ -239,7 +238,7 @@ def _discriminator_step(disc, opt, windows, targets, fake, config):
     loss_fake, d_fake = bce(prob[1], 0.0)
     if not np.isfinite(loss_real + loss_fake):
         raise NonFiniteLoss("discriminator loss diverged")
-    grads = branch_backward(tape, np.stack([d_real, d_fake]))
+    grads, _ = _param_grads(tape, np.stack([d_real, d_fake]).reshape(-1, 1))
     clip_global_norm(grads, config.clip_norm)
     nadam_step(opt, disc.params(), grads)
     return loss_real + loss_fake
@@ -248,7 +247,7 @@ def _discriminator_step(disc, opt, windows, targets, fake, config):
 def _validation_loss(model, dataset):
     if dataset.val_inputs.shape[0] == 0:
         return float("nan")
-    pred, _ = forecaster_forward(model, dataset.val_inputs, training_mode=False)
+    pred, _ = forecaster_forward(model, dataset.val_inputs)
     return mse(pred, dataset.val_targets)
 
 
@@ -265,8 +264,8 @@ def _train(dataset, config):
     if k_train < 1:
         raise TooFewSteps("no training samples after the chronological split")
     model = init_forecaster(
-        tau, config.hidden_nodes, tau, config.output_activation,
-        config.dropout, config.time_lag, streams["model"],
+        tau, config.hidden_nodes, config.output_activation, config.dropout,
+        config.time_lag, streams["model"],
     ).astype(np.float32)
     train_inputs = dataset.train_inputs.astype(np.float32)
     train_targets = dataset.train_targets.astype(np.float32)
@@ -299,6 +298,10 @@ def _train(dataset, config):
                 _, _, lstm_tape = lstm_forward(model.lstm, windows)
                 if config.adversarial:
                     fake, _ = forecaster_head(model, lstm_tape)
+                    # a diverged forecaster, not bad input to D
+                    if not np.isfinite(fake).all():
+                        raise NonFiniteLoss("forecaster diverged to "
+                                            "non-finite predictions")
                     for _ in range(config.d_steps):
                         d_sum += _discriminator_step(disc, opt_d, windows,
                                                      targets, fake, config)

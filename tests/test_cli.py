@@ -171,10 +171,12 @@ class TestExitCodes:
         ({"--classic": "basis.romf"}, "'lstm.W'"),
         ({"--basis": "classic.romf"}, "'mean'"),
         ({"--scaler": "basis.romf"}, "'mins'"),
+        # the discriminator that train --adversarial writes beside its model
+        ({"--classic": "classic.disc.romf"}, None),
     ])
     def test_wrong_kind_artifact_is_format_error(self, workdir, capsys, swap,
                                                  missing):
-        pipeline(workdir)
+        pipeline(workdir, ["--adversarial"])
         paths = {"--classic": "classic.romf", "--adv": "classic.romf",
                  "--snapshots": "snap.romf", "--basis": "basis.romf",
                  "--scaler": "scaler.romf", **swap}
@@ -183,7 +185,20 @@ class TestExitCodes:
         assert run("evaluate", *args, "--starts", "40..42",
                    "--horizon", "5") == 1
         err = capsys.readouterr().err
-        assert "missing array" in err and missing in err
+        [path] = swap.values()
+        assert f"romcast: error: {path}: " in err
+        if missing is None:
+            assert "a discriminator, not a forecaster" in err
+        else:
+            assert f"missing array {missing}" in err
+
+    def test_bench_of_a_discriminator_is_format_error(self, workdir, capsys):
+        pipeline(workdir, ["--adversarial"])
+        capsys.readouterr()
+        assert run("bench", *CONFIG, "--model", "classic.disc.romf",
+                   "--scaler", "scaler.romf", "--horizon", "5") == 1
+        assert ("romcast: error: classic.disc.romf: a discriminator, not a "
+                "forecaster") in capsys.readouterr().err
 
     def test_unknown_field_is_usage_error(self, workdir, capsys):
         run("generate", "--config", "config.json", "--out", "snap.romf")
@@ -393,6 +408,18 @@ class TestTrainEvaluateReport:
                    "40..42", "--horizon", "5") == 1
         err = capsys.readouterr().err
         assert artifact in err and "changed" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", [
+        "horizon,a,b,c,d,e\n1,2,3,4,5,6\n2,3,4\n",  # ragged rows
+        "horizon,a,b,c,d,e\n",  # a header alone
+    ])
+    def test_malformed_report_is_runtime_error(self, workdir, capsys, text):
+        with open("bad.csv", "w") as fh:
+            fh.write(text)
+        assert run("report", "bad.csv") == 1
+        assert ("romcast: error: bad.csv: expected rows of 6 report columns"
+                in capsys.readouterr().err)
 
     @pytest.mark.filterwarnings("error")
     def test_report_without_pairs_prints_nan(self, workdir, capsys):

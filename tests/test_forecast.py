@@ -14,7 +14,7 @@ def tiny_setup(seed=0, n=120, tau=3):
     scores = 0.5 + 0.4 * np.sin(2 * np.pi * t[:, None] / (9.0 + 3 * np.arange(tau)))
     scores = scores + 0.01 * rng.standard_normal(scores.shape)
     scaler = snapshots.fit_scaler(scores)
-    model = neural.init_forecaster(tau, 8, tau, "sigmoid", 0.0, 2, rng)
+    model = neural.init_forecaster(tau, 8, "sigmoid", 0.0, 2, rng)
     return scores, scaler, model
 
 
@@ -22,8 +22,8 @@ class TestRollout:
     def test_zero_horizon(self):
         scores, scaler, model = tiny_setup()
         result = forecast.rollout(model, scaler, scaler.scale(scores)[:2], 0)
+        assert result.horizon == 0
         assert result.predictions.shape == (0, 3)
-        assert result.errors.shape == (0,)
         assert result.diverged_at is None
 
     def test_stub_fixed_point(self, monkeypatch):
@@ -34,26 +34,30 @@ class TestRollout:
 
         monkeypatch.setattr(forecast, "forecaster_step", last_row)
         window = scaler.scale(scores)[:2]
-        result = forecast.rollout(model, scaler, window, 7)
-        assert np.allclose(result.predictions_scaled,
-                           np.tile(window[-1], (7, 1)))
+        (preds,), _ = forecast._roll(model, window[None].copy(), 7)
+        assert np.allclose(preds, np.tile(window[-1], (7, 1)))
 
     def test_first_step_equals_direct_prediction(self):
         scores, scaler, model = tiny_setup()
         window = scaler.scale(scores)[10:12]
         direct, _ = neural.forecaster_forward(model, window[None])
+        (preds,), _ = forecast._roll(model, window[None].copy(), 5)
+        assert preds[0].tobytes() == direct[0].tobytes()
         result = forecast.rollout(model, scaler, window, 5)
-        assert result.predictions_scaled[0].tobytes() == direct[0].tobytes()
+        assert result.predictions.tobytes() == scaler.invert(preds).tobytes()
 
-    def test_errors_fill_only_where_truth_exists(self):
+    def test_norms_are_linalg_norms_bit_for_bit(self):
         scores, scaler, model = tiny_setup()
         window = scaler.scale(scores)[0:2]
-        truth = scores[2:5]
-        result = forecast.rollout(model, scaler, window, 6, truth=truth)
-        assert np.all(np.isfinite(result.errors[:3]))
-        assert np.all(np.isnan(result.errors[3:]))
-        expected = np.linalg.norm(result.predictions[1] - truth[1])
-        assert result.errors[1] == expected
+        result = forecast.rollout(model, scaler, window, 6)
+        diff = result.predictions - scores[2:8]
+        norms = forecast._norms(diff)
+        assert np.all(np.isfinite(norms))
+        for h in range(6):
+            assert norms[h] == np.linalg.norm(diff[h])
+        # evaluate_ensemble takes them over (model, start, step) axes
+        assert forecast._norms(diff[None, None])[0, 0].tobytes() == \
+            norms.tobytes()
 
     def test_divergence_recorded_not_raised(self):
         scores, scaler, model = tiny_setup()
@@ -115,7 +119,7 @@ class TestEvaluateEnsemble:
     def test_mismatched_lags_rejected(self):
         scores, scaler, model = tiny_setup()
         rng = np.random.default_rng(9)
-        other = neural.init_forecaster(3, 8, 3, "sigmoid", 0.0, 3, rng)
+        other = neural.init_forecaster(3, 8, "sigmoid", 0.0, 3, rng)
         with pytest.raises(InvalidConfig):
             forecast.evaluate_ensemble(model, other, scores, scaler, [5], 10)
 
@@ -134,6 +138,14 @@ class TestEvaluateEnsemble:
                            rtol=1e-5)
         assert loaded.aggregate_reduction_pct == pytest.approx(
             report.aggregate_reduction_pct, abs=1e-4)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows", [["1,2,3,4,5,6", "2,3,4"], []])
+    def test_ragged_or_empty_csv_is_shape_mismatch(self, tmp_path, rows):
+        path = tmp_path / "report.csv"
+        path.write_text("\n".join(["horizon,a,b,c,d,e", *rows]) + "\n")
+        with pytest.raises(ShapeMismatch, match="report.csv"):
+            forecast.EnsembleReport.from_csv(path)
 
 
 def reference_errors(model, scores, scaler, starts, horizon):

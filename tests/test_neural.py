@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,11 @@ def zero_lstm(input_dim=3, hidden_dim=4):
     return neural.LstmParams(np.zeros((4 * hidden_dim, input_dim)),
                              np.zeros((4 * hidden_dim, hidden_dim)),
                              np.zeros(4 * hidden_dim))
+
+
+def lstm_tape(model, windows):
+    """The tape of a forecaster's LSTM pass, for ``forecaster_head``."""
+    return neural.lstm_forward(model.lstm, windows)[2]
 
 
 class TestLstmForward:
@@ -81,12 +87,12 @@ class TestLstmForward:
 class TestForecasterForward:
     def test_sigmoid_codomain(self):
         rng = np.random.default_rng(1)
-        model = neural.init_forecaster(3, 6, 3, "sigmoid", 0.0, 2, rng)
+        model = neural.init_forecaster(3, 6, "sigmoid", 0.0, 2, rng)
         pred, _ = neural.forecaster_forward(model, rng.random((1, 2, 3)))
         assert np.all((pred > 0) & (pred < 1))
 
     def test_relu_of_bias(self):
-        model = neural.init_forecaster(2, 4, 2, "relu", 0.0, 2,
+        model = neural.init_forecaster(2, 4, "relu", 0.0, 2,
                                        np.random.default_rng(0))
         model.head.weight[:] = 0.0
         model.head.bias[:] = [-1.0, 2.0]
@@ -96,21 +102,21 @@ class TestForecasterForward:
 
     def test_zero_dropout_training_mode_is_noop(self):
         rng = np.random.default_rng(2)
-        model = neural.init_forecaster(3, 5, 3, "linear", 0.0, 2, rng)
+        model = neural.init_forecaster(3, 5, "linear", 0.0, 2, rng)
         window = rng.random((1, 2, 3))
-        a, _ = neural.forecaster_forward(model, window, training_mode=False)
-        b, _ = neural.forecaster_forward(model, window, training_mode=True,
-                                         rng=np.random.default_rng(9))
+        a, _ = neural.forecaster_forward(model, window)
+        b, _ = neural.forecaster_head(model, lstm_tape(model, window), True,
+                                      np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_dropout_mask_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
-        model = neural.init_forecaster(3, 64, 3, "linear", 0.5, 2, rng)
+        model = neural.init_forecaster(3, 64, "linear", 0.5, 2, rng)
         window = rng.random((1, 2, 3))
-        a, ta = neural.forecaster_forward(model, window, training_mode=True,
-                                          rng=np.random.default_rng(7))
-        b, tb = neural.forecaster_forward(model, window, training_mode=True,
-                                          rng=np.random.default_rng(7))
+        a, ta = neural.forecaster_head(model, lstm_tape(model, window), True,
+                                       np.random.default_rng(7))
+        b, tb = neural.forecaster_head(model, lstm_tape(model, window), True,
+                                       np.random.default_rng(7))
         assert np.array_equal(ta.mask, tb.mask)
         assert a.tobytes() == b.tobytes()
         # inverted dropout: surviving units are rescaled by 1/(1-rate)
@@ -118,23 +124,23 @@ class TestForecasterForward:
         assert np.allclose(surviving, 2.0)
 
     def test_wrong_window_length_rejected(self):
-        model = neural.init_forecaster(3, 4, 3, "linear", 0.0, 2,
+        model = neural.init_forecaster(3, 4, "linear", 0.0, 2,
                                        np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
             neural.forecaster_forward(model, np.zeros((1, 3, 3)))
 
     def test_dropout_needs_rng(self):
-        model = neural.init_forecaster(3, 4, 3, "linear", 0.5, 2,
+        model = neural.init_forecaster(3, 4, "linear", 0.5, 2,
                                        np.random.default_rng(0))
         with pytest.raises(InvalidConfig):
-            neural.forecaster_forward(model, np.zeros((1, 2, 3)),
-                                      training_mode=True)
+            neural.forecaster_head(
+                model, lstm_tape(model, np.zeros((1, 2, 3))), True)
 
     def test_head_of_other_size_than_input_rejected(self):
         # each prediction is the next input, which a rollout feeds back
+        head = neural.DenseParams(np.zeros((3, 5)), np.zeros(3))
         with pytest.raises(ShapeMismatch, match="head.weight"):
-            neural.init_forecaster(4, 5, 3, "sigmoid", 0.0, 2,
-                                   np.random.default_rng(0))
+            neural.LstmForecaster(zero_lstm(4, 5), head, "sigmoid", 0.0, 2)
 
 
 class TestDiscriminatorForward:
@@ -156,7 +162,7 @@ class TestDiscriminatorForward:
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(7)
-        model = neural.init_forecaster(3, 5, 3, "sigmoid", 0.0, 2, rng)
+        model = neural.init_forecaster(3, 5, "sigmoid", 0.0, 2, rng)
         pred, tape = neural.forecaster_forward(model, rng.random((4, 2, 3)))
         grads, d_in = neural.backward(tape, np.zeros_like(pred))
         assert all(np.all(g == 0) for g in grads.values())
@@ -190,7 +196,7 @@ class TestBackward:
 
     def test_upstream_shape_mismatch_rejected(self):
         rng = np.random.default_rng(9)
-        model = neural.init_forecaster(3, 5, 3, "sigmoid", 0.0, 2, rng)
+        model = neural.init_forecaster(3, 5, "sigmoid", 0.0, 2, rng)
         _, tape = neural.forecaster_forward(model, rng.random((4, 2, 3)))
         with pytest.raises(TapeMismatch):
             neural.backward(tape, np.zeros((4, 5)))
@@ -200,7 +206,7 @@ class TestBackward:
         worst = 0.0
         for seed in range(3):
             rng = np.random.default_rng(seed)
-            model = neural.init_forecaster(4, 8, 4, "sigmoid", 0.0, 3, rng)
+            model = neural.init_forecaster(4, 8, "sigmoid", 0.0, 3, rng)
             windows, targets = oracles.smooth_windows(rng, 8, 3, 4)
             params = model.params()
             pred, tape = neural.forecaster_forward(model, windows)
@@ -214,12 +220,11 @@ class TestBackward:
 
     def test_gradients_with_frozen_dropout_mask(self):
         rng = np.random.default_rng(12)
-        model = neural.init_forecaster(4, 8, 4, "sigmoid", 0.5, 3, rng)
+        model = neural.init_forecaster(4, 8, "sigmoid", 0.5, 3, rng)
         windows, targets = oracles.smooth_windows(rng, 8, 3, 4)
         params = model.params()
-        pred, tape = neural.forecaster_forward(model, windows,
-                                               training_mode=True,
-                                               rng=np.random.default_rng(3))
+        pred, tape = neural.forecaster_head(model, lstm_tape(model, windows),
+                                            True, np.random.default_rng(3))
         grads, _ = neural.backward(tape, optim.mse_grad(pred, targets))
         loss = oracles.forecaster_mse_loss(params, windows, targets,
                                            "sigmoid", mask=tape.mask)
@@ -276,7 +281,8 @@ class TestDiscriminatorBranches:
             prob, tape = neural.discriminator_branches(disc, windows,
                                                        targets[None])
             assert tape.lstm_tape.start and not tape.prefix.start
-            grads = neural.branch_backward(tape, optim.bce(prob[0], 1.0)[1][None])
+            d_prob = optim.bce(prob[0], 1.0)[1]
+            grads, _ = neural._param_grads(tape, d_prob[:, None])
             params = disc.params()
             loss = oracles.discriminator_bce_loss(
                 params, _whole(windows, targets), 1.0)
@@ -320,7 +326,7 @@ class TestDiscriminatorBranches:
             disc, windows, np.stack([targets, fake]))
         d_prob = np.stack([optim.bce(prob[0], 1.0)[1],
                            optim.bce(prob[1], 0.0)[1]])
-        grads = neural.branch_backward(tape, d_prob)
+        grads, _ = neural._param_grads(tape, d_prob.reshape(-1, 1))
         total = np.zeros_like(grads.flat)
         for branch, last in enumerate((targets, fake)):
             p_sep, t_sep = neural.discriminator_forward(disc,
@@ -368,15 +374,15 @@ class TestGradCheckOperation:
 
 class TestInitialization:
     def test_seeded_init_reproducible(self):
-        a = neural.init_forecaster(3, 7, 3, "relu", 0.1, 2,
+        a = neural.init_forecaster(3, 7, "relu", 0.1, 2,
                                    np.random.default_rng(11))
-        b = neural.init_forecaster(3, 7, 3, "relu", 0.1, 2,
+        b = neural.init_forecaster(3, 7, "relu", 0.1, 2,
                                    np.random.default_rng(11))
         for key, val in a.params().items():
             assert val.tobytes() == b.params()[key].tobytes()
 
     def test_forget_bias_and_scale(self):
-        model = neural.init_forecaster(3, 16, 3, "relu", 0.0, 2,
+        model = neural.init_forecaster(3, 16, "relu", 0.0, 2,
                                        np.random.default_rng(12))
         # b stacks the gates i, f, o, g: only the forget block is one
         assert np.array_equal(model.lstm.b,
@@ -387,12 +393,70 @@ class TestInitialization:
         assert np.abs(model.head.weight).max() <= bound
 
 
+def _views(net):
+    return [*vars(net.lstm).values(), *vars(net.head).values()]
+
+
+class TestConstruction:
+    """A network checks its blocks' shapes and copies them into a buffer
+    of its own; it never writes the parameters it was given."""
+
+    @pytest.mark.parametrize("U, weight, message", [
+        (np.zeros((16, 5)), np.zeros((3, 4)), "'lstm.W' has shape"),
+        (np.zeros((16, 4)), np.zeros((3, 5)), "'head.weight' has shape"),
+        (np.zeros(16), np.zeros((3, 4)), "2-D"),
+    ])
+    def test_hand_built_shapes_checked(self, U, weight, message):
+        lstm = neural.LstmParams(np.zeros((16, 3)), U, np.zeros(16))
+        head = neural.DenseParams(weight, np.zeros(3))
+        with pytest.raises(ShapeMismatch, match=message):
+            neural.LstmForecaster(lstm, head)
+
+    def test_two_networks_of_one_params_own_their_weights(self):
+        rng = np.random.default_rng(40)
+        lstm = neural.init_lstm_params(3, 4, rng)
+        head = neural.DenseParams(rng.random((3, 4)), np.zeros(3))
+        given = [*vars(lstm).values(), *vars(head).values()]
+        copies = [block.copy() for block in given]
+        a = neural.LstmForecaster(lstm, head)
+        b = neural.LstmForecaster(lstm, head)
+        for net in (a, b):
+            assert all(np.shares_memory(view, net.flat) for view in _views(net))
+        assert not np.shares_memory(a.flat, b.flat)
+        a.flat += 1.0
+        kept = [*vars(lstm).values(), *vars(head).values()]
+        assert all(now is block for now, block in zip(kept, given))
+        for block, copy in zip(given, copies):
+            assert block.tobytes() == copy.tobytes()
+
+    def test_nadam_on_a_replaced_network_moves_only_its_forward(self):
+        rng = np.random.default_rng(41)
+        model = neural.init_forecaster(3, 5, "sigmoid", 0.3, 2, rng)
+        other = replace(model, dropout_rate=0.0)
+        for net in (model, other):
+            assert all(np.shares_memory(view, net.flat) for view in _views(net))
+        windows = rng.random((4, 2, 3))
+        before = neural.forecaster_step(other, windows)
+        pred, tape = neural.forecaster_forward(model, windows)
+        grads, _ = neural.backward(tape, np.ones_like(pred))
+        optim.nadam_step(optim.NadamState(lr=0.1), model.params(), grads)
+        params = model.params()
+        own = neural.LstmForecaster(
+            neural.LstmParams(*(params["lstm." + key] for key in "WUb")),
+            neural.DenseParams(params["head.weight"], params["head.bias"]),
+            "sigmoid", 0.3, 2)
+        moved = neural.forecaster_step(model, windows)
+        assert moved.tobytes() == neural.forecaster_step(own, windows).tobytes()
+        assert not np.array_equal(moved, before)
+        assert neural.forecaster_step(other, windows).tobytes() == before.tobytes()
+
+
 class TestFloat32:
     """A model computes in its buffer's dtype; training runs float32
     copies of float64 models."""
 
     def test_astype_rounds_and_widens_exactly(self):
-        model = neural.init_forecaster(4, 6, 4, "relu", 0.3, 3,
+        model = neural.init_forecaster(4, 6, "relu", 0.3, 3,
                                        np.random.default_rng(30))
         narrow = model.astype(np.float32)
         assert narrow.flat.dtype == np.float32
@@ -407,8 +471,8 @@ class TestFloat32:
 
     @staticmethod
     def _forecaster_grads(model, windows, targets):
-        pred, tape = neural.forecaster_forward(
-            model, windows, training_mode=True, rng=np.random.default_rng(3))
+        pred, tape = neural.forecaster_head(
+            model, lstm_tape(model, windows), True, np.random.default_rng(3))
         return neural._param_grads(tape, optim.mse_grad(pred, targets))
 
     @staticmethod
@@ -426,7 +490,7 @@ class TestFloat32:
         # dtypes: only the arithmetic differs
         rng = np.random.default_rng(31)
         if kind == "forecaster":
-            net = neural.init_forecaster(4, 8, 4, "sigmoid", 0.3, 3, rng)
+            net = neural.init_forecaster(4, 8, "sigmoid", 0.3, 3, rng)
             grads_of = self._forecaster_grads
         else:
             net = neural.init_discriminator(4, 8, rng)
@@ -449,7 +513,7 @@ class TestFloat32:
 
 class TestFlatLayout:
     def test_init_draws_gates_in_order_then_head(self):
-        model = neural.init_forecaster(3, 5, 3, "sigmoid", 0.0, 2,
+        model = neural.init_forecaster(3, 5, "sigmoid", 0.0, 2,
                                        np.random.default_rng(21))
         rng = np.random.default_rng(21)
         s = 1.0 / np.sqrt(5)
@@ -475,7 +539,7 @@ class TestFlatLayout:
 
     def test_named_views_alias_the_buffer(self):
         rng = np.random.default_rng(22)
-        model = neural.init_forecaster(3, 4, 3, "linear", 0.0, 2, rng)
+        model = neural.init_forecaster(3, 4, "linear", 0.0, 2, rng)
         window = rng.random((1, 2, 3))
         before, _ = neural.forecaster_forward(model, window)
         flat_before = model.flat.copy()
@@ -490,7 +554,7 @@ class TestFlatLayout:
 
     def test_batched_step_matches_inference_forward(self):
         rng = np.random.default_rng(23)
-        model = neural.init_forecaster(4, 6, 4, "sigmoid", 0.3, 3, rng)
+        model = neural.init_forecaster(4, 6, "sigmoid", 0.3, 3, rng)
         windows = rng.random((7, 3, 4))
         step = neural.forecaster_step(model, windows)
         forward, _ = neural.forecaster_forward(model, windows)
@@ -503,7 +567,7 @@ class TestFlatLayout:
 
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(15)
-    model = neural.init_forecaster(3, 5, 3, "sigmoid", 0.25, 2, rng)
+    model = neural.init_forecaster(3, 5, "sigmoid", 0.25, 2, rng)
     path = tmp_path / "model.romf"
     neural.save_model(path, model, seed=77)
     loaded, meta, _ = neural.load_model(path)
@@ -524,7 +588,7 @@ def test_save_load_round_trip(tmp_path):
 ])
 def test_load_incomplete_model_is_format_error(tmp_path, drop, missing):
     rng = np.random.default_rng(16)
-    model = neural.init_forecaster(3, 5, 3, "sigmoid", 0.0, 2, rng)
+    model = neural.init_forecaster(3, 5, "sigmoid", 0.0, 2, rng)
     path = tmp_path / "model.romf"
     neural.save_model(path, model)
     arrays, meta = romf.read_arrays(path)
@@ -551,7 +615,7 @@ def _rewrite_meta(path, key, value):
 def test_load_model_meta_of_wrong_type_is_format_error(tmp_path, key, value):
     rng = np.random.default_rng(17)
     path = tmp_path / "model.romf"
-    neural.save_model(path, neural.init_forecaster(3, 5, 3, "sigmoid", 0.0,
+    neural.save_model(path, neural.init_forecaster(3, 5, "sigmoid", 0.0,
                                                    2, rng), seed=4)
     _rewrite_meta(path, key, value)
     with pytest.raises(romf.FormatError, match="model.romf"):
@@ -566,7 +630,7 @@ def test_load_model_meta_out_of_range_is_format_error(tmp_path, key, value,
                                                       message):
     rng = np.random.default_rng(18)
     path = tmp_path / "model.romf"
-    neural.save_model(path, neural.init_forecaster(3, 5, 3, "sigmoid", 0.0,
+    neural.save_model(path, neural.init_forecaster(3, 5, "sigmoid", 0.0,
                                                    2, rng))
     _rewrite_meta(path, key, value)
     with pytest.raises(romf.FormatError, match=message):
@@ -589,7 +653,7 @@ def test_load_model_meta_out_of_range_is_format_error(tmp_path, key, value,
 def test_load_model_wrong_shape_is_format_error(tmp_path, key, shape):
     path = tmp_path / "model.romf"
     neural.save_model(path, neural.init_forecaster(
-        3, 5, 3, "sigmoid", 0.0, 2, np.random.default_rng(20)))
+        3, 5, "sigmoid", 0.0, 2, np.random.default_rng(20)))
     arrays, meta = romf.read_arrays(path)
     arrays[key] = np.zeros(shape)
     romf.write_arrays(path, arrays, meta)
@@ -600,7 +664,7 @@ def test_load_model_wrong_shape_is_format_error(tmp_path, key, shape):
 
 def test_per_gate_file_is_format_error(tmp_path):
     # the layout before the fused blocks were stored: twelve gate arrays
-    model = neural.init_forecaster(3, 5, 3, "sigmoid", 0.0, 2,
+    model = neural.init_forecaster(3, 5, "sigmoid", 0.0, 2,
                                    np.random.default_rng(25))
     arrays = {}
     for kind, fused in zip("wub", (model.lstm.W, model.lstm.U, model.lstm.b)):

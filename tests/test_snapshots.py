@@ -252,6 +252,36 @@ class TestScaler:
         with pytest.raises(romf.FormatError, match=missing):
             snapshots.MinMaxScaler.load(path)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mins, maxs, lo, hi, error", [
+        (np.zeros(3), np.ones(2), 0.0, 1.0, ShapeMismatch),
+        (np.zeros((1, 2)), np.ones((1, 2)), 0.0, 1.0, ShapeMismatch),
+        (np.zeros(2), np.ones(2), 1.0, 1.0, InvalidConfig),
+        (np.zeros(2), np.ones(2), 1.0, 0.0, InvalidConfig),
+        (np.zeros(2), np.ones(2), 0.0, np.nan, InvalidConfig),
+    ])
+    def test_constructor_checks_its_invariants(self, mins, maxs, lo, hi,
+                                               error):
+        with pytest.raises(error):
+            snapshots.MinMaxScaler(mins, maxs, lo, hi)
+        if error is InvalidConfig:
+            with pytest.raises(error):
+                snapshots.fit_scaler(np.stack([mins, maxs]), lo, hi)
+
+    @pytest.mark.parametrize("arrays, message", [
+        ({"maxs": np.ones(3)}, "not 1-D of one size"),
+        ({"range": np.array([1.0, 1.0])}, "hi > lo"),
+    ])
+    def test_load_rewritten_file_is_format_error(self, tmp_path, arrays,
+                                                 message):
+        path = tmp_path / "scaler.romf"
+        snapshots.fit_scaler(np.random.default_rng(2).random((5, 2))).save(path)
+        saved, _ = romf.read_arrays(path)
+        romf.write_arrays(path, {**saved, **arrays})
+        with pytest.raises(romf.FormatError, match="scaler.romf") as info:
+            snapshots.MinMaxScaler.load(path)
+        assert message in str(info.value)
+
     @pytest.mark.parametrize("bounds", [[0.0], [0.0, 1.0, 2.0], [[0.0, 1.0]]])
     def test_load_malformed_range_is_format_error(self, tmp_path, bounds):
         path = tmp_path / "scaler.romf"

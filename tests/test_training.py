@@ -108,14 +108,19 @@ class TestTrainClassic:
             training.train_classic(ds, quick_config(adversarial=True))
 
     @pytest.mark.filterwarnings("error")
-    def test_diverged_training_raises(self):
-        # bounded LSTM activations survive huge rates; the head does not
+    @pytest.mark.parametrize("adversarial", [False, True],
+                             ids=["classic", "adversarial"])
+    def test_diverged_training_raises(self, adversarial):
+        # bounded LSTM activations survive huge rates; the head does not.
+        # Adversarially, the diverged fake batch reaches D first: that is
+        # divergence too, not bad input
         ds = training.make_windows(wave_scores(), 2, 0.9)
+        config = quick_config(output_activation="linear", lr=1e200,
+                              epochs=40, adversarial=adversarial)
+        train = (training.train_adversarial if adversarial
+                 else training.train_classic)
         with pytest.raises(NonFiniteLoss):
-            training.train_classic(
-                ds, quick_config(output_activation="linear", lr=1e200,
-                                 epochs=40)
-            )
+            train(ds, config)
 
     @pytest.mark.filterwarnings("error")
     def test_diverged_last_update_raises(self):
@@ -159,7 +164,7 @@ class TestTrainAdversarial:
     def test_phase_isolation(self):
         ds = training.make_windows(wave_scores(), 2, 0.9)
         rng_streams = training._rng_streams(3)
-        model = neural.init_forecaster(3, 8, 3, "sigmoid", 0.0, 2,
+        model = neural.init_forecaster(3, 8, "sigmoid", 0.0, 2,
                                        rng_streams["model"])
         disc = neural.init_discriminator(3, 8, rng_streams["disc"])
         opt_g = optim.NadamState(lr=1e-3)
@@ -282,7 +287,7 @@ class TestFloat32Training:
     def test_steps_keep_every_array_float32(self, monkeypatch, mode):
         ds = training.make_windows(wave_scores(), 2, 0.9)
         streams = training._rng_streams(3)
-        model = neural.init_forecaster(3, 8, 3, "relu", 0.3, 2,
+        model = neural.init_forecaster(3, 8, "relu", 0.3, 2,
                                        streams["model"]).astype(np.float32)
         disc = neural.init_discriminator(3, 8,
                                          streams["disc"]).astype(np.float32)
@@ -313,7 +318,6 @@ class TestFloat32Training:
         recording(training, "mse_grad", lambda args, out: [out])
         recording(training, "bce", lambda args, out: [out[1]])
         recording(training, "candidate_grad", lambda args, out: [out])
-        recording(training, "branch_backward", lambda args, out: [out.flat])
         recording(training, "_param_grads", lambda args, out: [out[0].flat])
         recording(neural, "_lstm_backward", lambda args, out: out)
         recording(training, "nadam_step",
@@ -328,7 +332,7 @@ class TestFloat32Training:
                                   streams["dropout"], config, disc=disc)
         names = {name for name, _ in arrays}
         assert {"lstm.gates", "lstm.c", "head.mask", "head.y_lin", "mse_grad",
-                "bce", "candidate_grad", "branch_backward", "_param_grads",
+                "bce", "candidate_grad", "_param_grads",
                 "_lstm_backward", "nadam_step"} <= names
         for name, array in arrays:
             assert array.dtype == np.float32, name
