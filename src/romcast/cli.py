@@ -333,6 +333,7 @@ def cmd_pca(args):
 def cmd_train(args):
     config = load_config(args.config)
     tcfg = _train_config(config, args)
+    tcfg.validate()
     out = args.out or ("model_adv.romf" if tcfg.adversarial else
                        "model_classic.romf")
     report_path = args.report or (str(out) + ".report.csv")

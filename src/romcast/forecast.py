@@ -65,12 +65,20 @@ class EnsembleReport:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a header alone
             try:
-                table = np.genfromtxt(path, delimiter=",", skip_header=1,
-                                      ndmin=2)
+                cells = np.loadtxt(path, dtype=str, delimiter=",",
+                                   skiprows=1, ndmin=2)
             except ValueError:  # ragged rows
-                table = np.empty((0, 0))
-        if table.shape[1] != 6:
+                cells = np.empty((0, 0), dtype=str)
+        if cells.shape[1] != 6:
             raise ShapeMismatch(f"{path}: expected rows of 6 report columns")
+        try:
+            # "nan", which to_csv writes for a horizon without pairs, parses
+            table = cells.astype(np.float64)
+        except ValueError:
+            raise ShapeMismatch(
+                f"{path}: a report cell is not a number") from None
+        if not np.isfinite(table[:, 0]).all():
+            raise ShapeMismatch(f"{path}: a horizon is not finite")
         return cls(
             horizons=table[:, 0].astype(int),
             mean_classic=table[:, 1],

@@ -6,8 +6,9 @@ source) stands in for the full CFD model. Each time step is vectorised
 into one row of the snapshot matrix: tracer nodes, then velocity nodes.
 """
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
 
@@ -52,6 +53,9 @@ class GeneratorConfig:
     init_amplitude: float = 0.0  # scale of the seeded random initial tracer
 
     def validate(self):
+        for f in dataclass_fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise InvalidConfig(f"{f.name} must be finite")
         if self.grid_nx < 2 or self.grid_ny < 2:
             raise InvalidConfig("grid_nx and grid_ny must be >= 2")
         if self.dx <= 0 or self.dy <= 0 or self.dt <= 0:
@@ -213,26 +217,44 @@ def _padded(arr, boundary):
     return cp
 
 
-def _advance(cp, vxp, vyp, config):
+def _faces(vxp, vyp):
+    """Face velocities of the padded velocity components: ``ufx`` on the
+    (ny, nx + 1) x faces and ``ufy`` on the (ny + 1, nx) y faces."""
+    return (0.5 * (vxp[1:-1, :-1] + vxp[1:-1, 1:]),
+            0.5 * (vyp[:-1, 1:-1] + vyp[1:, 1:-1]))
+
+
+def _upwind(ufx, ufy):
+    """Flat indices into the padded tracer of each face's upwind cell: the
+    left (bottom) cell where the face velocity is positive, else the right
+    (top) one."""
+    ny, nx = ufx.shape[0], ufy.shape[1]
+    flat = np.arange((ny + 2) * (nx + 2)).reshape(ny + 2, nx + 2)
+    return (np.where(ufx > 0.0, flat[1:-1, :-1], flat[1:-1, 1:]),
+            np.where(ufy > 0.0, flat[:-1, 1:-1], flat[1:, 1:-1]))
+
+
+def _advance(cp, ufx, ufy, upx, upy, config):
     """One explicit step: upwind advection + central diffusion, flux form.
 
-    ``cp`` is the tracer with its halo filled by ``_fill_halo``, and
-    ``vxp`` and ``vyp`` are the velocity components, all padded by one
-    cell; returns the new interior.
+    ``cp`` is the tracer padded by one cell, its halo filled by
+    ``_fill_halo``; ``ufx`` and ``ufy`` are the face velocities
+    (``_faces``) and ``upx`` and ``upy`` their upwind cells (``_upwind``).
+    Writes the new interior of ``cp`` in place.
     """
     dx, dy, dt, kappa = config.dx, config.dy, config.dt, config.kappa
     c = cp[1:-1, 1:-1]
 
     # x faces: (ny, nx + 1)
-    ufx = 0.5 * (vxp[1:-1, :-1] + vxp[1:-1, 1:])
     cl, cr = cp[1:-1, :-1], cp[1:-1, 1:]
-    flux_x = np.where(ufx > 0.0, cl, cr) * ufx
+    flux_x = cp.take(upx)
+    flux_x *= ufx
     dcdx_flux = kappa * (cr - cl) / dx
 
     # y faces: (ny + 1, nx)
-    ufy = 0.5 * (vyp[:-1, 1:-1] + vyp[1:, 1:-1])
     cb, ct = cp[:-1, 1:-1], cp[1:, 1:-1]
-    flux_y = np.where(ufy > 0.0, cb, ct) * ufy
+    flux_y = cp.take(upy)
+    flux_y *= ufy
     dcdy_flux = kappa * (ct - cb) / dy
 
     adv = (flux_x[:, 1:] - flux_x[:, :-1]) / dx + (
@@ -241,7 +263,10 @@ def _advance(cp, vxp, vyp, config):
     diff = (dcdx_flux[:, 1:] - dcdx_flux[:, :-1]) / dx + (
         dcdy_flux[1:, :] - dcdy_flux[:-1, :]
     ) / dy
-    return c + dt * (diff - adv)
+    # c + dt * (diff - adv), in place
+    diff -= adv
+    diff *= dt
+    c += diff
 
 
 def generate(config, initial_tracer=None):
@@ -251,6 +276,16 @@ def generate(config, initial_tracer=None):
     Deterministic given the config (the seed drives the optional random
     initial tracer). Raises StabilityViolation / InvalidConfig on bad
     configs.
+
+    What does not change between steps is computed once: the padded
+    velocities, their face velocities and each face's upwind cell. Only
+    ``modulate_velocity`` recomputes the face velocities, each step, from
+    the scaled padded velocities (``0.5 * (a*s + b*s)`` is not
+    ``0.5 * (a + b) * s`` in floating point). Each step refills the
+    tracer's halo, updates its interior in place and adds the source to
+    its one cell. The output is byte for byte that of the flux-form
+    update ``c + dt * (diff - adv) + dt * source`` on freshly padded
+    fields (``tests/test_snapshots.py``'s ``reference_generate``).
     """
     config.validate()
     ny, nx = config.grid_ny, config.grid_nx
@@ -272,10 +307,14 @@ def generate(config, initial_tracer=None):
 
     # padding commutes with scaling, so the velocities are padded once
     vx, vy = _velocity_field(config)
-    vxp = vxp0 = _padded(vx, config.boundary)
-    vyp = vyp0 = _padded(vy, config.boundary)
+    vxp0 = _padded(vx, config.boundary)
+    vyp0 = _padded(vy, config.boundary)
+    ufx, ufy = _faces(vxp0, vyp0)
+    # the modulation factor s lies in [0, 1], and rounding is monotone, so
+    # a scaled face velocity keeps its sign or becomes zero, where either
+    # side gives a zero flux: the upwind cells hold for every step
+    upx, upy = _upwind(ufx, ufy)
     ix, iy = config.source_center
-    source = np.zeros((ny, nx))
     rows = np.empty((config.n_steps, 3 * nx * ny))
     # row t is the fields (tracer, vel_x, vel_y) of step t, each (ny, nx)
     fields = rows.reshape(config.n_steps, 3, ny, nx)
@@ -286,10 +325,11 @@ def generate(config, initial_tracer=None):
         if config.modulate_velocity:
             vxp, vyp = vxp0 * s, vyp0 * s
             fields[step, 1], fields[step, 2] = vxp[1:-1, 1:-1], vyp[1:-1, 1:-1]
+            ufx, ufy = _faces(vxp, vyp)
         fields[step, 0] = c
-        source[iy, ix] = config.source_amplitude * s
         _fill_halo(cp, config.boundary)
-        c[...] = _advance(cp, vxp, vyp, config) + config.dt * source
+        _advance(cp, ufx, ufy, upx, upy, config)
+        c[iy, ix] += config.dt * (config.source_amplitude * s)
     return SnapshotMatrix(data=rows, field_names=FIELD_NAMES,
                           nodes_per_field=nx * ny)
 
@@ -309,6 +349,12 @@ class MinMaxScaler:
                                 f"{np.shape(self.maxs)} are not 1-D of one size")
         if not self.hi > self.lo:
             raise InvalidConfig("scaler range needs hi > lo")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
+                and np.isfinite(self.mins).all()
+                and np.isfinite(self.maxs).all()):
+            raise InvalidConfig("scaler bounds must be finite")
+        if np.any(self.mins > self.maxs):
+            raise InvalidConfig("scaler mins must not exceed maxs")
 
     def _check(self, data):
         """``data`` as float64, whether each column's span is nonzero,

@@ -38,6 +38,7 @@ model that is returned, so it equals what the saved model scores.
 """
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -99,8 +100,17 @@ class TrainConfig:
             raise InvalidConfig("train_fraction must lie in (0, 1)")
         if self.batch_size < 1 or self.epochs < 1:
             raise InvalidConfig("batch_size and epochs must be >= 1")
-        if self.adv_weight < 0:
-            raise InvalidConfig("adv_weight must be >= 0")
+        if not (math.isfinite(self.adv_weight) and self.adv_weight >= 0):
+            raise InvalidConfig("adv_weight must be finite and >= 0")
+        for name in ("lr", "d_lr", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidConfig(f"{name} must be finite and positive")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise InvalidConfig(f"{name} must lie in [0, 1)")
+        if not math.isfinite(self.clip_norm):
+            raise InvalidConfig("clip_norm must be finite")
         if not 0.0 <= self.dropout < 1.0:
             raise InvalidConfig("dropout must lie in [0, 1)")
         if self.hidden_nodes < 1 or self.time_lag < 1:
@@ -184,7 +194,10 @@ def make_windows(scores, time_lag, train_fraction=0.9):
     if n <= time_lag:
         raise TooFewSteps(f"need more than {time_lag} steps, got {n}")
     k = n - time_lag
-    inputs = np.stack([scores[i:i + time_lag] for i in range(k)])
+    # window i is rows i .. i + time_lag - 1 (the last row is a target
+    # only); the view is (k, tau, time_lag), copied once as (k, N, tau)
+    inputs = np.lib.stride_tricks.sliding_window_view(
+        scores[:-1], time_lag, axis=0).transpose(0, 2, 1).copy()
     targets = scores[time_lag:].copy()
     return WindowedDataset(inputs=inputs, targets=targets,
                            split=int(k * train_fraction))

@@ -103,6 +103,28 @@ class TestExitCodes:
             assert run("generate", "--config", "bad.json") == 2, text
             assert message in capsys.readouterr().err, text
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("generate", "data", "dt", float("nan")),
+        ("generate", "data", "dx", float("inf")),
+        ("generate", "data", "source_period", float("inf")),
+        ("train", "train", "lr", float("nan")),
+        ("train", "train", "d_lr", -1.0),
+        ("train", "train", "beta1", 1.5),
+        ("train", "train", "eps", 0.0),
+        ("train", "train", "clip_norm", float("nan")),
+    ])
+    def test_bad_config_number_is_usage_error(self, workdir, capsys, command,
+                                              section, key, value):
+        # json writes NaN and Infinity, and reads them back; train refuses
+        # the number before it looks for its inputs, which do not exist
+        with open("bad.json", "w") as fh:
+            json.dump({section: {key: value}}, fh)
+        assert run(command, "--config", "bad.json", *(
+            DATA if command == "train" else ["--out", "snap.romf"])) == 2
+        assert key in capsys.readouterr().err
+        assert not os.path.exists("snap.romf")
+
     def test_gridsearch_of_zero_epochs_is_usage_error(self, workdir, capsys):
         pipeline(workdir)
         capsys.readouterr()
@@ -419,6 +441,15 @@ class TestTrainEvaluateReport:
             fh.write(text)
         assert run("report", "bad.csv") == 1
         assert ("romcast: error: bad.csv: expected rows of 6 report columns"
+                in capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("error")
+    def test_report_with_a_word_for_a_number_is_runtime_error(self, workdir,
+                                                              capsys):
+        with open("bad.csv", "w") as fh:
+            fh.write("horizon,a,b,c,d,e\n1,x,3,4,5,6\n")
+        assert run("report", "bad.csv") == 1
+        assert ("romcast: error: bad.csv: a report cell is not a number"
                 in capsys.readouterr().err)
 
     @pytest.mark.filterwarnings("error")

@@ -147,6 +147,31 @@ class TestEvaluateEnsemble:
         with pytest.raises(ShapeMismatch, match="report.csv"):
             forecast.EnsembleReport.from_csv(path)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("row, message", [
+        ("1,x,3,4,5,6", "not a number"),
+        ("1,2,,4,5,6", "not a number"),
+        ("nan,2,3,4,5,6", "horizon"),
+    ])
+    def test_non_numeric_cell_is_shape_mismatch(self, tmp_path, row,
+                                                message):
+        path = tmp_path / "report.csv"
+        path.write_text(f"horizon,a,b,c,d,e\n1,2,3,4,5,6\n{row}\n")
+        with pytest.raises(ShapeMismatch, match="report.csv") as info:
+            forecast.EnsembleReport.from_csv(path)
+        assert message in str(info.value)
+
+    @pytest.mark.filterwarnings("error")
+    def test_literal_nan_cell_loads(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text("horizon,a,b,c,d,e\n1,2,3,4,5,6\n2,nan,nan,nan,"
+                        "nan,nan\n")
+        loaded = forecast.EnsembleReport.from_csv(path)
+        assert list(loaded.horizons) == [1, 2]
+        assert loaded.mean_classic[0] == 2.0
+        assert np.isnan(loaded.mean_classic[1])
+        assert np.isnan(loaded.reduction_pct[1])
+
 
 def reference_errors(model, scores, scaler, starts, horizon):
     """Per-start rollouts from 2-D ``forecaster_step`` calls: (S, H)."""

@@ -41,6 +41,16 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             small_config(source_center=(16, 0)).validate()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", [
+        "dx", "dy", "dt", "kappa", "u0", "source_amplitude", "source_period",
+        "init_amplitude",
+    ])
+    def test_nonfinite_number_rejected(self, name, value):
+        with pytest.raises(InvalidConfig, match=name):
+            small_config(**{name: value}).validate()
+
 
 class TestGenerate:
     def test_no_transport_no_source_keeps_state_constant(self):
@@ -113,12 +123,46 @@ class TestGenerate:
         with pytest.raises(ShapeMismatch):
             snapshots.generate(small_config(), initial_tracer=np.ones((3, 3)))
 
-    @pytest.mark.parametrize("boundary", ["periodic", "zero_gradient"])
-    @pytest.mark.parametrize("modulate", [False, True])
-    def test_matches_per_step_reference_bit_for_bit(self, boundary, modulate):
-        cfg = small_config(boundary=boundary, modulate_velocity=modulate,
-                           grid_nx=12, grid_ny=9, n_steps=40)
+    # ids: "<modulate>-<boundary>" for the rotating field from a random
+    # tracer, and prefixed by the variant otherwise: "uniform", a uniform
+    # field, whose y faces are exactly zero; "zero_tracer", a zero initial
+    # tracer; "amplitude", a source amplitude other than 1; and
+    # "random_velocity", a field whose neighbouring cells differ, so that
+    # the faces of a scaled field are not the scaled faces
+    @pytest.mark.parametrize("variant, modulate, boundary", [
+        pytest.param(variant, modulate, boundary,
+                     id=("" if variant == "rotating" else f"{variant}-")
+                     + f"{modulate}-{boundary}")
+        for variant in ("rotating", "uniform", "zero_tracer", "amplitude",
+                        "random_velocity")
+        for modulate in (False, True)
+        for boundary in ("periodic", "zero_gradient")
+    ])
+    def test_matches_per_step_reference_bit_for_bit(self, variant, modulate,
+                                                    boundary, monkeypatch):
+        # source_period 4 with dt 0.2 makes the modulation factor exactly
+        # zero at steps 15 and 35
+        cfg = small_config(
+            boundary=boundary, modulate_velocity=modulate, grid_nx=12,
+            grid_ny=9, n_steps=40,
+            velocity_mode="uniform" if variant == "uniform" else "rotating",
+            source_amplitude=0.37 if variant == "amplitude" else 1.0)
         c0 = np.random.default_rng(3).random((cfg.grid_ny, cfg.grid_nx))
+        if variant == "zero_tracer":
+            c0 = np.zeros_like(c0)
+        if variant == "random_velocity":
+            vx, vy = np.random.default_rng(5).uniform(
+                -cfg.u0, cfg.u0, (2, cfg.grid_ny, cfg.grid_nx))
+            monkeypatch.setattr(snapshots, "_velocity_field",
+                                lambda config: (vx, vy))
+        snap = snapshots.generate(cfg, initial_tracer=c0)
+        assert snap.data.tobytes() == reference_generate(cfg, c0).tobytes()
+
+    @pytest.mark.parametrize("modulate", [False, True])
+    def test_desk_size_matches_reference_bit_for_bit(self, modulate):
+        cfg = snapshots.GeneratorConfig(n_steps=200,
+                                        modulate_velocity=modulate)
+        c0 = np.random.default_rng(4).random((cfg.grid_ny, cfg.grid_nx))
         snap = snapshots.generate(cfg, initial_tracer=c0)
         assert snap.data.tobytes() == reference_generate(cfg, c0).tobytes()
 
@@ -259,18 +303,29 @@ class TestScaler:
         (np.zeros(2), np.ones(2), 1.0, 1.0, InvalidConfig),
         (np.zeros(2), np.ones(2), 1.0, 0.0, InvalidConfig),
         (np.zeros(2), np.ones(2), 0.0, np.nan, InvalidConfig),
+        (np.ones(2), np.zeros(2), 0.0, 1.0, InvalidConfig),
+        (np.array([0.0, 2.0]), np.ones(2), 0.0, 1.0, InvalidConfig),
+        (np.array([np.nan, 0.0]), np.ones(2), 0.0, 1.0, InvalidConfig),
+        (np.zeros(2), np.array([1.0, np.inf]), 0.0, 1.0, InvalidConfig),
+        (np.array([-np.inf, 0.0]), np.ones(2), 0.0, 1.0, InvalidConfig),
+        (np.zeros(2), np.ones(2), -np.inf, 1.0, InvalidConfig),
+        (np.zeros(2), np.ones(2), 0.0, np.inf, InvalidConfig),
     ])
     def test_constructor_checks_its_invariants(self, mins, maxs, lo, hi,
                                                error):
         with pytest.raises(error):
             snapshots.MinMaxScaler(mins, maxs, lo, hi)
-        if error is InvalidConfig:
+        # fit_scaler orders inverted bounds, so only the others fail it
+        if error is InvalidConfig and not np.any(mins > maxs):
             with pytest.raises(error):
                 snapshots.fit_scaler(np.stack([mins, maxs]), lo, hi)
 
     @pytest.mark.parametrize("arrays, message", [
         ({"maxs": np.ones(3)}, "not 1-D of one size"),
         ({"range": np.array([1.0, 1.0])}, "hi > lo"),
+        ({"mins": np.array([2.0, 0.0])}, "must not exceed"),
+        ({"maxs": np.array([np.nan, 1.0])}, "finite"),
+        ({"range": np.array([0.0, np.inf])}, "finite"),
     ])
     def test_load_rewritten_file_is_format_error(self, tmp_path, arrays,
                                                  message):

@@ -59,6 +59,16 @@ class TestMakeWindows:
         assert ds.train_inputs.shape[0] == ds.split
         assert np.array_equal(ds.inputs[ds.split], ds.val_inputs[0])
 
+    @pytest.mark.parametrize("lag", [1, 2, 3])
+    def test_equals_per_window_stack(self, lag):
+        scores = wave_scores(n=30, tau=4)[:, ::-1]  # a strided input too
+        ds = training.make_windows(scores, lag, 0.9)
+        expected = np.stack([scores[i:i + lag]
+                             for i in range(len(scores) - lag)])
+        assert np.array_equal(ds.inputs, expected)
+        assert ds.inputs.dtype == np.float64
+        assert ds.inputs.flags.c_contiguous
+
     @settings(deadline=None, max_examples=40)
     @given(st.integers(4, 60), st.integers(1, 5))
     def test_target_is_next_windows_last_row(self, n, lag):
@@ -436,3 +446,24 @@ class TestConfigValidation:
     def test_bad_disc_mode(self):
         with pytest.raises(InvalidConfig):
             quick_config(disc_mode="nope").validate()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, value", [
+        ("lr", math.nan), ("lr", math.inf), ("lr", 0.0), ("lr", -1e-3),
+        ("d_lr", math.nan), ("d_lr", -1.0), ("d_lr", 0.0),
+        ("eps", 0.0), ("eps", math.nan), ("eps", math.inf),
+        ("beta1", 1.5), ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
+        ("beta2", 1.0), ("beta2", math.nan),
+        ("adv_weight", math.nan), ("adv_weight", math.inf),
+        ("clip_norm", math.nan), ("clip_norm", math.inf),
+    ])
+    def test_bad_optimizer_number(self, name, value):
+        with pytest.raises(InvalidConfig, match=name):
+            quick_config(**{name: value}).validate()
+
+    @pytest.mark.parametrize("name, value", [
+        ("beta1", 0.0), ("beta2", 0.0), ("clip_norm", -1.0),
+        ("clip_norm", 0.0), ("adv_weight", 0.0),
+    ])
+    def test_edge_optimizer_number_accepted(self, name, value):
+        quick_config(**{name: value}).validate()
