@@ -1,12 +1,30 @@
 """Command-line pipeline: generate -> pca -> train -> evaluate -> report.
 
-Every command writes its artifact and a manifest beside it,
-``<artifact>.manifest.json``, that records the tool version, seed,
-config hash and the content hashes of its inputs, whose paths are
-stored relative to the artifact's directory. A command hashes each file
-it reads or writes once, checks every manifest record against that hash
-and refuses to run on a stale pipeline; no command writes over one of
-its inputs, or writes two outputs to one file.
+Each command writes its artifacts, defaults in brackets, each with a
+manifest beside it, ``<artifact>.manifest.json``:
+
+- generate: the snapshots [snapshots.romf];
+- pca: the basis [basis.romf] and the scaler [scaler.romf];
+- train: the forecaster [model_classic.romf, or model_adv.romf with
+  --adversarial]; its manifest's ``meta.curves`` holds the per-epoch
+  train_mse and val_mse, and d_loss and g_adv_loss when adversarial;
+- gridsearch: one row per grid point [gridsearch.csv];
+- evaluate: the ensemble report [ensemble_report.csv].
+Files without a manifest: generate --csv's CSV copy, gridsearch's best
+train config [best_config.json] and bench --out's timings; report only
+prints.
+
+A manifest records the tool version, seed, config hash and the content
+hashes of its inputs, whose paths are stored relative to the artifact's
+directory. A command hashes each file it reads or writes once, checks
+every manifest record against that hash and refuses to run on a stale
+pipeline; no command writes over one of its inputs, or writes two
+outputs to one file.
+
+Exit codes: 0 on success; 1 for a runtime or format failure, such as a
+stale or corrupt artifact or a diverged run; 2 for bad arguments or
+config, a missing input, or a path the system refuses (an ``OSError``,
+such as a directory where a file goes).
 Verbosity is controlled by the ROMCAST_LOG environment variable.
 """
 
@@ -20,9 +38,9 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-from . import __version__, forecast, pca, romf, snapshots, training
+from . import __version__, forecast, pca, snapshots, training
 from .errors import HashMismatch, InvalidConfig, MissingArtifact, RomcastError
-from .neural import LstmForecaster, load_model, save_model
+from .neural import load_model, save_model
 
 log = logging.getLogger("romcast")
 
@@ -336,39 +354,31 @@ def cmd_train(args):
     tcfg.validate()
     out = args.out or ("model_adv.romf" if tcfg.adversarial else
                        "model_classic.romf")
-    report_path = args.report or (str(out) + ".report.csv")
     inputs = _data_inputs(args)
-    _verify_io(inputs, {
-        "--out": out, "--report": report_path,
-        "the discriminator": _disc_path(out) if tcfg.adversarial else None})
+    _verify_io(inputs, {"--out": out})
     scaler, scores, field = _load_scores(inputs)
     dataset = training.make_windows(scaler.scale(scores), tcfg.time_lag,
                                     tcfg.train_fraction)
+    adversarial_curves = {}
     if tcfg.adversarial:
-        model, disc, report = training.train_adversarial(dataset, tcfg)
-        save_model(_disc_path(out), disc, seed=tcfg.seed)
-        write_manifest(_disc_path(out), seed=tcfg.seed, config=asdict(tcfg),
-                       inputs=inputs, meta={"field": field})
+        model, _, report = training.train_adversarial(dataset, tcfg)
+        adversarial_curves = {"d_loss": report.d_loss,
+                              "g_adv_loss": report.g_adv_loss}
     else:
         model, report = training.train_classic(dataset, tcfg)
     save_model(out, model, seed=tcfg.seed)
-    report.to_csv(report_path)
     write_manifest(
         out, seed=tcfg.seed, config=asdict(tcfg), inputs=inputs,
         meta={"field": field, "final_train_mse": report.train_loss[-1],
               "final_val_mse": report.val_loss[-1],
-              "report_csv": report_path},
+              "curves": {"train_mse": report.train_loss,
+                         "val_mse": report.val_loss, **adversarial_curves}},
     )
     kind = "adversarial" if tcfg.adversarial else "classic"
     print(f"train[{kind}]: {out} epochs={tcfg.epochs} "
           f"train_mse={report.train_loss[-1]:.6g} "
           f"val_mse={report.val_loss[-1]:.6g}")
     return 0
-
-
-def _disc_path(model_path):
-    root, ext = os.path.splitext(str(model_path))
-    return f"{root}.disc{ext}"
 
 
 def cmd_gridsearch(args):
@@ -406,19 +416,15 @@ def _parse_starts(text):
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(part) for part in text.split(",") if part]
+            starts = list(range(int(lo), int(hi) + 1))
+        else:
+            starts = [int(part) for part in text.split(",") if part]
     except ValueError:
-        raise InvalidConfig("--starts must be A..B or a comma list of "
-                            f"integers, got {text!r}") from None
-
-
-def _load_forecaster(path):
-    """The forecaster saved at ``path``; a discriminator is a FormatError."""
-    model, _, _ = load_model(path)
-    if not isinstance(model, LstmForecaster):
-        raise romf.FormatError(f"{path}: a discriminator, not a forecaster")
-    return model
+        starts = []
+    if not starts:
+        raise InvalidConfig("--starts must be A..B with A <= B or a comma "
+                            f"list of integers, got {text!r}")
+    return starts
 
 
 def cmd_evaluate(args):
@@ -426,8 +432,8 @@ def cmd_evaluate(args):
     inputs = {**_data_inputs(args), "classic": args.classic, "adv": args.adv}
     _verify_io(inputs, {"--out": out})
     scaler, scores, _ = _load_scores(inputs)
-    classic = _load_forecaster(args.classic)
-    adv = _load_forecaster(args.adv)
+    classic, _, _ = load_model(args.classic)
+    adv, _, _ = load_model(args.adv)
     starts = _parse_starts(args.starts)
     report = forecast.evaluate_ensemble(classic, adv, scores, scaler, starts,
                                         args.horizon)
@@ -498,7 +504,7 @@ def cmd_bench(args):
                {"--out": args.out})
     config = load_config(args.config)
     gen = _data_config(config)
-    model = _load_forecaster(args.model)
+    model, _, _ = load_model(args.model)
     timing = forecast.timing_benchmark(model, gen, horizon=args.horizon,
                                        ensemble_width=args.ensemble)
     print(f"bench: simulator {timing.sim_seconds_per_step * 1e6:.1f} us/step")
@@ -535,8 +541,9 @@ def build_parser():
     p = sub.add_parser("pca", help="fit the truncated PCA basis and scaler")
     p.add_argument("--snapshots", required=True)
     p.add_argument("--config")
-    p.add_argument("--tau", type=int)
-    p.add_argument("--variance", type=float)
+    truncation = p.add_mutually_exclusive_group()
+    truncation.add_argument("--tau", type=int)
+    truncation.add_argument("--variance", type=float)
     p.add_argument("--field")
     p.add_argument("--out")
     p.add_argument("--scaler-out")
@@ -550,7 +557,6 @@ def build_parser():
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.add_argument("--report")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("gridsearch", help="hyperparameter grid search")
@@ -601,7 +607,7 @@ def main(argv=None):
     token = _digests.set({})
     try:
         return args.func(args)
-    except (FileNotFoundError, InvalidConfig, MissingArtifact) as exc:
+    except (OSError, InvalidConfig, MissingArtifact) as exc:
         print(f"romcast: error: {exc}", file=sys.stderr)
         return 2
     except RomcastError as exc:

@@ -554,32 +554,30 @@ _FORECASTER_META = {"output_activation": str, "dropout_rate": (int, float),
 
 
 def save_model(path, model, seed=None):
-    """Persist weights, plus what their shapes cannot tell, in one ROMF file."""
-    meta = {"kind": "discriminator", "seed": seed}
-    if isinstance(model, LstmForecaster):
-        meta.update(kind="forecaster",
-                    output_activation=model.output_activation,
-                    dropout_rate=model.dropout_rate, time_lag=model.time_lag)
-    romf.write_arrays(path, model.params(), meta)
+    """Persist a forecaster's weights, plus what their shapes cannot
+    tell, in one ROMF file."""
+    romf.write_arrays(path, model.params(), {
+        "kind": "forecaster", "seed": seed,
+        "output_activation": model.output_activation,
+        "dropout_rate": model.dropout_rate, "time_lag": model.time_lag})
 
 
 def load_model(path):
-    """Load a model saved by ``save_model``; returns (model, meta, {}).
+    """Load a forecaster saved by ``save_model``; returns (model, meta, {}).
 
-    A model file holds no arrays beyond the model's; the empty third item
+    A file of another kind, such as a discriminator, is a FormatError. A
+    model file holds no arrays beyond the model's; the empty third item
     keeps the 3-tuple that callers unpack."""
     arrays, meta = romf.read_arrays(path)
     romf.require(arrays, ["lstm.W", "lstm.U", "lstm.b", "head.weight",
                           "head.bias"], path)
     romf.require(meta, _META, path, "meta key")
-    if meta["kind"] == "forecaster":
-        romf.require(meta, _FORECASTER_META, path, "meta key")
-    elif meta["kind"] != "discriminator":
-        raise romf.FormatError(f"{path}: unknown model kind {meta['kind']!r}")
+    if meta["kind"] != "forecaster":
+        raise romf.FormatError(f"{path}: a {meta['kind']}, not a forecaster "
+                               f"(kind {meta['kind']!r})")
+    romf.require(meta, _FORECASTER_META, path, "meta key")
     with romf.building(path):
         lstm = LstmParams(arrays["lstm.W"], arrays["lstm.U"], arrays["lstm.b"])
         head = DenseParams(arrays["head.weight"], arrays["head.bias"])
-        if meta["kind"] == "discriminator":
-            return Discriminator(lstm, head), meta, {}
         settings = {key: meta[key] for key in _FORECASTER_META}
         return LstmForecaster(lstm, head, **settings), meta, {}

@@ -20,14 +20,12 @@ Real [window, target] and fake [window, fake] share the window steps:
 D runs that prefix once and the last step for both branches from its
 final (h, c) (``neural.discriminator_branches``). The one backward path,
 ``neural._param_grads``, adds the branches' dh and dc there and
-back-propagates the prefix once; step mode is the same path with an
-empty prefix. The prediction enters only D's
-last step, so the generator step's dL/d(prediction) through D is that
-step's input gradient (``neural.candidate_grad``), with no weight
-gradients. With the default ``d_steps`` = 2 in conditional mode, a
-mini-batch thus runs the LSTM kernel seven times: once for the
-forecaster, and D's prefix and last step once per discriminator step
-and once for the generator step.
+back-propagates the prefix once. The prediction enters only D's last
+step, so the generator step's dL/d(prediction) through D is that step's
+input gradient (``neural.candidate_grad``), with no weight gradients.
+With the default ``d_steps`` = 2, a mini-batch thus runs the LSTM
+kernel seven times: once for the forecaster, and D's prefix and last
+step once per discriminator step and once for the generator step.
 
 Training computes in float32, the one place the dtype is chosen: the
 freshly drawn forecaster and discriminator are rounded to float32 copies
@@ -57,8 +55,6 @@ from .neural import (
     lstm_forward,
 )
 from .optim import NadamState, bce, clip_global_norm, mse, mse_grad, nadam_step
-
-DISC_MODES = ("step", "conditional")
 
 # desk-scale default search space (dropout/activation/lag axes as used
 # for the full-scale experiments, plus a small hidden-size axis)
@@ -92,7 +88,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     clip_norm: float = 0.0  # 0 disables the global-norm cap
-    disc_mode: str = "conditional"  # D sees window + candidate; "step": candidate only
     d_steps: int = 2  # discriminator updates per generator update
 
     def validate(self):
@@ -119,8 +114,6 @@ class TrainConfig:
             raise InvalidConfig(
                 f"unknown output_activation {self.output_activation!r}"
             )
-        if self.disc_mode not in DISC_MODES:
-            raise InvalidConfig(f"unknown disc_mode {self.disc_mode!r}")
         if self.d_steps < 1:
             raise InvalidConfig("d_steps must be >= 1")
 
@@ -171,17 +164,6 @@ class TrainReport:
     epoch_seconds: list = field(default_factory=list)
     optimizer_steps: int = 0
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("epoch,train_mse,val_mse,d_loss,g_adv_loss\n")
-            for epoch in range(len(self.train_loss)):
-                d = "" if self.d_loss is None else f"{self.d_loss[epoch]:.6g}"
-                g = "" if self.g_adv_loss is None else f"{self.g_adv_loss[epoch]:.6g}"
-                fh.write(
-                    f"{epoch},{self.train_loss[epoch]:.6g},"
-                    f"{self.val_loss[epoch]:.6g},{d},{g}\n"
-                )
-
 
 def make_windows(scores, time_lag, train_fraction=0.9):
     """Build k = n - N windows (stride 1) with a chronological split."""
@@ -211,12 +193,6 @@ def _rng_streams(seed):
     }
 
 
-def _prefix(windows, config):
-    """The steps D sees before the candidate: the window in conditional
-    mode, none in step mode."""
-    return windows if config.disc_mode == "conditional" else windows[:, :0]
-
-
 def _forecaster_step(model, opt, lstm_tape, windows, targets, rng_dropout,
                      config, disc=None):
     """One optimizer step on the forecaster from ``lstm_tape``, its LSTM
@@ -229,8 +205,7 @@ def _forecaster_step(model, opt, lstm_tape, windows, targets, rng_dropout,
     d_pred = mse_grad(pred, targets)
     adv_loss = None
     if disc is not None:
-        prob, d_tape = discriminator_branches(disc, _prefix(windows, config),
-                                              pred[None])
+        prob, d_tape = discriminator_branches(disc, windows, pred[None])
         adv_loss, d_prob = bce(prob[0], 1.0)
         if not np.isfinite(adv_loss):
             raise NonFiniteLoss("forecaster adversarial loss diverged")
@@ -245,7 +220,7 @@ def _forecaster_step(model, opt, lstm_tape, windows, targets, rng_dropout,
 def _discriminator_step(disc, opt, windows, targets, fake, config):
     """One optimizer step on the discriminator, real next steps
     ``targets`` against the forecaster's ``fake`` ones."""
-    prob, tape = discriminator_branches(disc, _prefix(windows, config),
+    prob, tape = discriminator_branches(disc, windows,
                                         np.stack([targets, fake]))
     loss_real, d_real = bce(prob[0], 1.0)
     loss_fake, d_fake = bce(prob[1], 0.0)

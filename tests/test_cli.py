@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from romcast import cli, forecast, romf
+from romcast import cli, forecast, neural, romf, training
 
 SMALL_CONFIG = {
     "data": {
@@ -47,6 +47,15 @@ def pipeline(workdir, train_args=()):
     assert run("train", "--config", "config.json", "--snapshots", "snap.romf",
                "--basis", "basis.romf", "--scaler", "scaler.romf",
                "--out", "classic.romf", *train_args) == 0
+
+
+def write_discriminator(path):
+    """A discriminator file, as train --adversarial once wrote beside its
+    model, and its manifest."""
+    disc = neural.init_discriminator(4, 8, np.random.default_rng(0))
+    romf.write_arrays(path, disc.params(), {"kind": "discriminator",
+                                            "seed": 0})
+    cli.write_manifest(path)
 
 
 class TestExitCodes:
@@ -94,6 +103,7 @@ class TestExitCodes:
             (spoil("grid", hidden_nodes=[]), "hidden_nodes"),
             (spoil("grid", dropout=[0.1, True]), "dropout"),
             (spoil("grid", lr=[0.1]), "'lr'"),
+            (spoil("train", disc_mode="step"), "'disc_mode'"),
             (json.dumps(dict(SMALL_CONFIG, serach_epochs=1)),
              "'serach_epochs'"),
         ]
@@ -161,6 +171,19 @@ class TestExitCodes:
         assert manifest in capsys.readouterr().err
         assert not os.path.exists("again.romf")
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", *CONFIG, "--out", "adir"],
+        ["generate", "--config", "adir"],
+        ["report", "adir"],
+    ])
+    def test_directory_for_a_file_is_usage_error(self, workdir, capsys, argv):
+        # an OSError ends as the CLI's error line, not a traceback
+        os.mkdir("adir")
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "romcast: error:" in err and "adir" in err
+        assert "Traceback" not in err
+
     def test_non_integer_search_epochs_is_usage_error(self, workdir, capsys):
         with open("bad.json", "w") as fh:
             json.dump(dict(SMALL_CONFIG, search_epochs="x"), fh)
@@ -170,6 +193,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("extra, message", [
         (("--starts", "40..x"), "--starts"),
         (("--starts", "40..42", "--horizon", "0"), "horizon"),
+        (("--starts", "42..40"), "--starts"),
+        (("--starts", ","), "--starts"),
     ])
     def test_bad_evaluate_number_is_usage_error(self, workdir, capsys, extra,
                                                 message):
@@ -193,12 +218,12 @@ class TestExitCodes:
         ({"--classic": "basis.romf"}, "'lstm.W'"),
         ({"--basis": "classic.romf"}, "'mean'"),
         ({"--scaler": "basis.romf"}, "'mins'"),
-        # the discriminator that train --adversarial writes beside its model
         ({"--classic": "classic.disc.romf"}, None),
     ])
     def test_wrong_kind_artifact_is_format_error(self, workdir, capsys, swap,
                                                  missing):
         pipeline(workdir, ["--adversarial"])
+        write_discriminator("classic.disc.romf")
         paths = {"--classic": "classic.romf", "--adv": "classic.romf",
                  "--snapshots": "snap.romf", "--basis": "basis.romf",
                  "--scaler": "scaler.romf", **swap}
@@ -216,6 +241,7 @@ class TestExitCodes:
 
     def test_bench_of_a_discriminator_is_format_error(self, workdir, capsys):
         pipeline(workdir, ["--adversarial"])
+        write_discriminator("classic.disc.romf")
         capsys.readouterr()
         assert run("bench", *CONFIG, "--model", "classic.disc.romf",
                    "--scaler", "scaler.romf", "--horizon", "5") == 1
@@ -270,12 +296,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["train", *CONFIG, *DATA, "--out", "basis.romf"],
         ["train", *CONFIG, *DATA, "--out", "./snap.romf"],
-        ["train", *CONFIG, *DATA, "--out", "m.romf", "--report",
-         "scaler.romf"],
-        ["train", *CONFIG, *DATA, "--out", "m.romf", "--report",
-         "basis.romf.manifest.json"],
-        ["train", *CONFIG, *DATA, "--adversarial", "--out", "m.romf",
-         "--report", "m.disc.romf"],
+        ["train", *CONFIG, *DATA, "--out", "basis.romf.manifest.json"],
+        ["train", *CONFIG, *DATA, "--adversarial", "--out", "scaler.romf"],
         ["pca", *CONFIG, "--snapshots", "snap.romf", "--out", "x.romf",
          "--scaler-out", "x.romf"],
         ["pca", *CONFIG, "--snapshots", "snap.romf", "--scaler-out",
@@ -336,6 +358,15 @@ class TestPcaCommand:
         assert manifest["meta"]["tau"] == 4
         assert manifest["inputs"]["snapshots"]["path"] == "snap.romf"
 
+    def test_tau_and_variance_are_exclusive(self, workdir, capsys):
+        run("generate", "--config", "config.json", "--out", "snap.romf")
+        with pytest.raises(SystemExit) as info:
+            run("pca", "--config", "config.json", "--snapshots", "snap.romf",
+                "--tau", "2", "--variance", "0.5")
+        assert info.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not os.path.exists("basis.romf")
+
     def test_variance_flag(self, workdir, capsys):
         run("generate", "--config", "config.json", "--out", "snap.romf")
         assert run("pca", "--config", "config.json", "--snapshots",
@@ -349,8 +380,6 @@ class TestTrainEvaluateReport:
         assert run("train", "--config", "config.json", "--snapshots",
                    "snap.romf", "--basis", "basis.romf", "--scaler",
                    "scaler.romf", "--adversarial", "--out", "adv.romf") == 0
-        cli.verify_artifact("adv.disc.romf")
-        assert os.path.exists("classic.romf.report.csv")
         # one file per artifact, plus its manifest
         assert [path for path in glob.glob("*.json")
                 if not path.endswith(".manifest.json")] == ["config.json"]
@@ -367,6 +396,33 @@ class TestTrainEvaluateReport:
         assert run("report", "report.csv") == 0
         out = capsys.readouterr().out
         assert "agg" in out
+
+    @pytest.mark.parametrize("extra", [[], ["--adversarial"]],
+                             ids=["classic", "adversarial"])
+    def test_train_writes_the_model_and_its_manifest_only(self, workdir,
+                                                          monkeypatch, extra):
+        assert run("generate", *CONFIG, "--out", "snap.romf") == 0
+        assert run("pca", *CONFIG, "--snapshots", "snap.romf") == 0
+        reports = []
+        for name in ("train_classic", "train_adversarial"):
+            def recording(*args, real=getattr(training, name)):
+                out = real(*args)
+                reports.append(out[-1])
+                return out
+            monkeypatch.setattr(training, name, recording)
+        os.mkdir("out")
+        assert run("train", *CONFIG, *DATA, *extra, "--out", "out/m.romf") == 0
+        assert sorted(os.listdir("out")) == ["m.romf", "m.romf.manifest.json"]
+        [report] = reports
+        meta = json.load(open("out/m.romf.manifest.json"))["meta"]
+        # every curve in full, the adversarial ones for an adversarial run
+        curves = {"train_mse": report.train_loss, "val_mse": report.val_loss}
+        if extra:
+            curves.update(d_loss=report.d_loss, g_adv_loss=report.g_adv_loss)
+        assert meta["curves"] == curves
+        assert len(report.train_loss) == SMALL_CONFIG["train"]["epochs"]
+        assert meta["final_train_mse"] == report.train_loss[-1]
+        assert meta["final_val_mse"] == report.val_loss[-1]
 
     def test_basis_field_comes_from_the_hashed_file(self, workdir):
         # the manifest's meta.field is not hashed; editing it must not
@@ -516,9 +572,8 @@ class TestTrainEvaluateReport:
                    "snap.romf", "--basis", "basis.romf", "--scaler",
                    "scaler.romf", "--epochs", "2", "--seed", "5",
                    "--out", "c5.romf") == 0
-        report = open("c5.romf.report.csv").read().splitlines()
-        assert len(report) == 3
         manifest = json.load(open("c5.romf.manifest.json"))
+        assert len(manifest["meta"]["curves"]["train_mse"]) == 2
         assert manifest["seed"] == 5
 
 
@@ -572,7 +627,7 @@ class TestOneHashPerFile:
               "basis.romf", "--scaler-out", "scaler.romf"], 3),
             (["train", *CONFIG, *DATA, "--out", "classic.romf"], 4),
             (["train", *CONFIG, *DATA, "--adversarial", "--out",
-              "adv.romf"], 5),
+              "adv.romf"], 4),
             (evaluate, 6),
         ]
         for argv, total in commands:

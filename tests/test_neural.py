@@ -680,12 +680,12 @@ def test_per_gate_file_is_format_error(tmp_path):
         neural.load_model(path)
 
 
-def test_discriminator_round_trip_and_one_file(tmp_path):
+def test_discriminator_file_is_format_error(tmp_path):
+    # the record that train --adversarial once wrote beside its model
     disc = neural.init_discriminator(3, 4, np.random.default_rng(19))
-    path = tmp_path / "disc.romf"
-    neural.save_model(path, disc, seed=6)
-    loaded, meta, extras = neural.load_model(path)
-    assert isinstance(loaded, neural.Discriminator) and extras == {}
-    assert meta == {"kind": "discriminator", "seed": 6}
-    assert loaded.flat.tobytes() == disc.flat.tobytes()
-    assert [p.name for p in tmp_path.iterdir()] == ["disc.romf"]
+    path = tmp_path / "m.disc.romf"
+    romf.write_arrays(path, disc.params(), {"kind": "discriminator",
+                                            "seed": 6})
+    with pytest.raises(romf.FormatError,
+                       match="m.disc.romf: a discriminator, not a forecaster"):
+        neural.load_model(path)

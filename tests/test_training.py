@@ -100,17 +100,13 @@ class TestTrainClassic:
         for key, val in m1.params().items():
             assert val.tobytes() == m2.params()[key].tobytes()
 
-    def test_report_lengths_and_csv(self, tmp_path):
+    def test_report_lengths(self):
         ds = training.make_windows(wave_scores(), 2, 0.9)
         _, report = training.train_classic(ds, quick_config(epochs=4))
         assert len(report.train_loss) == 4
         assert len(report.val_loss) == 4
         assert len(report.epoch_seconds) == 4
-        path = tmp_path / "report.csv"
-        report.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,train_mse,val_mse,d_loss,g_adv_loss"
-        assert len(lines) == 5
+        assert report.d_loss is None and report.g_adv_loss is None
 
     def test_adversarial_flag_rejected(self):
         ds = training.make_windows(wave_scores(), 2, 0.9)
@@ -164,12 +160,10 @@ class TestTrainAdversarial:
         config = quick_config(epochs=3, batch_size=32, dropout=0.3, seed=4)
         assert ds.split > 3 * config.batch_size
         classic, _ = training.train_classic(ds, config)
-        for mode in training.DISC_MODES:
-            adv_cfg = replace(config, adversarial=True, adv_weight=0.0,
-                              disc_mode=mode)
-            adv, _, report = training.train_adversarial(ds, adv_cfg)
-            assert np.all(np.isfinite(report.g_adv_loss)), mode
-            assert adv.flat.tobytes() == classic.flat.tobytes(), mode
+        adv_cfg = replace(config, adversarial=True, adv_weight=0.0)
+        adv, _, report = training.train_adversarial(ds, adv_cfg)
+        assert np.all(np.isfinite(report.g_adv_loss))
+        assert adv.flat.tobytes() == classic.flat.tobytes()
 
     def test_phase_isolation(self):
         ds = training.make_windows(wave_scores(), 2, 0.9)
@@ -196,8 +190,7 @@ class TestTrainAdversarial:
         for key, val in disc.params().items():
             assert val.tobytes() == d_before[key].tobytes()
 
-    @pytest.mark.parametrize("mode", training.DISC_MODES)
-    def test_nan_fake_batch_is_non_finite_input(self, mode):
+    def test_nan_fake_batch_is_non_finite_input(self):
         ds = training.make_windows(wave_scores(), 2, 0.9)
         disc = neural.init_discriminator(3, 8, np.random.default_rng(1))
         opt = optim.NadamState()
@@ -207,7 +200,7 @@ class TestTrainAdversarial:
         before = disc.flat.copy()
         with pytest.raises(NonFiniteInput):
             training._discriminator_step(disc, opt, windows, targets, fake,
-                                         quick_config(disc_mode=mode))
+                                         quick_config())
         assert opt.t == 0 and disc.flat.tobytes() == before.tobytes()
 
     def test_discriminator_steps_per_epoch(self, monkeypatch):
@@ -226,15 +219,12 @@ class TestTrainAdversarial:
         assert sides.count("g") == batches
         assert sides.count("d") == 3 * batches
 
-    @pytest.mark.parametrize("mode, disc_runs", [("conditional", 6),
-                                                 ("step", 3)])
-    def test_mini_batch_runs_the_forecasters_lstm_once(self, monkeypatch,
-                                                       mode, disc_runs):
+    def test_mini_batch_runs_the_forecasters_lstm_once(self, monkeypatch):
         # the fake batch and the generator step share one LSTM pass; D
-        # runs its prefix (if any) and last step per d_step and for G
+        # runs its prefix and last step per d_step and for G
         ds = training.make_windows(wave_scores(), 2, 0.9)
-        config = quick_config(epochs=2, adversarial=True, dropout=0.3,
-                              disc_mode=mode)
+        config = quick_config(epochs=2, adversarial=True, dropout=0.3)
+        disc_runs = 6  # (prefix + last step) x (2 d_steps + G)
         real_recur = neural._recur
         real_astype = neural._Network.astype
         runs = []
@@ -293,8 +283,7 @@ class TestTrainAdversarial:
 
 
 class TestFloat32Training:
-    @pytest.mark.parametrize("mode", training.DISC_MODES)
-    def test_steps_keep_every_array_float32(self, monkeypatch, mode):
+    def test_steps_keep_every_array_float32(self, monkeypatch):
         ds = training.make_windows(wave_scores(), 2, 0.9)
         streams = training._rng_streams(3)
         model = neural.init_forecaster(3, 8, "relu", 0.3, 2,
@@ -302,8 +291,7 @@ class TestFloat32Training:
         disc = neural.init_discriminator(3, 8,
                                          streams["disc"]).astype(np.float32)
         opt_g, opt_d = optim.NadamState(), optim.NadamState()
-        config = quick_config(adversarial=True, dropout=0.3, disc_mode=mode,
-                              clip_norm=1.0)
+        config = quick_config(adversarial=True, dropout=0.3, clip_norm=1.0)
         windows = ds.inputs[:16].astype(np.float32)
         targets = ds.targets[:16].astype(np.float32)
         arrays = []  # (what, array) for every array the steps hand on
@@ -444,8 +432,9 @@ class TestConfigValidation:
             quick_config(adv_weight=-0.5).validate()
 
     def test_bad_disc_mode(self):
-        with pytest.raises(InvalidConfig):
-            quick_config(disc_mode="nope").validate()
+        # D always sees the window: no setting chooses otherwise
+        with pytest.raises(TypeError, match="disc_mode"):
+            quick_config(disc_mode="step")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name, value", [
