@@ -23,8 +23,9 @@ outputs to one file.
 
 Exit codes: 0 on success; 1 for a runtime or format failure, such as a
 stale or corrupt artifact or a diverged run; 2 for bad arguments or
-config, a missing input, or a path the system refuses (an ``OSError``,
-such as a directory where a file goes).
+config, a missing input, an output path that is a directory or lies in
+a missing one (both checked before any work), or a path the system
+refuses (an ``OSError``).
 Verbosity is controlled by the ROMCAST_LOG environment variable.
 """
 
@@ -251,8 +252,9 @@ def _train_config(config, args):
 
 
 def _verify_io(inputs, outputs):
-    """Check a command's files before it writes any: raise InvalidConfig
-    when a path in ``outputs`` names the same file as one of the
+    """Check a command's files before it does any work: raise
+    InvalidConfig when a path in ``outputs`` is a directory, lies in a
+    directory that does not exist, or names the same file as one of the
     command's ``inputs``, an input's manifest or another output, then
     verify each input against its manifest (``verify_artifact``).
 
@@ -268,6 +270,11 @@ def _verify_io(inputs, outputs):
     for option, path in outputs.items():
         if path is None:
             continue
+        if os.path.isdir(path):
+            raise InvalidConfig(f"{option} {path} is a directory")
+        if not os.path.isdir(_dir_of(path)):
+            raise InvalidConfig(f"{option} {path}: directory "
+                                f"{_dir_of(path)} does not exist")
         key = os.path.realpath(path)
         if key in claimed:
             raise InvalidConfig(f"{option} {path} is the same file as "
@@ -318,15 +325,15 @@ def cmd_pca(args):
     out = args.out or "basis.romf"
     scaler_out = args.scaler_out or "scaler.romf"
     inputs = {"snapshots": args.snapshots}
-    _verify_io(inputs, {"--out": out, "--scaler-out": scaler_out})
-    config = load_config(args.config)
-    section = dict(config["pca"])
+    section = dict(load_config(args.config)["pca"])
     if args.tau is not None:
         section["tau"], section["variance"] = args.tau, None
     if args.variance is not None:
         section["tau"], section["variance"] = None, args.variance
     if args.field is not None:
         section["field"] = args.field
+    pca.check_truncation(section["tau"], section["variance"])
+    _verify_io(inputs, {"--out": out, "--scaler-out": scaler_out})
     snap = snapshots.SnapshotMatrix.load(args.snapshots)
     field = section["field"]
     data = snap.field(field)

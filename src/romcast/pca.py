@@ -6,18 +6,25 @@ rows are orthonormal and sign-fixed (largest magnitude entry positive)
 so fitted bases are reproducible.
 
 The fit uses the method of snapshots (Sirovich, Q. Appl. Math. 45,
-1987): instead of an SVD of the centered n x m matrix X, it takes the
-symmetric eigendecomposition of the Gram matrix of the shorter side,
-X X^T (n x n) when n <= m and X^T X (m x m) otherwise. Its eigenvalues
-are the squared singular values of X. One Rayleigh-Ritz step then turns
-the kept subspace into EOFs: with Q an orthonormal m x tau basis of it
-(the QR factor of X^T V_tau, or V_tau itself when n > m), the SVD of the
-small n x tau matrix X Q rotates Q into the EOF rows, which are thus
-orthonormal to machine precision even when the subspace takes in a null
-direction. Forming the Gram matrix squares the condition number, so the
-tail singular values are accurate in energy (sigma^2 to about
-n * eps * sigma_1^2), not relative to their own size; explained-variance
-fractions, the only use of the tail, need no more.
+1987) on the Gram matrix G of the shorter side of the centered n x m
+matrix X: X X^T when n <= m, X^T X otherwise. Its eigenvalues, from
+``eigvalsh``, are the squared singular values of X and set the rank and
+tau. Only the tau kept eigenvectors are formed, by block subspace
+iteration on G (Halko, Martinsson & Tropp, SIAM Rev. 53(2), 2011): a
+fixed-seed Gaussian block of width p = 2 tau, orthonormalised by QR after
+each of k multiplies, k the least with (lambda_{p+1} / lambda_tau)^k <=
+1e-12 (1 when lambda_{p+1} = 0). The block doubles while k would pass a
+small cap; at p >= the size of G it is the whole space. The ``eigh`` of
+Q^T G Q (of G itself in that limit, so tau = rank is exact) picks the
+leading tau. One more Rayleigh-Ritz step turns them into EOFs: with Q an
+orthonormal m x tau basis of their span (the QR factor of X^T V_tau, or
+V_tau itself when n > m), the SVD of the small n x tau matrix X Q rotates
+Q into the EOF rows, which are thus orthonormal to machine precision
+even when the subspace takes in a null direction. Forming the Gram
+matrix squares the condition number, so the tail singular values are
+accurate in energy (sigma^2 to about n * eps * sigma_1^2), not relative
+to their own size; explained-variance fractions, the only use of the
+tail, need no more.
 """
 
 from dataclasses import dataclass
@@ -97,46 +104,84 @@ def fit(snapshots, tau=None, variance=None):
     fraction v in (0, 1], tau becomes the smallest k whose cumulative
     explained variance reaches v.
     """
-    if (tau is None) == (variance is None):
-        raise InvalidConfig("give exactly one of tau or variance")
+    check_truncation(tau, variance)
     data = _as_matrix(snapshots)
     n, m = data.shape
     mean = data.mean(axis=0)
     centered = data - mean
     wide = n <= m
     gram = centered @ centered.T if wide else centered.T @ centered
-    try:
-        energy, vecs = np.linalg.eigh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigh failed to converge: {exc}") from exc
-    s = np.sqrt(np.clip(energy[::-1], 0.0, None))
+    energy = np.clip(_solve("eigvalsh", np.linalg.eigvalsh, gram)[::-1],
+                     0.0, None)
+    s = np.sqrt(energy)
     if not np.any(s > 0):
         raise DegenerateData("centered snapshot matrix is zero; tau undefined")
 
     if variance is not None:
-        if not 0.0 < variance <= 1.0:
-            raise InvalidConfig("variance fraction must lie in (0, 1]")
         fractions = _cumulative_fractions(s)
         tau = int(np.searchsorted(fractions, variance, side="left")) + 1
         tau = min(tau, s.size)
     else:
         tau = int(tau)
-        if not 1 <= tau <= s.size:
+        if tau > s.size:
             raise InvalidConfig(f"tau={tau} outside [1, {s.size}]")
 
     # Rayleigh-Ritz on the kept subspace, spanned by the orthonormal q (m, tau)
-    kept = vecs[:, ::-1][:, :tau]
-    try:
-        q = np.linalg.qr(centered.T @ kept)[0] if wide else kept
-        eofs = np.linalg.svd(centered @ q, full_matrices=False)[2] @ q.T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"Rayleigh-Ritz SVD failed: {exc}") from exc
+    kept = _leading_eigenvectors(gram, energy, tau)
+    q = _solve("QR of X^T V", np.linalg.qr, centered.T @ kept)[0] \
+        if wide else kept
+    eofs = _solve("Rayleigh-Ritz SVD", np.linalg.svd, centered @ q,
+                  full_matrices=False)[2] @ q.T
 
     # sign convention: each EOF's largest-magnitude entry is positive
     flip = np.sign(eofs[np.arange(tau), np.argmax(np.abs(eofs), axis=1)])
     flip[flip == 0] = 1.0
     eofs *= flip[:, None]
     return PcaBasis(mean=mean, eofs=eofs, singular_values=s, n=n)
+
+
+def check_truncation(tau=None, variance=None):
+    """Raise InvalidConfig unless exactly one of tau >= 1 and variance in
+    (0, 1] is given; ``fit`` checks tau against the rank."""
+    if (tau is None) == (variance is None):
+        raise InvalidConfig("give exactly one of tau or variance")
+    if variance is not None and not 0.0 < variance <= 1.0:
+        raise InvalidConfig("variance fraction must lie in (0, 1]")
+    if tau is not None and tau < 1:
+        raise InvalidConfig(f"tau={tau} must be at least 1")
+
+
+# subspace iteration: the start block's seed, the shrink factor of the
+# unwanted directions and the most steps before the block widens
+_SEED, _TOLERANCE, _MAX_STEPS = 0, 1e-12, 4
+
+
+def _leading_eigenvectors(gram, energy, tau):
+    """The ``tau`` leading eigenvectors (columns) of ``gram``, of spectrum
+    ``energy`` (descending), by block subspace iteration."""
+    size, width = gram.shape[0], 2 * tau
+    while width < size:
+        ratio = energy[width] / energy[tau - 1] if energy[width] > 0 else 0.0
+        steps = next((k for k in range(1, _MAX_STEPS + 1)
+                      if ratio**k <= _TOLERANCE), 0)
+        if steps:
+            break
+        width *= 2
+    if width >= size:  # the block is the whole space
+        return _solve("eigh", np.linalg.eigh, gram)[1][:, :-tau - 1:-1]
+    q = np.random.default_rng(_SEED).standard_normal((size, width))
+    for _ in range(steps):
+        q = _solve("QR of the iterated block", np.linalg.qr, gram @ q)[0]
+    ritz = _solve("Rayleigh-Ritz eigh", np.linalg.eigh, q.T @ gram @ q)[1]
+    return q @ ritz[:, :-tau - 1:-1]
+
+
+def _solve(step, routine, *args, **kwargs):
+    """Call ``routine``, raising a LinAlgError as NumericalFailure(step)."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"{step} failed: {exc}") from exc
 
 
 def project(basis, states):

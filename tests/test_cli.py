@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from romcast import cli, forecast, neural, romf, training
+from romcast import cli, forecast, neural, pca, romf, snapshots, training
 
 SMALL_CONFIG = {
     "data": {
@@ -183,6 +183,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "romcast: error:" in err and "adir" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", *CONFIG, "--out", "adir"],
+        ["generate", *CONFIG, "--out", "missing/snap.romf"],
+        ["generate", *CONFIG, "--csv", "missing/snap.csv"],
+        ["pca", *CONFIG, "--snapshots", "snap.romf", "--out", "adir"],
+        ["pca", *CONFIG, "--snapshots", "snap.romf",
+         "--scaler-out", "missing/scaler.romf"],
+        ["train", *CONFIG, *DATA, "--out", "missing/model.romf"],
+        ["train", *CONFIG, *DATA, "--adversarial", "--out", "adir"],
+    ])
+    def test_bad_output_path_fails_before_any_work(self, workdir, capsys,
+                                                   monkeypatch, argv):
+        pipeline(workdir)
+        os.mkdir("adir")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command did its work")
+
+        monkeypatch.setattr(snapshots, "generate", refuse)
+        monkeypatch.setattr(pca, "fit", refuse)
+        monkeypatch.setattr(training, "train_classic", refuse)
+        monkeypatch.setattr(training, "train_adversarial", refuse)
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "romcast: error:" in err and argv[-1] in err
+        assert not os.path.exists("missing")
+
+    @pytest.mark.parametrize("truncation", [
+        ["--tau", "0"], ["--variance", "0"], ["--variance", "1.5"],
+    ])
+    def test_bad_truncation_fails_before_hashing(self, workdir, capsys,
+                                                 monkeypatch, truncation):
+        pipeline(workdir)
+
+        def refuse(path):
+            raise AssertionError(f"hashed {path}")
+
+        monkeypatch.setattr(cli, "_sha256", refuse)
+        capsys.readouterr()
+        assert run("pca", *CONFIG, "--snapshots", "snap.romf",
+                   "--out", "b2.romf", *truncation) == 2
+        assert "romcast: error:" in capsys.readouterr().err
+        assert not os.path.exists("b2.romf")
 
     def test_non_integer_search_epochs_is_usage_error(self, workdir, capsys):
         with open("bad.json", "w") as fh:

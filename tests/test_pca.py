@@ -6,13 +6,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from romcast import pca, romf, snapshots
-from romcast.errors import DegenerateData, InvalidConfig, ShapeMismatch
+from romcast.errors import (
+    DegenerateData,
+    InvalidConfig,
+    NumericalFailure,
+    ShapeMismatch,
+)
 
 from oracles import covariance_eig
 
 
 def random_matrix(seed, n=20, m=50):
     return np.random.default_rng(seed).standard_normal((n, m))
+
+
+def spectral_matrix(singular_values, n=60, m=100, seed=0):
+    """An n x m matrix whose centered form has the given singular values:
+    U S V^T + 3, with U's columns orthonormal and of zero mean."""
+    rng = np.random.default_rng(seed)
+    k = len(singular_values)
+    u = rng.standard_normal((n, k))
+    u = np.linalg.qr(u - u.mean(axis=0))[0]
+    v = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    return (u * singular_values) @ v.T + 3.0
+
+
+def svd_oracle(data):
+    """Scores and EOF rows from numpy's SVD under the sign convention of
+    ``pca.fit``."""
+    u, s, vt = np.linalg.svd(data - data.mean(axis=0), full_matrices=False)
+    flip = np.sign(vt[np.arange(vt.shape[0]), np.argmax(np.abs(vt), axis=1)])
+    return (u * s) * flip, vt * flip[:, None]
+
+
+@pytest.fixture()
+def eigh_sizes(monkeypatch):
+    """The order of each matrix ``pca.fit`` hands to ``np.linalg.eigh``."""
+    sizes, eigh = [], np.linalg.eigh
+
+    def recording(matrix, *args, **kwargs):
+        sizes.append(matrix.shape[0])
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
 
 
 class TestFit:
@@ -41,6 +78,16 @@ class TestFit:
     def test_tau_out_of_range_rejected(self):
         with pytest.raises(InvalidConfig):
             pca.fit(random_matrix(1), tau=21)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tau": 0}, {"tau": -3}, {"variance": 0.0}, {"variance": 1.5},
+        {"variance": float("nan")},
+    ])
+    def test_bad_truncation_rejected_before_the_data(self, kwargs):
+        # the NaN matrix would be a NonFiniteInput: the truncation is
+        # checked first, before any Gram matrix is formed
+        with pytest.raises(InvalidConfig):
+            pca.fit(np.full((5, 4), np.nan), **kwargs)
 
     def test_exactly_one_truncation_argument(self):
         with pytest.raises(InvalidConfig):
@@ -91,6 +138,67 @@ class TestFit:
         assert np.abs(pca.project(basis, data) - oracle_scores[:, :4]).max() < 1e-9
 
 
+class TestSubspaceIteration:
+    """The kept eigenvectors come from block iteration on the Gram matrix,
+    which widens to a full ``eigh`` when the spectrum is flat at tau."""
+
+    def test_desk_tracer_scores_match_svd_oracle(self, eigh_sizes):
+        data = snapshots.generate(snapshots.GeneratorConfig()).field("tracer")
+        basis = pca.fit(data, tau=16)
+        assert eigh_sizes == [32]  # one Rayleigh-Ritz step on a 2 tau block
+        scores, rows = svd_oracle(data)
+        err = np.abs(pca.project(basis, data) - scores[:, :16]).max()
+        assert err <= 1e-9 * np.abs(scores).max()
+        # the EOFs themselves: the iteration's 1e-12 target leaves them
+        # about 1e-14 from the SVD's rows, a 1e-6 target about 5e-11
+        assert np.abs(basis.eofs - rows[:16]).max() < 1e-11
+
+    def test_zero_tail_matches_eckart_young(self, eigh_sizes):
+        values = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+        data = spectral_matrix(values)
+        for tau in (3, 5):
+            basis = pca.fit(data, tau=tau)
+            rec = pca.reconstruct(basis, pca.project(basis, data))
+            err = np.linalg.norm(rec - data)
+            expected = np.sqrt(np.sum(values[tau:] ** 2))
+            assert err == pytest.approx(expected, rel=1e-8, abs=1e-12)
+        assert eigh_sizes == [6, 10]  # each a block, never the 60 x 60 Gram
+
+    def test_flat_spectrum_at_tau_widens_to_full_eigh(self, eigh_sizes):
+        values = np.array([9.0, 7.0, 5.0, 3.0] + [1.0] * 30)
+        data = spectral_matrix(values)
+        basis = pca.fit(data, tau=4)
+        assert eigh_sizes == [60]  # the block is the whole space
+        rec = pca.reconstruct(basis, pca.project(basis, data))
+        expected = np.sqrt(np.sum(values[4:] ** 2))
+        assert np.linalg.norm(rec - data) == pytest.approx(expected, rel=1e-8)
+        assert np.abs(basis.eofs @ basis.eofs.T - np.eye(4)).max() < 1e-12
+
+    def test_two_fits_give_identical_bytes(self):
+        data = spectral_matrix(2.0 ** -np.arange(40.0))
+        first, second = pca.fit(data, tau=6), pca.fit(data, tau=6)
+        assert first.eofs.tobytes() == second.eofs.tobytes()
+        assert first.singular_values.tobytes() == \
+            second.singular_values.tobytes()
+
+    @pytest.mark.parametrize("routine, step, tau", [
+        ("eigvalsh", "eigvalsh", 6),
+        ("qr", "QR of the iterated block", 6),
+        ("eigh", "Rayleigh-Ritz eigh", 6),
+        ("svd", "Rayleigh-Ritz SVD", 6),
+        ("eigh", "eigh", 40),  # a block wider than the Gram: its own eigh
+    ])
+    def test_linalg_error_is_numerical_failure(self, monkeypatch, routine,
+                                               step, tau):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        data = spectral_matrix(2.0 ** -np.arange(40.0))
+        monkeypatch.setattr(np.linalg, routine, failing)
+        with pytest.raises(NumericalFailure, match=f"^{step} failed"):
+            pca.fit(data, tau=tau)
+
+
 class TestProjectReconstruct:
     def test_mean_rows_project_to_zero(self):
         basis = pca.fit(random_matrix(4), tau=3)
@@ -106,12 +214,8 @@ class TestProjectReconstruct:
     def test_training_scores_match_svd_oracle(self):
         data = random_matrix(6)
         basis = pca.fit(data, tau=5)
-        centered = data - data.mean(axis=0)
-        u, s, vt = np.linalg.svd(centered, full_matrices=False)
-        flip = np.sign(vt[np.arange(vt.shape[0]), np.argmax(np.abs(vt), axis=1)])
-        oracle_scores = (u * s) * flip[None, :]
-        assert np.allclose(pca.project(basis, data), oracle_scores[:, :5],
-                           atol=1e-9)
+        assert np.allclose(pca.project(basis, data),
+                           svd_oracle(data)[0][:, :5], atol=1e-9)
 
     def test_zero_scores_reconstruct_mean(self):
         basis = pca.fit(random_matrix(7), tau=3)
