@@ -5,26 +5,28 @@ first tau components, and a basis stores only those tau EOF rows. EOF
 rows are orthonormal and sign-fixed (largest magnitude entry positive)
 so fitted bases are reproducible.
 
-The fit uses the method of snapshots (Sirovich, Q. Appl. Math. 45,
-1987) on the Gram matrix G of the shorter side of the centered n x m
-matrix X: X X^T when n <= m, X^T X otherwise. Its eigenvalues, from
-``eigvalsh``, are the squared singular values of X and set the rank and
-tau. Only the tau kept eigenvectors are formed, by block subspace
-iteration on G (Halko, Martinsson & Tropp, SIAM Rev. 53(2), 2011): a
-fixed-seed Gaussian block of width p = 2 tau, orthonormalised by QR after
-each of k multiplies, k the least with (lambda_{p+1} / lambda_tau)^k <=
-1e-12 (1 when lambda_{p+1} = 0). The block doubles while k would pass a
-small cap; at p >= the size of G it is the whole space. The ``eigh`` of
-Q^T G Q (of G itself in that limit, so tau = rank is exact) picks the
-leading tau. One more Rayleigh-Ritz step turns them into EOFs: with Q an
-orthonormal m x tau basis of their span (the QR factor of X^T V_tau, or
-V_tau itself when n > m), the SVD of the small n x tau matrix X Q rotates
-Q into the EOF rows, which are thus orthonormal to machine precision
-even when the subspace takes in a null direction. Forming the Gram
-matrix squares the condition number, so the tail singular values are
-accurate in energy (sigma^2 to about n * eps * sigma_1^2), not relative
-to their own size; explained-variance fractions, the only use of the
-tail, need no more.
+The fit uses the method of snapshots (Sirovich, Q. Appl. Math. 45, 1987)
+on the Gram matrix G of the shorter side of the centered n x m matrix X:
+X X^T when n <= m, X^T X otherwise. Its eigenvalues, from ``eigvalsh``,
+are the squared singular values of X and set the rank and tau. Only the
+tau kept eigenvectors are formed, by block subspace iteration on G
+(Halko, Martinsson & Tropp, SIAM Rev. 53(2), 2011): a fixed-seed
+Gaussian block of width p = 2 tau, orthonormalised by QR after each of k
+multiplies, k the least with (lambda_{p+1} / lambda_tau)^k <= 1e-12 (1
+when lambda_{p+1} = 0), and the ``eigh`` of Q^T G Q picks the leading
+tau. Past p = size/8, or past size/(2p) steps (where ``eigvalsh`` and
+the iteration together would cost more than ``eigh``), the step is the
+``eigh`` of G itself, so tau = rank is exact; when tau is given that
+wide, or the variance fraction is 1, that one ``eigh`` also gives the
+spectrum in place of ``eigvalsh``. One more Rayleigh-Ritz step turns the
+kept eigenvectors into EOFs: with Q an orthonormal m x tau basis of
+their span (the QR factor of X^T V_tau, or V_tau itself when n > m), the
+SVD of the small n x tau matrix X Q rotates Q into the EOF rows, which
+are thus orthonormal to machine precision even when the subspace takes
+in a null direction. Forming the Gram matrix squares the condition
+number, so the tail singular values are accurate in energy (sigma^2 to
+about n * eps * sigma_1^2), not relative to their own size;
+explained-variance fractions, the only use of the tail, need no more.
 """
 
 from dataclasses import dataclass
@@ -111,8 +113,14 @@ def fit(snapshots, tau=None, variance=None):
     centered = data - mean
     wide = n <= m
     gram = centered @ centered.T if wide else centered.T @ centered
-    energy = np.clip(_solve("eigvalsh", np.linalg.eigvalsh, gram)[::-1],
-                     0.0, None)
+    # one eigh gives spectrum and vectors when the block is known to be too
+    # wide to iterate before the spectrum is: 2 tau past the widest block,
+    # or all the variance, which keeps the whole rank
+    if variance == 1.0 or 2 * (tau or 0) > _MAX_WIDTH * gram.shape[0]:
+        energy, vecs = _solve("eigh", np.linalg.eigh, gram)
+    else:
+        energy, vecs = _solve("eigvalsh", np.linalg.eigvalsh, gram), None
+    energy = np.clip(energy[::-1], 0.0, None)
     s = np.sqrt(energy)
     if not np.any(s > 0):
         raise DegenerateData("centered snapshot matrix is zero; tau undefined")
@@ -127,7 +135,8 @@ def fit(snapshots, tau=None, variance=None):
             raise InvalidConfig(f"tau={tau} outside [1, {s.size}]")
 
     # Rayleigh-Ritz on the kept subspace, spanned by the orthonormal q (m, tau)
-    kept = _leading_eigenvectors(gram, energy, tau)
+    kept = (_leading_eigenvectors(gram, energy, tau) if vecs is None
+            else vecs[:, :-tau - 1:-1])
     q = _solve("QR of X^T V", np.linalg.qr, centered.T @ kept)[0] \
         if wide else kept
     eofs = _solve("Rayleigh-Ritz SVD", np.linalg.svd, centered @ q,
@@ -151,23 +160,24 @@ def check_truncation(tau=None, variance=None):
         raise InvalidConfig(f"tau={tau} must be at least 1")
 
 
-# subspace iteration: the start block's seed, the shrink factor of the
-# unwanted directions and the most steps before the block widens
-_SEED, _TOLERANCE, _MAX_STEPS = 0, 1e-12, 4
+# subspace iteration: the start block's seed and the shrink factor of the
+# unwanted directions. With ``eigvalsh`` it costs no more than ``eigh`` for
+# a block at most an eighth of the Gram's size wide whose steps times its
+# width are at most half that size: the multiplies then take about size^3
+# flops, under the back-transform of the eigenvectors that eigvalsh skips.
+_SEED, _TOLERANCE, _MAX_WIDTH = 0, 1e-12, 1 / 8
 
 
 def _leading_eigenvectors(gram, energy, tau):
     """The ``tau`` leading eigenvectors (columns) of ``gram``, of spectrum
     ``energy`` (descending), by block subspace iteration."""
     size, width = gram.shape[0], 2 * tau
-    while width < size:
+    steps = 0
+    if width <= _MAX_WIDTH * size:
         ratio = energy[width] / energy[tau - 1] if energy[width] > 0 else 0.0
-        steps = next((k for k in range(1, _MAX_STEPS + 1)
+        steps = next((k for k in range(1, size // (2 * width) + 1)
                       if ratio**k <= _TOLERANCE), 0)
-        if steps:
-            break
-        width *= 2
-    if width >= size:  # the block is the whole space
+    if not steps:  # the block is the whole space
         return _solve("eigh", np.linalg.eigh, gram)[1][:, :-tau - 1:-1]
     q = np.random.default_rng(_SEED).standard_normal((size, width))
     for _ in range(steps):

@@ -140,7 +140,9 @@ class TestFit:
 
 class TestSubspaceIteration:
     """The kept eigenvectors come from block iteration on the Gram matrix,
-    which widens to a full ``eigh`` when the spectrum is flat at tau."""
+    or from a full ``eigh`` when the spectrum is too flat at tau for the
+    steps the block's width allows or the block would be wider than an
+    eighth of the Gram."""
 
     def test_desk_tracer_scores_match_svd_oracle(self, eigh_sizes):
         data = snapshots.generate(snapshots.GeneratorConfig()).field("tracer")
@@ -155,45 +157,77 @@ class TestSubspaceIteration:
 
     def test_zero_tail_matches_eckart_young(self, eigh_sizes):
         values = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
-        data = spectral_matrix(values)
+        data = spectral_matrix(values, n=80)  # an 80 x 80 Gram
         for tau in (3, 5):
             basis = pca.fit(data, tau=tau)
             rec = pca.reconstruct(basis, pca.project(basis, data))
             err = np.linalg.norm(rec - data)
             expected = np.sqrt(np.sum(values[tau:] ** 2))
             assert err == pytest.approx(expected, rel=1e-8, abs=1e-12)
-        assert eigh_sizes == [6, 10]  # each a block, never the 60 x 60 Gram
+        assert eigh_sizes == [6, 10]  # each a block, never the whole Gram
 
-    def test_flat_spectrum_at_tau_widens_to_full_eigh(self, eigh_sizes):
+    def test_flat_spectrum_at_tau_takes_full_eigh(self, eigh_sizes):
         values = np.array([9.0, 7.0, 5.0, 3.0] + [1.0] * 30)
-        data = spectral_matrix(values)
+        data = spectral_matrix(values, n=80)
         basis = pca.fit(data, tau=4)
-        assert eigh_sizes == [60]  # the block is the whole space
+        assert eigh_sizes == [80]  # 13 steps needed, 80 // (2 * 8) = 5 allowed
         rec = pca.reconstruct(basis, pca.project(basis, data))
         expected = np.sqrt(np.sum(values[4:] ** 2))
         assert np.linalg.norm(rec - data) == pytest.approx(expected, rel=1e-8)
         assert np.abs(basis.eofs @ basis.eofs.T - np.eye(4)).max() < 1e-12
 
+    def test_narrow_block_takes_more_steps(self, eigh_sizes):
+        values = np.array([8.0, 7.0] + [1.0] * 30)
+        data = spectral_matrix(values, n=80)
+        basis = pca.fit(data, tau=2)
+        assert eigh_sizes == [4]  # 8 steps needed, 80 // (2 * 4) = 10 allowed
+        rec = pca.reconstruct(basis, pca.project(basis, data))
+        expected = np.sqrt(np.sum(values[2:] ** 2))
+        assert np.linalg.norm(rec - data) == pytest.approx(expected, rel=1e-8)
+        scores = svd_oracle(data)[0][:, :2]
+        err = np.abs(pca.project(basis, data) - scores).max()
+        assert err <= 1e-9 * np.abs(scores).max()
+
+    def test_block_wider_than_an_eighth_of_the_gram_takes_one_eigh(
+            self, monkeypatch, eigh_sizes):
+        eigvalsh_calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def recording(matrix):
+            eigvalsh_calls.append(matrix.shape[0])
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        data = spectral_matrix(2.0 ** -np.arange(40.0), n=80)  # 80 x 80 Gram
+        scores = svd_oracle(data)[0][:, :5]
+        for kwargs in ({"tau": 5}, {"tau": 6}, {"variance": 1.0}):
+            basis = pca.fit(data, **kwargs)
+            err = np.abs(pca.project(basis, data)[:, :5] - scores).max()
+            assert err <= 1e-9 * np.abs(scores).max()
+        # 2 tau = 10 iterates; 2 tau = 12, and all the variance, take one
+        # eigh of the Gram for the spectrum and the vectors alike
+        assert eigh_sizes == [10, 80, 80]
+        assert eigvalsh_calls == [80]
+
     def test_two_fits_give_identical_bytes(self):
-        data = spectral_matrix(2.0 ** -np.arange(40.0))
-        first, second = pca.fit(data, tau=6), pca.fit(data, tau=6)
+        data = spectral_matrix(2.0 ** -np.arange(40.0), n=80)
+        first, second = pca.fit(data, tau=5), pca.fit(data, tau=5)
         assert first.eofs.tobytes() == second.eofs.tobytes()
         assert first.singular_values.tobytes() == \
             second.singular_values.tobytes()
 
     @pytest.mark.parametrize("routine, step, tau", [
-        ("eigvalsh", "eigvalsh", 6),
-        ("qr", "QR of the iterated block", 6),
-        ("eigh", "Rayleigh-Ritz eigh", 6),
-        ("svd", "Rayleigh-Ritz SVD", 6),
-        ("eigh", "eigh", 40),  # a block wider than the Gram: its own eigh
+        ("eigvalsh", "eigvalsh", 5),
+        ("qr", "QR of the iterated block", 5),
+        ("eigh", "Rayleigh-Ritz eigh", 5),
+        ("svd", "Rayleigh-Ritz SVD", 5),
+        ("eigh", "eigh", 6),  # a block too wide to iterate: the Gram's eigh
     ])
     def test_linalg_error_is_numerical_failure(self, monkeypatch, routine,
                                                step, tau):
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
-        data = spectral_matrix(2.0 ** -np.arange(40.0))
+        data = spectral_matrix(2.0 ** -np.arange(40.0), n=80)
         monkeypatch.setattr(np.linalg, routine, failing)
         with pytest.raises(NumericalFailure, match=f"^{step} failed"):
             pca.fit(data, tau=tau)
