@@ -26,7 +26,10 @@ stale or corrupt artifact or a diverged run; 2 for bad arguments or
 config, a missing input, an output path that is a directory or lies in
 a missing one (both checked before any work), or a path the system
 refuses (an ``OSError``).
-Verbosity is controlled by the ROMCAST_LOG environment variable.
+Verbosity is controlled by the ROMCAST_LOG environment variable: one of
+DEBUG, INFO, WARNING, ERROR or CRITICAL, in any case; unset or empty
+means WARNING, and any other value is a usage error (exit 2) before any
+work.
 """
 
 import argparse
@@ -601,18 +604,25 @@ def build_parser():
     return parser
 
 
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
 def _setup_logging():
-    level = os.environ.get("ROMCAST_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    value = os.environ.get("ROMCAST_LOG", "")
+    level = value.upper() or "WARNING"
+    if level not in _LOG_LEVELS:
+        raise InvalidConfig(f"ROMCAST_LOG={value!r} is not a log level; "
+                            f"expected one of {', '.join(_LOG_LEVELS)}")
+    logging.basicConfig(level=getattr(logging, level),
                         format="%(levelname)s %(name)s: %(message)s")
 
 
 def main(argv=None):
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     token = _digests.set({})
     try:
+        _setup_logging()
         return args.func(args)
     except (OSError, InvalidConfig, MissingArtifact) as exc:
         print(f"romcast: error: {exc}", file=sys.stderr)

@@ -275,17 +275,20 @@ def generate(config, initial_tracer=None):
     Row t holds the state at time t*dt: tracer first, then vel_x, vel_y.
     Deterministic given the config (the seed drives the optional random
     initial tracer). Raises StabilityViolation / InvalidConfig on bad
-    configs.
+    configs, and NonFiniteInput on a NaN or Inf initial tracer, before
+    the solve.
 
     What does not change between steps is computed once: the padded
-    velocities, their face velocities and each face's upwind cell. Only
-    ``modulate_velocity`` recomputes the face velocities, each step, from
-    the scaled padded velocities (``0.5 * (a*s + b*s)`` is not
-    ``0.5 * (a + b) * s`` in floating point). Each step refills the
-    tracer's halo, updates its interior in place and adds the source to
-    its one cell. The output is byte for byte that of the flux-form
-    update ``c + dt * (diff - adv) + dt * source`` on freshly padded
-    fields (``tests/test_snapshots.py``'s ``reference_generate``).
+    velocities, their face velocities and each face's upwind cell. With
+    ``modulate_velocity`` a step's face velocities are the fixed ones
+    times the step's factor s; the two cells of every face of a built-in
+    field carry one velocity, so these are bit for bit the faces of the
+    scaled field. The velocity rows, the fixed fields times each step's
+    s, are written after the loop. Each step refills the tracer's halo,
+    updates its interior in place and adds the source to its one cell.
+    The output is byte for byte that of the flux-form update
+    ``c + dt * (diff - adv) + dt * source`` on freshly padded fields
+    (``tests/test_snapshots.py``'s ``reference_generate``).
     """
     config.validate()
     ny, nx = config.grid_ny, config.grid_nx
@@ -296,6 +299,8 @@ def generate(config, initial_tracer=None):
             raise ShapeMismatch(
                 f"initial tracer shape {c.shape} != grid ({ny}, {nx})"
             )
+        if not np.all(np.isfinite(c)):
+            raise NonFiniteInput("initial tracer contains NaN/Inf")
         if np.any(c < 0):
             raise InvalidConfig("initial tracer must be nonnegative")
     else:
@@ -305,31 +310,32 @@ def generate(config, initial_tracer=None):
     cp = _padded(c, config.boundary)
     c = cp[1:-1, 1:-1]
 
-    # padding commutes with scaling, so the velocities are padded once
     vx, vy = _velocity_field(config)
-    vxp0 = _padded(vx, config.boundary)
-    vyp0 = _padded(vy, config.boundary)
-    ufx, ufy = _faces(vxp0, vyp0)
+    ufx, ufy = _faces(_padded(vx, config.boundary),
+                      _padded(vy, config.boundary))
     # the modulation factor s lies in [0, 1], and rounding is monotone, so
     # a scaled face velocity keeps its sign or becomes zero, where either
     # side gives a zero flux: the upwind cells hold for every step
     upx, upy = _upwind(ufx, ufy)
     ix, iy = config.source_center
+    factors = np.empty(config.n_steps)
     rows = np.empty((config.n_steps, 3 * nx * ny))
     # row t is the fields (tracer, vel_x, vel_y) of step t, each (ny, nx)
     fields = rows.reshape(config.n_steps, 3, ny, nx)
-    if not config.modulate_velocity:
-        fields[:, 1], fields[:, 2] = vx, vy
     for step in range(config.n_steps):
-        s = _source_factor(step * config.dt, config.source_period)
-        if config.modulate_velocity:
-            vxp, vyp = vxp0 * s, vyp0 * s
-            fields[step, 1], fields[step, 2] = vxp[1:-1, 1:-1], vyp[1:-1, 1:-1]
-            ufx, ufy = _faces(vxp, vyp)
+        s = factors[step] = _source_factor(step * config.dt,
+                                           config.source_period)
         fields[step, 0] = c
         _fill_halo(cp, config.boundary)
-        _advance(cp, ufx, ufy, upx, upy, config)
+        if config.modulate_velocity:
+            _advance(cp, ufx * s, ufy * s, upx, upy, config)
+        else:
+            _advance(cp, ufx, ufy, upx, upy, config)
         c[iy, ix] += config.dt * (config.source_amplitude * s)
+    # in place, without an (n_steps, ny, nx) temporary per field
+    scale = factors[:, None, None] if config.modulate_velocity else 1.0
+    np.multiply(scale, vx, out=fields[:, 1])
+    np.multiply(scale, vy, out=fields[:, 2])
     return SnapshotMatrix(data=rows, field_names=FIELD_NAMES,
                           nodes_per_field=nx * ny)
 

@@ -229,6 +229,25 @@ class TestExitCodes:
         assert "romcast: error:" in capsys.readouterr().err
         assert not os.path.exists("b2.romf")
 
+    @pytest.mark.parametrize("value", ["BASIC_FORMAT", "bogus"])
+    def test_log_variable_naming_no_level_is_usage_error(
+            self, workdir, capsys, monkeypatch, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command did its work")
+
+        monkeypatch.setattr(snapshots, "generate", refuse)
+        monkeypatch.setenv("ROMCAST_LOG", value)
+        assert run("generate", *CONFIG, "--out", "snap.romf") == 2
+        err = capsys.readouterr().err
+        assert "romcast: error:" in err and value in err
+        assert not os.path.exists("snap.romf")
+
+    @pytest.mark.parametrize("value", ["debug", "Error", "CRITICAL", ""])
+    def test_log_variable_takes_a_level_in_any_case(self, workdir,
+                                                    monkeypatch, value):
+        monkeypatch.setenv("ROMCAST_LOG", value)
+        assert run("generate", *CONFIG, "--out", "snap.romf") == 0
+
     def test_non_integer_search_epochs_is_usage_error(self, workdir, capsys):
         with open("bad.json", "w") as fh:
             json.dump(dict(SMALL_CONFIG, search_epochs="x"), fh)

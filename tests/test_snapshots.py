@@ -110,25 +110,67 @@ class TestGenerate:
         assert np.all(np.isfinite(snap.data))
 
     def test_modulated_velocity_recorded_in_columns(self):
-        cfg = small_config(modulate_velocity=True, velocity_mode="uniform")
-        snap = snapshots.generate(cfg)
-        vel = snap.field("vel_x")
-        factors = np.array(
-            [0.5 * (1 + np.sin(2 * np.pi * t * cfg.dt / cfg.source_period))
-             for t in range(cfg.n_steps)]
-        )
-        assert np.allclose(vel[:, 0], cfg.u0 * factors)
+        for mode in ("uniform", "rotating"):
+            cfg = small_config(modulate_velocity=True, velocity_mode=mode)
+            snap = snapshots.generate(cfg)
+            vx, vy = snapshots._velocity_field(cfg)
+            for t in range(cfg.n_steps):
+                s = snapshots._source_factor(t * cfg.dt, cfg.source_period)
+                assert snap.field("vel_x")[t].tobytes() == (s * vx).tobytes()
+                assert snap.field("vel_y")[t].tobytes() == (s * vy).tobytes()
 
     def test_bad_initial_tracer_shape_rejected(self):
         with pytest.raises(ShapeMismatch):
             snapshots.generate(small_config(), initial_tracer=np.ones((3, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_initial_tracer_rejected_before_the_solve(
+            self, value, monkeypatch):
+        steps = []
+        advance = snapshots._advance
+        monkeypatch.setattr(snapshots, "_advance",
+                            lambda *args: steps.append(1) or advance(*args))
+        cfg = small_config()
+        c0 = np.ones((cfg.grid_ny, cfg.grid_nx))
+        c0[2, 3] = value
+        with pytest.raises(NonFiniteInput):
+            snapshots.generate(cfg, initial_tracer=c0)
+        assert steps == []
+        snapshots.generate(cfg, initial_tracer=np.ones_like(c0))
+        assert len(steps) == cfg.n_steps
+
+    @pytest.mark.parametrize("field", ["uniform", "rotating", "random"])
+    @pytest.mark.parametrize("boundary", ["periodic", "zero_gradient"])
+    def test_faces_of_a_scaled_field_are_the_scaled_faces(self, field,
+                                                          boundary):
+        # what lets a modulated step scale its fixed faces: the two cells
+        # of every face of a built-in field carry one velocity, which a
+        # field whose neighbouring cells differ does not
+        cfg = snapshots.GeneratorConfig(
+            velocity_mode="uniform" if field == "uniform" else "rotating",
+            boundary=boundary)
+        vel = snapshots._velocity_field(cfg)
+        if field == "random":
+            vel = np.random.default_rng(5).uniform(
+                -cfg.u0, cfg.u0, (2, cfg.grid_ny, cfg.grid_nx))
+        vxp0, vyp0 = (snapshots._padded(v, boundary) for v in vel)
+        ufx, ufy = snapshots._faces(vxp0, vyp0)
+        same = []
+        for step in range(cfg.n_steps):
+            s = snapshots._source_factor(step * cfg.dt, cfg.source_period)
+            sfx, sfy = snapshots._faces(vxp0 * s, vyp0 * s)
+            same.append(sfx.tobytes() == (s * ufx).tobytes()
+                        and sfy.tobytes() == (s * ufy).tobytes())
+        assert all(same) != (field == "random")
 
     # ids: "<modulate>-<boundary>" for the rotating field from a random
     # tracer, and prefixed by the variant otherwise: "uniform", a uniform
     # field, whose y faces are exactly zero; "zero_tracer", a zero initial
     # tracer; "amplitude", a source amplitude other than 1; and
     # "random_velocity", a field whose neighbouring cells differ, so that
-    # the faces of a scaled field are not the scaled faces
+    # the faces of a scaled field are not the scaled faces: its modulated
+    # cases pin that a step's faces are the fixed faces times s
     @pytest.mark.parametrize("variant, modulate, boundary", [
         pytest.param(variant, modulate, boundary,
                      id=("" if variant == "rotating" else f"{variant}-")
@@ -176,14 +218,15 @@ def reference_generate(cfg, c):
         t = step * cfg.dt
         pulse = 0.5 * (1.0 + np.sin(2.0 * np.pi * t / cfg.source_period))
         s = pulse if cfg.modulate_velocity else 1.0
-        vx, vy = vx0 * s, vy0 * s
-        rows.append(np.concatenate([c.ravel(), vx.ravel(), vy.ravel()]))
-        cp, vxp, vyp = (np.pad(a, 1, mode=mode) for a in (c, vx, vy))
-        ufx = 0.5 * (vxp[1:-1, :-1] + vxp[1:-1, 1:])
+        rows.append(np.concatenate([c.ravel(), (vx0 * s).ravel(),
+                                    (vy0 * s).ravel()]))
+        # the modulated faces are the faces of the unscaled field times s
+        cp, vxp, vyp = (np.pad(a, 1, mode=mode) for a in (c, vx0, vy0))
+        ufx = 0.5 * (vxp[1:-1, :-1] + vxp[1:-1, 1:]) * s
         cl, cr = cp[1:-1, :-1], cp[1:-1, 1:]
         flux_x = np.where(ufx > 0.0, cl, cr) * ufx
         dcdx_flux = cfg.kappa * (cr - cl) / cfg.dx
-        ufy = 0.5 * (vyp[:-1, 1:-1] + vyp[1:, 1:-1])
+        ufy = 0.5 * (vyp[:-1, 1:-1] + vyp[1:, 1:-1]) * s
         cb, ct = cp[:-1, 1:-1], cp[1:, 1:-1]
         flux_y = np.where(ufy > 0.0, cb, ct) * ufy
         dcdy_flux = cfg.kappa * (ct - cb) / cfg.dy
