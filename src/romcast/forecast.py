@@ -147,9 +147,12 @@ def rollout(model, scaler, seed_window, horizon):
 
 
 def _reduction(classic, adv):
-    if not (np.isfinite(classic) and np.isfinite(adv)):
-        return np.nan
-    return 0.0 if classic == 0.0 else 100.0 * (classic - adv) / classic
+    """100 (classic - adv) / classic, elementwise over arrays of errors:
+    0 where the classic error is 0, NaN where either is not finite."""
+    classic = np.asarray(classic, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pct = np.where(classic == 0.0, 0.0, 100.0 * (classic - adv) / classic)
+    return np.where(np.isfinite(classic) & np.isfinite(adv), pct, np.nan)[()]
 
 
 def evaluate_ensemble(model_classic, model_adv, scores, scaler, start_steps,
@@ -178,7 +181,8 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, start_steps,
         raise StartOutOfRange(f"start {bad[0]} + lag {lag} + horizon "
                               f"{horizon} exceeds {n} steps")
     starts = np.array(start_steps)[:, None]
-    windows = scaler.scale(scores)[starts + np.arange(lag)]  # (S, N, tau)
+    # only the window rows; the scaler maps each element on its own
+    windows = scaler.scale(scores[starts + np.arange(lag)])  # (S, N, tau)
     preds, diverged_at = zip(*(_roll(model, windows.copy(), horizon)
                                for model in (model_classic, model_adv)))
     truth = scores[starts + lag + np.arange(horizon)]  # (S, H, tau)
@@ -190,14 +194,13 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, start_steps,
         means = np.where(paired, errors, 0.0).sum(axis=1) / n_pairs
         stds = np.sqrt(np.where(paired, (errors - means[:, None]) ** 2,
                                 0.0).sum(axis=1) / n_pairs)
-    reduction = np.array([_reduction(c, a) for c, a in means.T])
     return EnsembleReport(
         horizons=np.arange(1, horizon + 1),
         mean_classic=means[0],
         std_classic=stds[0],
         mean_adv=means[1],
         std_adv=stds[1],
-        reduction_pct=reduction,
+        reduction_pct=_reduction(*means),
         start_steps=start_steps,
         diverged_classic=int(np.sum(diverged_at[0] < horizon)),
         diverged_adv=int(np.sum(diverged_at[1] < horizon)),
@@ -215,15 +218,17 @@ class TimingReport:
     ratio_ensemble: float
 
 
-def _timed(fn, min_seconds=0.1):
-    reps = 0
-    elapsed = 0.0
-    while elapsed < min_seconds:
+def _timed(fn, min_calls=5, min_seconds=0.1):
+    """Median seconds per call of ``fn``. One untimed call warms it up
+    (first BLAS call, page faults, caches); then it runs at least
+    ``min_calls`` times, and on until ``min_seconds`` have passed."""
+    fn()
+    times = []
+    while len(times) < min_calls or sum(times) < min_seconds:
         tic = time.perf_counter()
         fn()
-        elapsed += time.perf_counter() - tic
-        reps += 1
-    return elapsed / reps
+        times.append(time.perf_counter() - tic)
+    return float(np.median(times))
 
 
 def timing_benchmark(model, generator_config, horizon=50, ensemble_width=50):

@@ -48,6 +48,10 @@ once and each last step from its final state, through the starting
 state (h0, c0) that ``_recur`` takes and ``_lstm_backward`` returns the
 gradient of. It is the discriminator's one forward path, and
 ``_param_grads`` is every model's one backward path.
+
+The discriminator's head is linear: it emits a logit, and the sigmoid
+lives in the loss (``optim.bce``). Its backward hands dL/d(logit)
+straight to the head's weights and the LSTM, with no activation factor.
 """
 
 from dataclasses import dataclass, replace
@@ -173,7 +177,8 @@ class LstmForecaster(_Network):
 @dataclass
 class Discriminator(_Network):
     """Mirrored LSTM scoring a PC sequence as real (1) or predicted (0);
-    its head outputs one logit, with the sigmoid fixed."""
+    its linear head outputs one logit, whose sigmoid is the probability
+    that the sequence is real."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -244,10 +249,10 @@ def _recur(lstm, seq, h0=None, c0=None):
     (H, B), when given: a run then continues one that ended there, as
     the discriminator's last step continues the prefix it shares with
     other sequences. The input projection W @ x_t of all steps is one
-    batched matmul; the loop keeps only U @ h_t, which step 0 skips when
-    h starts at zero. Gates (T, 4H, B), states (T+1, H, B) and tanh(c)
-    (T, H, B) land in preallocated arrays, so the returned tape costs
-    nothing extra and inference just drops it.
+    batched matmul; the loop keeps U @ h_t and f c_t, which step 0 skips
+    from a zero state: c_1 = i g there. Gates (T, 4H, B), states
+    (T+1, H, B) and tanh(c) (T, H, B) land in preallocated arrays, so
+    the returned tape costs nothing extra and inference just drops it.
     """
     batch, steps, dim = seq.shape
     hidden = lstm.hidden_dim
@@ -265,7 +270,8 @@ def _recur(lstm, seq, h0=None, c0=None):
     tc = np.empty((steps, hidden, batch), dtype)
     for t in range(steps):
         a = gates[t]
-        if t or start:
+        carried = t or start  # h_t and c_t are not the zero state
+        if carried:
             a += lstm.U @ h[t]
         # i, f, o through sigmoid(z) = 0.5 (1 + tanh(z / 2)), g through tanh
         sig = a[:n3]
@@ -273,8 +279,11 @@ def _recur(lstm, seq, h0=None, c0=None):
         np.tanh(a, out=a)
         sig += 1.0
         sig *= 0.5
-        np.multiply(a[hidden:2 * hidden], c[t], out=c[t + 1])
-        c[t + 1] += a[:hidden] * a[n3:]
+        if carried:
+            np.multiply(a[hidden:2 * hidden], c[t], out=c[t + 1])
+            c[t + 1] += a[:hidden] * a[n3:]
+        else:
+            np.multiply(a[:hidden], a[n3:], out=c[1])
         np.tanh(c[t + 1], out=tc[t])
         np.multiply(a[2 * hidden:n3], tc[t], out=h[t + 1])
     return Tape("lstm", params=lstm, x=x, gates=gates, h=h, c=c, tc=tc,
@@ -298,11 +307,13 @@ def _lstm_backward(tape, d_h_final, d_c_final=None):
     Starts from dL/d(final h) and, if given, dL/d(final c), each (H, B).
     Returns (dA, dc0): dA = dL/d(gates) as a (4H, T*B) matrix whose
     columns run step by step, like the rows of ``tape.x``, and dc0 =
-    dL/dc0 (H, B). The loop writes each step's (4H, B) block of dA in
-    place, so no copy reorders it, and keeps only dh = U^T dA_t; the
-    rest is one GEMM each afterwards: ``_weight_grads`` for dW, dU and
-    db, ``_input_grads`` for the inputs and, for a run that started from
-    a given state, U^T dA_0 for dL/dh0.
+    dL/dc0 (H, B) for a run that started from a given state, or None for
+    one from a zero state, whose c0 is no input. The loop writes each
+    step's (4H, B) block of dA in place, so no copy reorders it, and
+    keeps only dh = U^T dA_t; the rest is one GEMM each afterwards:
+    ``_weight_grads`` for dW, dU and db, ``_input_grads`` for the inputs
+    and, for a run that started from a given state, U^T dA_0 for
+    dL/dh0.
     """
     lstm = tape.params
     steps, width, batch = tape.gates.shape
@@ -332,10 +343,10 @@ def _lstm_backward(tape, d_h_final, d_c_final=None):
         da = d_steps[:, :, t]
         np.multiply(factor[t], dc, out=da)
         np.multiply(factor[t, 2], dh, out=da[2])
-        dc = dc * f[t]
         if t:
+            dc = dc * f[t]
             dh = lstm.U.T @ d_cols[:, t * batch:(t + 1) * batch]
-    return d_cols, dc
+    return d_cols, dc * f[0] if tape.start else None
 
 
 def _weight_grads(tape, d_cols):
@@ -392,7 +403,9 @@ def _head(model, lstm_tape, activation, mask=None, prefix=None):
 
 def _head_backward(tape, d_pred):
     """dL/d(logits), (B, O), and dL/d(final h), (H, B), from
-    dL/dprediction through the head and the dropout mask, if any."""
+    dL/dprediction through the head and the dropout mask, if any. A
+    linear head's prediction is its logits, so dL/dprediction passes
+    straight through."""
     if tape.kind != "head":
         raise TapeMismatch(f"backward needs a model's tape, not {tape.kind!r}")
     d_pred = np.asarray(d_pred, dtype=tape.pred.dtype)
@@ -401,7 +414,9 @@ def _head_backward(tape, d_pred):
             f"upstream shape {d_pred.shape} != prediction shape "
             f"{tape.pred.shape}"
         )
-    d_ylin = d_pred * _activation_deriv(tape)
+    d_ylin = d_pred
+    if tape.activation != "linear":
+        d_ylin = d_pred * _activation_deriv(tape)
     d_h = tape.model.head.weight.T @ d_ylin.T
     if tape.mask is not None:
         d_h *= tape.mask.T
@@ -409,11 +424,10 @@ def _head_backward(tape, d_pred):
 
 
 def _activation_deriv(tape):
+    """d(prediction)/d(logits) of a relu or sigmoid head."""
     if tape.activation == "relu":
         return (tape.y_lin > 0).astype(tape.y_lin.dtype)
-    if tape.activation == "sigmoid":
-        return tape.pred * (1.0 - tape.pred)
-    return np.ones_like(tape.y_lin)
+    return tape.pred * (1.0 - tape.pred)
 
 
 def forecaster_forward(model, windows):
@@ -464,20 +478,20 @@ def forecaster_step(model, windows):
 
 
 def discriminator_forward(disc, sequence):
-    """Score (B, T, D) sequences; returns probabilities (B,) and the tape.
+    """Score (B, T, D) sequences; returns logits (B,) and the tape.
 
     Each sequence's last step is the one candidate of
     ``discriminator_branches``, scored from the state its first T - 1
     steps leave.
     """
     seq = _check_sequence(sequence, disc.lstm)
-    prob, tape = discriminator_branches(disc, seq[:, :-1], seq[None, :, -1])
-    return prob[0], tape
+    logits, tape = discriminator_branches(disc, seq[:, :-1], seq[None, :, -1])
+    return logits[0], tape
 
 
 def discriminator_branches(disc, prefix, candidates):
     """Score each sequence [prefix, candidate] for k candidate batches
-    that share one prefix; returns probabilities (k, B) and the tape.
+    that share one prefix; returns logits (k, B) and the tape.
 
     This is the discriminator's one forward path. ``prefix`` is
     (B, N, D) with N >= 0 and ``candidates`` is (k, B, D). The prefix
@@ -494,20 +508,21 @@ def discriminator_branches(disc, prefix, candidates):
         h0 = np.concatenate([pre.h[-1]] * k, axis=1)
         c0 = np.concatenate([pre.c[-1]] * k, axis=1)
     last = _recur(disc.lstm, candidates.reshape(k * batch, 1, dim), h0, c0)
-    prob, tape = _head(disc, last, "sigmoid", prefix=pre)
-    return prob.reshape(k, batch), tape
+    logits, tape = _head(disc, last, "linear", prefix=pre)
+    return logits.reshape(k, batch), tape
 
 
-def candidate_grad(tape, d_prob):
-    """dL/d(candidates), (k, B, D), of a ``discriminator_branches`` tape.
+def candidate_grad(tape, d_logits):
+    """dL/d(candidates), (k, B, D), of a ``discriminator_branches`` tape,
+    from dL/d(logits) (k, B).
 
     A candidate enters only the last segment, so this is that segment's
     input gradient: nothing runs through the prefix, and no weight
     gradient is formed.
     """
-    _, d_h = _head_backward(tape, d_prob.reshape(-1, 1))
+    _, d_h = _head_backward(tape, d_logits.reshape(-1, 1))
     d_cols, _ = _lstm_backward(tape.lstm_tape, d_h)
-    return _input_grads(tape.lstm_tape, d_cols).reshape(*d_prob.shape, -1)
+    return _input_grads(tape.lstm_tape, d_cols).reshape(*d_logits.shape, -1)
 
 
 def backward(tape, upstream):
@@ -515,9 +530,10 @@ def backward(tape, upstream):
     path, ``_param_grads``, plus the input gradient.
 
     ``tape`` comes from ``forecaster_forward``, ``forecaster_head`` or
-    ``discriminator_forward`` and ``upstream`` is dL/dprediction; returns
-    (param grads laid out like ``model.params()``, input grads (B, T, D)),
-    the segments' input grads joined in time.
+    ``discriminator_forward`` and ``upstream`` is dL/dprediction (for the
+    discriminator, dL/d(logits)); returns (param grads laid out like
+    ``model.params()``, input grads (B, T, D)), the segments' input grads
+    joined in time.
     """
     grads, segments = _param_grads(tape, upstream)
     d_seq = np.concatenate([_input_grads(*seg) for seg in segments], axis=1)

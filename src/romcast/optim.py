@@ -1,5 +1,13 @@
-"""Losses (MSE, binary cross-entropy), the flat parameter mapping and
-the Nadam optimizer."""
+"""Losses (MSE, and binary cross-entropy on the discriminator's logits),
+the flat parameter mapping and the Nadam optimizer.
+
+The discriminator emits a logit z, and ``bce`` takes it: -log sigmoid(z)
+is softplus(-z) and -log(1 - sigmoid(z)) is softplus(z). So the loss
+needs no clamp and its gradient, sigmoid(z) - y, never vanishes where
+the discriminator saturates. For label 1 this is the stable form of the
+non-saturating generator loss -log D(G(x)) (Goodfellow et al. 2014,
+arXiv:1406.2661).
+"""
 
 import math
 from collections.abc import Mapping
@@ -8,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LabelOutOfRange, ShapeMismatch
-
-BCE_CLAMP = 1e-7  # predictions are clamped to [eps, 1-eps] before the log
 
 
 def mse(pred, target):
@@ -32,26 +38,29 @@ def mse_grad(pred, target):
     return 2.0 * (pred - target) / pred.size
 
 
-def bce(pred, label):
-    """Binary cross-entropy averaged over the batch, with clamped preds,
-    and its gradient d bce / d pred, zero where the clamp is active.
+def bce(logits, label):
+    """Binary cross-entropy of sigmoid(``logits``) against one label,
+    averaged over the batch, and its gradient d bce / d logits.
 
-    ``label`` is one literal 0 or 1 for the whole batch. Returns
-    (loss, grad), the gradient in the dtype of ``pred``.
+    ``label`` is one literal 0 or 1 for the whole batch. The loss is the
+    mean of softplus(-z) for label 1 and of softplus(z) for label 0, as
+    ``logaddexp(0, -+z)``; the gradient is (sigmoid(z) - label) / count,
+    as 0.5 (tanh(z / 2) -+ 1) / count. Neither can overflow. Returns
+    (loss, grad), the gradient in the dtype of ``logits``.
     """
     if not isinstance(label, (int, float)) or label not in (0, 1):
         raise LabelOutOfRange("the label must be a literal 0 or 1")
-    pred = np.atleast_1d(np.asarray(pred))
-    p = np.minimum(np.maximum(pred, BCE_CLAMP), 1.0 - BCE_CLAMP)
-    loss = -float((np.log(p) if label else np.log1p(-p)).sum()) / pred.size
-    inside = (pred > BCE_CLAMP) & (pred < 1.0 - BCE_CLAMP)
-    grad = np.where(inside, (p - label) / (p * (1.0 - p)), 0.0)
-    return loss, grad / pred.size
+    z = np.atleast_1d(np.asarray(logits))
+    loss = float(np.logaddexp(0.0, -z if label else z).sum()) / z.size
+    grad = np.tanh(0.5 * z)
+    grad -= 1.0 if label else -1.0
+    grad *= 0.5 / z.size
+    return loss, grad
 
 
-def bce_grad(pred, label):
+def bce_grad(logits, label):
     """The gradient of ``bce`` alone (``perfbench/spans.py`` traces it)."""
-    return bce(pred, label)[1]
+    return bce(logits, label)[1]
 
 
 class FlatParams(Mapping):

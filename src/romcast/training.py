@@ -6,6 +6,11 @@ steps labelled 1, forecaster outputs labelled 0) with a generator step
 whose loss adds ``adv_weight * bce(D(prediction), 1)`` on top of the
 MSE; gradients flow through the discriminator without updating it.
 
+The discriminator D emits a logit z, and ``optim.bce`` takes it: the
+generator's term is the non-saturating loss -log sigmoid(z) =
+softplus(-z) (Goodfellow et al. 2014, arXiv:1406.2661), whose gradient
+sigmoid(z) - 1 stays nonzero where D is sure that a prediction is fake.
+
 A mini-batch does each piece of that work once. The forecaster's LSTM
 runs once on the windows (``neural.lstm_forward``), since the
 forecaster does not change before the generator step. The fake batch
@@ -205,11 +210,11 @@ def _forecaster_step(model, opt, lstm_tape, windows, targets, rng_dropout,
     d_pred = mse_grad(pred, targets)
     adv_loss = None
     if disc is not None:
-        prob, d_tape = discriminator_branches(disc, windows, pred[None])
-        adv_loss, d_prob = bce(prob[0], 1.0)
+        logits, d_tape = discriminator_branches(disc, windows, pred[None])
+        adv_loss, d_logits = bce(logits[0], 1.0)
         if not np.isfinite(adv_loss):
             raise NonFiniteLoss("forecaster adversarial loss diverged")
-        d_adv = candidate_grad(d_tape, d_prob[None])[0]
+        d_adv = candidate_grad(d_tape, d_logits[None])[0]
         d_pred = d_pred + config.adv_weight * d_adv
     grads, _ = _param_grads(tape, d_pred)
     clip_global_norm(grads, config.clip_norm)
@@ -220,10 +225,10 @@ def _forecaster_step(model, opt, lstm_tape, windows, targets, rng_dropout,
 def _discriminator_step(disc, opt, windows, targets, fake, config):
     """One optimizer step on the discriminator, real next steps
     ``targets`` against the forecaster's ``fake`` ones."""
-    prob, tape = discriminator_branches(disc, windows,
-                                        np.stack([targets, fake]))
-    loss_real, d_real = bce(prob[0], 1.0)
-    loss_fake, d_fake = bce(prob[1], 0.0)
+    logits, tape = discriminator_branches(disc, windows,
+                                          np.stack([targets, fake]))
+    loss_real, d_real = bce(logits[0], 1.0)
+    loss_fake, d_fake = bce(logits[1], 0.0)
     if not np.isfinite(loss_real + loss_fake):
         raise NonFiniteLoss("discriminator loss diverged")
     grads, _ = _param_grads(tape, np.stack([d_real, d_fake]).reshape(-1, 1))

@@ -1,4 +1,5 @@
 import collections
+import types
 import warnings
 
 import numpy as np
@@ -332,6 +333,131 @@ class TestPairedAccounting:
         means = errors[:, :, :3].mean(axis=1).mean(axis=1)
         assert report.aggregate_reduction_pct == pytest.approx(
             100.0 * (means[0] - means[1]) / means[0], rel=1e-12)
+
+
+def old_report_arithmetic(model_classic, model_adv, scores, scaler, starts,
+                          horizon):
+    """Means, stds and reductions as ``evaluate_ensemble`` took them
+    before it scaled only the window rows and reduced all horizons at
+    once: the whole score matrix scaled, and one scalar reduction per
+    horizon."""
+    def reduction(classic, adv):
+        if not (np.isfinite(classic) and np.isfinite(adv)):
+            return np.nan
+        return 0.0 if classic == 0.0 else 100.0 * (classic - adv) / classic
+
+    lag = model_classic.time_lag
+    starts = np.array(starts)[:, None]
+    windows = scaler.scale(scores)[starts + np.arange(lag)]
+    preds, diverged_at = zip(*(forecast._roll(model, windows.copy(), horizon)
+                               for model in (model_classic, model_adv)))
+    truth = scores[starts + lag + np.arange(horizon)]
+    errors = forecast._norms(scaler.invert(np.stack(preds)) - truth)
+    paired = np.all(np.arange(horizon) < np.stack(diverged_at)[..., None],
+                    axis=0)
+    n_pairs = paired.sum(axis=0)
+    with np.errstate(invalid="ignore"):
+        means = np.where(paired, errors, 0.0).sum(axis=1) / n_pairs
+        stds = np.sqrt(np.where(paired, (errors - means[:, None]) ** 2,
+                                0.0).sum(axis=1) / n_pairs)
+    return means, stds, np.array([reduction(c, a) for c, a in means.T])
+
+
+class TestReportArithmetic:
+    """``evaluate_ensemble`` gives the old arithmetic's bits."""
+
+    def check(self, classic, adv, scores, scaler, starts, horizon,
+              reset=lambda: None):
+        """``reset`` runs before each of the two evaluations."""
+        reset()
+        report = forecast.evaluate_ensemble(classic, adv, scores, scaler,
+                                            starts, horizon)
+        reset()
+        means, stds, reduction = old_report_arithmetic(
+            classic, adv, scores, scaler, starts, horizon)
+        got = np.stack([report.mean_classic, report.mean_adv])
+        assert got.tobytes() == means.tobytes()
+        assert np.stack([report.std_classic, report.std_adv]).tobytes() \
+            == stds.tobytes()
+        assert report.reduction_pct.tobytes() == reduction.tobytes()
+        return report
+
+    def test_trained_size_models(self):
+        scores, scaler, classic = tiny_setup(seed=1)
+        _, _, adv = tiny_setup(seed=2)
+        report = self.check(classic, adv, scores, scaler, range(3, 60), 20)
+        assert np.all(np.isfinite(report.reduction_pct))
+
+    def test_classic_mean_zero_and_horizon_without_pairs(self, monkeypatch):
+        # rows step by 1/64 and the scaler is the identity, so a classic
+        # stub that adds 1/64 forecasts every row exactly until step 3;
+        # from step 5 on every classic row has diverged
+        scores = np.arange(64.0)[:, None] / 64.0 * np.ones(3)
+        scaler = snapshots.MinMaxScaler(np.zeros(3), np.ones(3))
+        _, _, classic = tiny_setup(seed=1)
+        _, _, adv = tiny_setup(seed=2)
+        calls = collections.Counter()
+
+        def stub(model_, windows):
+            step = calls[id(model_)]
+            calls[id(model_)] += 1
+            pred = windows[..., -1, :] + 1.0 / 64.0
+            if model_ is adv:
+                pred += 0.01
+            elif step >= 5:
+                pred[:] = np.nan
+            elif step >= 3:
+                pred[::2] += 0.02
+            return pred
+
+        monkeypatch.setattr(forecast, "forecaster_step", stub)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            report = self.check(classic, adv, scores, scaler, range(5, 11), 8,
+                                reset=calls.clear)
+        assert np.array_equal(report.mean_classic[:3], np.zeros(3))
+        assert np.all(report.mean_adv[:3] > 0.0)
+        assert np.array_equal(report.reduction_pct[:3], np.zeros(3))
+        assert np.all(np.isfinite(report.reduction_pct[3:5]))
+        assert np.array_equal(report.n_pairs, [6, 6, 6, 6, 6, 0, 0, 0])
+        assert np.all(np.isnan(report.reduction_pct[5:]))
+
+
+class TestTimed:
+    @staticmethod
+    def clocked(monkeypatch, durations):
+        """A stub whose k-th call takes ``durations[k]`` seconds (0 past
+        the list) on a clock of its own, which ``forecast`` reads. The
+        durations are powers of two, so the clock's differences are
+        exact."""
+        now = [0.0]
+        calls = []
+
+        def stub():
+            k = len(calls)
+            calls.append(k)
+            now[0] += durations[k] if k < len(durations) else 0.0
+
+        monkeypatch.setattr(forecast, "time",
+                            types.SimpleNamespace(perf_counter=lambda: now[0]))
+        return stub, calls
+
+    def test_cold_first_call_not_counted(self, monkeypatch):
+        # a first call that stalls (a cold BLAS or page faults) is the
+        # warm-up; a later slow call is outvoted by the median
+        fast = 2.0 ** -10
+        stub, calls = self.clocked(monkeypatch, [0.25, fast, fast, 2.0 ** -4,
+                                                 fast, fast])
+        per_call = forecast._timed(stub, min_calls=5, min_seconds=0.0)
+        assert len(calls) == 6
+        assert per_call == fast
+
+    def test_times_on_until_min_seconds(self, monkeypatch):
+        stub, calls = self.clocked(monkeypatch, [2.0 ** -6] * 40)
+        assert forecast._timed(stub, min_calls=5, min_seconds=0.125) \
+            == 2.0 ** -6
+        # the warm-up, then eight calls of 1/64 s
+        assert len(calls) == 9
 
 
 class TestTimingBenchmark:

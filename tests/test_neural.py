@@ -73,6 +73,31 @@ class TestLstmForward:
         with pytest.raises(NonFiniteInput):
             neural.lstm_forward(params, bad)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_state_run_equals_run_from_explicit_zeros(self, dtype):
+        # step 0 from a zero state skips U @ h_0 and f * c_0; the same
+        # run started from explicit zero (h0, c0) takes both
+        rng = np.random.default_rng(41)
+        lstm = neural.init_lstm_params(4, 6, rng)
+        lstm = neural.LstmParams(*(block.astype(dtype)
+                                   for block in vars(lstm).values()))
+        seq = rng.uniform(-2, 2, size=(5, 3, 4)).astype(dtype)
+        zero = np.zeros((6, 5), dtype)
+        free = neural._recur(lstm, seq)
+        started = neural._recur(lstm, seq, zero, zero)
+        assert not free.start and started.start
+        for name in ("gates", "h", "c", "tc"):
+            got, want = getattr(free, name), getattr(started, name)
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes(), name
+        # backward: the same dA; only a run from a given state has a c0
+        # to hand a gradient to
+        d_h = rng.standard_normal((6, 5)).astype(dtype)
+        d_free, dc0_free = neural._lstm_backward(free, d_h)
+        d_started, dc0 = neural._lstm_backward(started, d_h)
+        assert d_free.tobytes() == d_started.tobytes()
+        assert dc0_free is None and dc0.shape == (6, 5)
+
     def test_sigmoid_overflow_free_and_accurate(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -144,12 +169,21 @@ class TestForecasterForward:
 
 
 class TestDiscriminatorForward:
-    def test_output_in_unit_interval(self):
+    def test_output_is_the_linear_heads_logit(self):
+        # the head is linear: the output is its logit, not a probability
         rng = np.random.default_rng(5)
         disc = neural.init_discriminator(4, 8, rng)
-        prob, _ = neural.discriminator_forward(disc, rng.random((6, 1, 4)))
-        assert prob.shape == (6,)
-        assert np.all((prob > 0) & (prob < 1))
+        seq = rng.random((6, 1, 4))
+        logits, tape = neural.discriminator_forward(disc, seq)
+        assert logits.shape == (6,)
+        assert tape.activation == "linear"
+        h, _ = oracles.ld_lstm_final_hidden(disc.params(), seq)
+        want = h @ disc.head.weight[0] + disc.head.bias[0]
+        assert np.max(np.abs(logits - want)) <= 1e-15
+        # a bias far out is a logit far out, with no clamp or squashing
+        disc.head.bias[:] = -40.0
+        far, _ = neural.discriminator_forward(disc, seq)
+        assert np.array_equal(far, logits - 40.0)
 
     def test_scalar_head_enforced(self):
         rng = np.random.default_rng(6)

@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from romcast import optim
+from romcast import neural, optim
 from romcast.errors import LabelOutOfRange, ShapeMismatch
 
+import oracles
 from oracles import nadam_scalar
 
 
@@ -39,15 +41,50 @@ class TestMse:
             assert grad[idx] == pytest.approx(fd, abs=1e-9)
 
 
+def ld_softplus(z):
+    """softplus(z) = log(1 + e^z) in longdouble, without overflow."""
+    z = np.asarray(z, dtype=oracles.LD)
+    return np.maximum(z, 0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def ld_bce(z, label):
+    """The mean BCE of sigmoid(z) against ``label``, in longdouble: away
+    from the oracle's clamp, -log sigmoid(z) = softplus(-z) and
+    -log(1 - sigmoid(z)) = softplus(z)."""
+    return np.mean(ld_softplus(-z if label else z))
+
+
 class TestBce:
+    """``bce`` takes the discriminator's logits z."""
+
     def test_half_prediction(self):
-        assert optim.bce(0.5, 1.0)[0] == pytest.approx(math.log(2), rel=1e-12)
+        # z = 0 is the prediction 1/2
+        assert optim.bce(0.0, 1.0)[0] == pytest.approx(math.log(2), rel=1e-12)
 
     def test_near_one_prediction(self):
-        assert optim.bce(1.0 - 1e-7, 1.0)[0] < 1.1e-7
+        # the logit of the prediction 1 - 1e-7
+        assert optim.bce(math.log((1.0 - 1e-7) / 1e-7), 1.0)[0] < 1.1e-7
 
-    def test_clamped_zero_prediction(self):
-        assert optim.bce(0.0, 1.0)[0] == pytest.approx(-math.log(1e-7), rel=1e-12)
+    def test_saturated_discriminator_keeps_generator_gradient(self):
+        # D sure that every prediction is fake: z near -30, where a
+        # probability clamped to [1e-7, 1 - 1e-7] had no gradient at all
+        rng = np.random.default_rng(7)
+        disc = neural.init_discriminator(3, 8, rng).astype(np.float32)
+        windows, targets = oracles.smooth_windows(rng, 16, 2, 3)
+        windows = windows.astype(np.float32)
+        fake = (targets + 0.3).astype(np.float32)
+        logits, _ = neural.discriminator_branches(disc, windows, fake[None])
+        disc.head.bias[:] = -30.0 - logits.mean()
+        logits, tape = neural.discriminator_branches(disc, windows, fake[None])
+        assert np.all(np.abs(logits + 30.0) < 1.0)
+        assert np.all(neural.sigmoid(logits.astype(np.float64)) < 1e-7)
+        loss, d_logits = optim.bce(logits[0], 1.0)
+        assert loss == pytest.approx(-float(logits.mean()), rel=1e-3)
+        assert np.all(d_logits == np.float32(-1.0 / 16))
+        grad = neural.candidate_grad(tape, d_logits[None])[0]
+        assert grad.dtype == np.float32 and grad.shape == fake.shape
+        assert np.all(np.isfinite(grad))
+        assert np.all(np.abs(grad).sum(axis=1) > 0.0)
 
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
@@ -55,41 +92,82 @@ class TestBce:
 
     @settings(deadline=None, max_examples=50)
     @given(
-        st.floats(1e-7, 1 - 1e-7, allow_nan=False),
-        st.floats(1e-7, 1 - 1e-7, allow_nan=False),
+        st.floats(-50.0, 50.0, allow_nan=False),
+        st.floats(-50.0, 50.0, allow_nan=False),
     )
     def test_strictly_decreasing_for_label_one(self, a, b):
-        # strict only where -log of the clamped inputs differs in float64:
-        # inputs an ulp apart can round to the same loss
+        # strict only where softplus(-z) differs in float64: logits an
+        # ulp apart can round to the same loss
         lo, hi = sorted((a, b))
         if lo == hi:
             return
-        clamped = np.clip([lo, hi], optim.BCE_CLAMP, 1.0 - optim.BCE_CLAMP)
-        log_lo, log_hi = -np.log(clamped)
-        if log_lo != log_hi:
+        loss_lo, loss_hi = np.logaddexp(0.0, [-lo, -hi])
+        if loss_lo != loss_hi:
             assert optim.bce(lo, 1.0)[0] > optim.bce(hi, 1.0)[0]
         else:
             assert optim.bce(lo, 1.0)[0] >= optim.bce(hi, 1.0)[0]
 
     @pytest.mark.parametrize("label", [0.0, 1.0, 0, 1, True])
     def test_matches_separate_loss_and_gradient(self, label):
-        # the separate loss and gradient formulas, over both clamp zones,
-        # their edges and the inside
-        eps = optim.BCE_CLAMP
-        pred = np.concatenate([
-            [0.0, 1e-12, eps, np.nextafter(eps, 1.0), 0.5,
-             np.nextafter(1.0 - eps, 0.0), 1.0 - eps, 1.0 - 1e-12, 1.0],
-            np.random.default_rng(2).random(23),
+        # the longdouble loss and gradient (sigmoid(z) - y) / n, over
+        # both saturated ends, the old clamp's edges and the inside
+        edge = math.log((1.0 - 1e-7) / 1e-7)
+        z = np.concatenate([
+            [-800.0, -100.0, -30.0, -edge, -1e-300, 0.0, 1e-300, edge, 30.0,
+             100.0, 800.0],
+            np.random.default_rng(2).uniform(-20.0, 20.0, 23),
         ])
-        p = np.clip(pred, eps, 1.0 - eps)
-        want_loss = float(np.mean(-(label * np.log(p)
-                                    + (1.0 - label) * np.log1p(-p))))
-        inside = (pred > eps) & (pred < 1.0 - eps)
-        want_grad = np.where(inside, (p - label) / (p * (1.0 - p)), 0.0)
-        loss, grad = optim.bce(pred, label)
-        assert loss == want_loss
-        assert grad.tobytes() == (want_grad / pred.size).tobytes()
-        assert np.all(grad[[0, 1, 2, 6, 7, 8]] == 0.0)
+        with warnings.catch_warnings(), np.errstate(over="raise",
+                                                    invalid="raise",
+                                                    divide="raise"):
+            warnings.simplefilter("error")
+            loss, grad = optim.bce(z, label)
+        assert loss == pytest.approx(float(ld_bce(z, label)), rel=1e-15)
+        want = (oracles.ld_sigmoid(z.astype(oracles.LD)) - label) / z.size
+        # tanh to within an ulp of 1
+        assert np.max(np.abs(grad - want)) <= np.finfo(float).eps / z.size
+        # saturated the wrong way, the gradient is the whole -+1 / n,
+        # where the clamp gave 0
+        wrong = z <= -30.0 if label else z >= 30.0
+        assert wrong.sum() == 3
+        assert np.all(np.abs(grad[wrong] * z.size - (-1.0 if label else 1.0))
+                      <= 1e-12)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        st.sampled_from([0, 1]),
+        st.lists(st.floats(-60.0, 60.0, allow_nan=False), min_size=1,
+                 max_size=12),
+    )
+    def test_matches_longdouble_softplus_and_its_finite_difference(
+            self, dtype, label, values):
+        # the two ends a dtype's exp would overflow at ride along: the
+        # loss and the gradient must come out with no warning
+        end = 800.0 if dtype == np.float64 else 100.0
+        z = np.array(values + [-end, end], dtype=dtype)
+        with warnings.catch_warnings(), np.errstate(over="raise",
+                                                    invalid="raise",
+                                                    divide="raise"):
+            warnings.simplefilter("error")
+            loss, grad = optim.bce(z, label)
+        assert grad.dtype == dtype
+        # a sum of n rounded terms, and tanh to within a few ulps of 1
+        ulp = np.finfo(dtype).eps
+        assert loss == pytest.approx(float(ld_bce(z, label)),
+                                     rel=z.size * ulp)
+        zl = z.astype(oracles.LD)
+        exact = (oracles.ld_sigmoid(zl) - label) / z.size
+        assert np.max(np.abs(grad - exact)) <= 4 * ulp / z.size
+        # central differences of the longdouble loss, one logit at a time
+        eps = oracles.LD(1e-6)
+        for i in range(z.size):
+            up, down = zl.copy(), zl.copy()
+            up[i] += eps
+            down[i] -= eps
+            fd = (ld_bce(up, label) - ld_bce(down, label)) / (2 * eps)
+            assert grad[i] == pytest.approx(float(fd), rel=1e-6,
+                                            abs=(4 * ulp + 1e-9) / z.size)
 
     @pytest.mark.parametrize("label", [0.5, 2.0, -1, np.nan,
                                        np.array([1.0, 0.0]), "1"])
@@ -99,17 +177,17 @@ class TestBce:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
-        pred = rng.uniform(0.05, 0.95, size=8)
+        z = rng.uniform(-4.0, 4.0, size=8)
         for label in (0.0, 1.0):
-            grad = optim.bce(pred, label)[1]
+            grad = optim.bce(z, label)[1]
             eps = 1e-6
             for idx in (0, 3, 7):
-                orig = pred[idx]
-                pred[idx] = orig + eps
-                up = optim.bce(pred, label)[0]
-                pred[idx] = orig - eps
-                down = optim.bce(pred, label)[0]
-                pred[idx] = orig
+                orig = z[idx]
+                z[idx] = orig + eps
+                up = optim.bce(z, label)[0]
+                z[idx] = orig - eps
+                down = optim.bce(z, label)[0]
+                z[idx] = orig
                 fd = (up - down) / (2 * eps)
                 assert grad[idx] == pytest.approx(fd, abs=1e-7)
 

@@ -152,6 +152,30 @@ class TestTrainAdversarial:
         loss = optim.bce(prob, 1.0)[0] + optim.bce(prob, 0.0)[0]
         assert loss == pytest.approx(2 * math.log(2), rel=1e-12)
 
+    def test_lambda_zero_one_step_equals_classic_step(self):
+        # one generator step through D with adv_weight=0 against the
+        # classic step, from the same float32 forecaster and dropout draw
+        ds = training.make_windows(wave_scores(), 2, 0.9)
+        config = quick_config(adversarial=True, adv_weight=0.0, dropout=0.3)
+        windows = ds.inputs[:32].astype(np.float32)
+        targets = ds.targets[:32].astype(np.float32)
+        disc = neural.init_discriminator(3, 8, np.random.default_rng(2))
+        disc = disc.astype(np.float32)
+        flats = []
+        for with_disc in (False, True):
+            model = neural.init_forecaster(3, 8, "sigmoid", 0.3, 2,
+                                           np.random.default_rng(1))
+            model = model.astype(np.float32)
+            opt = optim.NadamState()
+            _, _, tape = neural.lstm_forward(model.lstm, windows)
+            loss, adv_loss = training._forecaster_step(
+                model, opt, tape, windows, targets, np.random.default_rng(3),
+                config, disc=disc if with_disc else None)
+            assert (adv_loss is not None) == with_disc
+            flats.append((loss, model.flat.tobytes(), opt.m.tobytes(),
+                          opt.v.tobytes()))
+        assert flats[0] == flats[1]
+
     def test_lambda_zero_generator_step_equals_classic_step(self):
         # the control arm: with adv_weight=0 the adversarial term is the
         # only difference, so the forecaster must match classic training
@@ -159,11 +183,13 @@ class TestTrainAdversarial:
         ds = training.make_windows(wave_scores(), 2, 0.9)
         config = quick_config(epochs=3, batch_size=32, dropout=0.3, seed=4)
         assert ds.split > 3 * config.batch_size
-        classic, _ = training.train_classic(ds, config)
+        classic, classic_report = training.train_classic(ds, config)
         adv_cfg = replace(config, adversarial=True, adv_weight=0.0)
         adv, _, report = training.train_adversarial(ds, adv_cfg)
         assert np.all(np.isfinite(report.g_adv_loss))
         assert adv.flat.tobytes() == classic.flat.tobytes()
+        assert report.train_loss == classic_report.train_loss
+        assert report.val_loss == classic_report.val_loss
 
     def test_phase_isolation(self):
         ds = training.make_windows(wave_scores(), 2, 0.9)
@@ -271,9 +297,10 @@ class TestTrainAdversarial:
             np.concatenate([ds.val_inputs, last[:, None]], axis=1)
             for last in (ds.val_targets, pred)
         )
-        p_real, _ = neural.discriminator_forward(disc, seq_real)
-        p_fake, _ = neural.discriminator_forward(disc, seq_fake)
-        accuracy = 0.5 * ((p_real > 0.5).mean() + (p_fake < 0.5).mean())
+        # D emits logits: sigmoid(z) > 1/2 where z > 0
+        z_real, _ = neural.discriminator_forward(disc, seq_real)
+        z_fake, _ = neural.discriminator_forward(disc, seq_fake)
+        accuracy = 0.5 * ((z_real > 0.0).mean() + (z_fake < 0.0).mean())
         assert 0.45 < accuracy <= 1.0
 
     def test_classic_flag_rejected(self):
@@ -317,7 +344,9 @@ class TestFloat32Training:
         recording(training, "bce", lambda args, out: [out[1]])
         recording(training, "candidate_grad", lambda args, out: [out])
         recording(training, "_param_grads", lambda args, out: [out[0].flat])
-        recording(neural, "_lstm_backward", lambda args, out: out)
+        # a run from a zero state has no dc0 (None)
+        recording(neural, "_lstm_backward",
+                  lambda args, out: [a for a in out if a is not None])
         recording(training, "nadam_step",
                   lambda args, out: [args[0].m, args[0].v, args[1].flat])
         monkeypatch.setattr(neural.Tape, "__init__", recording_tape)
