@@ -8,11 +8,11 @@ manifest beside it, ``<artifact>.manifest.json``:
 - train: the forecaster [model_classic.romf, or model_adv.romf with
   --adversarial]; its manifest's ``meta.curves`` holds the per-epoch
   train_mse and val_mse, and d_loss and g_adv_loss when adversarial;
-- gridsearch: one row per grid point [gridsearch.csv];
+- gridsearch: one row per grid point [gridsearch.csv]; its manifest's
+  ``meta.best`` holds the train config of the best point;
 - evaluate: the ensemble report [ensemble_report.csv].
-Files without a manifest: generate --csv's CSV copy, gridsearch's best
-train config [best_config.json] and bench --out's timings; report only
-prints.
+report reads only an evaluate report that has its manifest, and bench
+only prints.
 
 A manifest records the tool version, seed, config hash and the content
 hashes of its inputs, whose paths are stored relative to the artifact's
@@ -262,8 +262,7 @@ def _verify_io(inputs, outputs):
     verify each input against its manifest (``verify_artifact``).
 
     ``inputs`` maps an input's name to its path, as a manifest records
-    it, and ``outputs`` maps an option to the path it writes (None when
-    nothing is written).
+    it, and ``outputs`` maps an option to the path it writes.
     """
     claimed = {}
     for name, path in inputs.items():
@@ -271,8 +270,6 @@ def _verify_io(inputs, outputs):
         claimed.setdefault(os.path.realpath(_manifest_path(path)),
                            f"the manifest of --{name}")
     for option, path in outputs.items():
-        if path is None:
-            continue
         if os.path.isdir(path):
             raise InvalidConfig(f"{option} {path} is a directory")
         if not os.path.isdir(_dir_of(path)):
@@ -308,7 +305,7 @@ def _load_scores(inputs):
 
 def cmd_generate(args):
     out = args.out or "snapshots.romf"
-    _verify_io({}, {"--out": out, "--csv": args.csv})
+    _verify_io({}, {"--out": out})
     config = load_config(args.config)
     gen = _data_config(config, seed=args.seed)
     snap = snapshots.generate(gen)
@@ -317,8 +314,6 @@ def cmd_generate(args):
                    meta={"n": snap.n, "m": snap.m,
                          "fields": list(snap.field_names),
                          "nodes_per_field": snap.nodes_per_field})
-    if args.csv:
-        snap.to_csv(args.csv)
     log.info("wrote %s (%d x %d)", out, snap.n, snap.m)
     print(f"generate: {out} n={snap.n} m={snap.m}")
     return 0
@@ -393,9 +388,8 @@ def cmd_train(args):
 
 def cmd_gridsearch(args):
     out = args.out or "gridsearch.csv"
-    best_out = args.best_out or "best_config.json"
     inputs = _data_inputs(args)
-    _verify_io(inputs, {"--out": out, "--best-out": best_out})
+    _verify_io(inputs, {"--out": out})
     config = load_config(args.config)
     base = _train_config(config, args)
     scaler, scores, _ = _load_scores(inputs)
@@ -410,13 +404,10 @@ def cmd_gridsearch(args):
             row = [str(getattr(point.config, axis)) for axis in axes]
             fh.write(",".join(row) +
                      f",{point.val_mse:.6g},{int(point.failed)}\n")
-    with open(best_out, "w") as fh:
-        json.dump({"train": asdict(best)}, fh, indent=2)
-        fh.write("\n")
     write_manifest(out, config={"grid": grid, "epochs": epochs},
                    inputs=inputs,
                    meta={"points": len(results), "best": asdict(best)})
-    print(f"gridsearch: {len(results)} points -> {out}; best -> {best_out} "
+    print(f"gridsearch: {len(results)} points -> {out}; best "
           f"(hidden={best.hidden_nodes} dropout={best.dropout} "
           f"activation={best.output_activation})")
     return 0
@@ -463,13 +454,10 @@ def cmd_evaluate(args):
     return 0
 
 
-def _evaluation_meta(path, horizon):
-    """The ``meta`` of the evaluate manifest beside the report at
-    ``path``, verified against the report, or None when it has none.
+def _check_evaluation(path, meta, horizon):
+    """Raise HashMismatch unless ``meta``, from the verified manifest of
+    the report at ``path``, records an evaluation of ``horizon`` steps.
     The diverged counts and ``n_pairs`` are only there, not in the CSV."""
-    if not os.path.exists(_manifest_path(path)):
-        return None
-    meta = verify_artifact(path).get("meta")
     try:
         counts = [meta["diverged_classic"], meta["diverged_adv"]]
         pairs = meta["n_pairs"]
@@ -480,38 +468,32 @@ def _evaluation_meta(path, horizon):
     if not valid:
         raise HashMismatch(f"{_manifest_path(path)} records no ensemble "
                            f"evaluation of {horizon} steps")
-    return meta
 
 
 def cmd_report(args):
     for path in args.reports:
-        if not os.path.exists(path):
-            raise MissingArtifact(f"report not found: {path}")
+        meta = verify_artifact(path).get("meta")
         rep = forecast.EnsembleReport.from_csv(path)
         horizon = len(rep.horizons)
-        meta = _evaluation_meta(path, horizon)
+        _check_evaluation(path, meta, horizon)
         picks = sorted({0, horizon // 2 - 1, horizon - 1} & set(range(horizon)))
         print(f"\n{path}  (horizon {horizon})")
-        pairs = "" if meta is None else f" {'pairs':>6s}"
-        print(f"  {'h':>4s} {'classic':>12s} {'adv':>12s} {'reduction':>10s}"
-              + pairs)
+        print(f"  {'h':>4s} {'classic':>12s} {'adv':>12s} {'reduction':>10s} "
+              f"{'pairs':>6s}")
         for idx in picks:
-            pairs = "" if meta is None else f" {meta['n_pairs'][idx]:>6d}"
             print(f"  {rep.horizons[idx]:>4d} {rep.mean_classic[idx]:>12.6g} "
-                  f"{rep.mean_adv[idx]:>12.6g} {rep.reduction_pct[idx]:>9.2f}%"
-                  + pairs)
+                  f"{rep.mean_adv[idx]:>12.6g} {rep.reduction_pct[idx]:>9.2f}% "
+                  f"{meta['n_pairs'][idx]:>6d}")
         agg_classic, agg_adv = rep.aggregate
         print(f"  {'agg':>4s} {agg_classic:>12.6g} {agg_adv:>12.6g} "
               f"{rep.aggregate_reduction_pct:>9.2f}%")
-        if meta is not None:
-            print(f"  diverged rollouts: classic {meta['diverged_classic']}, "
-                  f"adv {meta['diverged_adv']}")
+        print(f"  diverged rollouts: classic {meta['diverged_classic']}, "
+              f"adv {meta['diverged_adv']}")
     return 0
 
 
 def cmd_bench(args):
-    _verify_io({"model": args.model, "scaler": args.scaler},
-               {"--out": args.out})
+    _verify_io({"model": args.model, "scaler": args.scaler}, {})
     config = load_config(args.config)
     gen = _data_config(config)
     model, _, _ = load_model(args.model)
@@ -524,10 +506,6 @@ def cmd_bench(args):
     print(f"bench: forecast (batch of {timing.ensemble_width}) "
           f"{timing.forecast_seconds_per_step_ensemble * 1e6:.2f} "
           f"us/step/trajectory -> ratio {timing.ratio_ensemble:.1f}x")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(asdict(timing), fh, indent=2)
-            fh.write("\n")
     return 0
 
 
@@ -545,7 +523,6 @@ def build_parser():
     p.add_argument("--config")
     p.add_argument("--out")
     p.add_argument("--seed", type=int)
-    p.add_argument("--csv", help="also export the snapshot matrix as CSV")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("pca", help="fit the truncated PCA basis and scaler")
@@ -576,7 +553,6 @@ def build_parser():
     p.add_argument("--epochs", type=int, help="per-point epoch budget")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.add_argument("--best-out")
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("evaluate", help="classic-vs-adversarial rollout ensemble")
@@ -599,7 +575,6 @@ def build_parser():
     p.add_argument("--config")
     p.add_argument("--horizon", type=int, default=50)
     p.add_argument("--ensemble", type=int, default=50)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
     return parser
 

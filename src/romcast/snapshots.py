@@ -62,6 +62,8 @@ class GeneratorConfig:
             raise InvalidConfig("dx, dy and dt must be positive")
         if self.n_steps < 1:
             raise InvalidConfig("n_steps must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
         if self.kappa < 0:
             raise InvalidConfig("kappa must be >= 0")
         if self.source_amplitude < 0:
@@ -145,13 +147,6 @@ class SnapshotMatrix:
         matrix for "all")."""
         return self.data[:, self.field_slice(name)]
 
-    def column_labels(self):
-        return [
-            f"{name}:{node}"
-            for name in self.field_names
-            for node in range(self.nodes_per_field)
-        ]
-
     def save(self, path):
         arrays = {name: self.field(name) for name in self.field_names}
         romf.write_arrays(path, arrays)
@@ -168,11 +163,6 @@ class SnapshotMatrix:
             raise ShapeMismatch(f"{path}: fields have differing row counts")
         return cls(data=np.hstack(fields), field_names=tuple(arrays),
                    nodes_per_field=fields[0].shape[1])
-
-    def to_csv(self, path):
-        header = ",".join(self.column_labels())
-        np.savetxt(path, self.data, delimiter=",", header=header,
-                   comments="", fmt="%.17g")
 
 
 def _velocity_field(config):

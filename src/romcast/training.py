@@ -121,6 +121,8 @@ class TrainConfig:
             )
         if self.d_steps < 1:
             raise InvalidConfig("d_steps must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
 
 
 @dataclass(frozen=True)

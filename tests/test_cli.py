@@ -1,6 +1,7 @@
 import glob
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -118,11 +119,13 @@ class TestExitCodes:
         ("generate", "data", "dt", float("nan")),
         ("generate", "data", "dx", float("inf")),
         ("generate", "data", "source_period", float("inf")),
+        ("generate", "data", "seed", -1),
         ("train", "train", "lr", float("nan")),
         ("train", "train", "d_lr", -1.0),
         ("train", "train", "beta1", 1.5),
         ("train", "train", "eps", 0.0),
         ("train", "train", "clip_norm", float("nan")),
+        ("train", "train", "seed", -1),
     ])
     def test_bad_config_number_is_usage_error(self, workdir, capsys, command,
                                               section, key, value):
@@ -134,6 +137,32 @@ class TestExitCodes:
             DATA if command == "train" else ["--out", "snap.romf"])) == 2
         assert key in capsys.readouterr().err
         assert not os.path.exists("snap.romf")
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_negative_seed_is_usage_error(self, workdir, capsys, command):
+        # numpy's generators refuse a negative seed with a traceback; the
+        # CLI refuses it first, before any solve or data load
+        assert run(command, *CONFIG, "--seed", "-1", *(
+            DATA if command == "train" else ["--out", "snap.romf"])) == 2
+        err = capsys.readouterr().err
+        assert "romcast: error: seed must be >= 0" in err
+        assert not os.path.exists("snap.romf")
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--csv", "snap.csv"],
+        ["gridsearch", *DATA, "--best-out", "best.json"],
+        ["bench", "--model", "m.romf", "--scaler", "s.romf", "--out",
+         "bench.json"],
+    ])
+    def test_removed_output_option_is_usage_error(self, workdir, capsys,
+                                                  argv):
+        # every file a command writes carries a manifest; these options
+        # wrote files that had none
+        with pytest.raises(SystemExit) as info:
+            run(*argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert os.listdir() == ["config.json"]
 
     def test_gridsearch_of_zero_epochs_is_usage_error(self, workdir, capsys):
         pipeline(workdir)
@@ -187,7 +216,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["generate", *CONFIG, "--out", "adir"],
         ["generate", *CONFIG, "--out", "missing/snap.romf"],
-        ["generate", *CONFIG, "--csv", "missing/snap.csv"],
+        ["gridsearch", *CONFIG, *DATA, "--out", "missing/grid.csv"],
         ["pca", *CONFIG, "--snapshots", "snap.romf", "--out", "adir"],
         ["pca", *CONFIG, "--snapshots", "snap.romf",
          "--scaler-out", "missing/scaler.romf"],
@@ -206,6 +235,7 @@ class TestExitCodes:
         monkeypatch.setattr(pca, "fit", refuse)
         monkeypatch.setattr(training, "train_classic", refuse)
         monkeypatch.setattr(training, "train_adversarial", refuse)
+        monkeypatch.setattr(training, "grid_search", refuse)
         capsys.readouterr()
         assert run(*argv) == 2
         err = capsys.readouterr().err
@@ -366,14 +396,13 @@ class TestExitCodes:
          "--scaler-out", "x.romf"],
         ["pca", *CONFIG, "--snapshots", "snap.romf", "--scaler-out",
          "snap.romf"],
-        ["gridsearch", *CONFIG, *DATA, "--best-out", "scaler.romf"],
-        ["gridsearch", *CONFIG, *DATA, "--out", "g.csv", "--best-out",
-         "g.csv"],
+        ["gridsearch", *CONFIG, *DATA, "--out", "scaler.romf"],
+        ["gridsearch", *CONFIG, *DATA, "--out", "snap.romf.manifest.json"],
         ["evaluate", "--classic", "classic.romf", "--adv", "classic.romf",
          *DATA, "--starts", "40..42", "--out", "classic.romf"],
-        ["bench", *CONFIG, "--model", "classic.romf", "--scaler",
-         "scaler.romf", "--out", "classic.romf"],
-        ["generate", *CONFIG, "--out", "s.romf", "--csv", "s.romf"],
+        ["evaluate", "--classic", "classic.romf", "--adv", "classic.romf",
+         *DATA, "--starts", "40..42", "--out", "basis.romf.manifest.json"],
+        ["pca", *CONFIG, "--snapshots", "snap.romf", "--out", "snap.romf"],
     ])
     def test_output_over_an_input_is_usage_error(self, workdir, capsys,
                                                  argv):
@@ -400,13 +429,6 @@ class TestGenerate:
         assert run("generate", "--out", "default.romf") == 0
         out = capsys.readouterr().out
         assert "n=600" in out and "m=3072" in out
-
-    def test_csv_export(self, workdir):
-        run("generate", "--config", "config.json", "--out", "snap.romf",
-            "--csv", "snap.csv")
-        header = open("snap.csv").readline().strip().split(",")
-        assert header[0] == "tracer:0"
-        assert len(header) == 3 * 144
 
 
 class TestPcaCommand:
@@ -559,6 +581,7 @@ class TestTrainEvaluateReport:
     def test_malformed_report_is_runtime_error(self, workdir, capsys, text):
         with open("bad.csv", "w") as fh:
             fh.write(text)
+        cli.write_manifest("bad.csv")
         assert run("report", "bad.csv") == 1
         assert ("romcast: error: bad.csv: expected rows of 6 report columns"
                 in capsys.readouterr().err)
@@ -568,6 +591,7 @@ class TestTrainEvaluateReport:
                                                               capsys):
         with open("bad.csv", "w") as fh:
             fh.write("horizon,a,b,c,d,e\n1,x,3,4,5,6\n")
+        cli.write_manifest("bad.csv")
         assert run("report", "bad.csv") == 1
         assert ("romcast: error: bad.csv: a report cell is not a number"
                 in capsys.readouterr().err)
@@ -579,10 +603,13 @@ class TestTrainEvaluateReport:
             horizons=np.arange(1, 5), mean_classic=nan, std_classic=nan,
             mean_adv=nan, std_adv=nan, reduction_pct=nan, start_steps=(0,),
         ).to_csv("nan.csv")
+        cli.write_manifest("nan.csv", meta={"n_pairs": [0] * 4,
+                                            "diverged_classic": 1,
+                                            "diverged_adv": 1})
         assert run("report", "nan.csv") == 0
-        agg = [line for line in capsys.readouterr().out.splitlines()
-               if "agg" in line]
-        assert agg[0].split() == ["agg", "nan", "nan", "nan%"]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[-1] for line in lines[3:6]] == ["0", "0", "0"]
+        assert lines[6].split() == ["agg", "nan", "nan", "nan%"]
 
     def test_report_on_equal_models_prints_zero(self, workdir, capsys):
         pipeline(workdir)
@@ -624,11 +651,11 @@ class TestTrainEvaluateReport:
             fh.write("\n")
         assert run("report", "same.csv") == 1
         assert "same.csv changed" in capsys.readouterr().err
-        # a report without a manifest prints what the CSV holds
+        # a report without a manifest is a missing artifact
         os.remove(path)
-        assert run("report", "same.csv") == 0
-        out = capsys.readouterr().out
-        assert "pairs" not in out and "diverged" not in out
+        assert run("report", "same.csv") == 2
+        assert ("romcast: error: manifest not found for artifact: same.csv"
+                in capsys.readouterr().err)
 
     def test_epoch_and_seed_overrides(self, workdir):
         pipeline(workdir)
@@ -644,15 +671,20 @@ class TestTrainEvaluateReport:
 class TestGridSearch:
     def test_grid_outputs(self, workdir):
         pipeline(workdir)
-        assert run("gridsearch", "--config", "config.json", "--snapshots",
-                   "snap.romf", "--basis", "basis.romf", "--scaler",
-                   "scaler.romf", "--out", "grid.csv", "--best-out",
-                   "best.json") == 0
-        rows = open("grid.csv").read().splitlines()
+        before = set(os.listdir())
+        assert run("gridsearch", *CONFIG, *DATA) == 0
+        # the one artifact and its manifest, nothing else
+        assert set(os.listdir()) - before == {"gridsearch.csv",
+                                              "gridsearch.csv.manifest.json"}
+        rows = open("gridsearch.csv").read().splitlines()
         assert rows[0] == "dropout,hidden_nodes,val_mse,failed"
         assert len(rows) == 3
-        best = json.load(open("best.json"))
-        assert best["train"]["dropout"] in (0.0, 0.2)
+        # the best point is the row of least val_mse, recorded in meta.best
+        best = cli.verify_artifact("gridsearch.csv")["meta"]["best"]
+        least = min((row.split(",") for row in rows[1:]),
+                    key=lambda row: float(row[2]))
+        assert (best["dropout"], best["hidden_nodes"]) == (float(least[0]),
+                                                           int(least[1]))
 
 
 class TestBench:
@@ -660,11 +692,19 @@ class TestBench:
         pipeline(workdir)
         assert run("bench", "--model", "classic.romf", "--scaler",
                    "scaler.romf", "--config", "config.json", "--horizon",
-                   "10", "--ensemble", "8", "--out", "bench.json") == 0
+                   "10", "--ensemble", "8") == 0
         out = capsys.readouterr().out
-        assert "ratio" in out
-        timing = json.load(open("bench.json"))
-        assert timing["sim_seconds_per_step"] > 0
+        sim = float(re.search(r"simulator ([\d.]+) us/step", out)[1])
+        rows = re.findall(r"\(([^)]*)\) ([\d.]+) us/step\S* -> ratio ([\d.]+)x",
+                          out)
+        assert sim > 0
+        assert [kind for kind, _, _ in rows] == ["single trajectory",
+                                                 "batch of 8"]
+        # each ratio is the simulator step over the forecast step, to the
+        # digits printed
+        for _, step, ratio in rows:
+            assert float(ratio) == pytest.approx(sim / float(step),
+                                                 rel=0.02, abs=0.06)
 
 
 class TestOneHashPerFile:

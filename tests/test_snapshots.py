@@ -274,15 +274,6 @@ class TestSnapshotMatrix:
         with pytest.raises(ShapeMismatch):
             snapshots.SnapshotMatrix.load(path)
 
-    def test_csv_header_labels(self, tmp_path):
-        snap = snapshots.SnapshotMatrix(
-            np.arange(8.0).reshape(2, 4), ("tracer", "vel_x"), 2
-        )
-        path = tmp_path / "snap.csv"
-        snap.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "tracer:0,tracer:1,vel_x:0,vel_x:1"
-
 
 class TestScaler:
     def test_endpoints(self):
