@@ -9,10 +9,15 @@ manifest beside it, ``<artifact>.manifest.json``:
   --adversarial]; its manifest's ``meta.curves`` holds the per-epoch
   train_mse and val_mse, and d_loss and g_adv_loss when adversarial;
 - gridsearch: one row per grid point [gridsearch.csv]; its manifest's
-  ``meta.best`` holds the train config of the best point;
+  ``meta.best`` holds the train config of the best point, with the
+  train section's epochs, not the per-point search budget;
 - evaluate: the ensemble report [ensemble_report.csv].
 report reads only an evaluate report that has its manifest, and bench
 only prints.
+
+Every command reads the whole config file and checks it, keys, types
+and ranges, before it reads any input (``load_config``): a bad value in
+a section the command does not use is a usage error too.
 
 A manifest records the tool version, seed, config hash and the content
 hashes of its inputs, whose paths are stored relative to the artifact's
@@ -48,11 +53,8 @@ from .neural import load_model, save_model
 
 log = logging.getLogger("romcast")
 
-DEFAULT_DATA = snapshots.GeneratorConfig()
 DEFAULT_PCA = {"field": "tracer", "tau": 16, "variance": None,
                "scale_lo": 0.0, "scale_hi": 1.0}
-DEFAULT_TRAIN = training.TrainConfig()
-DEFAULT_GRID = dict(training.DEFAULT_GRID)
 DEFAULT_SEARCH_EPOCHS = 60
 
 
@@ -173,7 +175,8 @@ def _fits(value, default):
 
 
 def load_config(path):
-    """Merge a user JSON config over the built-in defaults.
+    """Merge a user JSON config over the built-in defaults, and check it
+    whole, keys, types and ranges, before a command reads any input.
 
     A config takes only the top-level keys of the defaults. The data, pca
     and train sections and search_epochs take only the keys of the
@@ -181,6 +184,13 @@ def load_config(path):
     section's two truncations, tau and variance, the one not used is
     null. Each grid axis is a train key that ``training.GRID_KEYS``
     names, with a non-empty list of values that fit its default.
+
+    Then the ranges, in every section, used by the command or not: the
+    data and train sections are returned built, as a
+    ``snapshots.GeneratorConfig`` and a ``training.TrainConfig``; each
+    grid value, and search_epochs as epochs, must be valid in that train
+    config; the pca section must pass ``pca.check_truncation`` and
+    ``snapshots.check_scaler_range``.
     """
     user = {}
     if path is not None:
@@ -194,10 +204,10 @@ def load_config(path):
         if not isinstance(user, dict):
             raise InvalidConfig(f"{path}: a config must be a JSON object")
     config = {
-        "data": asdict(DEFAULT_DATA),
+        "data": asdict(snapshots.GeneratorConfig()),
         "pca": dict(DEFAULT_PCA),
-        "train": asdict(DEFAULT_TRAIN),
-        "grid": dict(DEFAULT_GRID),
+        "train": asdict(training.TrainConfig()),
+        "grid": dict(training.DEFAULT_GRID),
         "search_epochs": DEFAULT_SEARCH_EPOCHS,
     }
     for key in user:
@@ -211,7 +221,7 @@ def load_config(path):
             for axis, values in part.items():
                 if axis not in training.GRID_KEYS:
                     raise InvalidConfig(f"unknown grid axis {axis!r}")
-                default = getattr(DEFAULT_TRAIN, axis)
+                default = getattr(training.TrainConfig, axis)
                 if not (isinstance(values, list) and values
                         and all(_fits(value, default) for value in values)):
                     raise InvalidConfig(
@@ -232,26 +242,22 @@ def load_config(path):
     if not _fits(config["search_epochs"], DEFAULT_SEARCH_EPOCHS):
         raise InvalidConfig("search_epochs must be an integer, got "
                             f"{config['search_epochs']!r}")
+    config["data"] = snapshots.GeneratorConfig(**config["data"])
+    train = config["train"] = training.TrainConfig(**config["train"])
+    for axis, values in [*config["grid"].items(),
+                         ("epochs", [config["search_epochs"]])]:
+        for value in values:
+            replace(train, **{axis: value})
+    section = config["pca"]
+    pca.check_truncation(section["tau"], section["variance"])
+    snapshots.check_scaler_range(section["scale_lo"], section["scale_hi"])
     return config
 
 
-def _data_config(config, seed=None):
-    data = dict(config["data"])
-    data["source_center"] = tuple(data["source_center"])
-    if seed is not None:
-        data["seed"] = seed
-    return snapshots.GeneratorConfig(**data)
-
-
-def _train_config(config, args):
-    train = dict(config["train"])
-    if getattr(args, "seed", None) is not None:
-        train["seed"] = args.seed
-    if getattr(args, "epochs", None) is not None:
-        train["epochs"] = args.epochs
-    if getattr(args, "adversarial", False):
-        train["adversarial"] = True
-    return training.TrainConfig(**train)
+def _given(args, *names):
+    """The options among ``names`` that were given on the command line."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
 
 
 def _verify_io(inputs, outputs):
@@ -305,9 +311,8 @@ def _load_scores(inputs):
 
 def cmd_generate(args):
     out = args.out or "snapshots.romf"
+    gen = replace(load_config(args.config)["data"], **_given(args, "seed"))
     _verify_io({}, {"--out": out})
-    config = load_config(args.config)
-    gen = _data_config(config, seed=args.seed)
     snap = snapshots.generate(gen)
     snap.save(out)
     write_manifest(out, seed=gen.seed, config=asdict(gen),
@@ -354,9 +359,8 @@ def cmd_pca(args):
 
 
 def cmd_train(args):
-    config = load_config(args.config)
-    tcfg = _train_config(config, args)
-    tcfg.validate()
+    tcfg = replace(load_config(args.config)["train"],
+                   **_given(args, "seed", "epochs", "adversarial"))
     out = args.out or ("model_adv.romf" if tcfg.adversarial else
                        "model_classic.romf")
     inputs = _data_inputs(args)
@@ -388,13 +392,13 @@ def cmd_train(args):
 
 def cmd_gridsearch(args):
     out = args.out or "gridsearch.csv"
-    inputs = _data_inputs(args)
-    _verify_io(inputs, {"--out": out})
     config = load_config(args.config)
-    base = _train_config(config, args)
-    scaler, scores, _ = _load_scores(inputs)
+    base = replace(config["train"], **_given(args, "seed"))
     grid = config["grid"]
     epochs = config["search_epochs"] if args.epochs is None else args.epochs
+    inputs = _data_inputs(args)
+    _verify_io(inputs, {"--out": out})
+    scaler, scores, _ = _load_scores(inputs)
     best, results = training.grid_search(scaler.scale(scores), grid, base,
                                          search_epochs=epochs)
     axes = list(grid)
@@ -493,9 +497,8 @@ def cmd_report(args):
 
 
 def cmd_bench(args):
+    gen = load_config(args.config)["data"]
     _verify_io({"model": args.model, "scaler": args.scaler}, {})
-    config = load_config(args.config)
-    gen = _data_config(config)
     model, _, _ = load_model(args.model)
     timing = forecast.timing_benchmark(model, gen, horizon=args.horizon,
                                        ensemble_width=args.ensemble)
@@ -540,7 +543,7 @@ def build_parser():
     for name in _DATA_INPUTS:
         p.add_argument(f"--{name}", required=True)
     p.add_argument("--config")
-    p.add_argument("--adversarial", action="store_true")
+    p.add_argument("--adversarial", action="store_true", default=None)
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")

@@ -33,6 +33,8 @@ class GeneratorConfig:
     ``source_period`` is the period (seconds) of the sinusoidal background
     pollution pulse injected at ``source_center``; the source term is
     ``amplitude * (1 + sin(2 pi t / period)) / 2`` so it stays nonnegative.
+    A config checks itself when built, and so on ``replace``, raising
+    InvalidConfig; ``source_center`` is stored as a tuple.
     """
 
     grid_nx: int = 32
@@ -52,26 +54,21 @@ class GeneratorConfig:
     modulate_velocity: bool = False
     init_amplitude: float = 0.0  # scale of the seeded random initial tracer
 
-    def validate(self):
+    def __post_init__(self):
+        object.__setattr__(self, "source_center", tuple(self.source_center))
         for f in dataclass_fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise InvalidConfig(f"{f.name} must be finite")
         if self.grid_nx < 2 or self.grid_ny < 2:
             raise InvalidConfig("grid_nx and grid_ny must be >= 2")
-        if self.dx <= 0 or self.dy <= 0 or self.dt <= 0:
-            raise InvalidConfig("dx, dy and dt must be positive")
         if self.n_steps < 1:
             raise InvalidConfig("n_steps must be >= 1")
-        if self.seed < 0:
-            raise InvalidConfig("seed must be >= 0")
-        if self.kappa < 0:
-            raise InvalidConfig("kappa must be >= 0")
-        if self.source_amplitude < 0:
-            raise InvalidConfig("source_amplitude must be >= 0")
-        if self.source_period <= 0:
-            raise InvalidConfig("source_period must be positive")
-        if self.init_amplitude < 0:
-            raise InvalidConfig("init_amplitude must be >= 0")
+        for name in ("dx", "dy", "dt", "source_period"):
+            if getattr(self, name) <= 0:
+                raise InvalidConfig(f"{name} must be positive")
+        for name in ("seed", "kappa", "source_amplitude", "init_amplitude"):
+            if getattr(self, name) < 0:
+                raise InvalidConfig(f"{name} must be >= 0")
         if self.velocity_mode not in ("uniform", "rotating"):
             raise InvalidConfig(f"unknown velocity_mode {self.velocity_mode!r}")
         if self.boundary not in ("periodic", "zero_gradient"):
@@ -264,9 +261,7 @@ def generate(config, initial_tracer=None):
 
     Row t holds the state at time t*dt: tracer first, then vel_x, vel_y.
     Deterministic given the config (the seed drives the optional random
-    initial tracer). Raises StabilityViolation / InvalidConfig on bad
-    configs, and NonFiniteInput on a NaN or Inf initial tracer, before
-    the solve.
+    initial tracer). A bad initial tracer raises before the solve.
 
     What does not change between steps is computed once: the padded
     velocities, their face velocities and each face's upwind cell. With
@@ -280,7 +275,6 @@ def generate(config, initial_tracer=None):
     ``c + dt * (diff - adv) + dt * source`` on freshly padded fields
     (``tests/test_snapshots.py``'s ``reference_generate``).
     """
-    config.validate()
     ny, nx = config.grid_ny, config.grid_nx
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     if initial_tracer is not None:
@@ -330,6 +324,14 @@ def generate(config, initial_tracer=None):
                           nodes_per_field=nx * ny)
 
 
+def check_scaler_range(lo, hi):
+    """Raise InvalidConfig unless [lo, hi], the range a MinMaxScaler maps
+    onto, is finite with hi > lo."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise InvalidConfig(f"scaler range [{lo}, {hi}] needs finite bounds "
+                            "with hi > lo")
+
+
 @dataclass(frozen=True)
 class MinMaxScaler:
     """Column-affine map onto [lo, hi]; constant columns map to the midpoint."""
@@ -343,11 +345,8 @@ class MinMaxScaler:
         if np.ndim(self.mins) != 1 or np.shape(self.mins) != np.shape(self.maxs):
             raise ShapeMismatch(f"scaler mins {np.shape(self.mins)} and maxs "
                                 f"{np.shape(self.maxs)} are not 1-D of one size")
-        if not self.hi > self.lo:
-            raise InvalidConfig("scaler range needs hi > lo")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
-                and np.isfinite(self.mins).all()
-                and np.isfinite(self.maxs).all()):
+        check_scaler_range(self.lo, self.hi)
+        if not (np.isfinite(self.mins).all() and np.isfinite(self.maxs).all()):
             raise InvalidConfig("scaler bounds must be finite")
         if np.any(self.mins > self.maxs):
             raise InvalidConfig("scaler mins must not exceed maxs")

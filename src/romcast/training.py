@@ -77,6 +77,9 @@ GRID_KEYS = ("dropout", "hidden_nodes", "batch_size", "output_activation",
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Hyperparameters of one training run. A config checks itself when
+    built, and so on ``replace``, raising InvalidConfig."""
+
     batch_size: int = 32
     hidden_nodes: int = 64
     dropout: float = 0.3
@@ -95,16 +98,17 @@ class TrainConfig:
     clip_norm: float = 0.0  # 0 disables the global-norm cap
     d_steps: int = 2  # discriminator updates per generator update
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidConfig("train_fraction must lie in (0, 1)")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise InvalidConfig("batch_size and epochs must be >= 1")
-        if not (math.isfinite(self.adv_weight) and self.adv_weight >= 0):
+        for name in ("batch_size", "epochs", "hidden_nodes", "time_lag",
+                     "d_steps"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"{name} must be >= 1")
+        if not 0.0 <= self.adv_weight < math.inf:
             raise InvalidConfig("adv_weight must be finite and >= 0")
         for name in ("lr", "d_lr", "eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not 0.0 < getattr(self, name) < math.inf:
                 raise InvalidConfig(f"{name} must be finite and positive")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
@@ -113,14 +117,10 @@ class TrainConfig:
             raise InvalidConfig("clip_norm must be finite")
         if not 0.0 <= self.dropout < 1.0:
             raise InvalidConfig("dropout must lie in [0, 1)")
-        if self.hidden_nodes < 1 or self.time_lag < 1:
-            raise InvalidConfig("hidden_nodes and time_lag must be >= 1")
         if self.output_activation not in ACTIVATIONS:
             raise InvalidConfig(
                 f"unknown output_activation {self.output_activation!r}"
             )
-        if self.d_steps < 1:
-            raise InvalidConfig("d_steps must be >= 1")
         if self.seed < 0:
             raise InvalidConfig("seed must be >= 0")
 
@@ -247,7 +247,6 @@ def _validation_loss(model, dataset):
 
 
 def _train(dataset, config):
-    config.validate()
     streams = _rng_streams(config.seed)
     tau = dataset.tau
     if dataset.time_lag != config.time_lag:
@@ -356,6 +355,9 @@ def grid_search(scores, grid, base_config, search_epochs=None):
     point so the lag axis can vary). Selection is minimum final validation
     MSE; ties break to fewer hidden nodes, then lower dropout, then
     declaration order. Diverged points are marked failed, not fatal.
+    Every point's config is built, and so checked, before the first
+    trains. Returns the best point's config with ``base_config``'s
+    epochs, the config to train with, and every GridPoint.
     """
     if not grid or any(len(values) == 0 for values in grid.values()):
         raise EmptyInput("grid must list at least one candidate per axis")
@@ -363,12 +365,11 @@ def grid_search(scores, grid, base_config, search_epochs=None):
     if unknown:
         raise InvalidConfig(f"unknown grid axes: {sorted(unknown)}")
     epochs = search_epochs if search_epochs is not None else base_config.epochs
-    axes = list(grid.items())
+    configs = [replace(base_config, adversarial=False, epochs=epochs,
+                       **dict(zip(grid, values)))
+               for values in itertools.product(*grid.values())]
     results = []
-    for values in itertools.product(*(vals for _, vals in axes)):
-        overrides = dict(zip((name for name, _ in axes), values))
-        config = replace(base_config, adversarial=False, epochs=epochs,
-                         **overrides)
+    for config in configs:
         dataset = make_windows(scores, config.time_lag, config.train_fraction)
         try:
             _, report = train_classic(dataset, config)
@@ -376,16 +377,10 @@ def grid_search(scores, grid, base_config, search_epochs=None):
         except NonFiniteLoss:
             results.append(GridPoint(config=config, val_mse=float("inf"),
                                      failed=True))
-    viable = [(i, point) for i, point in enumerate(results) if not point.failed]
+    viable = [point for point in results if not point.failed]
     if not viable:
         raise NonFiniteLoss("every grid point diverged")
-    _, best = min(
-        viable,
-        key=lambda item: (
-            item[1].val_mse,
-            item[1].config.hidden_nodes,
-            item[1].config.dropout,
-            item[0],
-        ),
-    )
-    return best.config, results
+    # min keeps the first of equal keys: declaration order breaks ties
+    best = min(viable, key=lambda point: (
+        point.val_mse, point.config.hidden_nodes, point.config.dropout))
+    return replace(best.config, epochs=base_config.epochs), results

@@ -107,6 +107,12 @@ class TestExitCodes:
             (spoil("train", disc_mode="step"), "'disc_mode'"),
             (json.dumps(dict(SMALL_CONFIG, serach_epochs=1)),
              "'serach_epochs'"),
+            # ranges are checked in every section, used by the command or not
+            (spoil("train", lr=-1.0), "lr"),
+            (spoil("grid", dropout=[0.0, 1.5]), "dropout"),
+            (json.dumps(dict(SMALL_CONFIG, search_epochs=0)), "epochs"),
+            (spoil("pca", scale_lo=1.0, scale_hi=0.0), "scaler range"),
+            (spoil("pca", tau=0), "tau"),
         ]
         for text, message in cases:
             with open("bad.json", "w") as fh:
@@ -171,14 +177,23 @@ class TestExitCodes:
         assert "epochs" in capsys.readouterr().err
         assert not os.path.exists("gridsearch.csv")
 
-    def test_bad_grid_is_usage_error_before_training(self, workdir, capsys):
+    def test_bad_grid_is_usage_error_before_training(self, workdir, capsys,
+                                                     monkeypatch):
         pipeline(workdir)
-        with open("bad.json", "w") as fh:
-            json.dump(dict(SMALL_CONFIG, grid={"hidden_nodes": ["8"]}), fh)
-        capsys.readouterr()
-        assert run("gridsearch", "--config", "bad.json", *DATA) == 2
-        assert "hidden_nodes" in capsys.readouterr().err
-        assert not os.path.exists("gridsearch.csv")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid point trained")
+
+        monkeypatch.setattr(training, "train_classic", refuse)
+        # a value of the wrong type, and one out of range after a good one
+        for grid, axis in [({"hidden_nodes": ["8"]}, "hidden_nodes"),
+                           ({"dropout": [0.0, 1.5]}, "dropout")]:
+            with open("bad.json", "w") as fh:
+                json.dump(dict(SMALL_CONFIG, grid=grid), fh)
+            capsys.readouterr()
+            assert run("gridsearch", "--config", "bad.json", *DATA) == 2
+            assert axis in capsys.readouterr().err
+            assert not os.path.exists("gridsearch.csv")
 
     @pytest.mark.parametrize("manifest, text", [
         ("snap.romf.manifest.json", "{}"),
@@ -244,20 +259,29 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("truncation", [
         ["--tau", "0"], ["--variance", "0"], ["--variance", "1.5"],
+        # a pca section whose scaler range is inverted, or not finite
+        {"scale_lo": 1.0, "scale_hi": 0.0}, {"scale_hi": float("nan")},
     ])
     def test_bad_truncation_fails_before_hashing(self, workdir, capsys,
                                                  monkeypatch, truncation):
         pipeline(workdir)
+        if isinstance(truncation, dict):
+            with open("bad.json", "w") as fh:
+                json.dump(dict(SMALL_CONFIG, pca=truncation), fh)
+            truncation = ["--config", "bad.json"]
 
-        def refuse(path):
-            raise AssertionError(f"hashed {path}")
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command did its work")
 
         monkeypatch.setattr(cli, "_sha256", refuse)
+        monkeypatch.setattr(pca, "fit", refuse)
         capsys.readouterr()
         assert run("pca", *CONFIG, "--snapshots", "snap.romf",
                    "--out", "b2.romf", *truncation) == 2
-        assert "romcast: error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "romcast: error:" in err and "Traceback" not in err
         assert not os.path.exists("b2.romf")
+        assert not os.path.exists("b2.romf.manifest.json")
 
     @pytest.mark.parametrize("value", ["BASIC_FORMAT", "bogus"])
     def test_log_variable_naming_no_level_is_usage_error(
@@ -685,6 +709,8 @@ class TestGridSearch:
                     key=lambda row: float(row[2]))
         assert (best["dropout"], best["hidden_nodes"]) == (float(least[0]),
                                                            int(least[1]))
+        # the config to train with: train.epochs, not the search budget
+        assert best["epochs"] == 4
 
 
 class TestBench:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,23 +25,31 @@ def small_config(**overrides):
 class TestConfigValidation:
     def test_nonpositive_grid_rejected(self):
         with pytest.raises(InvalidConfig):
-            small_config(grid_nx=1).validate()
+            small_config(grid_nx=1)
 
     def test_negative_kappa_rejected(self):
         with pytest.raises(InvalidConfig):
-            small_config(kappa=-0.1).validate()
+            small_config(kappa=-0.1)
 
     def test_advection_cfl_enforced(self):
         with pytest.raises(StabilityViolation):
-            small_config(u0=10.0, dt=0.2).validate()
+            small_config(u0=10.0, dt=0.2)
 
     def test_diffusion_bound_enforced(self):
         with pytest.raises(StabilityViolation):
-            small_config(kappa=5.0, dt=0.2, u0=0.0).validate()
+            small_config(kappa=5.0, dt=0.2, u0=0.0)
+
+    def test_source_center_is_a_tuple(self):
+        config = snapshots.GeneratorConfig(source_center=[3, 3])
+        assert config.source_center == (3, 3)
+
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(InvalidConfig, match="dt"):
+            replace(snapshots.GeneratorConfig(), dt=float("nan"))
 
     def test_source_outside_grid_rejected(self):
         with pytest.raises(InvalidConfig):
-            small_config(source_center=(16, 0)).validate()
+            small_config(source_center=(16, 0))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -49,7 +59,7 @@ class TestConfigValidation:
     ])
     def test_nonfinite_number_rejected(self, name, value):
         with pytest.raises(InvalidConfig, match=name):
-            small_config(**{name: value}).validate()
+            small_config(**{name: value})
 
 
 class TestGenerate:

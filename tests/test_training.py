@@ -442,6 +442,22 @@ class TestGridSearch:
         assert results[0].failed and not results[1].failed
         assert best.dropout == 0.0
 
+    def test_bad_point_fails_before_any_training(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid point trained")
+
+        monkeypatch.setattr(training, "train_classic", refuse)
+        with pytest.raises(InvalidConfig, match="dropout"):
+            training.grid_search(wave_scores(), {"dropout": [0.0, 1.5]},
+                                 quick_config())
+
+    def test_best_keeps_the_base_epochs(self):
+        best, results = training.grid_search(
+            wave_scores(), {"dropout": [0.0]}, quick_config(epochs=7),
+            search_epochs=2)
+        assert results[0].config.epochs == 2
+        assert best == replace(results[0].config, epochs=7)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(EmptyInput):
             training.grid_search(wave_scores(), {}, quick_config())
@@ -454,11 +470,15 @@ class TestGridSearch:
 class TestConfigValidation:
     def test_bad_fraction(self):
         with pytest.raises(InvalidConfig):
-            quick_config(train_fraction=1.0).validate()
+            quick_config(train_fraction=1.0)
+
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(InvalidConfig, match="lr"):
+            replace(training.TrainConfig(), lr=float("nan"))
 
     def test_bad_adv_weight(self):
         with pytest.raises(InvalidConfig):
-            quick_config(adv_weight=-0.5).validate()
+            quick_config(adv_weight=-0.5)
 
     def test_bad_disc_mode(self):
         # D always sees the window: no setting chooses otherwise
@@ -477,11 +497,11 @@ class TestConfigValidation:
     ])
     def test_bad_optimizer_number(self, name, value):
         with pytest.raises(InvalidConfig, match=name):
-            quick_config(**{name: value}).validate()
+            quick_config(**{name: value})
 
     @pytest.mark.parametrize("name, value", [
         ("beta1", 0.0), ("beta2", 0.0), ("clip_norm", -1.0),
         ("clip_norm", 0.0), ("adv_weight", 0.0),
     ])
     def test_edge_optimizer_number_accepted(self, name, value):
-        quick_config(**{name: value}).validate()
+        quick_config(**{name: value})
