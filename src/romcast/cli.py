@@ -27,10 +27,10 @@ pipeline; no command writes over one of its inputs, or writes two
 outputs to one file.
 
 Exit codes: 0 on success; 1 for a runtime or format failure, such as a
-stale or corrupt artifact or a diverged run; 2 for bad arguments or
-config, a missing input, an output path that is a directory or lies in
-a missing one (both checked before any work), or a path the system
-refuses (an ``OSError``).
+stale or corrupt artifact (a malformed snapshot file too) or a diverged
+run; 2 for bad arguments or config, a missing input, an output path
+that is a directory or lies in a missing one (all checked before any
+work), or a path the system refuses (an ``OSError``).
 Verbosity is controlled by the ROMCAST_LOG environment variable: one of
 DEBUG, INFO, WARNING, ERROR or CRITICAL, in any case; unset or empty
 means WARNING, and any other value is a usage error (exit 2) before any
@@ -317,7 +317,7 @@ def cmd_generate(args):
     snap.save(out)
     write_manifest(out, seed=gen.seed, config=asdict(gen),
                    meta={"n": snap.n, "m": snap.m,
-                         "fields": list(snap.field_names),
+                         "fields": list(snapshots.FIELD_NAMES),
                          "nodes_per_field": snap.nodes_per_field})
     log.info("wrote %s (%d x %d)", out, snap.n, snap.m)
     print(f"generate: {out} n={snap.n} m={snap.m}")
@@ -396,6 +396,7 @@ def cmd_gridsearch(args):
     base = replace(config["train"], **_given(args, "seed"))
     grid = config["grid"]
     epochs = config["search_epochs"] if args.epochs is None else args.epochs
+    replace(base, epochs=epochs)  # checks the budget before any work
     inputs = _data_inputs(args)
     _verify_io(inputs, {"--out": out})
     scaler, scores, _ = _load_scores(inputs)
@@ -434,12 +435,14 @@ def _parse_starts(text):
 
 def cmd_evaluate(args):
     out = args.out or "ensemble_report.csv"
+    starts = _parse_starts(args.starts)
+    if args.horizon < 1:
+        raise InvalidConfig("--horizon must be >= 1")
     inputs = {**_data_inputs(args), "classic": args.classic, "adv": args.adv}
     _verify_io(inputs, {"--out": out})
     scaler, scores, _ = _load_scores(inputs)
     classic, _, _ = load_model(args.classic)
     adv, _, _ = load_model(args.adv)
-    starts = _parse_starts(args.starts)
     report = forecast.evaluate_ensemble(classic, adv, scores, scaler, starts,
                                         args.horizon)
     report.to_csv(out)
@@ -498,17 +501,19 @@ def cmd_report(args):
 
 def cmd_bench(args):
     gen = load_config(args.config)["data"]
+    if min(args.horizon, args.ensemble) < 1:
+        raise InvalidConfig("--horizon and --ensemble must be >= 1")
     _verify_io({"model": args.model, "scaler": args.scaler}, {})
     model, _, _ = load_model(args.model)
-    timing = forecast.timing_benchmark(model, gen, horizon=args.horizon,
-                                       ensemble_width=args.ensemble)
-    print(f"bench: simulator {timing.sim_seconds_per_step * 1e6:.1f} us/step")
-    print(f"bench: forecast (single trajectory) "
-          f"{timing.forecast_seconds_per_step * 1e6:.1f} us/step "
-          f"-> ratio {timing.ratio_single:.1f}x")
-    print(f"bench: forecast (batch of {timing.ensemble_width}) "
-          f"{timing.forecast_seconds_per_step_ensemble * 1e6:.2f} "
-          f"us/step/trajectory -> ratio {timing.ratio_ensemble:.1f}x")
+    timing = forecast.timing_benchmark(model, gen, args.horizon, args.ensemble)
+    sim = timing.sim_seconds_per_step
+    single = timing.forecast_seconds_per_step
+    batched = timing.forecast_seconds_per_step_ensemble
+    print(f"bench: simulator {sim * 1e6:.1f} us/step")
+    print(f"bench: forecast (single trajectory) {single * 1e6:.1f} us/step "
+          f"-> ratio {sim / single:.1f}x")
+    print(f"bench: forecast (batch of {args.ensemble}) {batched * 1e6:.2f} "
+          f"us/step/trajectory -> ratio {sim / batched:.1f}x")
     return 0
 
 

@@ -31,7 +31,6 @@ class EnsembleReport:
     mean_adv: np.ndarray
     std_adv: np.ndarray
     reduction_pct: np.ndarray  # 100 (mean_classic - mean_adv) / mean_classic
-    start_steps: tuple
     diverged_classic: int = 0
     diverged_adv: int = 0
     n_pairs: np.ndarray = None  # (H,) starts both still finite; not in CSV
@@ -86,7 +85,6 @@ class EnsembleReport:
             mean_adv=table[:, 3],
             std_adv=table[:, 4],
             reduction_pct=table[:, 5],
-            start_steps=(),
         )
 
 
@@ -155,7 +153,7 @@ def _reduction(classic, adv):
     return np.where(np.isfinite(classic) & np.isfinite(adv), pct, np.nan)[()]
 
 
-def evaluate_ensemble(model_classic, model_adv, scores, scaler, start_steps,
+def evaluate_ensemble(model_classic, model_adv, scores, scaler, starts,
                       horizon):
     """Roll both models from every start step and aggregate errors.
 
@@ -173,14 +171,14 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, start_steps,
     scores = np.asarray(scores, dtype=np.float64)
     lag = model_classic.time_lag
     n = scores.shape[0]
-    start_steps = tuple(int(s) for s in start_steps)
-    if not start_steps:
+    starts = [int(s) for s in starts]
+    if not starts:
         raise StartOutOfRange("no start steps given")
-    bad = [s for s in start_steps if s < 0 or s + lag + horizon > n]
+    bad = [s for s in starts if s < 0 or s + lag + horizon > n]
     if bad:
         raise StartOutOfRange(f"start {bad[0]} + lag {lag} + horizon "
                               f"{horizon} exceeds {n} steps")
-    starts = np.array(start_steps)[:, None]
+    starts = np.array(starts)[:, None]
     # only the window rows; the scaler maps each element on its own
     windows = scaler.scale(scores[starts + np.arange(lag)])  # (S, N, tau)
     preds, diverged_at = zip(*(_roll(model, windows.copy(), horizon)
@@ -201,7 +199,6 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, start_steps,
         mean_adv=means[1],
         std_adv=stds[1],
         reduction_pct=_reduction(*means),
-        start_steps=start_steps,
         diverged_classic=int(np.sum(diverged_at[0] < horizon)),
         diverged_adv=int(np.sum(diverged_at[1] < horizon)),
         n_pairs=n_pairs,
@@ -213,9 +210,6 @@ class TimingReport:
     sim_seconds_per_step: float
     forecast_seconds_per_step: float  # one trajectory at a time
     forecast_seconds_per_step_ensemble: float  # per trajectory, batched
-    ensemble_width: int
-    ratio_single: float
-    ratio_ensemble: float
 
 
 def _timed(fn, min_calls=5, min_seconds=0.1):
@@ -231,7 +225,7 @@ def _timed(fn, min_calls=5, min_seconds=0.1):
     return float(np.median(times))
 
 
-def timing_benchmark(model, generator_config, horizon=50, ensemble_width=50):
+def timing_benchmark(model, generator_config, horizon, ensemble_width):
     """Wall-clock per simulator step vs. per forecast step.
 
     Both forecast numbers time the rollout engine on scaled windows: one
@@ -254,7 +248,4 @@ def timing_benchmark(model, generator_config, horizon=50, ensemble_width=50):
         sim_seconds_per_step=sim_per_step,
         forecast_seconds_per_step=single,
         forecast_seconds_per_step_ensemble=batched,
-        ensemble_width=ensemble_width,
-        ratio_single=sim_per_step / single,
-        ratio_ensemble=sim_per_step / batched,
     )

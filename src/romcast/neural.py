@@ -26,8 +26,8 @@ on the whole buffer at once.
 
 Construction alone checks a network's shapes (``ShapeMismatch``), and
 copies the blocks it is given into its own buffer, never writing them.
-Dropout has one entry point, ``forecaster_head``; ``forecaster_forward``
-and ``forecaster_step`` are inference.
+Dropout has one entry point, ``forecaster_head`` given an rng (training
+mode); ``forecaster_forward`` and ``forecaster_step`` are inference.
 
 Inside the kernel the activations are gate-major, as cuDNN lays them out
 (Appleyard et al. 2016, arXiv:1604.01946): the gates of a run are
@@ -179,6 +179,8 @@ class Discriminator(_Network):
     """Mirrored LSTM scoring a PC sequence as real (1) or predicted (0);
     its linear head outputs one logit, whose sigmoid is the probability
     that the sequence is real."""
+
+    output_activation = "linear"  # a class constant, not a field
 
     def __post_init__(self):
         super().__post_init__()
@@ -388,17 +390,16 @@ def _flat_grads(head_tape, d_ylin, segments):
     return FlatParams(flat, model.params().layout)
 
 
-def _head(model, lstm_tape, activation, mask=None, prefix=None):
-    """The dense head on the final hidden state (times the dropout mask,
-    if any); returns (output, tape). The head runs on the kernel's
-    (H, B) state, and the output is (B, O). ``prefix`` is the tape of
-    the shared run that ``lstm_tape`` continues, if any."""
+def _head(model, lstm_tape, mask=None, prefix=None):
+    """The dense head and ``model.output_activation`` on the final hidden
+    state (times the dropout mask, if any); returns (output, tape), the
+    output (B, O) from the kernel's (H, B) state. ``prefix`` is the tape
+    of the shared run that ``lstm_tape`` continues, if any."""
     h = lstm_tape.h[-1] if mask is None else lstm_tape.h[-1] * mask.T
     y_lin = (model.head.weight @ h).T + model.head.bias
-    pred = ACTIVATIONS[activation](y_lin)
+    pred = ACTIVATIONS[model.output_activation](y_lin)
     return pred, Tape("head", model=model, lstm_tape=lstm_tape,
-                      prefix=prefix, h=h, mask=mask, y_lin=y_lin, pred=pred,
-                      activation=activation)
+                      prefix=prefix, h=h, mask=mask, y_lin=y_lin, pred=pred)
 
 
 def _head_backward(tape, d_pred):
@@ -415,7 +416,7 @@ def _head_backward(tape, d_pred):
             f"{tape.pred.shape}"
         )
     d_ylin = d_pred
-    if tape.activation != "linear":
+    if tape.model.output_activation != "linear":
         d_ylin = d_pred * _activation_deriv(tape)
     d_h = tape.model.head.weight.T @ d_ylin.T
     if tape.mask is not None:
@@ -425,7 +426,7 @@ def _head_backward(tape, d_pred):
 
 def _activation_deriv(tape):
     """d(prediction)/d(logits) of a relu or sigmoid head."""
-    if tape.activation == "relu":
+    if tape.model.output_activation == "relu":
         return (tape.y_lin > 0).astype(tape.y_lin.dtype)
     return tape.pred * (1.0 - tape.pred)
 
@@ -439,28 +440,26 @@ def forecaster_forward(model, windows):
         raise ShapeMismatch(
             f"window has {steps} rows, model expects {model.time_lag}"
         )
-    return _head(model, lstm_tape, model.output_activation)
+    return _head(model, lstm_tape)
 
 
-def forecaster_head(model, lstm_tape, training_mode=False, rng=None):
+def forecaster_head(model, lstm_tape, rng=None):
     """The head on the tape of an LSTM pass that ``lstm_forward``
     recorded; returns (prediction, tape). The one place dropout applies:
-    inverted, on the final hidden state, when ``training_mode`` is set
-    and the rate is nonzero, with the mask drawn from ``rng``.
+    inverted, on the final hidden state, when an ``rng`` is given
+    (training mode) and the rate is nonzero, with the mask drawn from it.
 
     Heads on one pass share its LSTM work: adversarial training takes
     the fake batch without dropout and the generator step with it from
     the same pass.
     """
     mask = None
-    if training_mode and model.dropout_rate > 0.0:
-        if rng is None:
-            raise InvalidConfig("dropout in training mode needs an rng")
+    if rng is not None and model.dropout_rate > 0.0:
         keep = 1.0 - model.dropout_rate
         hidden, batch = lstm_tape.h.shape[1:]
         kept = rng.random((batch, hidden)) >= model.dropout_rate
         mask = kept.astype(model.flat.dtype) / keep
-    return _head(model, lstm_tape, model.output_activation, mask)
+    return _head(model, lstm_tape, mask)
 
 
 def forecaster_step(model, windows):
@@ -473,7 +472,7 @@ def forecaster_step(model, windows):
     """
     if windows.ndim == 2:
         return forecaster_step(model, windows[None])[0]
-    pred, _ = _head(model, _recur(model.lstm, windows), model.output_activation)
+    pred, _ = _head(model, _recur(model.lstm, windows))
     return pred
 
 
@@ -508,7 +507,7 @@ def discriminator_branches(disc, prefix, candidates):
         h0 = np.concatenate([pre.h[-1]] * k, axis=1)
         c0 = np.concatenate([pre.c[-1]] * k, axis=1)
     last = _recur(disc.lstm, candidates.reshape(k * batch, 1, dim), h0, c0)
-    logits, tape = _head(disc, last, "linear", prefix=pre)
+    logits, tape = _head(disc, last, prefix=pre)
     return logits.reshape(k, batch), tape
 
 

@@ -87,8 +87,7 @@ class PcaBasis:
                        n=meta["n"], field=meta["field"])
 
 
-def _as_matrix(snapshots):
-    data = getattr(snapshots, "data", snapshots)
+def _as_matrix(data):
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ShapeMismatch("expected an n x m matrix")
@@ -99,15 +98,16 @@ def _as_matrix(snapshots):
     return data
 
 
-def fit(snapshots, tau=None, variance=None):
-    """Fit a PCA basis; truncate to ``tau`` or by explained-variance fraction.
+def fit(data, tau=None, variance=None):
+    """Fit a PCA basis to the rows of an n x m array; truncate to ``tau``
+    or by explained-variance fraction.
 
     Exactly one of ``tau`` / ``variance`` must be given. With a variance
     fraction v in (0, 1], tau becomes the smallest k whose cumulative
     explained variance reaches v.
     """
     check_truncation(tau, variance)
-    data = _as_matrix(snapshots)
+    data = _as_matrix(data)
     n, m = data.shape
     mean = data.mean(axis=0)
     centered = data - mean

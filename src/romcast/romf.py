@@ -60,9 +60,9 @@ def read_arrays(path):
     """Read a ROMF container back into (dict of name -> float64 ndarray,
     metadata dict).
 
-    Every malformed file, truncated or corrupted anywhere, raises
-    FormatError: lengths are checked against the bytes left in the file
-    before anything is read or allocated.
+    Every malformed file, truncated or corrupted anywhere or holding two
+    records of one name, raises FormatError: lengths are checked against
+    the bytes left in the file before anything is read or allocated.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -82,6 +82,8 @@ def read_arrays(path):
         arrays = {}
         while fh.tell() < size:
             name = _read_text(fh, size, path, "record name")
+            if name in arrays:
+                raise FormatError(f"{path}: a second record {name!r}")
             dtype_code = _read_u32(fh, path)
             if dtype_code != DTYPE_F64:
                 raise FormatError(f"{path}: unknown dtype code {dtype_code}")

@@ -8,7 +8,7 @@ into one row of the snapshot matrix: tracer nodes, then velocity nodes.
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -61,8 +61,8 @@ class GeneratorConfig:
                 raise InvalidConfig(f"{f.name} must be finite")
         if self.grid_nx < 2 or self.grid_ny < 2:
             raise InvalidConfig("grid_nx and grid_ny must be >= 2")
-        if self.n_steps < 1:
-            raise InvalidConfig("n_steps must be >= 1")
+        if self.n_steps < 2:  # a snapshot matrix has n >= 2 rows
+            raise InvalidConfig("n_steps must be >= 2")
         for name in ("dx", "dy", "dt", "source_period"):
             if getattr(self, name) <= 0:
                 raise InvalidConfig(f"{name} must be positive")
@@ -91,29 +91,26 @@ class GeneratorConfig:
 
 @dataclass(frozen=True)
 class SnapshotMatrix:
-    """n x m matrix of vectorised model states, rows ordered in time."""
+    """n x m matrix of vectorised model states, rows ordered in time, the
+    columns the fields ``FIELD_NAMES`` in equal blocks; its file holds
+    those three (n, nodes) records alone, or ``load`` raises FormatError."""
 
     data: np.ndarray
-    field_names: tuple = FIELD_NAMES
-    nodes_per_field: int = field(default=0)
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "field_names", tuple(self.field_names))
         if data.ndim != 2:
             raise ShapeMismatch("snapshot data must be 2-dimensional")
         if data.shape[0] < 2 or data.shape[1] < 1:
             raise InvalidConfig("snapshot matrix needs n >= 2 rows, m >= 1 columns")
         if not np.all(np.isfinite(data)):
             raise NonFiniteInput("snapshot matrix contains NaN/Inf")
-        nodes = self.nodes_per_field or data.shape[1] // len(self.field_names)
-        if nodes * len(self.field_names) != data.shape[1]:
+        if data.shape[1] % len(FIELD_NAMES):
             raise ShapeMismatch(
                 f"{data.shape[1]} columns do not split into "
-                f"{len(self.field_names)} equal fields"
+                f"{len(FIELD_NAMES)} equal fields"
             )
-        object.__setattr__(self, "nodes_per_field", nodes)
         if data.shape[0] >= data.shape[1]:
             warnings.warn(
                 "snapshot matrix has n >= m; the expected regime is n < m",
@@ -128,38 +125,37 @@ class SnapshotMatrix:
     def m(self):
         return self.data.shape[1]
 
-    def field_slice(self, name):
-        """The columns of one named field, or of all of them for "all"."""
-        if name == "all":
-            return slice(None)
-        if name not in self.field_names:
-            raise InvalidConfig(f"unknown field {name!r}; expected "
-                                f"{', '.join(self.field_names)} or all")
-        idx = self.field_names.index(name)
-        lo = idx * self.nodes_per_field
-        return slice(lo, lo + self.nodes_per_field)
+    @property
+    def nodes_per_field(self):
+        return self.m // len(FIELD_NAMES)
 
     def field(self, name):
         """Return the n x nodes submatrix of one named field (or the whole
         matrix for "all")."""
-        return self.data[:, self.field_slice(name)]
+        if name == "all":
+            return self.data
+        if name not in FIELD_NAMES:
+            raise InvalidConfig(f"unknown field {name!r}; expected "
+                                f"{', '.join(FIELD_NAMES)} or all")
+        lo = FIELD_NAMES.index(name) * self.nodes_per_field
+        return self.data[:, lo:lo + self.nodes_per_field]
 
     def save(self, path):
-        arrays = {name: self.field(name) for name in self.field_names}
-        romf.write_arrays(path, arrays)
+        romf.write_arrays(path, {name: self.field(name)
+                                 for name in FIELD_NAMES})
 
     @classmethod
     def load(cls, path):
         arrays, _ = romf.read_arrays(path)
-        if not arrays:
-            raise EmptyInput(f"{path}: no fields")
-        fields = list(arrays.values())
-        if any(f.ndim != 2 for f in fields):
-            raise ShapeMismatch(f"{path}: every field must be 2-dimensional")
-        if len({f.shape[0] for f in fields}) != 1:
-            raise ShapeMismatch(f"{path}: fields have differing row counts")
-        return cls(data=np.hstack(fields), field_names=tuple(arrays),
-                   nodes_per_field=fields[0].shape[1])
+        romf.require(arrays, FIELD_NAMES, path)
+        shapes = {arrays[name].shape for name in FIELD_NAMES}
+        if len(arrays) > len(FIELD_NAMES) or len(shapes) > 1 \
+                or arrays[FIELD_NAMES[0]].ndim != 2:
+            raise romf.FormatError(f"{path}: a snapshot file holds "
+                                   f"{', '.join(FIELD_NAMES)} alone, each of "
+                                   "one (n, nodes) shape")
+        with romf.building(path):
+            return cls(np.hstack([arrays[name] for name in FIELD_NAMES]))
 
 
 def _velocity_field(config):
@@ -320,8 +316,7 @@ def generate(config, initial_tracer=None):
     scale = factors[:, None, None] if config.modulate_velocity else 1.0
     np.multiply(scale, vx, out=fields[:, 1])
     np.multiply(scale, vy, out=fields[:, 2])
-    return SnapshotMatrix(data=rows, field_names=FIELD_NAMES,
-                          nodes_per_field=nx * ny)
+    return SnapshotMatrix(rows)
 
 
 def check_scaler_range(lo, hi):

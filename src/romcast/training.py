@@ -169,7 +169,6 @@ class TrainReport:
     d_loss: list = None
     g_adv_loss: list = None
     epoch_seconds: list = field(default_factory=list)
-    optimizer_steps: int = 0
 
 
 def make_windows(scores, time_lag, train_fraction=0.9):
@@ -204,8 +203,7 @@ def _forecaster_step(model, opt, lstm_tape, windows, targets, rng_dropout,
                      config, disc=None):
     """One optimizer step on the forecaster from ``lstm_tape``, its LSTM
     pass over ``windows``; returns (mse, adv bce or None)."""
-    pred, tape = forecaster_head(model, lstm_tape, training_mode=True,
-                                 rng=rng_dropout)
+    pred, tape = forecaster_head(model, lstm_tape, rng=rng_dropout)
     loss = mse(pred, targets)
     if not np.isfinite(loss):
         raise NonFiniteLoss("forecaster loss diverged")
@@ -319,7 +317,6 @@ def _train(dataset, config):
             report.d_loss.append(d_sum / (n_batches * config.d_steps))
             report.g_adv_loss.append(adv_sum / n_batches)
         report.epoch_seconds.append(time.perf_counter() - tic)
-    report.optimizer_steps = opt_g.t
     if disc is not None:
         disc = disc.astype(np.float64)
     return wide, disc, report

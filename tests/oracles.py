@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 LD = np.longdouble
-BCE_CLAMP = 1e-7
 
 
 def ld_sigmoid(x):
@@ -68,10 +67,23 @@ def ld_mse(pred, target):
     return np.mean((pred - target.astype(LD)) ** 2)
 
 
-def ld_bce(pred, label):
-    p = np.clip(pred, LD(BCE_CLAMP), LD(1.0) - LD(BCE_CLAMP))
-    y = LD(label)
-    return np.mean(-(y * np.log(p) + (LD(1.0) - y) * np.log(LD(1.0) - p)))
+def ld_softplus(z):
+    """softplus(z) = log(1 + e^z) in longdouble, without overflow."""
+    z = np.asarray(z, dtype=LD)
+    return np.maximum(z, 0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def ld_bce(z, label):
+    """The mean BCE of sigmoid(z) against ``label``, from the logits z:
+    -log sigmoid(z) = softplus(-z) and -log(1 - sigmoid(z)) = softplus(z).
+    """
+    return np.mean(ld_softplus(-z if label else z))
+
+
+def ld_discriminator_logit(params, seq):
+    """The discriminator's linear head on its final hidden state, (B,)."""
+    h, P = ld_lstm_final_hidden(params, seq)
+    return (h @ P["head.weight"].T + P["head.bias"])[:, 0]
 
 
 def forecaster_mse_loss(params, window, target, activation, mask=None):
@@ -84,20 +96,19 @@ def forecaster_mse_loss(params, window, target, activation, mask=None):
 
 def discriminator_bce_loss(params, seq, label):
     def loss():
-        h, P = ld_lstm_final_hidden(params, seq)
-        prob = ld_sigmoid(h @ P["head.weight"].T + P["head.bias"])
-        return ld_bce(prob[:, 0], label)
+        return ld_bce(ld_discriminator_logit(params, seq), label)
     return loss
 
 
 def combined_adversarial_loss(g_params, d_params, window, target, activation,
                               adv_weight, mask=None):
-    """Generator loss: adv_weight * bce(D(pred), 1) + mse(pred, target)."""
+    """Generator loss: mse(pred, target) + adv_weight * bce(D(seq), 1),
+    where D scores each window followed by its prediction."""
     def loss():
         pred = ld_forecaster_output(g_params, window, activation, mask=mask)
-        h, P = ld_lstm_final_hidden(d_params, pred[:, None, :])
-        prob = ld_sigmoid(h @ P["head.weight"].T + P["head.bias"])
-        return LD(adv_weight) * ld_bce(prob[:, 0], 1.0) + ld_mse(pred, target)
+        seq = np.concatenate([window.astype(LD), pred[:, None, :]], axis=1)
+        adv = ld_bce(ld_discriminator_logit(d_params, seq), 1)
+        return ld_mse(pred, target) + LD(adv_weight) * adv
     return loss
 
 

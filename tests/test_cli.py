@@ -59,6 +59,10 @@ def write_discriminator(path):
     cli.write_manifest(path)
 
 
+def refuse_work(*args, **kwargs):
+    raise AssertionError("the command did its work")
+
+
 class TestExitCodes:
     def test_missing_config_file_is_usage_error(self, workdir, capsys):
         assert run("generate", "--config", "nope.json") == 2
@@ -170,8 +174,10 @@ class TestExitCodes:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert os.listdir() == ["config.json"]
 
-    def test_gridsearch_of_zero_epochs_is_usage_error(self, workdir, capsys):
+    def test_gridsearch_of_zero_epochs_is_usage_error(self, workdir, capsys,
+                                                      monkeypatch):
         pipeline(workdir)
+        monkeypatch.setattr(cli, "_sha256", refuse_work)
         capsys.readouterr()
         assert run("gridsearch", *CONFIG, *DATA, "--epochs", "0") == 2
         assert "epochs" in capsys.readouterr().err
@@ -314,9 +320,10 @@ class TestExitCodes:
         (("--starts", "42..40"), "--starts"),
         (("--starts", ","), "--starts"),
     ])
-    def test_bad_evaluate_number_is_usage_error(self, workdir, capsys, extra,
-                                                message):
+    def test_bad_evaluate_number_is_usage_error(self, workdir, capsys,
+                                                monkeypatch, extra, message):
         pipeline(workdir)
+        monkeypatch.setattr(cli, "_sha256", refuse_work)
         capsys.readouterr()
         assert run("evaluate", "--classic", "classic.romf", "--adv",
                    "classic.romf", "--snapshots", "snap.romf", "--basis",
@@ -325,8 +332,10 @@ class TestExitCodes:
         assert not os.path.exists("ensemble_report.csv")
 
     @pytest.mark.parametrize("flag", ["--horizon", "--ensemble"])
-    def test_bench_of_zero_is_usage_error(self, workdir, capsys, flag):
+    def test_bench_of_zero_is_usage_error(self, workdir, capsys, monkeypatch,
+                                          flag):
         pipeline(workdir)
+        monkeypatch.setattr(cli, "_sha256", refuse_work)
         capsys.readouterr()
         assert run("bench", "--model", "classic.romf", "--scaler",
                    "scaler.romf", "--config", "config.json", flag, "0") == 2
@@ -365,6 +374,22 @@ class TestExitCodes:
                    "--scaler", "scaler.romf", "--horizon", "5") == 1
         assert ("romcast: error: classic.disc.romf: a discriminator, not a "
                 "forecaster") in capsys.readouterr().err
+
+    def test_malformed_snapshot_file_is_format_error(self, workdir, capsys):
+        # other names, an empty tracer record, one row: exit 1 naming the
+        # file, with nothing fitted or written
+        fields = dict.fromkeys(snapshots.FIELD_NAMES, np.ones((4, 6)))
+        for arrays in [{"c": np.ones((4, 6)), "u": np.ones((4, 6)),
+                        "v": np.ones((4, 6))},
+                       {**fields, "tracer": np.ones((4, 0))},
+                       dict.fromkeys(snapshots.FIELD_NAMES, np.ones((1, 6)))]:
+            romf.write_arrays("bad.romf", arrays)
+            cli.write_manifest("bad.romf")
+            capsys.readouterr()
+            assert run("pca", *CONFIG, "--snapshots", "bad.romf",
+                       "--tau", "1") == 1
+            assert "romcast: error: bad.romf: " in capsys.readouterr().err
+            assert not os.path.exists("basis.romf")
 
     def test_unknown_field_is_usage_error(self, workdir, capsys):
         run("generate", "--config", "config.json", "--out", "snap.romf")
@@ -625,7 +650,7 @@ class TestTrainEvaluateReport:
         nan = np.full(4, np.nan)
         forecast.EnsembleReport(
             horizons=np.arange(1, 5), mean_classic=nan, std_classic=nan,
-            mean_adv=nan, std_adv=nan, reduction_pct=nan, start_steps=(0,),
+            mean_adv=nan, std_adv=nan, reduction_pct=nan,
         ).to_csv("nan.csv")
         cli.write_manifest("nan.csv", meta={"n_pairs": [0] * 4,
                                             "diverged_classic": 1,

@@ -130,7 +130,7 @@ class TestForecasterForward:
         model = neural.init_forecaster(3, 5, "linear", 0.0, 2, rng)
         window = rng.random((1, 2, 3))
         a, _ = neural.forecaster_forward(model, window)
-        b, _ = neural.forecaster_head(model, lstm_tape(model, window), True,
+        b, _ = neural.forecaster_head(model, lstm_tape(model, window),
                                       np.random.default_rng(9))
         assert np.array_equal(a, b)
 
@@ -138,9 +138,9 @@ class TestForecasterForward:
         rng = np.random.default_rng(4)
         model = neural.init_forecaster(3, 64, "linear", 0.5, 2, rng)
         window = rng.random((1, 2, 3))
-        a, ta = neural.forecaster_head(model, lstm_tape(model, window), True,
+        a, ta = neural.forecaster_head(model, lstm_tape(model, window),
                                        np.random.default_rng(7))
-        b, tb = neural.forecaster_head(model, lstm_tape(model, window), True,
+        b, tb = neural.forecaster_head(model, lstm_tape(model, window),
                                        np.random.default_rng(7))
         assert np.array_equal(ta.mask, tb.mask)
         assert a.tobytes() == b.tobytes()
@@ -153,13 +153,6 @@ class TestForecasterForward:
                                        np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
             neural.forecaster_forward(model, np.zeros((1, 3, 3)))
-
-    def test_dropout_needs_rng(self):
-        model = neural.init_forecaster(3, 4, "linear", 0.5, 2,
-                                       np.random.default_rng(0))
-        with pytest.raises(InvalidConfig):
-            neural.forecaster_head(
-                model, lstm_tape(model, np.zeros((1, 2, 3))), True)
 
     def test_head_of_other_size_than_input_rejected(self):
         # each prediction is the next input, which a rollout feeds back
@@ -176,7 +169,7 @@ class TestDiscriminatorForward:
         seq = rng.random((6, 1, 4))
         logits, tape = neural.discriminator_forward(disc, seq)
         assert logits.shape == (6,)
-        assert tape.activation == "linear"
+        assert tape.model.output_activation == "linear"
         h, _ = oracles.ld_lstm_final_hidden(disc.params(), seq)
         want = h @ disc.head.weight[0] + disc.head.bias[0]
         assert np.max(np.abs(logits - want)) <= 1e-15
@@ -258,7 +251,7 @@ class TestBackward:
         windows, targets = oracles.smooth_windows(rng, 8, 3, 4)
         params = model.params()
         pred, tape = neural.forecaster_head(model, lstm_tape(model, windows),
-                                            True, np.random.default_rng(3))
+                                            np.random.default_rng(3))
         grads, _ = neural.backward(tape, optim.mse_grad(pred, targets))
         loss = oracles.forecaster_mse_loss(params, windows, targets,
                                            "sigmoid", mask=tape.mask)
@@ -506,7 +499,7 @@ class TestFloat32:
     @staticmethod
     def _forecaster_grads(model, windows, targets):
         pred, tape = neural.forecaster_head(
-            model, lstm_tape(model, windows), True, np.random.default_rng(3))
+            model, lstm_tape(model, windows), np.random.default_rng(3))
         return neural._param_grads(tape, optim.mse_grad(pred, targets))
 
     @staticmethod

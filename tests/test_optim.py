@@ -10,7 +10,7 @@ from romcast import neural, optim
 from romcast.errors import LabelOutOfRange, ShapeMismatch
 
 import oracles
-from oracles import nadam_scalar
+from oracles import ld_bce, nadam_scalar
 
 
 class TestMse:
@@ -39,19 +39,6 @@ class TestMse:
             pred[idx] = orig
             fd = (up - down) / (2 * eps)
             assert grad[idx] == pytest.approx(fd, abs=1e-9)
-
-
-def ld_softplus(z):
-    """softplus(z) = log(1 + e^z) in longdouble, without overflow."""
-    z = np.asarray(z, dtype=oracles.LD)
-    return np.maximum(z, 0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def ld_bce(z, label):
-    """The mean BCE of sigmoid(z) against ``label``, in longdouble: away
-    from the oracle's clamp, -log sigmoid(z) = softplus(-z) and
-    -log(1 - sigmoid(z)) = softplus(z)."""
-    return np.mean(ld_softplus(-z if label else z))
 
 
 class TestBce:

@@ -58,6 +58,19 @@ def test_exact_byte_layout(tmp_path):
     assert raw == expected
 
 
+def test_repeated_record_name_rejected(tmp_path):
+    # a second record of one name appended: no reader may take either
+    path = tmp_path / "twice.romf"
+    romf.write_arrays(path, {"lstm.b": np.zeros(3), "head.bias": np.zeros(2)})
+    record = tmp_path / "record.romf"
+    romf.write_arrays(record, {"head.bias": np.ones(2)})
+    header = len(b"ROMF") + 4 + 4 + len(b"{}")
+    with open(path, "ab") as fh:
+        fh.write(record.read_bytes()[header:])
+    with pytest.raises(romf.FormatError, match="second record 'head.bias'"):
+        romf.read_arrays(path)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.romf"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -61,6 +61,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig, match=name):
             small_config(**{name: value})
 
+    def test_one_step_rejected(self):
+        # a snapshot matrix needs two rows: refused before the solve
+        with pytest.raises(InvalidConfig, match="n_steps"):
+            small_config(n_steps=1)
+
 
 class TestGenerate:
     def test_no_transport_no_source_keeps_state_constant(self):
@@ -254,13 +259,13 @@ def reference_generate(cfg, c):
 class TestSnapshotMatrix:
     def test_warns_when_n_not_less_than_m(self):
         with pytest.warns(UserWarning):
-            snapshots.SnapshotMatrix(np.ones((4, 3)), ("a",), 3)
+            snapshots.SnapshotMatrix(np.ones((4, 3)))
 
     def test_nonfinite_rejected(self):
         data = np.ones((3, 6))
         data[1, 2] = np.nan
         with pytest.raises(NonFiniteInput):
-            snapshots.SnapshotMatrix(data, ("a", "b"), 3)
+            snapshots.SnapshotMatrix(data)
 
     def test_save_load_round_trip(self, tmp_path):
         cfg = small_config()
@@ -268,21 +273,34 @@ class TestSnapshotMatrix:
         path = tmp_path / "snap.romf"
         snap.save(path)
         loaded = snapshots.SnapshotMatrix.load(path)
-        assert loaded.field_names == snap.field_names
+        assert loaded.nodes_per_field == cfg.grid_nx * cfg.grid_ny
         assert loaded.data.tobytes() == snap.data.tobytes()
 
     def test_load_empty_container_rejected(self, tmp_path):
         path = tmp_path / "empty.romf"
         romf.write_arrays(path, {})
-        with pytest.raises(EmptyInput):
+        with pytest.raises(romf.FormatError, match="missing array 'tracer'"):
             snapshots.SnapshotMatrix.load(path)
 
     def test_load_differing_row_counts_rejected(self, tmp_path):
-        path = tmp_path / "ragged.romf"
-        romf.write_arrays(path, {"tracer": np.ones((4, 6)),
-                                 "vel_x": np.ones((3, 6))})
-        with pytest.raises(ShapeMismatch):
-            snapshots.SnapshotMatrix.load(path)
+        # and the other files that are not three (n, nodes) fields of one
+        # shape: each once loaded, mis-split or failed as a usage error
+        fields = dict.fromkeys(snapshots.FIELD_NAMES, np.ones((4, 6)))
+        cases = {
+            "ragged": {"tracer": np.ones((4, 6)), "vel_x": np.ones((3, 6)),
+                       "vel_y": np.ones((4, 6))},
+            "other_names": {"c": np.ones((4, 6)), "u": np.ones((4, 6)),
+                            "v": np.ones((4, 6))},
+            "extra_record": {**fields, "pressure": np.ones((4, 6))},
+            # an empty tracer record: split evenly, "tracer" would be vel_x
+            "empty_tracer": {**fields, "tracer": np.ones((4, 0))},
+            "one_row": dict.fromkeys(snapshots.FIELD_NAMES, np.ones((1, 6))),
+        }
+        for name, arrays in cases.items():
+            path = tmp_path / f"{name}.romf"
+            romf.write_arrays(path, arrays)
+            with pytest.raises(romf.FormatError, match=name):
+                snapshots.SnapshotMatrix.load(path)
 
 
 class TestScaler:

@@ -15,6 +15,8 @@ from romcast.errors import (
     TooFewSteps,
 )
 
+import oracles
+
 
 def wave_scores(n=140, tau=3, seed=0):
     rng = np.random.default_rng(seed)
@@ -87,11 +89,19 @@ class TestTrainClassic:
         _, report = training.train_classic(ds, quick_config(epochs=200))
         assert report.train_loss[-1] < 1e-4
 
-    def test_optimizer_step_bookkeeping(self):
+    def test_optimizer_step_bookkeeping(self, monkeypatch):
         ds = training.make_windows(wave_scores(), 2, 0.9)
         config = quick_config(epochs=1, batch_size=16)
-        _, report = training.train_classic(ds, config)
-        assert report.optimizer_steps == math.ceil(ds.split / 16)
+        real_step = training.nadam_step
+        states = []
+
+        def counting(state, params, grads):
+            states.append(state)
+            return real_step(state, params, grads)
+
+        monkeypatch.setattr(training, "nadam_step", counting)
+        training.train_classic(ds, config)
+        assert len(states) == states[-1].t == math.ceil(ds.split / 16)
 
     def test_bit_identical_given_seed(self):
         ds = training.make_windows(wave_scores(), 2, 0.9)
@@ -307,6 +317,39 @@ class TestTrainAdversarial:
         ds = training.make_windows(wave_scores(), 2, 0.9)
         with pytest.raises(InvalidConfig):
             training.train_adversarial(ds, quick_config())
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_generator_step_matches_finite_differences(self, monkeypatch,
+                                                       dropout):
+        # the generator's whole gradient, MSE plus adv_weight times the
+        # BCE through D on [window, prediction], against the longdouble
+        # loss; float64 networks, the gradient taken where Nadam gets it
+        rng = np.random.default_rng(40)
+        batch, lag, tau, hidden = 6, 3, 4, 8
+        model = neural.init_forecaster(tau, hidden, "sigmoid", dropout, lag,
+                                       rng)
+        disc = neural.init_discriminator(tau, 5, rng)
+        windows, targets = oracles.smooth_windows(rng, batch, lag, tau)
+        config = quick_config(adversarial=True, adv_weight=0.7, time_lag=lag,
+                              dropout=dropout)
+        captured = []
+        monkeypatch.setattr(training, "nadam_step",
+                            lambda state, params, grads: captured.append(grads))
+        _, _, lstm_tape = neural.lstm_forward(model.lstm, windows)
+        training._forecaster_step(model, optim.NadamState(), lstm_tape,
+                                  windows, targets, np.random.default_rng(5),
+                                  config, disc=disc)
+        (grads,) = captured
+        mask = None
+        if dropout:  # the mask the step drew, from the same seeded rng
+            kept = np.random.default_rng(5).random((batch, hidden)) >= dropout
+            mask = kept / (1.0 - dropout)
+        params = model.params()
+        loss = oracles.combined_adversarial_loss(
+            params, disc.params(), windows, targets, "sigmoid",
+            config.adv_weight, mask=mask)
+        assert oracles.grad_check(params, loss, grads, n_samples=100,
+                                  epsilon=1e-5, rng=1) < 1e-5
 
 
 class TestFloat32Training:
