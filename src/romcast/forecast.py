@@ -89,33 +89,35 @@ class EnsembleReport:
 
 
 def _roll(model, windows, horizon):
-    """Roll a (B, N, tau) batch of scaled windows, shifted in place.
+    """Roll a (B, N, tau) batch of scaled windows, which it never writes.
 
-    Returns (B, H, tau) scaled predictions and, per row, the step where
-    its prediction first went non-finite (``horizon`` if never). From that
-    step on the row's predictions are NaN and it is fed zeros, so it
-    cannot spoil the other rows or raise floating-point warnings.
+    One (B, N + H, tau) buffer holds the windows, then the predictions:
+    step h predicts from the view ``buf[:, h:h + N]`` into
+    ``buf[:, N + h]``, so no window is shifted. Returns the (B, H, tau)
+    scaled predictions, a view into the buffer, and per row the step
+    where its prediction first went non-finite (``horizon`` if never),
+    from which its predictions are NaN.
+
+    No arithmetic of the kernel mixes rows, so a diverged row runs on,
+    unchecked, and leaves the others bit-identical; the overflow and
+    invalid flags it raises are ignored, so divergence is recorded, not
+    warned about or raised.
     """
     if horizon < 0:
         raise InvalidConfig("horizon must be >= 0")
-    if windows.shape[2] != model.lstm.input_dim:
-        raise ShapeMismatch(f"windows hold {windows.shape[2]} PCs, the model "
-                            f"takes {model.lstm.input_dim}")
-    preds = np.empty((len(windows), horizon, windows.shape[2]))
-    diverged_at = np.full(len(windows), horizon)
-    for h in range(horizon):
-        pred = forecaster_step(model, windows)
-        if not np.isfinite(pred).all():
-            bad = ~np.isfinite(pred).all(axis=1)
-            diverged_at[bad] = np.minimum(diverged_at[bad], h)
-            if np.all(diverged_at <= h):
-                break
-            pred[bad] = 0.0
-        preds[:, h] = pred
-        windows[:, :-1] = windows[:, 1:]
-        windows[:, -1] = pred
-    preds[np.arange(horizon) >= diverged_at[:, None]] = np.nan
-    return preds, diverged_at
+    batch, lag, tau = windows.shape
+    if tau != model.lstm.input_dim:
+        raise ShapeMismatch(f"windows hold {tau} PCs, the model takes "
+                            f"{model.lstm.input_dim}")
+    buf = np.empty((batch, lag + horizon, tau))
+    buf[:, :lag] = windows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in range(horizon):
+            buf[:, lag + h] = forecaster_step(model, buf[:, h:h + lag])
+    preds = buf[:, lag:]
+    alive = np.logical_and.accumulate(np.isfinite(preds).all(axis=2), axis=1)
+    preds[~alive] = np.nan
+    return preds, alive.sum(axis=1)
 
 
 def _norms(diff):
@@ -133,7 +135,7 @@ def rollout(model, scaler, seed_window, horizon):
     from which the predictions are NaN, and None when every step is
     finite. Errors against ground truth are ``evaluate_ensemble``'s.
     """
-    window = np.array(seed_window, dtype=np.float64)
+    window = np.asarray(seed_window, dtype=np.float64)
     if window.ndim != 2 or window.shape[0] != model.time_lag:
         raise ShapeMismatch(
             f"seed window must be {model.time_lag} x tau, got {window.shape}"
@@ -181,7 +183,7 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, starts,
     starts = np.array(starts)[:, None]
     # only the window rows; the scaler maps each element on its own
     windows = scaler.scale(scores[starts + np.arange(lag)])  # (S, N, tau)
-    preds, diverged_at = zip(*(_roll(model, windows.copy(), horizon)
+    preds, diverged_at = zip(*(_roll(model, windows, horizon)
                                for model in (model_classic, model_adv)))
     truth = scores[starts + lag + np.arange(horizon)]  # (S, H, tau)
     errors = _norms(scaler.invert(np.stack(preds)) - truth)  # (2, S, H)
@@ -240,9 +242,9 @@ def timing_benchmark(model, generator_config, horizon, ensemble_width):
     sim_per_step = _timed(
         lambda: snapshots.generate(generator_config)
     ) / generator_config.n_steps
-    single = _timed(lambda: _roll(model, windows[:1].copy(), horizon)) / horizon
+    single = _timed(lambda: _roll(model, windows[:1], horizon)) / horizon
     batched = _timed(
-        lambda: _roll(model, windows.copy(), horizon)
+        lambda: _roll(model, windows, horizon)
     ) / (horizon * ensemble_width)
     return TimingReport(
         sim_seconds_per_step=sim_per_step,

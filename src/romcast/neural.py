@@ -1,7 +1,8 @@
 """From-scratch differentiable primitives: LSTM, dense head, dropout, BPTT.
 
-Forward passes record a Tape of intermediates; ``backward`` replays it
-in reverse for exact gradients. Every input is batched on the leading
+Forward passes record a tape of intermediates, an ``LstmTape`` per
+kernel run and a ``HeadTape`` per head; ``backward`` replays them in
+reverse for exact gradients. Every input is batched on the leading
 axis: sequences are (B, T, D); only ``forecaster_step`` also takes one
 (T, D) window.
 
@@ -24,22 +25,26 @@ views into it, and a saved model stores these five blocks under the same
 keys. Gradients come back in the same layout, so Nadam and clipping act
 on the whole buffer at once.
 
-Construction alone checks a network's shapes (``ShapeMismatch``), and
-copies the blocks it is given into its own buffer, never writing them.
+Construction alone checks a network's shapes (``ShapeMismatch``) and
+that its weights are finite (``NonFiniteInput``), and copies the blocks
+it is given into its own buffer, never writing them.
 Dropout has one entry point, ``forecaster_head`` given an rng (training
 mode); ``forecaster_forward`` and ``forecaster_step`` are inference.
 
-Inside the kernel the activations are gate-major, as cuDNN lays them out
+One kernel, ``_recur``, runs every LSTM pass, for training and
+inference alike. Its activations are gate-major, as cuDNN lays them out
 (Appleyard et al. 2016, arXiv:1604.01946): the gates of a run are
-(T, 4H, B), h and c are (T+1, H, B) and tanh(c) is (T, H, B), so each
-gate of a step is one contiguous (H, B) block. A step's input projection
-is W @ x_t and its recurrence U @ h_t. Nearly all of a step's work is
+(T, 4H, B) and each step's h, c and tanh(c) are (H, B), so each gate of
+a step is one contiguous (H, B) block. A step's input projection is
+W @ x_t and its recurrence U @ h_t. Nearly all of a step's work is
 elementwise passes over the gates, which on batch-major (B, 4H) rows
 would each stride over a column block; here each is one contiguous
-pass. Backward keeps the layout and hands on dL/d(gates) as one (4H, T*B)
-matrix, from which dW, dU and the input gradient are one GEMM each.
-Only the kernel's tape sees this layout: ``lstm_forward`` returns (B, T, H)
-and (B, H) views, predictions are (B, O), input gradients (B, T, D) and
+pass. The tape only keeps references to what the run computes anyway,
+so inference pays for no copy that only backward needs. Backward
+stacks the states and hands on dL/d(gates) as one (4H, T*B) matrix,
+from which dW, dU and the input gradient are one GEMM each. Only the
+kernel's tape sees this layout: ``lstm_forward`` returns (B, T, H) and
+(B, H) arrays, predictions are (B, O), input gradients (B, T, D) and
 dropout masks (B, H).
 
 Sequences that share a prefix (the discriminator's real and fake inputs
@@ -63,19 +68,24 @@ from .errors import InvalidConfig, NonFiniteInput, ShapeMismatch, TapeMismatch
 from .optim import FlatParams
 
 
-def sigmoid(x):
-    """Logistic function as 0.5 (1 + tanh(x / 2)), which cannot overflow."""
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def sigmoid(x, out=None):
+    """Logistic function as 0.5 (1 + tanh(x / 2)), which cannot overflow;
+    into ``out`` when given, which may be ``x`` itself."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
+def relu(x, out=None):
+    return np.maximum(x, 0.0, out=out)
 
 
 ACTIVATIONS = {
     "relu": relu,
     "sigmoid": sigmoid,
-    "linear": lambda x: x,
+    "linear": lambda x, out=None: x,
 }
 
 
@@ -106,9 +116,10 @@ class DenseParams:
 class _Network:
     """An LSTM and a dense head whose parameters share one flat buffer.
 
-    Construction checks the five blocks' shapes and copies them into a
-    buffer of the network's own; ``lstm`` and ``head`` are then new views
-    into it, and the given ones are never written."""
+    Construction checks the five blocks' shapes and that they are finite
+    (``NonFiniteInput``), and copies them into a buffer of the network's
+    own; ``lstm`` and ``head`` are then new views into it, and the given
+    ones are never written."""
 
     lstm: LstmParams
     head: DenseParams
@@ -130,6 +141,8 @@ class _Network:
             if shapes[key] != shape:
                 raise ShapeMismatch(f"{key!r} has shape {shapes[key]}, "
                                     f"expected {shape}")
+            if not np.isfinite(blocks[key]).all():
+                raise NonFiniteInput(f"{key!r} holds NaN/Inf")
         self._params = FlatParams.pack(blocks)
         self.flat = self._params.flat
         W, U, b, weight, bias = self._params.values()
@@ -188,12 +201,41 @@ class Discriminator(_Network):
             raise InvalidConfig("discriminator head must output a scalar")
 
 
-class Tape:
-    """Recorded forward intermediates sufficient for exact BPTT."""
+@dataclass(slots=True, eq=False)
+class LstmTape:
+    """One run of the kernel, as backward reads it.
 
-    def __init__(self, kind, **fields):
-        self.kind = kind
-        self.__dict__.update(fields)
+    ``seq`` is the (B, T, D) input, ``gates`` the activated gates
+    (T, 4H, B). ``h`` and ``c`` list the T + 1 states and ``tc`` the T
+    values of tanh(c), each one step's (H, B) array; ``h[0]`` and ``c[0]``
+    are None for a run from the zero state."""
+
+    params: LstmParams
+    seq: np.ndarray
+    gates: np.ndarray
+    h: list
+    c: list
+    tc: list
+
+    @property
+    def start(self):
+        """Whether the run continued from a given state (h0, c0)."""
+        return self.h[0] is not None
+
+
+@dataclass(slots=True, eq=False)
+class HeadTape:
+    """A head on a kernel run: ``h`` is the final hidden state (H, B)
+    times the dropout ``mask`` (B, H), if any, and ``pred`` the output
+    (B, O). ``prefix`` is the tape of the shared run that ``lstm_tape``
+    continues, if any."""
+
+    model: _Network
+    lstm_tape: LstmTape
+    prefix: LstmTape
+    h: np.ndarray
+    mask: np.ndarray
+    pred: np.ndarray
 
 
 def init_lstm_params(input_dim, hidden_dim, rng):
@@ -251,56 +293,50 @@ def _recur(lstm, seq, h0=None, c0=None):
     (H, B), when given: a run then continues one that ended there, as
     the discriminator's last step continues the prefix it shares with
     other sequences. The input projection W @ x_t of all steps is one
-    batched matmul; the loop keeps U @ h_t and f c_t, which step 0 skips
-    from a zero state: c_1 = i g there. Gates (T, 4H, B), states
-    (T+1, H, B) and tanh(c) (T, H, B) land in preallocated arrays, so
-    the returned tape costs nothing extra and inference just drops it.
+    batched matmul on a (T, D, B) view of the sequence, which may be any
+    strided (B, T, D) array, such as a window of a rollout's buffer. The
+    loop keeps U @ h_t and f c_t, which step 0 skips from a zero state:
+    c_1 = i g there. Each step's c, tanh(c) and h are fresh (H, B)
+    arrays that the tape lists, so recording costs a list append, and
+    inference runs this kernel as training does and drops the tape.
     """
-    batch, steps, dim = seq.shape
     hidden = lstm.hidden_dim
     n3 = 3 * hidden
-    dtype = lstm.W.dtype
-    x = np.ascontiguousarray(seq.swapaxes(0, 1), dtype=dtype)
-    x = x.reshape(steps * batch, dim)
-    gates = np.matmul(lstm.W, x.reshape(steps, batch, dim).transpose(0, 2, 1))
+    seq = np.asarray(seq, dtype=lstm.W.dtype)
+    gates = np.matmul(lstm.W, seq.transpose(1, 2, 0))
     gates += lstm.b[:, None]
-    h = np.zeros((steps + 1, hidden, batch), dtype)
-    c = np.zeros((steps + 1, hidden, batch), dtype)
-    start = h0 is not None
-    if start:
-        h[0], c[0] = h0, c0
-    tc = np.empty((steps, hidden, batch), dtype)
-    for t in range(steps):
-        a = gates[t]
-        carried = t or start  # h_t and c_t are not the zero state
-        if carried:
-            a += lstm.U @ h[t]
+    h, c, tc = [h0], [c0], []
+    for a in gates:
+        c_t = c[-1]  # None for the zero state
+        if c_t is not None:
+            a += lstm.U @ h[-1]
         # i, f, o through sigmoid(z) = 0.5 (1 + tanh(z / 2)), g through tanh
         sig = a[:n3]
         sig *= 0.5
         np.tanh(a, out=a)
         sig += 1.0
         sig *= 0.5
-        if carried:
-            np.multiply(a[hidden:2 * hidden], c[t], out=c[t + 1])
-            c[t + 1] += a[:hidden] * a[n3:]
+        if c_t is None:
+            c_t = a[:hidden] * a[n3:]
         else:
-            np.multiply(a[:hidden], a[n3:], out=c[1])
-        np.tanh(c[t + 1], out=tc[t])
-        np.multiply(a[2 * hidden:n3], tc[t], out=h[t + 1])
-    return Tape("lstm", params=lstm, x=x, gates=gates, h=h, c=c, tc=tc,
-                start=start)
+            c_t = a[hidden:2 * hidden] * c_t
+            c_t += a[:hidden] * a[n3:]
+        tc_t = np.tanh(c_t)
+        h.append(a[2 * hidden:n3] * tc_t)
+        c.append(c_t)
+        tc.append(tc_t)
+    return LstmTape(lstm, seq, gates, h, c, tc)
 
 
 def lstm_forward(params, sequence):
     """Run the standard LSTM recurrence over a (B, T, D) sequence from a
     zero state.
 
-    Returns (hidden states over time, final hidden, tape); the first two
-    are (B, T, H) and (B, H) views into the tape.
+    Returns (hidden states over time, final hidden, tape); the first is
+    a (B, T, H) array and the second a (B, H) view into the tape.
     """
     tape = _recur(params, _check_sequence(sequence, params))
-    return tape.h[1:].transpose(2, 0, 1), tape.h[-1].T, tape
+    return np.array(tape.h[1:]).transpose(2, 0, 1), tape.h[-1].T, tape
 
 
 def _lstm_backward(tape, d_h_final, d_c_final=None):
@@ -308,10 +344,10 @@ def _lstm_backward(tape, d_h_final, d_c_final=None):
 
     Starts from dL/d(final h) and, if given, dL/d(final c), each (H, B).
     Returns (dA, dc0): dA = dL/d(gates) as a (4H, T*B) matrix whose
-    columns run step by step, like the rows of ``tape.x``, and dc0 =
-    dL/dc0 (H, B) for a run that started from a given state, or None for
-    one from a zero state, whose c0 is no input. The loop writes each
-    step's (4H, B) block of dA in place, so no copy reorders it, and
+    columns run step by step, like the input rows of ``_weight_grads``,
+    and dc0 = dL/dc0 (H, B) for a run that started from a given state, or
+    None for one from a zero state, whose c0 is no input. The loop writes
+    each step's (4H, B) block of dA in place, so no copy reorders it, and
     keeps only dh = U^T dA_t; the rest is one GEMM each afterwards:
     ``_weight_grads`` for dW, dU and db, ``_input_grads`` for the inputs
     and, for a run that started from a given state, U^T dA_0 for
@@ -326,14 +362,17 @@ def _lstm_backward(tape, d_h_final, d_c_final=None):
     # dc * c_prev, dh * tanh(c) and dc * i for i, f, o, g: fold all but
     # dc and dh into one factor per step, in place and gate by gate, with
     # tanh' = 1 - g^2 as (1 - g)(1 + g)
+    tc = np.array(tape.tc)
     factor = 1.0 - gates
     factor[:, :3] *= gates[:, :3]
     factor[:, 3] *= 1.0 + g
     factor[:, 0] *= g
-    factor[:, 1] *= tape.c[:-1]
-    factor[:, 2] *= tape.tc
+    for t, c_prev in enumerate(tape.c[:-1]):
+        # None is the zero state's c_0
+        factor[t, 1] *= 0.0 if c_prev is None else c_prev
+    factor[:, 2] *= tc
     factor[:, 3] *= i
-    dc_dh = o * (1.0 - tape.tc * tape.tc)
+    dc_dh = o * (1.0 - tc * tc)
     d_cols = np.empty((width, steps * batch), gates.dtype)
     d_steps = d_cols.reshape(4, hidden, steps, batch)
     dh = d_h_final
@@ -353,19 +392,23 @@ def _lstm_backward(tape, d_h_final, d_c_final=None):
 
 def _weight_grads(tape, d_cols):
     """(dW, dU, db) from the dA of ``_lstm_backward``: one GEMM each, with
-    db as dA times a column of ones."""
-    hidden, batch = tape.h.shape[1:]
-    if tape.start:
-        h_prev, d_cols_u = tape.h[:-1], d_cols
-    else:
-        # h is zero before step 0, so step 0 adds nothing to dU
-        h_prev, d_cols_u = tape.h[1:-1], d_cols[:, batch:]
-    # h as rows, one per (step, sequence) like tape.x: BLAS takes the
+    db as dA times a column of ones. Only training runs this, so the
+    contiguous input rows that the dW GEMM takes are made here."""
+    # inputs and states as rows, one per (step, sequence): BLAS takes the
     # plain product faster than one against a transposed operand
-    h_rows = np.ascontiguousarray(h_prev.transpose(0, 2, 1))
-    dU = d_cols_u @ h_rows.reshape(-1, hidden)
+    seq = tape.seq
+    x_rows = np.ascontiguousarray(seq.swapaxes(0, 1)).reshape(-1, seq.shape[2])
+    # h is zero before step 0 of a run from the zero state, so that step
+    # adds nothing to dU
+    h_prev = tape.h[:-1] if tape.start else tape.h[1:-1]
+    if h_prev:
+        hidden = tape.params.hidden_dim
+        h_rows = np.array([h.T for h in h_prev]).reshape(-1, hidden)
+        dU = d_cols[:, -len(h_rows):] @ h_rows
+    else:
+        dU = np.zeros_like(tape.params.U)
     ones = np.ones(d_cols.shape[1], d_cols.dtype)
-    return d_cols @ tape.x, dU, d_cols @ ones
+    return d_cols @ x_rows, dU, d_cols @ ones
 
 
 def _input_grads(tape, d_cols):
@@ -394,12 +437,16 @@ def _head(model, lstm_tape, mask=None, prefix=None):
     """The dense head and ``model.output_activation`` on the final hidden
     state (times the dropout mask, if any); returns (output, tape), the
     output (B, O) from the kernel's (H, B) state. ``prefix`` is the tape
-    of the shared run that ``lstm_tape`` continues, if any."""
+    of the shared run that ``lstm_tape`` continues, if any.
+
+    The bias and the activation apply in place, on the transposed GEMM
+    result, so the logits are not kept: backward needs only the output.
+    """
     h = lstm_tape.h[-1] if mask is None else lstm_tape.h[-1] * mask.T
-    y_lin = (model.head.weight @ h).T + model.head.bias
-    pred = ACTIVATIONS[model.output_activation](y_lin)
-    return pred, Tape("head", model=model, lstm_tape=lstm_tape,
-                      prefix=prefix, h=h, mask=mask, y_lin=y_lin, pred=pred)
+    pred = (model.head.weight @ h).T
+    pred += model.head.bias
+    ACTIVATIONS[model.output_activation](pred, out=pred)
+    return pred, HeadTape(model, lstm_tape, prefix, h, mask, pred)
 
 
 def _head_backward(tape, d_pred):
@@ -407,8 +454,9 @@ def _head_backward(tape, d_pred):
     dL/dprediction through the head and the dropout mask, if any. A
     linear head's prediction is its logits, so dL/dprediction passes
     straight through."""
-    if tape.kind != "head":
-        raise TapeMismatch(f"backward needs a model's tape, not {tape.kind!r}")
+    if not isinstance(tape, HeadTape):
+        raise TapeMismatch(f"backward needs a model's tape, not "
+                           f"{type(tape).__name__}")
     d_pred = np.asarray(d_pred, dtype=tape.pred.dtype)
     if d_pred.shape != tape.pred.shape:
         raise TapeMismatch(
@@ -425,9 +473,10 @@ def _head_backward(tape, d_pred):
 
 
 def _activation_deriv(tape):
-    """d(prediction)/d(logits) of a relu or sigmoid head."""
+    """d(prediction)/d(logits) of a relu or sigmoid head, from the
+    prediction: relu(y) > 0 exactly where y > 0."""
     if tape.model.output_activation == "relu":
-        return (tape.y_lin > 0).astype(tape.y_lin.dtype)
+        return (tape.pred > 0).astype(tape.pred.dtype)
     return tape.pred * (1.0 - tape.pred)
 
 
@@ -456,24 +505,24 @@ def forecaster_head(model, lstm_tape, rng=None):
     mask = None
     if rng is not None and model.dropout_rate > 0.0:
         keep = 1.0 - model.dropout_rate
-        hidden, batch = lstm_tape.h.shape[1:]
+        hidden, batch = lstm_tape.h[-1].shape
         kept = rng.random((batch, hidden)) >= model.dropout_rate
         mask = kept.astype(model.flat.dtype) / keep
     return _head(model, lstm_tape, mask)
 
 
 def forecaster_step(model, windows):
-    """Tape-free inference: predictions (B, tau) for a (B, N, tau) window
-    batch, or (tau,) for one N x tau window.
+    """Inference: predictions (B, tau) for a (B, N, tau) window batch, or
+    (tau,) for one N x tau window.
 
     Runs the kernel and head of ``forecaster_forward``, so outputs are
-    bit-identical, and drops the tape; it skips input validation, which
-    is what makes autoregressive rollouts cheap.
+    bit-identical, and drops their tapes. It skips input validation, and
+    takes windows of any strides, such as views into a rollout's buffer;
+    it never writes them.
     """
     if windows.ndim == 2:
         return forecaster_step(model, windows[None])[0]
-    pred, _ = _head(model, _recur(model.lstm, windows))
-    return pred
+    return _head(model, _recur(model.lstm, windows))[0]
 
 
 def discriminator_forward(disc, sequence):
@@ -554,7 +603,7 @@ def _param_grads(tape, d_pred):
     segments = [(last, d_cols)]
     pre = tape.prefix
     if pre is not None:
-        hidden, batch = pre.h.shape[1:]
+        hidden, batch = pre.h[-1].shape
         dh = (last.params.U.T @ d_cols).reshape(hidden, -1, batch).sum(axis=1)
         dc = dc0.reshape(hidden, -1, batch).sum(axis=1)
         pre_cols, _ = _lstm_backward(pre, d_h_final=dh, d_c_final=dc)

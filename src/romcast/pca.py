@@ -58,6 +58,9 @@ class PcaBasis:
                                 "1-D singular values")
         if not 1 <= self.tau <= self.rank:
             raise InvalidConfig(f"tau={self.tau} outside [1, {self.rank}]")
+        for name in ("mean", "eofs", "singular_values"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise NonFiniteInput(f"basis {name!r} holds NaN/Inf")
 
     @property
     def tau(self):

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import InvalidConfig, RomcastError, ShapeMismatch
+from .errors import InvalidConfig, NonFiniteInput, RomcastError, ShapeMismatch
 
 MAGIC = b"ROMF"
 VERSION = 2
@@ -123,11 +123,12 @@ def require(mapping, names, path, what="array"):
 
 @contextmanager
 def building(path):
-    """Report an InvalidConfig or ShapeMismatch raised while an object is
-    built from the contents of ``path`` as a FormatError naming it."""
+    """Report an InvalidConfig, ShapeMismatch or NonFiniteInput raised
+    while an object is built from the contents of ``path`` as a
+    FormatError naming it."""
     try:
         yield
-    except (InvalidConfig, ShapeMismatch) as exc:
+    except (InvalidConfig, NonFiniteInput, ShapeMismatch) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

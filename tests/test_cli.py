@@ -391,6 +391,57 @@ class TestExitCodes:
             assert "romcast: error: bad.romf: " in capsys.readouterr().err
             assert not os.path.exists("basis.romf")
 
+    def test_snapshot_file_holding_nan_is_format_error(self, workdir,
+                                                        capsys):
+        run("generate", *CONFIG, "--out", "snap.romf")
+        arrays, meta = romf.read_arrays("snap.romf")
+        tracer = arrays["tracer"].copy()
+        tracer[5, 3] = np.nan
+        romf.write_arrays("snap.romf", {**arrays, "tracer": tracer}, meta)
+        cli.write_manifest("snap.romf")
+        capsys.readouterr()
+        assert run("pca", *CONFIG, "--snapshots", "snap.romf") == 1
+        assert ("romcast: error: snap.romf: snapshot matrix contains NaN"
+                in capsys.readouterr().err)
+        assert not os.path.exists("basis.romf")
+
+    def test_basis_holding_nan_is_format_error_before_training(
+            self, workdir, capsys, monkeypatch):
+        pipeline(workdir)
+        arrays, meta = romf.read_arrays("basis.romf")
+        eofs = arrays["eofs"].copy()
+        eofs[1, 7] = np.nan
+        romf.write_arrays("basis.romf", {**arrays, "eofs": eofs}, meta)
+        inputs = {"snapshots": "snap.romf"}
+        cli.write_manifest("basis.romf", inputs=inputs)
+        cli.write_manifest("scaler.romf",
+                           inputs={**inputs, "basis": "basis.romf"})
+        monkeypatch.setattr(training, "train_classic", refuse_work)
+        capsys.readouterr()
+        assert run("train", *CONFIG, *DATA, "--out", "again.romf") == 1
+        assert ("romcast: error: basis.romf: basis 'eofs' holds NaN/Inf"
+                in capsys.readouterr().err)
+        assert not os.path.exists("again.romf")
+
+    def test_model_holding_nan_is_format_error(self, workdir, capsys):
+        # a NaN weight would otherwise show as every rollout diverged
+        pipeline(workdir)
+        arrays, meta = romf.read_arrays("classic.romf")
+        weight = arrays["head.weight"].copy()
+        weight[0, 0] = np.nan
+        romf.write_arrays("classic.romf", {**arrays, "head.weight": weight},
+                          meta)
+        cli.write_manifest("classic.romf", inputs={
+            "snapshots": "snap.romf", "basis": "basis.romf",
+            "scaler": "scaler.romf"})
+        capsys.readouterr()
+        assert run("evaluate", "--classic", "classic.romf", "--adv",
+                   "classic.romf", *DATA, "--starts", "40..42",
+                   "--horizon", "5") == 1
+        assert ("romcast: error: classic.romf: 'head.weight' holds NaN/Inf"
+                in capsys.readouterr().err)
+        assert not os.path.exists("ensemble_report.csv")
+
     def test_unknown_field_is_usage_error(self, workdir, capsys):
         run("generate", "--config", "config.json", "--out", "snap.romf")
         capsys.readouterr()

@@ -70,10 +70,12 @@ class TestRollout:
     def test_inference_purity(self):
         scores, scaler, model = tiny_setup()
         window = scaler.scale(scores)[3:5]
+        seed = window.copy()
         before = {k: v.copy() for k, v in model.params().items()}
         a = forecast.rollout(model, scaler, window, 10)
         b = forecast.rollout(model, scaler, window, 10)
         assert a.predictions.tobytes() == b.predictions.tobytes()
+        assert window.tobytes() == seed.tobytes()
         for key, val in model.params().items():
             assert val.tobytes() == before[key].tobytes()
 
@@ -244,7 +246,8 @@ class TestEngine:
         assert np.all(np.isfinite(preds[1, :3]))
         assert np.all(np.isnan(preds[1, 3:]))
         assert np.all(np.isfinite(preds[[0, 2]]))
-        # the diverged row is fed zeros: its window holds no inf
+        # the engine writes predictions to a buffer of its own: the
+        # caller's windows hold no inf
         assert np.all(np.isfinite(windows))
 
     def test_window_width_other_than_model_input_rejected(self, monkeypatch):
@@ -265,6 +268,81 @@ class TestEngine:
             forecast.evaluate_ensemble(model, model, narrow, scaler,
                                        range(3, 8), 5)
         assert calls == []
+
+
+def stepwise(model, windows, horizon):
+    """Rollouts by definition: ``forecaster_forward`` on windows shifted
+    by hand, one step at a time; (B, H, tau)."""
+    preds = np.empty((len(windows), horizon, windows.shape[2]))
+    for h in range(horizon):
+        pred, _ = neural.forecaster_forward(model, windows)
+        preds[:, h] = pred
+        windows = np.concatenate([windows[:, 1:], pred[:, None]], axis=1)
+    return preds
+
+
+def saturated_relu_model():
+    """A relu forecaster on tau 2 PCs (p, q) whose rollouts are known.
+
+    Every gate but g saturates exactly (i = o = 1, f = 0) and U is zero,
+    so a step reads only the last input's q: unit 0 has h = tanh(tanh(q))
+    and unit 1 idles at 0. The head predicts q' = relu(h + 0.25), which
+    rises towards a fixed point above 0.82, and p' = relu(1.7e308 h +
+    0.8e308), which overflows to inf once h > 0.5869, that is q > 0.8158.
+    """
+    hidden, tau = 2, 2
+    W = np.zeros((4 * hidden, tau))
+    W[3 * hidden, 1] = 1.0  # g of unit 0 reads q
+    b = np.repeat([800.0, -800.0, 800.0, 0.0], hidden)
+    lstm = neural.LstmParams(W, np.zeros((4 * hidden, hidden)), b)
+    head = neural.DenseParams(np.array([[1.7e308, 0.0], [1.0, 0.0]]),
+                              np.array([0.8e308, 0.25]))
+    return neural.LstmForecaster(lstm, head, "relu", 0.0, 2)
+
+
+class TestRollMatchesStepwise:
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu"])
+    @pytest.mark.parametrize("lag", [1, 2, 3])
+    def test_roll_equals_forward_on_shifted_windows(self, lag, activation,
+                                                     batch):
+        rng = np.random.default_rng(10 * lag + batch)
+        model = neural.init_forecaster(3, 8, activation, 0.0, lag, rng)
+        windows = rng.uniform(0.1, 0.9, (batch, lag, 3))
+        seed = windows.copy()
+        want = stepwise(model, windows, 7)
+        for horizon in range(8):
+            preds, diverged_at = forecast._roll(model, windows, horizon)
+            assert preds.shape == (batch, horizon, 3)
+            assert preds.tobytes() == want[:, :horizon].tobytes(), horizon
+            assert np.array_equal(diverged_at, np.full(batch, horizon))
+        assert windows.tobytes() == seed.tobytes()
+
+    def test_relu_row_overflowing_mid_horizon(self):
+        model = saturated_relu_model()
+        # last q of each window: the middle row crosses 0.8158 at step 2,
+        # the others only at steps 5 and 6, past the horizon
+        windows = np.zeros((3, 2, 2))
+        windows[:, -1, 1] = [0.0, 0.7, -10.0]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            preds, diverged_at = forecast._roll(model, windows, 5)
+        assert np.array_equal(diverged_at, [5, 2, 5])
+        assert np.all(np.isnan(preds[1, 2:]))
+        with np.errstate(over="ignore"):
+            want = stepwise(model, windows[[1]], 3)[0]
+        assert preds[1, :2].tobytes() == want[:2].tobytes()
+        assert want[2, 0] == np.inf
+        # the other rows: as if rolled alone, and by definition
+        others = [0, 2]
+        alone, alone_at = forecast._roll(model, windows[others], 5)
+        assert preds[others].tobytes() == alone.tobytes()
+        assert np.array_equal(alone_at, [5, 5])
+        assert preds[others].tobytes() == stepwise(model, windows[others],
+                                                   5).tobytes()
+        # finite to the end, the first row within 2% of overflowing
+        assert np.all(np.isfinite(preds[others]))
+        assert preds[0, -1, 0] > 1.77e308
 
 
 class TestPairedAccounting:

@@ -55,11 +55,14 @@ class TestLstmForward:
         seq = rng.uniform(-3, 3, size=(1, steps, 3))
         hs, _, tape = neural.lstm_forward(params, seq)
         assert np.all(np.abs(hs) < 1.0)
-        # gate-major tape: gates (T, 4H, B), cell states (T+1, H, B)
+        # gate-major tape: gates (T, 4H, B); the cell states c_0..c_T are
+        # (H, B) arrays, with c_0 None for the zero state
         for t in range(1, steps + 1):
             gi, gf, _, gg = np.split(tape.gates[t - 1], 4, axis=0)
-            c = gf * tape.c[t - 1] + gi * gg
+            c_prev = 0.0 if tape.c[t - 1] is None else tape.c[t - 1]
+            c = gf * c_prev + gi * gg
             assert np.all(np.abs(c) <= t)
+            assert np.array_equal(c, tape.c[t])
 
     def test_shape_and_finite_checks(self):
         params = zero_lstm()
@@ -86,10 +89,19 @@ class TestLstmForward:
         free = neural._recur(lstm, seq)
         started = neural._recur(lstm, seq, zero, zero)
         assert not free.start and started.start
-        for name in ("gates", "h", "c", "tc"):
+        assert free.gates.dtype == dtype
+        assert free.gates.tobytes() == started.gates.tobytes()
+        for name in ("h", "c", "tc"):
             got, want = getattr(free, name), getattr(started, name)
-            assert got.dtype == dtype
-            assert got.tobytes() == want.tobytes(), name
+            if name != "tc":
+                # the state lists start with (h0, c0): None from a zero
+                # state, the given zeros otherwise
+                assert got[0] is None and not want[0].any()
+                got, want = got[1:], want[1:]
+            assert len(got) == len(want) == 3
+            for step, (a, b) in enumerate(zip(got, want)):
+                assert a.dtype == dtype
+                assert a.tobytes() == b.tobytes(), (name, step)
         # backward: the same dA; only a run from a given state has a c0
         # to hand a gradient to
         d_h = rng.standard_normal((6, 5)).astype(dtype)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -366,13 +366,18 @@ class TestFloat32Training:
         targets = ds.targets[:16].astype(np.float32)
         arrays = []  # (what, array) for every array the steps hand on
 
-        real_tape = neural.Tape.__init__
+        def recording_tape(cls, kind):
+            real_init = cls.__init__
 
-        def recording_tape(tape, kind, **fields):
-            arrays.extend((f"{kind}.{name}", value)
-                          for name, value in fields.items()
-                          if isinstance(value, np.ndarray))
-            real_tape(tape, kind, **fields)
+            def init(tape, *args):
+                real_init(tape, *args)
+                # every array a tape records, each step's of the lists too
+                for field in fields(tape):
+                    value = getattr(tape, field.name)
+                    for item in value if isinstance(value, list) else [value]:
+                        if isinstance(item, np.ndarray):
+                            arrays.append((f"{kind}.{field.name}", item))
+            monkeypatch.setattr(cls, "__init__", init)
 
         def recording(module, name, pick):
             fn = getattr(module, name)
@@ -392,7 +397,8 @@ class TestFloat32Training:
                   lambda args, out: [a for a in out if a is not None])
         recording(training, "nadam_step",
                   lambda args, out: [args[0].m, args[0].v, args[1].flat])
-        monkeypatch.setattr(neural.Tape, "__init__", recording_tape)
+        recording_tape(neural.LstmTape, "lstm")
+        recording_tape(neural.HeadTape, "head")
 
         _, _, lstm_tape = neural.lstm_forward(model.lstm, windows)
         fake, _ = neural.forecaster_head(model, lstm_tape)
@@ -401,7 +407,8 @@ class TestFloat32Training:
         training._forecaster_step(model, opt_g, lstm_tape, windows, targets,
                                   streams["dropout"], config, disc=disc)
         names = {name for name, _ in arrays}
-        assert {"lstm.gates", "lstm.c", "head.mask", "head.y_lin", "mse_grad",
+        assert {"lstm.seq", "lstm.gates", "lstm.h", "lstm.c", "lstm.tc",
+                "head.h", "head.mask", "head.pred", "mse_grad",
                 "bce", "candidate_grad", "_param_grads",
                 "_lstm_backward", "nadam_step"} <= names
         for name, array in arrays:
