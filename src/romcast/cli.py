@@ -17,7 +17,10 @@ only prints.
 
 Every command reads the whole config file and checks it, keys, types
 and ranges, before it reads any input (``load_config``): a bad value in
-a section the command does not use is a usage error too.
+a section the command does not use is a usage error too. The data, pca
+and train sections are built as ``snapshots.GeneratorConfig``,
+``pca.PcaConfig`` and ``training.TrainConfig``, which check themselves,
+and a command applies its options to them through ``replace``.
 
 A manifest records the tool version, seed, config hash and the content
 hashes of its inputs, whose paths are stored relative to the artifact's
@@ -53,8 +56,6 @@ from .neural import load_model, save_model
 
 log = logging.getLogger("romcast")
 
-DEFAULT_PCA = {"field": "tracer", "tau": 16, "variance": None,
-               "scale_lo": 0.0, "scale_hi": 1.0}
 DEFAULT_SEARCH_EPOCHS = 60
 
 
@@ -186,11 +187,11 @@ def load_config(path):
     names, with a non-empty list of values that fit its default.
 
     Then the ranges, in every section, used by the command or not: the
-    data and train sections are returned built, as a
-    ``snapshots.GeneratorConfig`` and a ``training.TrainConfig``; each
-    grid value, and search_epochs as epochs, must be valid in that train
-    config; the pca section must pass ``pca.check_truncation`` and
-    ``snapshots.check_scaler_range``.
+    data, pca and train sections are returned built, as a
+    ``snapshots.GeneratorConfig``, a ``pca.PcaConfig`` and a
+    ``training.TrainConfig``, each of which checks itself; each grid
+    value, and search_epochs as epochs, must be valid in that train
+    config.
     """
     user = {}
     if path is not None:
@@ -205,7 +206,7 @@ def load_config(path):
             raise InvalidConfig(f"{path}: a config must be a JSON object")
     config = {
         "data": asdict(snapshots.GeneratorConfig()),
-        "pca": dict(DEFAULT_PCA),
+        "pca": asdict(pca.PcaConfig()),
         "train": asdict(training.TrainConfig()),
         "grid": dict(training.DEFAULT_GRID),
         "search_epochs": DEFAULT_SEARCH_EPOCHS,
@@ -243,14 +244,12 @@ def load_config(path):
         raise InvalidConfig("search_epochs must be an integer, got "
                             f"{config['search_epochs']!r}")
     config["data"] = snapshots.GeneratorConfig(**config["data"])
+    config["pca"] = pca.PcaConfig(**config["pca"])
     train = config["train"] = training.TrainConfig(**config["train"])
     for axis, values in [*config["grid"].items(),
                          ("epochs", [config["search_epochs"]])]:
         for value in values:
             replace(train, **{axis: value})
-    section = config["pca"]
-    pca.check_truncation(section["tau"], section["variance"])
-    snapshots.check_scaler_range(section["scale_lo"], section["scale_hi"])
     return config
 
 
@@ -328,26 +327,21 @@ def cmd_pca(args):
     out = args.out or "basis.romf"
     scaler_out = args.scaler_out or "scaler.romf"
     inputs = {"snapshots": args.snapshots}
-    section = dict(load_config(args.config)["pca"])
-    if args.tau is not None:
-        section["tau"], section["variance"] = args.tau, None
-    if args.variance is not None:
-        section["tau"], section["variance"] = None, args.variance
-    if args.field is not None:
-        section["field"] = args.field
-    pca.check_truncation(section["tau"], section["variance"])
+    pcfg = replace(load_config(args.config)["pca"], **_given(args, "field"))
+    if _given(args, "tau", "variance"):  # either one replaces both
+        pcfg = replace(pcfg, tau=args.tau, variance=args.variance)
     _verify_io(inputs, {"--out": out, "--scaler-out": scaler_out})
     snap = snapshots.SnapshotMatrix.load(args.snapshots)
-    field = section["field"]
+    field = pcfg.field
     data = snap.field(field)
-    basis = replace(pca.fit(data, tau=section.get("tau"),
-                            variance=section.get("variance")), field=field)
+    basis = replace(pca.fit(data, tau=pcfg.tau, variance=pcfg.variance),
+                    field=field)
     basis.save(out)
+    section = asdict(pcfg)
     write_manifest(out, config=section, inputs=inputs,
                    meta={"field": field, "tau": basis.tau, "rank": basis.rank})
     scores = pca.project(basis, data)
-    scaler = snapshots.fit_scaler(scores, lo=section["scale_lo"],
-                                  hi=section["scale_hi"])
+    scaler = snapshots.fit_scaler(scores, lo=pcfg.scale_lo, hi=pcfg.scale_hi)
     scaler.save(scaler_out)
     write_manifest(scaler_out, config=section,
                    inputs={**inputs, "basis": out},

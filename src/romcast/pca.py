@@ -41,6 +41,26 @@ from .errors import (
     NumericalFailure,
     ShapeMismatch,
 )
+from .snapshots import check_field, check_scaler_range
+
+
+@dataclass(frozen=True)
+class PcaConfig:
+    """The reduction of one run: the ``field`` fitted, one of
+    ``FIELD_NAMES`` or "all"; exactly one truncation, ``tau`` or
+    ``variance``; and the range the scaler maps the scores onto. A config
+    checks itself when built, and so on ``replace``, raising InvalidConfig."""
+
+    field: str = "tracer"
+    tau: int = 16
+    variance: float = None
+    scale_lo: float = 0.0
+    scale_hi: float = 1.0
+
+    def __post_init__(self):
+        check_truncation(self.tau, self.variance)
+        check_field(self.field)
+        check_scaler_range(self.scale_lo, self.scale_hi)
 
 
 @dataclass(frozen=True)

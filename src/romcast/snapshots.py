@@ -2,8 +2,9 @@
 
 A 2D regular-grid explicit finite-difference solver (first-order upwind
 advection in flux form, second-order central diffusion, sinusoidal point
-source) stands in for the full CFD model. Each time step is vectorised
-into one row of the snapshot matrix: tracer nodes, then velocity nodes.
+source, periodic boundaries) stands in for the full CFD model. Each time
+step is vectorised into one row of the snapshot matrix: tracer nodes,
+then velocity nodes.
 """
 
 import math
@@ -44,13 +45,11 @@ class GeneratorConfig:
     dt: float = 0.2
     n_steps: int = 600
     kappa: float = 0.02
-    velocity_mode: str = "rotating"  # "uniform" | "rotating"
     u0: float = 2.5
     source_center: tuple = (8, 8)  # (ix, iy)
     source_amplitude: float = 1.0
     source_period: float = 7.4
     seed: int = 0
-    boundary: str = "periodic"  # "periodic" | "zero_gradient"
     modulate_velocity: bool = False
     init_amplitude: float = 0.0  # scale of the seeded random initial tracer
 
@@ -69,10 +68,6 @@ class GeneratorConfig:
         for name in ("seed", "kappa", "source_amplitude", "init_amplitude"):
             if getattr(self, name) < 0:
                 raise InvalidConfig(f"{name} must be >= 0")
-        if self.velocity_mode not in ("uniform", "rotating"):
-            raise InvalidConfig(f"unknown velocity_mode {self.velocity_mode!r}")
-        if self.boundary not in ("periodic", "zero_gradient"):
-            raise InvalidConfig(f"unknown boundary {self.boundary!r}")
         ix, iy = self.source_center
         if not (0 <= ix < self.grid_nx and 0 <= iy < self.grid_ny):
             raise InvalidConfig("source_center outside the grid")
@@ -132,11 +127,9 @@ class SnapshotMatrix:
     def field(self, name):
         """Return the n x nodes submatrix of one named field (or the whole
         matrix for "all")."""
+        check_field(name)
         if name == "all":
             return self.data
-        if name not in FIELD_NAMES:
-            raise InvalidConfig(f"unknown field {name!r}; expected "
-                                f"{', '.join(FIELD_NAMES)} or all")
         lo = FIELD_NAMES.index(name) * self.nodes_per_field
         return self.data[:, lo:lo + self.nodes_per_field]
 
@@ -158,16 +151,18 @@ class SnapshotMatrix:
             return cls(np.hstack([arrays[name] for name in FIELD_NAMES]))
 
 
+def check_field(name):
+    """Raise InvalidConfig unless ``name`` is in ``FIELD_NAMES`` or "all"."""
+    if name not in (*FIELD_NAMES, "all"):
+        raise InvalidConfig(f"unknown field {name!r}; expected "
+                            f"{', '.join(FIELD_NAMES)} or all")
+
+
 def _velocity_field(config):
-    """Prescribed velocity on the grid, shape (ny, nx) per component."""
-    ny, nx = config.grid_ny, config.grid_nx
-    if config.velocity_mode == "uniform":
-        vx = np.full((ny, nx), float(config.u0))
-        vy = np.zeros((ny, nx))
-        return vx, vy
-    # solid-body rotation about the domain centre, peak speed u0
-    x = np.arange(nx) * config.dx
-    y = np.arange(ny) * config.dy
+    """Prescribed velocity on the grid, shape (ny, nx) per component: a
+    solid-body rotation about the domain centre, peak speed u0."""
+    x = np.arange(config.grid_nx) * config.dx
+    y = np.arange(config.grid_ny) * config.dy
     xc, yc = x.mean(), y.mean()
     xx, yy = np.meshgrid(x - xc, y - yc)
     rmax = np.sqrt(xx**2 + yy**2).max()
@@ -179,24 +174,19 @@ def _source_factor(t, period):
     return 0.5 * (1.0 + np.sin(2.0 * np.pi * t / period))
 
 
-def _fill_halo(cp, boundary):
+def _fill_halo(cp):
     """Fill the one-cell halo of the padded array ``cp`` from its
-    interior, wrapped or edge-repeated by ``boundary``: rows first, then
-    columns, which fills the corners too. This is the solver's one
-    boundary rule."""
-    if boundary == "periodic":
-        cp[0, 1:-1], cp[-1, 1:-1] = cp[-2, 1:-1], cp[1, 1:-1]
-        cp[:, 0], cp[:, -1] = cp[:, -2], cp[:, 1]
-    else:
-        cp[0, 1:-1], cp[-1, 1:-1] = cp[1, 1:-1], cp[-2, 1:-1]
-        cp[:, 0], cp[:, -1] = cp[:, 1], cp[:, -2]
+    interior, wrapped around: rows first, then columns, which fills the
+    corners too. This is the solver's one boundary rule, periodic."""
+    cp[0, 1:-1], cp[-1, 1:-1] = cp[-2, 1:-1], cp[1, 1:-1]
+    cp[:, 0], cp[:, -1] = cp[:, -2], cp[:, 1]
 
 
-def _padded(arr, boundary):
+def _padded(arr):
     """A copy of ``arr`` inside a one-cell halo filled by ``_fill_halo``."""
     cp = np.empty((arr.shape[0] + 2, arr.shape[1] + 2))
     cp[1:-1, 1:-1] = arr
-    _fill_halo(cp, boundary)
+    _fill_halo(cp)
     return cp
 
 
@@ -262,7 +252,7 @@ def generate(config, initial_tracer=None):
     What does not change between steps is computed once: the padded
     velocities, their face velocities and each face's upwind cell. With
     ``modulate_velocity`` a step's face velocities are the fixed ones
-    times the step's factor s; the two cells of every face of a built-in
+    times the step's factor s; the two cells of every face of the rotating
     field carry one velocity, so these are bit for bit the faces of the
     scaled field. The velocity rows, the fixed fields times each step's
     s, are written after the loop. Each step refills the tracer's halo,
@@ -287,12 +277,11 @@ def generate(config, initial_tracer=None):
         c = config.init_amplitude * rng.random((ny, nx))
     # the tracer lives in the interior of a padded buffer whose halo is
     # refilled each step
-    cp = _padded(c, config.boundary)
+    cp = _padded(c)
     c = cp[1:-1, 1:-1]
 
     vx, vy = _velocity_field(config)
-    ufx, ufy = _faces(_padded(vx, config.boundary),
-                      _padded(vy, config.boundary))
+    ufx, ufy = _faces(_padded(vx), _padded(vy))
     # the modulation factor s lies in [0, 1], and rounding is monotone, so
     # a scaled face velocity keeps its sign or becomes zero, where either
     # side gives a zero flux: the upwind cells hold for every step
@@ -306,7 +295,7 @@ def generate(config, initial_tracer=None):
         s = factors[step] = _source_factor(step * config.dt,
                                            config.source_period)
         fields[step, 0] = c
-        _fill_halo(cp, config.boundary)
+        _fill_halo(cp)
         if config.modulate_velocity:
             _advance(cp, ufx * s, ufy * s, upx, upy, config)
         else:

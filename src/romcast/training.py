@@ -59,7 +59,7 @@ from .neural import (
     init_forecaster,
     lstm_forward,
 )
-from .optim import NadamState, bce, clip_global_norm, mse, mse_grad, nadam_step
+from .optim import NadamState, bce, mse, mse_grad, nadam_step
 
 # desk-scale default search space (dropout/activation/lag axes as used
 # for the full-scale experiments, plus a small hidden-size axis)
@@ -95,7 +95,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    clip_norm: float = 0.0  # 0 disables the global-norm cap
     d_steps: int = 2  # discriminator updates per generator update
 
     def __post_init__(self):
@@ -113,8 +112,6 @@ class TrainConfig:
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise InvalidConfig(f"{name} must lie in [0, 1)")
-        if not math.isfinite(self.clip_norm):
-            raise InvalidConfig("clip_norm must be finite")
         if not 0.0 <= self.dropout < 1.0:
             raise InvalidConfig("dropout must lie in [0, 1)")
         if self.output_activation not in ACTIVATIONS:
@@ -217,12 +214,11 @@ def _forecaster_step(model, opt, lstm_tape, windows, targets, rng_dropout,
         d_adv = candidate_grad(d_tape, d_logits[None])[0]
         d_pred = d_pred + config.adv_weight * d_adv
     grads, _ = _param_grads(tape, d_pred)
-    clip_global_norm(grads, config.clip_norm)
     nadam_step(opt, model.params(), grads)
     return loss, adv_loss
 
 
-def _discriminator_step(disc, opt, windows, targets, fake, config):
+def _discriminator_step(disc, opt, windows, targets, fake):
     """One optimizer step on the discriminator, real next steps
     ``targets`` against the forecaster's ``fake`` ones."""
     logits, tape = discriminator_branches(disc, windows,
@@ -232,7 +228,6 @@ def _discriminator_step(disc, opt, windows, targets, fake, config):
     if not np.isfinite(loss_real + loss_fake):
         raise NonFiniteLoss("discriminator loss diverged")
     grads, _ = _param_grads(tape, np.stack([d_real, d_fake]).reshape(-1, 1))
-    clip_global_norm(grads, config.clip_norm)
     nadam_step(opt, disc.params(), grads)
     return loss_real + loss_fake
 
@@ -296,7 +291,7 @@ def _train(dataset, config):
                                             "non-finite predictions")
                     for _ in range(config.d_steps):
                         d_sum += _discriminator_step(disc, opt_d, windows,
-                                                     targets, fake, config)
+                                                     targets, fake)
                 loss, adv_loss = _forecaster_step(
                     model, opt_g, lstm_tape, windows, targets,
                     streams["dropout"], config, disc=disc,

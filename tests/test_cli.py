@@ -2,6 +2,7 @@ import glob
 import json
 import os
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -39,6 +40,16 @@ CONFIG = ["--config", "config.json"]
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def read_lines(path):
+    with open(path) as fh:
+        return fh.read().splitlines()
 
 
 def pipeline(workdir, train_args=()):
@@ -109,6 +120,10 @@ class TestExitCodes:
             (spoil("grid", dropout=[0.1, True]), "dropout"),
             (spoil("grid", lr=[0.1]), "'lr'"),
             (spoil("train", disc_mode="step"), "'disc_mode'"),
+            # deleted settings are unknown keys, whatever their value
+            (spoil("data", velocity_mode="rotating"), "'velocity_mode'"),
+            (spoil("data", boundary="periodic"), "'boundary'"),
+            (spoil("train", clip_norm=0.0), "'clip_norm'"),
             (json.dumps(dict(SMALL_CONFIG, serach_epochs=1)),
              "'serach_epochs'"),
             # ranges are checked in every section, used by the command or not
@@ -117,6 +132,7 @@ class TestExitCodes:
             (json.dumps(dict(SMALL_CONFIG, search_epochs=0)), "epochs"),
             (spoil("pca", scale_lo=1.0, scale_hi=0.0), "scaler range"),
             (spoil("pca", tau=0), "tau"),
+            (spoil("pca", field="bogus"), "bogus"),
         ]
         for text, message in cases:
             with open("bad.json", "w") as fh:
@@ -134,7 +150,6 @@ class TestExitCodes:
         ("train", "train", "d_lr", -1.0),
         ("train", "train", "beta1", 1.5),
         ("train", "train", "eps", 0.0),
-        ("train", "train", "clip_norm", float("nan")),
         ("train", "train", "seed", -1),
     ])
     def test_bad_config_number_is_usage_error(self, workdir, capsys, command,
@@ -211,7 +226,7 @@ class TestExitCodes:
                                                  manifest, text):
         pipeline(workdir)
         if text is None:
-            record = json.load(open(manifest))
+            record = read_json(manifest)
             del record["inputs"]["snapshots"]["path"]
             text = json.dumps(record)
         with open(manifest, "w") as fh:
@@ -267,6 +282,7 @@ class TestExitCodes:
         ["--tau", "0"], ["--variance", "0"], ["--variance", "1.5"],
         # a pca section whose scaler range is inverted, or not finite
         {"scale_lo": 1.0, "scale_hi": 0.0}, {"scale_hi": float("nan")},
+        ["--field", "bogus"],
     ])
     def test_bad_truncation_fails_before_hashing(self, workdir, capsys,
                                                  monkeypatch, truncation):
@@ -540,9 +556,49 @@ class TestPcaCommand:
         assert sorted(glob.glob("*.romf*")) == [
             "basis.romf", "basis.romf.manifest.json", "scaler.romf",
             "scaler.romf.manifest.json", "snap.romf", "snap.romf.manifest.json"]
-        manifest = json.load(open("basis.romf.manifest.json"))
+        manifest = read_json("basis.romf.manifest.json")
         assert manifest["meta"]["tau"] == 4
         assert manifest["inputs"]["snapshots"]["path"] == "snap.romf"
+
+    @pytest.mark.parametrize("field, digest", [
+        ("tracer", "f38b9cd38c423404fa5c4753b54d7829418ea04bbb0a6fd631ecdd95"
+                   "16c0e8a8"),
+        ("all", "3cccb1358da08db58383bcd9f5d610e12a44dfc3f316f9f40c3f546d"
+                "b3faecf3"),
+    ], ids=["tracer", "all"])
+    def test_config_hashes_as_the_dict_it_replaces(self, field, digest):
+        # pca manifests keep their config_hash: the built section hashes
+        # as the dict of its five keys did
+        section = asdict(pca.PcaConfig(field=field))
+        assert section == {"field": field, "tau": 16, "variance": None,
+                           "scale_lo": 0.0, "scale_hi": 1.0}
+        assert cli._config_hash(section) == digest
+
+    def test_options_apply_to_the_config_section(self, workdir, monkeypatch):
+        # --tau or --variance replaces both truncations of the section
+        fits = []
+        real_fit = pca.fit
+        monkeypatch.setattr(pca, "fit", lambda data, **kwargs: (
+            fits.append(kwargs) or real_fit(data, **kwargs)))
+        with open("variance.json", "w") as fh:
+            json.dump(dict(SMALL_CONFIG, pca={"tau": None, "variance": 0.9,
+                                              "field": "all"}), fh)
+        assert run("generate", *CONFIG, "--out", "snap.romf") == 0
+        for argv, kwargs, field in [
+            (["--tau", "3"], {"tau": 3, "variance": None}, "all"),
+            (["--field", "tracer"], {"tau": None, "variance": 0.9}, "tracer"),
+            ([], {"tau": None, "variance": 0.9}, "all"),
+        ]:
+            assert run("pca", "--config", "variance.json", "--snapshots",
+                       "snap.romf", *argv) == 0
+            assert fits.pop() == kwargs
+            manifest = read_json("basis.romf.manifest.json")
+            assert manifest["meta"]["field"] == field
+            assert manifest["config_hash"] == cli._config_hash(
+                {"field": field, "scale_lo": 0.0, "scale_hi": 1.0, **kwargs})
+        assert run("pca", *CONFIG, "--snapshots", "snap.romf",
+                   "--variance", "0.5") == 0
+        assert fits.pop() == {"tau": None, "variance": 0.5}
 
     def test_tau_and_variance_are_exclusive(self, workdir, capsys):
         run("generate", "--config", "config.json", "--out", "snap.romf")
@@ -575,9 +631,9 @@ class TestTrainEvaluateReport:
                    "adv.romf", "--snapshots", "snap.romf", "--basis",
                    "basis.romf", "--scaler", "scaler.romf", "--starts",
                    "40..50", "--horizon", "12", "--out", "report.csv") == 0
-        lines = open("report.csv").read().splitlines()
+        lines = read_lines("report.csv")
         assert len(lines) == 13  # header + one row per horizon step
-        meta = json.load(open("report.csv.manifest.json"))["meta"]
+        meta = read_json("report.csv.manifest.json")["meta"]
         assert meta["n_pairs"] == [11] * 12
         assert run("report", "report.csv") == 0
         out = capsys.readouterr().out
@@ -600,7 +656,7 @@ class TestTrainEvaluateReport:
         assert run("train", *CONFIG, *DATA, *extra, "--out", "out/m.romf") == 0
         assert sorted(os.listdir("out")) == ["m.romf", "m.romf.manifest.json"]
         [report] = reports
-        meta = json.load(open("out/m.romf.manifest.json"))["meta"]
+        meta = read_json("out/m.romf.manifest.json")["meta"]
         # every curve in full, the adversarial ones for an adversarial run
         curves = {"train_mse": report.train_loss, "val_mse": report.val_loss}
         if extra:
@@ -615,7 +671,7 @@ class TestTrainEvaluateReport:
         # change which field train projects
         pipeline(workdir)
         path = "basis.romf.manifest.json"
-        manifest = json.load(open(path))
+        manifest = read_json(path)
         assert manifest["meta"]["field"] == "tracer"
         manifest["meta"]["field"] = "vel_x"
         with open(path, "w") as fh:
@@ -625,7 +681,7 @@ class TestTrainEvaluateReport:
                    "scaler.romf", "--out", "again.romf") == 0
         with open("classic.romf", "rb") as fa, open("again.romf", "rb") as fb:
             assert fa.read() == fb.read()
-        meta = json.load(open("again.romf.manifest.json"))["meta"]
+        meta = read_json("again.romf.manifest.json")["meta"]
         assert meta["field"] == "tracer"
 
     def test_verify_and_evaluate_from_another_directory(self, workdir,
@@ -641,7 +697,7 @@ class TestTrainEvaluateReport:
                    "--scaler-out", "run/scaler.romf") == 0
         assert run("train", "--config", "config.json", *data,
                    "--out", "run/classic.romf") == 0
-        inputs = json.load(open("run/classic.romf.manifest.json"))["inputs"]
+        inputs = read_json("run/classic.romf.manifest.json")["inputs"]
         assert inputs["basis"]["path"] == "basis.romf"
         monkeypatch.chdir("elsewhere")
         for name in ("snap", "basis", "scaler", "classic"):
@@ -731,7 +787,7 @@ class TestTrainEvaluateReport:
                    "classic.romf", *DATA, "--starts", "40..49", "--horizon",
                    "10", "--out", "same.csv") == 0
         path = "same.csv.manifest.json"
-        manifest = json.load(open(path))
+        manifest = read_json(path)
         manifest["meta"].update(n_pairs=list(range(10, 0, -1)),
                                 diverged_classic=2, diverged_adv=3)
         with open(path, "w") as fh:
@@ -763,7 +819,7 @@ class TestTrainEvaluateReport:
                    "snap.romf", "--basis", "basis.romf", "--scaler",
                    "scaler.romf", "--epochs", "2", "--seed", "5",
                    "--out", "c5.romf") == 0
-        manifest = json.load(open("c5.romf.manifest.json"))
+        manifest = read_json("c5.romf.manifest.json")
         assert len(manifest["meta"]["curves"]["train_mse"]) == 2
         assert manifest["seed"] == 5
 
@@ -776,7 +832,7 @@ class TestGridSearch:
         # the one artifact and its manifest, nothing else
         assert set(os.listdir()) - before == {"gridsearch.csv",
                                               "gridsearch.csv.manifest.json"}
-        rows = open("gridsearch.csv").read().splitlines()
+        rows = read_lines("gridsearch.csv")
         assert rows[0] == "dropout,hidden_nodes,val_mse,failed"
         assert len(rows) == 3
         # the best point is the row of least val_mse, recorded in meta.best

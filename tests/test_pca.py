@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,39 @@ def eigh_sizes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     return sizes
+
+
+class TestPcaConfig:
+    @pytest.mark.parametrize("field", [*snapshots.FIELD_NAMES, "all"])
+    def test_every_field_accepted(self, field):
+        assert pca.PcaConfig(field=field).field == field
+
+    def test_replace_checks_the_new_config(self):
+        config = pca.PcaConfig()
+        assert replace(config, tau=None, variance=0.9).variance == 0.9
+        with pytest.raises(InvalidConfig, match="tau"):
+            replace(config, tau=0)
+        with pytest.raises(InvalidConfig, match="field"):
+            replace(config, field="bogus")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("change, message", [
+        ({"tau": 0}, "tau=0"),
+        ({"tau": None, "variance": 0.0}, "variance"),
+        ({"tau": None, "variance": 1.5}, "variance"),
+        ({"tau": None, "variance": float("nan")}, "variance"),
+        ({"variance": 0.9}, "exactly one of tau or variance"),
+        ({"tau": None}, "exactly one of tau or variance"),
+        ({"field": "bogus"}, "field 'bogus'"),
+        ({"field": "Tracer"}, "field 'Tracer'"),
+        ({"scale_lo": 1.0, "scale_hi": 0.0}, "scaler range"),
+        ({"scale_lo": 1.0, "scale_hi": 1.0}, "scaler range"),
+        ({"scale_hi": float("nan")}, "scaler range"),
+        ({"scale_lo": -float("inf")}, "scaler range"),
+    ])
+    def test_bad_value_rejected(self, change, message):
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            pca.PcaConfig(**change)
 
 
 class TestFit:

@@ -22,6 +22,13 @@ def small_config(**overrides):
     return snapshots.GeneratorConfig(**base)
 
 
+def uniform_velocity(config):
+    """A uniform field: u0 in x everywhere and zero in y, so that every y
+    face velocity is exactly zero; patched in for ``_velocity_field``."""
+    shape = (config.grid_ny, config.grid_nx)
+    return np.full(shape, float(config.u0)), np.zeros(shape)
+
+
 class TestConfigValidation:
     def test_nonpositive_grid_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -84,8 +91,7 @@ class TestGenerate:
         assert drift < 1e-10
 
     def test_advection_also_conserves_mass(self):
-        cfg = small_config(velocity_mode="rotating", u0=1.5,
-                           source_amplitude=0.0, init_amplitude=1.0,
+        cfg = small_config(u0=1.5, source_amplitude=0.0, init_amplitude=1.0,
                            seed=5, n_steps=200)
         snap = snapshots.generate(cfg)
         mass = snap.field("tracer").sum(axis=1)
@@ -119,14 +125,11 @@ class TestGenerate:
         snap = snapshots.generate(cfg)
         assert snap.field("tracer").min() >= 0.0
 
-    def test_zero_gradient_boundary_runs(self):
-        cfg = small_config(boundary="zero_gradient", init_amplitude=0.5)
-        snap = snapshots.generate(cfg)
-        assert np.all(np.isfinite(snap.data))
-
-    def test_modulated_velocity_recorded_in_columns(self):
-        for mode in ("uniform", "rotating"):
-            cfg = small_config(modulate_velocity=True, velocity_mode=mode)
+    def test_modulated_velocity_recorded_in_columns(self, monkeypatch):
+        rotating = snapshots._velocity_field
+        for field in (uniform_velocity, rotating):
+            monkeypatch.setattr(snapshots, "_velocity_field", field)
+            cfg = small_config(modulate_velocity=True)
             snap = snapshots.generate(cfg)
             vx, vy = snapshots._velocity_field(cfg)
             for t in range(cfg.n_steps):
@@ -155,21 +158,23 @@ class TestGenerate:
         snapshots.generate(cfg, initial_tracer=np.ones_like(c0))
         assert len(steps) == cfg.n_steps
 
-    @pytest.mark.parametrize("field", ["uniform", "rotating", "random"])
-    @pytest.mark.parametrize("boundary", ["periodic", "zero_gradient"])
-    def test_faces_of_a_scaled_field_are_the_scaled_faces(self, field,
-                                                          boundary):
+    # ids keep the name of the boundary, periodic, the solver's one rule
+    @pytest.mark.parametrize("field", [
+        pytest.param(field, id=f"periodic-{field}")
+        for field in ("uniform", "rotating", "random")])
+    def test_faces_of_a_scaled_field_are_the_scaled_faces(self, field):
         # what lets a modulated step scale its fixed faces: the two cells
-        # of every face of a built-in field carry one velocity, which a
-        # field whose neighbouring cells differ does not
-        cfg = snapshots.GeneratorConfig(
-            velocity_mode="uniform" if field == "uniform" else "rotating",
-            boundary=boundary)
+        # of every face of the rotating field, and of a uniform one, carry
+        # one velocity, which a field whose neighbouring cells differ does
+        # not
+        cfg = snapshots.GeneratorConfig()
         vel = snapshots._velocity_field(cfg)
+        if field == "uniform":
+            vel = uniform_velocity(cfg)
         if field == "random":
             vel = np.random.default_rng(5).uniform(
                 -cfg.u0, cfg.u0, (2, cfg.grid_ny, cfg.grid_nx))
-        vxp0, vyp0 = (snapshots._padded(v, boundary) for v in vel)
+        vxp0, vyp0 = (snapshots._padded(v) for v in vel)
         ufx, ufy = snapshots._faces(vxp0, vyp0)
         same = []
         for step in range(cfg.n_steps):
@@ -179,34 +184,35 @@ class TestGenerate:
                         and sfy.tobytes() == (s * ufy).tobytes())
         assert all(same) != (field == "random")
 
-    # ids: "<modulate>-<boundary>" for the rotating field from a random
+    # ids: "<modulate>-periodic" for the rotating field from a random
     # tracer, and prefixed by the variant otherwise: "uniform", a uniform
     # field, whose y faces are exactly zero; "zero_tracer", a zero initial
     # tracer; "amplitude", a source amplitude other than 1; and
     # "random_velocity", a field whose neighbouring cells differ, so that
     # the faces of a scaled field are not the scaled faces: its modulated
-    # cases pin that a step's faces are the fixed faces times s
-    @pytest.mark.parametrize("variant, modulate, boundary", [
-        pytest.param(variant, modulate, boundary,
+    # cases pin that a step's faces are the fixed faces times s. The ids
+    # keep the name of the boundary, periodic, the solver's one rule.
+    @pytest.mark.parametrize("variant, modulate", [
+        pytest.param(variant, modulate,
                      id=("" if variant == "rotating" else f"{variant}-")
-                     + f"{modulate}-{boundary}")
+                     + f"{modulate}-periodic")
         for variant in ("rotating", "uniform", "zero_tracer", "amplitude",
                         "random_velocity")
         for modulate in (False, True)
-        for boundary in ("periodic", "zero_gradient")
     ])
     def test_matches_per_step_reference_bit_for_bit(self, variant, modulate,
-                                                    boundary, monkeypatch):
+                                                    monkeypatch):
         # source_period 4 with dt 0.2 makes the modulation factor exactly
         # zero at steps 15 and 35
         cfg = small_config(
-            boundary=boundary, modulate_velocity=modulate, grid_nx=12,
-            grid_ny=9, n_steps=40,
-            velocity_mode="uniform" if variant == "uniform" else "rotating",
+            modulate_velocity=modulate, grid_nx=12, grid_ny=9, n_steps=40,
             source_amplitude=0.37 if variant == "amplitude" else 1.0)
         c0 = np.random.default_rng(3).random((cfg.grid_ny, cfg.grid_nx))
         if variant == "zero_tracer":
             c0 = np.zeros_like(c0)
+        if variant == "uniform":
+            monkeypatch.setattr(snapshots, "_velocity_field",
+                                uniform_velocity)
         if variant == "random_velocity":
             vx, vy = np.random.default_rng(5).uniform(
                 -cfg.u0, cfg.u0, (2, cfg.grid_ny, cfg.grid_nx))
@@ -226,7 +232,6 @@ class TestGenerate:
 
 def reference_generate(cfg, c):
     """The solver as a plain loop that pads every field on every step."""
-    mode = "wrap" if cfg.boundary == "periodic" else "edge"
     vx0, vy0 = snapshots._velocity_field(cfg)
     rows = []
     for step in range(cfg.n_steps):
@@ -236,7 +241,7 @@ def reference_generate(cfg, c):
         rows.append(np.concatenate([c.ravel(), (vx0 * s).ravel(),
                                     (vy0 * s).ravel()]))
         # the modulated faces are the faces of the unscaled field times s
-        cp, vxp, vyp = (np.pad(a, 1, mode=mode) for a in (c, vx0, vy0))
+        cp, vxp, vyp = (np.pad(a, 1, mode="wrap") for a in (c, vx0, vy0))
         ufx = 0.5 * (vxp[1:-1, :-1] + vxp[1:-1, 1:]) * s
         cl, cr = cp[1:-1, :-1], cp[1:-1, 1:]
         flux_x = np.where(ufx > 0.0, cl, cr) * ufx
