@@ -78,6 +78,7 @@ class PcaBasis:
                                 "1-D singular values")
         if not 1 <= self.tau <= self.rank:
             raise InvalidConfig(f"tau={self.tau} outside [1, {self.rank}]")
+        check_field(self.field)
         for name in ("mean", "eofs", "singular_values"):
             if not np.isfinite(getattr(self, name)).all():
                 raise NonFiniteInput(f"basis {name!r} holds NaN/Inf")
@@ -128,6 +129,18 @@ def fit(data, tau=None, variance=None):
     Exactly one of ``tau`` / ``variance`` must be given. With a variance
     fraction v in (0, 1], tau becomes the smallest k whose cumulative
     explained variance reaches v.
+
+    Data whose sigma_1 is within the rounding of the centring raise
+    DegenerateData, and so do data no column of which varies. The mean
+    of column j is a sum of n terms divided by n, so it lies within
+    gamma_n max_i |x_ij| of the exact mean (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, sec. 4.2), gamma_n = n u / (1 - n u)
+    with u = eps / 2; subtracting it rounds once more. So each centred
+    entry lies within n eps max_i |x_ij| of the exact one, and where no
+    column varies the centred matrix X is that error alone: sigma_1 <=
+    ||X||_F <= n eps sqrt(n) ||c||_2, c_j = max_i |x_ij|. As c_j <=
+    |mean_j| + max_i |X_ij|, a fit refuses sigma_1 <= n eps sqrt(n)
+    (||mean||_2 + ||X||_F), with ||X||_F^2 the trace of the Gram matrix.
     """
     check_truncation(tau, variance)
     data = _as_matrix(data)
@@ -145,8 +158,12 @@ def fit(data, tau=None, variance=None):
         energy, vecs = _solve("eigvalsh", np.linalg.eigvalsh, gram), None
     energy = np.clip(energy[::-1], 0.0, None)
     s = np.sqrt(energy)
-    if not np.any(s > 0):
-        raise DegenerateData("centered snapshot matrix is zero; tau undefined")
+    rounding = n * np.finfo(np.float64).eps * np.sqrt(n) * (
+        np.linalg.norm(mean) + np.sqrt(np.trace(gram)))
+    if not s[0] > rounding:
+        raise DegenerateData(f"sigma_1 = {s[0]:.3g} is within the rounding "
+                             f"of the centring ({rounding:.3g}): the data do "
+                             "not vary; tau undefined")
 
     if variance is not None:
         fractions = _cumulative_fractions(s)

@@ -4,7 +4,9 @@ A 2D regular-grid explicit finite-difference solver (first-order upwind
 advection in flux form, second-order central diffusion, sinusoidal point
 source, periodic boundaries) stands in for the full CFD model. Each time
 step is vectorised into one row of the snapshot matrix: tracer nodes,
-then velocity nodes.
+then velocity nodes. The solver steps the tracer on contiguous 1-D slices
+of one flat padded buffer, because numpy runs a slice of a 2-D array row
+by row, at several times the cost of one flat span (``generate``).
 """
 
 import math
@@ -191,20 +193,24 @@ def _padded(arr):
 
 
 def _faces(vxp, vyp):
-    """Face velocities of the padded velocity components: ``ufx`` on the
-    (ny, nx + 1) x faces and ``ufy`` on the (ny + 1, nx) y faces."""
-    return (0.5 * (vxp[1:-1, :-1] + vxp[1:-1, 1:]),
-            0.5 * (vyp[:-1, 1:-1] + vyp[1:, 1:-1]))
+    """Face velocities of the padded velocity components, as flat spans
+    of faces (``generate``): ``ufx`` on x faces W + 1 .. size - W - 1 and
+    ``ufy`` on y faces W + 1 .. size - 2; faces that bound no interior
+    cell are 0."""
+    ufx, ufy = np.zeros(vxp.shape), np.zeros(vyp.shape)
+    ufx[1:-1, 1:] = 0.5 * (vxp[1:-1, :-1] + vxp[1:-1, 1:])
+    ufy[1:, 1:-1] = 0.5 * (vyp[:-1, 1:-1] + vyp[1:, 1:-1])
+    w = vxp.shape[1]
+    return ufx.ravel()[w + 1:-w], ufy.ravel()[w + 1:-1]
 
 
-def _upwind(ufx, ufy):
-    """Flat indices into the padded tracer of each face's upwind cell: the
-    left (bottom) cell where the face velocity is positive, else the right
-    (top) one."""
-    ny, nx = ufx.shape[0], ufy.shape[1]
-    flat = np.arange((ny + 2) * (nx + 2)).reshape(ny + 2, nx + 2)
-    return (np.where(ufx > 0.0, flat[1:-1, :-1], flat[1:-1, 1:]),
-            np.where(ufy > 0.0, flat[:-1, 1:-1], flat[1:, 1:-1]))
+def _upwind(ufx, ufy, w):
+    """Flat indices into the padded tracer, of rows of ``w`` cells, of each
+    face's upwind cell: the left (bottom) cell where the face velocity is
+    positive, else the right (top) one."""
+    k = np.arange(w + 1, w + 1 + ufy.size)
+    return (np.where(ufx > 0.0, k[:ufx.size] - 1, k[:ufx.size]),
+            np.where(ufy > 0.0, k - w, k))
 
 
 def _advance(cp, ufx, ufy, upx, upy, config):
@@ -213,33 +219,28 @@ def _advance(cp, ufx, ufy, upx, upy, config):
     ``cp`` is the tracer padded by one cell, its halo filled by
     ``_fill_halo``; ``ufx`` and ``ufy`` are the face velocities
     (``_faces``) and ``upx`` and ``upy`` their upwind cells (``_upwind``).
-    Writes the new interior of ``cp`` in place.
+    Updates the flat span from the first interior cell to the last in
+    place; the halo cells inside it take finite junk.
     """
     dx, dy, dt, kappa = config.dx, config.dy, config.dt, config.kappa
-    c = cp[1:-1, 1:-1]
-
-    # x faces: (ny, nx + 1)
-    cl, cr = cp[1:-1, :-1], cp[1:-1, 1:]
-    flux_x = cp.take(upx)
+    w = cp.shape[1]
+    cf = cp.ravel()  # a view: cp is contiguous
+    flux_x = cf.take(upx)
     flux_x *= ufx
-    dcdx_flux = kappa * (cr - cl) / dx
-
-    # y faces: (ny + 1, nx)
-    cb, ct = cp[:-1, 1:-1], cp[1:, 1:-1]
-    flux_y = cp.take(upy)
+    dcdx_flux = kappa * (cf[w + 1:-w] - cf[w:-w - 1]) / dx
+    flux_y = cf.take(upy)
     flux_y *= ufy
-    dcdy_flux = kappa * (ct - cb) / dy
+    dcdy_flux = kappa * (cf[w + 1:-1] - cf[1:-w - 1]) / dy
 
-    adv = (flux_x[:, 1:] - flux_x[:, :-1]) / dx + (
-        flux_y[1:, :] - flux_y[:-1, :]
-    ) / dy
-    diff = (dcdx_flux[:, 1:] - dcdx_flux[:, :-1]) / dx + (
-        dcdy_flux[1:, :] - dcdy_flux[:-1, :]
-    ) / dy
+    # cell k's faces are x faces k and k + 1, y faces k and k + w
+    adv = ((flux_x[1:] - flux_x[:-1]) / dx
+           + (flux_y[w:] - flux_y[:-w]) / dy)
+    diff = ((dcdx_flux[1:] - dcdx_flux[:-1]) / dx
+            + (dcdy_flux[w:] - dcdy_flux[:-w]) / dy)
     # c + dt * (diff - adv), in place
     diff -= adv
     diff *= dt
-    c += diff
+    cf[w + 1:-w - 1] += diff
 
 
 def generate(config, initial_tracer=None):
@@ -257,6 +258,14 @@ def generate(config, initial_tracer=None):
     scaled field. The velocity rows, the fixed fields times each step's
     s, are written after the loop. Each step refills the tracer's halo,
     updates its interior in place and adds the source to its one cell.
+
+    The tracer lives in a padded (ny + 2, W) buffer, W = nx + 2, and a step
+    works on its flat form: x face k lies between flat cells k - 1 and k,
+    y face k between k - W and k. Every stencil operation is then one
+    contiguous slice over the span from the first interior cell to the
+    last, where a 2-D view would run row by row. The halo cells inside
+    that span take finite junk, which the next halo fill overwrites
+    before anything reads it.
     The output is byte for byte that of the flux-form update
     ``c + dt * (diff - adv) + dt * source`` on freshly padded fields
     (``tests/test_snapshots.py``'s ``reference_generate``).
@@ -275,8 +284,6 @@ def generate(config, initial_tracer=None):
             raise InvalidConfig("initial tracer must be nonnegative")
     else:
         c = config.init_amplitude * rng.random((ny, nx))
-    # the tracer lives in the interior of a padded buffer whose halo is
-    # refilled each step
     cp = _padded(c)
     c = cp[1:-1, 1:-1]
 
@@ -285,7 +292,7 @@ def generate(config, initial_tracer=None):
     # the modulation factor s lies in [0, 1], and rounding is monotone, so
     # a scaled face velocity keeps its sign or becomes zero, where either
     # side gives a zero flux: the upwind cells hold for every step
-    upx, upy = _upwind(ufx, ufy)
+    upx, upy = _upwind(ufx, ufy, nx + 2)
     ix, iy = config.source_center
     factors = np.empty(config.n_steps)
     rows = np.empty((config.n_steps, 3 * nx * ny))

@@ -466,9 +466,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "'bogus'" in err and "tracer, vel_x, vel_y or all" in err
 
-    def test_basis_of_unknown_field_is_usage_error(self, workdir, capsys):
+    def test_basis_of_unknown_field_is_format_error(self, workdir, capsys):
         # a basis file, hash-consistent with its manifests, that records a
-        # field the snapshots do not have
+        # field the snapshots do not have: a bad artifact, named
         pipeline(workdir)
         arrays, meta = romf.read_arrays("basis.romf")
         romf.write_arrays("basis.romf", arrays, {**meta, "field": "bogus"})
@@ -481,12 +481,12 @@ class TestExitCodes:
                 "--scaler", "scaler.romf"]
         capsys.readouterr()
         assert run("train", "--config", "config.json", *data,
-                   "--out", "again.romf") == 2
-        assert "'bogus'" in capsys.readouterr().err
+                   "--out", "again.romf") == 1
+        assert "basis.romf: unknown field 'bogus'" in capsys.readouterr().err
         assert run("evaluate", "--classic", "classic.romf", "--adv",
                    "classic.romf", *data, "--starts", "40..42",
-                   "--horizon", "5") == 2
-        assert "'bogus'" in capsys.readouterr().err
+                   "--horizon", "5") == 1
+        assert "basis.romf: unknown field 'bogus'" in capsys.readouterr().err
 
     def test_model_and_basis_of_other_sizes_is_runtime_error(self, workdir,
                                                              capsys):

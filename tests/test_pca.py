@@ -92,6 +92,45 @@ class TestFit:
         with pytest.raises(DegenerateData):
             pca.fit(data, variance=0.9)
 
+    # a constant field whose mean is not exact: its centred matrix is
+    # rounding, which must not be fitted
+    @pytest.mark.parametrize("source", ["velocity", "random_row",
+                                        "large_offset"])
+    def test_field_constant_in_time_is_degenerate(self, source):
+        rng = np.random.default_rng(7)
+        if source == "velocity":
+            data = snapshots.generate(snapshots.GeneratorConfig(
+                grid_nx=12, grid_ny=10, n_steps=150)).field("vel_x")
+        else:
+            row = rng.uniform(-2.5, 2.5, 80)
+            data = np.tile(row + (1e6 if source == "large_offset" else 0.0),
+                           (60, 1))
+        assert np.ptp(data, axis=0).max() == 0.0
+        with pytest.raises(DegenerateData, match="rounding"):
+            pca.fit(data, tau=4)
+        with pytest.raises(DegenerateData):
+            pca.fit(data, variance=0.99)
+
+    @pytest.mark.parametrize("source", ["relative_1e-9", "modulated"])
+    def test_small_or_rank_one_variation_still_fits(self, source):
+        rng = np.random.default_rng(8)
+        if source == "modulated":
+            data = snapshots.generate(snapshots.GeneratorConfig(
+                grid_nx=12, grid_ny=10, n_steps=150,
+                modulate_velocity=True)).field("vel_x")
+        else:
+            row = rng.uniform(1.0, 2.5, 80)
+            data = row * (1.0 + 1e-9 * rng.standard_normal((60, 80)))
+        basis = pca.fit(data, tau=1)
+        rec = pca.reconstruct(basis, pca.project(basis, data))
+        if source == "modulated":  # rank 1: one component is all of it
+            assert pca.explained_variance(basis)[0] == pytest.approx(1.0)
+            assert np.abs(rec - data).max() < 1e-12 * np.abs(data).max()
+        else:
+            centred = data - data.mean(axis=0)
+            assert basis.singular_values[0] == pytest.approx(
+                np.linalg.svd(centred, compute_uv=False)[0], rel=1e-6)
+
     def test_two_point_line_matches_eigen_oracle(self):
         data = np.array([[1.0, 1.0], [3.0, 3.0]])
         basis = pca.fit(data, tau=1)

@@ -190,23 +190,33 @@ class TestGenerate:
     # tracer; "amplitude", a source amplitude other than 1; and
     # "random_velocity", a field whose neighbouring cells differ, so that
     # the faces of a scaled field are not the scaled faces: its modulated
-    # cases pin that a step's faces are the fixed faces times s. The ids
-    # keep the name of the boundary, periodic, the solver's one rule.
+    # cases pin that a step's faces are the fixed faces times s. The grid
+    # is 12 x 9 with dx = dy, other than in three variants that pin the
+    # solver's flat row stride and its divisors: "tall", ny > nx;
+    # "narrow", nx = 2, where a cell's two x neighbours are one cell; and
+    # "anisotropic", dx = 0.7 and dy = 1.3. The ids keep the name of the
+    # boundary, periodic, the solver's one rule.
     @pytest.mark.parametrize("variant, modulate", [
         pytest.param(variant, modulate,
                      id=("" if variant == "rotating" else f"{variant}-")
                      + f"{modulate}-periodic")
         for variant in ("rotating", "uniform", "zero_tracer", "amplitude",
-                        "random_velocity")
+                        "random_velocity", "tall", "narrow", "anisotropic")
         for modulate in (False, True)
     ])
     def test_matches_per_step_reference_bit_for_bit(self, variant, modulate,
                                                     monkeypatch):
         # source_period 4 with dt 0.2 makes the modulation factor exactly
-        # zero at steps 15 and 35
-        cfg = small_config(
-            modulate_velocity=modulate, grid_nx=12, grid_ny=9, n_steps=40,
-            source_amplitude=0.37 if variant == "amplitude" else 1.0)
+        # zero at steps 15 and 35; dt 0.2 is inside both stability bounds
+        # of every grid here
+        grid = {"tall": dict(grid_nx=9, grid_ny=12),
+                "narrow": dict(grid_nx=2, grid_ny=7, source_center=(1, 3)),
+                "anisotropic": dict(dx=0.7, dy=1.3)}
+        cfg = small_config(**{
+            "modulate_velocity": modulate, "grid_nx": 12, "grid_ny": 9,
+            "n_steps": 40,
+            "source_amplitude": 0.37 if variant == "amplitude" else 1.0,
+            **grid.get(variant, {})})
         c0 = np.random.default_rng(3).random((cfg.grid_ny, cfg.grid_nx))
         if variant == "zero_tracer":
             c0 = np.zeros_like(c0)
