@@ -33,7 +33,10 @@ Exit codes: 0 on success; 1 for a runtime or format failure, such as a
 stale or corrupt artifact (a malformed snapshot file too) or a diverged
 run; 2 for bad arguments or config, a missing input, an output path
 that is a directory or lies in a missing one (all checked before any
-work), or a path the system refuses (an ``OSError``).
+work), or a path the system refuses (an ``OSError``). A standard output
+whose reader has gone, as in ``romcast report r.csv | head -1``, ends
+the command with exit 1 and nothing on stderr; the rest of its output
+goes to ``os.devnull``.
 Verbosity is controlled by the ROMCAST_LOG environment variable: one of
 DEBUG, INFO, WARNING, ERROR or CRITICAL, in any case; unset or empty
 means WARNING, and any other value is a usage error (exit 2) before any
@@ -299,13 +302,13 @@ def _data_inputs(args):
 
 def _load_scores(inputs):
     """(scaler, scores, field) from the verified snapshots, basis and
-    scaler in ``inputs``."""
-    snap = snapshots.SnapshotMatrix.load(inputs["snapshots"])
-    basis = pca.PcaBasis.load(inputs["basis"])
-    scaler = snapshots.MinMaxScaler.load(inputs["scaler"])
+    scaler in ``inputs``; of the snapshots, only the basis's field is
+    kept."""
     # the field is in the basis file's metadata, under its hash
-    field = basis.field
-    return scaler, pca.project(basis, snap.field(field)), field
+    basis = pca.PcaBasis.load(inputs["basis"])
+    data = snapshots.load_field(inputs["snapshots"], basis.field)
+    scaler = snapshots.MinMaxScaler.load(inputs["scaler"])
+    return scaler, pca.project(basis, data), basis.field
 
 
 def cmd_generate(args):
@@ -331,9 +334,8 @@ def cmd_pca(args):
     if _given(args, "tau", "variance"):  # either one replaces both
         pcfg = replace(pcfg, tau=args.tau, variance=args.variance)
     _verify_io(inputs, {"--out": out, "--scaler-out": scaler_out})
-    snap = snapshots.SnapshotMatrix.load(args.snapshots)
     field = pcfg.field
-    data = snap.field(field)
+    data = snapshots.load_field(args.snapshots, field)
     basis = replace(pca.fit(data, tau=pcfg.tau, variance=pcfg.variance),
                     field=field)
     basis.save(out)
@@ -421,9 +423,9 @@ def _parse_starts(text):
             starts = [int(part) for part in text.split(",") if part]
     except ValueError:
         starts = []
-    if not starts:
-        raise InvalidConfig("--starts must be A..B with A <= B or a comma "
-                            f"list of integers, got {text!r}")
+    if not starts or min(starts) < 0:
+        raise InvalidConfig("--starts must be A..B with 0 <= A <= B or a "
+                            f"comma list of integers >= 0, got {text!r}")
     return starts
 
 
@@ -600,7 +602,16 @@ def main(argv=None):
     token = _digests.set({})
     try:
         _setup_logging()
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # as the Python docs' SIGPIPE note does: the flush at exit then
+        # writes to devnull and cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (OSError, InvalidConfig, MissingArtifact) as exc:
         print(f"romcast: error: {exc}", file=sys.stderr)
         return 2

@@ -178,8 +178,9 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, starts,
         raise StartOutOfRange("no start steps given")
     bad = [s for s in starts if s < 0 or s + lag + horizon > n]
     if bad:
-        raise StartOutOfRange(f"start {bad[0]} + lag {lag} + horizon "
-                              f"{horizon} exceeds {n} steps")
+        raise StartOutOfRange(
+            f"start {bad[0]} is negative" if bad[0] < 0 else
+            f"start {bad[0]} + lag {lag} + horizon {horizon} exceeds {n} steps")
     starts = np.array(starts)[:, None]
     # only the window rows; the scaler maps each element on its own
     windows = scaler.scale(scores[starts + np.arange(lag)])  # (S, N, tau)

@@ -8,6 +8,11 @@ then a sequence of array records, each ``name_len:u32, name:utf-8,
 dtype_code:u32, rank:u32, dims:u32..., payload`` with the payload stored
 as little-endian float64. Files of other versions (version 1 had no
 metadata record) are rejected.
+
+Payloads stream between file and array in C-order runs of at most
+``_BLOCK`` bytes, so neither direction makes a temporary the size of a
+record, and a reader can take a payload straight into an array of its
+own, such as one field's column block of a snapshot matrix, or drop it.
 """
 
 import json
@@ -25,6 +30,8 @@ VERSION = 2
 DTYPE_F64 = 0
 
 _U32 = struct.Struct("<I")
+_F64 = np.dtype("<f8")
+_BLOCK = 1 << 20
 
 
 class FormatError(RomcastError):
@@ -35,7 +42,9 @@ def write_arrays(path, arrays, meta=None):
     """Write an ordered mapping of name -> ndarray, and the JSON object
     ``meta``, to ``path``.
 
-    All arrays are stored as little-endian float64; order is preserved.
+    Arrays of any strides are stored in C order as little-endian
+    float64, a run of at most ``_BLOCK`` bytes at a time; order is
+    preserved.
     """
     record = json.dumps(meta or {}, sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
@@ -45,7 +54,7 @@ def write_arrays(path, arrays, meta=None):
         fh.write(_U32.pack(len(record)))
         fh.write(record)
         for name, arr in arrays.items():
-            data = np.asarray(arr, dtype="<f8")  # tobytes() serialises C-order
+            data = np.asarray(arr)
             encoded = name.encode("utf-8")
             fh.write(_U32.pack(len(encoded)))
             fh.write(encoded)
@@ -53,12 +62,19 @@ def write_arrays(path, arrays, meta=None):
             fh.write(_U32.pack(data.ndim))
             for dim in data.shape:
                 fh.write(_U32.pack(dim))
-            fh.write(data.tobytes())
+            for run in _runs(data, "readonly"):
+                fh.write(run)
 
 
-def read_arrays(path):
+def read_arrays(path, into=None):
     """Read a ROMF container back into (dict of name -> float64 ndarray,
     metadata dict).
+
+    ``into(name, dims)``, when given, says where each record's payload
+    goes before it is read: a writable float64 array of shape ``dims``,
+    of any strides, which is filled in place and returned under ``name``,
+    or None, when the payload is read, must be finite and is dropped.
+    Without it each record gets an array of its own.
 
     Every malformed file, truncated or corrupted anywhere or holding two
     records of one name, raises FormatError: lengths are checked against
@@ -79,11 +95,12 @@ def read_arrays(path):
             raise FormatError(f"{path}: metadata record is not JSON") from exc
         if not isinstance(meta, dict):
             raise FormatError(f"{path}: metadata record is not an object")
-        arrays = {}
+        arrays, names = {}, set()
         while fh.tell() < size:
             name = _read_text(fh, size, path, "record name")
-            if name in arrays:
+            if name in names:
                 raise FormatError(f"{path}: a second record {name!r}")
+            names.add(name)
             dtype_code = _read_u32(fh, path)
             if dtype_code != DTYPE_F64:
                 raise FormatError(f"{path}: unknown dtype code {dtype_code}")
@@ -93,14 +110,15 @@ def read_arrays(path):
             nbytes = 8 * math.prod(dims)
             _check_left(fh, size, nbytes, path, f"payload of {name!r}")
             try:
-                arr = np.empty(dims, "<f8")
+                out = into(name, dims) if into else np.empty(dims)
             except ValueError as exc:  # over 64 dims, or zero-size but overflowing
                 raise FormatError(f"{path}: bad dims {dims} for {name!r}") from exc
-            # the payload goes straight into the array, with no bytes copy
-            if fh.readinto(arr) != nbytes:
-                raise FormatError(f"{path}: truncated payload of {name!r}")
-            # native byte order: no copy on a little-endian host
-            arrays[name] = arr.astype(np.float64, copy=False)
+            if out is None:
+                _drop_payload(fh, nbytes, path, name)
+                continue
+            for run in _runs(out, "writeonly"):
+                _read_run(fh, run, path, name)
+            arrays[name] = out
         return arrays, meta
 
 
@@ -130,6 +148,33 @@ def building(path):
         yield
     except (InvalidConfig, NonFiniteInput, ShapeMismatch) as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def _runs(arr, flag):
+    """The values of ``arr``, of any strides, in C order as contiguous
+    little-endian float64 runs of at most ``_BLOCK`` bytes: views of
+    ``arr`` where it allows, else one buffer that numpy copies out of
+    ``arr`` ("readonly") or back into it ("writeonly")."""
+    with np.nditer(arr, ["external_loop", "buffered", "zerosize_ok"],
+                   [flag, "contig"], [_F64], order="C", casting="same_kind",
+                   buffersize=_BLOCK // 8) as runs:
+        yield from runs
+
+
+def _read_run(fh, run, path, name):
+    if fh.readinto(run) != run.nbytes:
+        raise FormatError(f"{path}: truncated payload of {name!r}")
+
+
+def _drop_payload(fh, nbytes, path, name):
+    """Read ``nbytes`` of payload in runs, raising FormatError at a value
+    that is not finite, and keep none of it."""
+    for start in range(0, nbytes, _BLOCK):
+        run = np.empty(min(_BLOCK, nbytes - start) // 8, _F64)
+        _read_run(fh, run, path, name)
+        if not np.isfinite(run).all():
+            raise FormatError(f"{path}: record {name!r} holds NaN/Inf")
+        del run  # one run at a time
 
 
 def _check_left(fh, size, needed, path, what):

@@ -7,6 +7,12 @@ step is vectorised into one row of the snapshot matrix: tracer nodes,
 then velocity nodes. The solver steps the tracer on contiguous 1-D slices
 of one flat padded buffer, because numpy runs a slice of a 2-D array row
 by row, at several times the cost of one flat span (``generate``).
+
+A snapshot file moves between disk and memory once: ``SnapshotMatrix.load``
+reads each field's record straight into its column block of the matrix,
+and ``load_field`` keeps one field alone, so a command that uses one field
+holds a third of the file; the other records are still read and checked
+in bounded runs (``romf``).
 """
 
 import math
@@ -99,20 +105,12 @@ class SnapshotMatrix:
         object.__setattr__(self, "data", data)
         if data.ndim != 2:
             raise ShapeMismatch("snapshot data must be 2-dimensional")
-        if data.shape[0] < 2 or data.shape[1] < 1:
-            raise InvalidConfig("snapshot matrix needs n >= 2 rows, m >= 1 columns")
-        if not np.all(np.isfinite(data)):
-            raise NonFiniteInput("snapshot matrix contains NaN/Inf")
         if data.shape[1] % len(FIELD_NAMES):
             raise ShapeMismatch(
                 f"{data.shape[1]} columns do not split into "
                 f"{len(FIELD_NAMES)} equal fields"
             )
-        if data.shape[0] >= data.shape[1]:
-            warnings.warn(
-                "snapshot matrix has n >= m; the expected regime is n < m",
-                stacklevel=2,
-            )
+        _check_columns(data, data.shape[1])
 
     @property
     def n(self):
@@ -141,16 +139,60 @@ class SnapshotMatrix:
 
     @classmethod
     def load(cls, path):
-        arrays, _ = romf.read_arrays(path)
-        romf.require(arrays, FIELD_NAMES, path)
-        shapes = {arrays[name].shape for name in FIELD_NAMES}
-        if len(arrays) > len(FIELD_NAMES) or len(shapes) > 1 \
-                or arrays[FIELD_NAMES[0]].ndim != 2:
+        with romf.building(path):
+            return cls(_read_fields(path, FIELD_NAMES))
+
+
+def load_field(path, name):
+    """``SnapshotMatrix.load(path).field(name)``, with the checks of that
+    load, holding only the field in memory."""
+    check_field(name)
+    if name == "all":
+        return SnapshotMatrix.load(path).data
+    block = _read_fields(path, (name,))
+    with romf.building(path):
+        _check_columns(block, len(FIELD_NAMES) * block.shape[1])
+    return block
+
+
+def _check_columns(data, m):
+    """The checks of a snapshot matrix of ``m`` columns that hold on any
+    of its column blocks ``data``."""
+    if data.shape[0] < 2 or m < 1:
+        raise InvalidConfig("snapshot matrix needs n >= 2 rows, m >= 1 columns")
+    if not np.all(np.isfinite(data)):
+        raise NonFiniteInput("snapshot matrix contains NaN/Inf")
+    if data.shape[0] >= m:
+        warnings.warn(
+            "snapshot matrix has n >= m; the expected regime is n < m",
+            stacklevel=3,
+        )
+
+
+def _read_fields(path, names):
+    """The fields ``names`` of the snapshot file at ``path``, side by side
+    in one matrix, each record read straight into its column block."""
+    shapes, out = {}, None
+
+    def into(name, dims):
+        nonlocal out
+        if name not in FIELD_NAMES or len(dims) != 2 \
+                or dims != next(iter(shapes.values()), dims):
             raise romf.FormatError(f"{path}: a snapshot file holds "
                                    f"{', '.join(FIELD_NAMES)} alone, each of "
                                    "one (n, nodes) shape")
-        with romf.building(path):
-            return cls(np.hstack([arrays[name] for name in FIELD_NAMES]))
+        shapes[name] = dims
+        n, nodes = dims
+        if out is None:
+            out = np.empty((n, nodes * len(names)))
+        if name not in names:
+            return None  # read, checked and dropped
+        lo = names.index(name) * nodes
+        return out[:, lo:lo + nodes]
+
+    romf.read_arrays(path, into)
+    romf.require(shapes, FIELD_NAMES, path)
+    return out
 
 
 def check_field(name):

@@ -2,11 +2,14 @@ import glob
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import romcast
 from romcast import cli, forecast, neural, pca, romf, snapshots, training
 
 SMALL_CONFIG = {
@@ -335,6 +338,8 @@ class TestExitCodes:
         (("--starts", "40..42", "--horizon", "0"), "horizon"),
         (("--starts", "42..40"), "--starts"),
         (("--starts", ","), "--starts"),
+        (("--starts=-3..2",), "--starts"),
+        (("--starts=3,-1",), "--starts"),
     ])
     def test_bad_evaluate_number_is_usage_error(self, workdir, capsys,
                                                 monkeypatch, extra, message):
@@ -418,6 +423,19 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("pca", *CONFIG, "--snapshots", "snap.romf") == 1
         assert ("romcast: error: snap.romf: snapshot matrix contains NaN"
+                in capsys.readouterr().err)
+        assert not os.path.exists("basis.romf")
+
+    def test_nan_in_a_field_not_kept_is_format_error(self, workdir, capsys):
+        # pca on the tracer keeps no velocity, but still reads all of it
+        run("generate", *CONFIG, "--out", "snap.romf")
+        arrays, meta = romf.read_arrays("snap.romf")
+        arrays["vel_x"][7, 2] = np.nan
+        romf.write_arrays("snap.romf", arrays, meta)
+        cli.write_manifest("snap.romf")
+        capsys.readouterr()
+        assert run("pca", *CONFIG, "--snapshots", "snap.romf") == 1
+        assert ("romcast: error: snap.romf: record 'vel_x' holds NaN/Inf"
                 in capsys.readouterr().err)
         assert not os.path.exists("basis.romf")
 
@@ -766,6 +784,29 @@ class TestTrainEvaluateReport:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[-1] for line in lines[3:6]] == ["0", "0", "0"]
         assert lines[6].split() == ["agg", "nan", "nan", "nan%"]
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_exits_1_quietly(self, workdir, unbuffered):
+        # buffered or not, the write that fails is inside the command
+        nan = np.full(4, np.nan)
+        forecast.EnsembleReport(
+            horizons=np.arange(1, 5), mean_classic=nan, std_classic=nan,
+            mean_adv=nan, std_adv=nan, reduction_pct=nan,
+        ).to_csv("report.csv")
+        cli.write_manifest("report.csv", meta={"n_pairs": [0] * 4,
+                                               "diverged_classic": 0,
+                                               "diverged_adv": 0})
+        src = os.path.dirname(os.path.dirname(romcast.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "romcast.cli", "report", "report.csv"],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True)
+        finally:
+            os.close(write)
+        assert (child.returncode, child.stderr) == (1, "")
 
     def test_report_on_equal_models_prints_zero(self, workdir, capsys):
         pipeline(workdir)

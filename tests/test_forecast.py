@@ -113,11 +113,14 @@ class TestEvaluateEnsemble:
 
     def test_start_out_of_range(self):
         scores, scaler, model = tiny_setup()
-        with pytest.raises(StartOutOfRange):
+        with pytest.raises(StartOutOfRange, match="exceeds"):
             forecast.evaluate_ensemble(model, model, scores, scaler,
                                        [200], 10)
         with pytest.raises(StartOutOfRange):
             forecast.evaluate_ensemble(model, model, scores, scaler, [], 10)
+        with pytest.raises(StartOutOfRange, match="start -3 is negative"):
+            forecast.evaluate_ensemble(model, model, scores, scaler,
+                                       [-3, 2], 10)
 
     def test_mismatched_lags_rejected(self):
         scores, scaler, model = tiny_setup()

@@ -1,6 +1,7 @@
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,64 @@ def test_round_trip_preserves_values_and_order(tmp_path):
         assert loaded[name].dtype == np.float64
         assert loaded[name].dtype.isnative
         assert loaded[name].flags.writeable
+
+
+def _payload(path, arr):
+    """The payload bytes of the last record of ``path``, which is ``arr``."""
+    return path.read_bytes()[-arr.size * 8:] if arr.size else b""
+
+
+@pytest.mark.parametrize("arr", [
+    np.arange(60.0).reshape(6, 10)[:, 1::3],  # a strided view
+    np.arange(60.0).reshape(6, 10).T,  # Fortran order
+    np.arange(24, dtype=np.float32).reshape(4, 6)[::2],  # another dtype
+    np.arange(3 * 2**17, dtype=np.float64).reshape(3, 2**17)[:, ::-1],
+    np.arange(300_000.0).reshape(300, 1000),  # a payload over one block
+    np.arange(400_000.0).reshape(2, 200_000)[:, ::2],  # a row over a block
+], ids=["strided", "fortran", "float32", "reversed", "blocks", "big_rows"])
+def test_any_strides_round_trip_as_c_order_bytes(tmp_path, arr):
+    path = tmp_path / "strided.romf"
+    romf.write_arrays(path, {"x": arr})
+    assert _payload(path, arr) == np.ascontiguousarray(arr, "<f8").tobytes()
+    loaded, _ = romf.read_arrays(path)
+    assert loaded["x"].flags.c_contiguous
+    assert np.array_equal(loaded["x"], arr)
+    # read back into a strided block of a larger array of the caller's
+    wide = np.zeros((arr.shape[0], 3 * arr.shape[1]))
+    block = wide[:, 1::3]
+    loaded, _ = romf.read_arrays(path, lambda name, dims: block)
+    assert loaded["x"] is block and np.array_equal(block, arr)
+    assert not wide[:, ::3].any() and not wide[:, 2::3].any()
+
+
+def test_blocks_bound_the_temporaries(tmp_path):
+    # a strided payload of 6.4 MB moves through blocks of at most 1 MiB
+    arr = np.arange(1_600_000.0).reshape(800, 2000)[:, ::2]
+    path = tmp_path / "big.romf"
+    target = np.empty((800, 2000))[:, 1::2]
+    tracemalloc.start()
+    try:
+        romf.write_arrays(path, {"x": arr})
+        romf.read_arrays(path, lambda name, dims: target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 << 20) + (256 << 10)
+    assert np.array_equal(target, arr)
+
+
+def test_record_dropped_is_read_and_checked(tmp_path):
+    path = tmp_path / "drop.romf"
+    keep = {"a": np.arange(4.0), "b": np.ones((300, 1000)), "c": np.ones(2)}
+    romf.write_arrays(path, keep)
+    loaded, _ = romf.read_arrays(
+        path, lambda name, dims: None if name == "b" else np.empty(dims))
+    assert list(loaded) == ["a", "c"]
+    assert np.array_equal(loaded["c"], np.ones(2))
+    keep["b"][299, 999] = np.inf
+    romf.write_arrays(path, keep)
+    with pytest.raises(romf.FormatError, match="record 'b' holds NaN/Inf"):
+        romf.read_arrays(path, lambda name, dims: None)
 
 
 def test_meta_round_trips_with_sorted_keys(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -291,6 +293,49 @@ class TestSnapshotMatrix:
         assert loaded.nodes_per_field == cfg.grid_nx * cfg.grid_ny
         assert loaded.data.tobytes() == snap.data.tobytes()
 
+    @pytest.mark.parametrize("field", [*snapshots.FIELD_NAMES, "all"])
+    def test_load_field_is_the_field_of_the_load(self, tmp_path, field):
+        snap = snapshots.generate(small_config(modulate_velocity=True))
+        path = tmp_path / "snap.romf"
+        snap.save(path)
+        block = snapshots.load_field(path, field)
+        assert block.tobytes() == snap.field(field).tobytes()
+        assert block.flags.c_contiguous and block.flags.writeable
+
+    def test_load_field_warns_when_n_not_less_than_m(self, tmp_path):
+        path = tmp_path / "tall.romf"
+        romf.write_arrays(path, dict.fromkeys(snapshots.FIELD_NAMES,
+                                              np.ones((4, 1))))
+        with pytest.warns(UserWarning, match="n >= m"):
+            snapshots.load_field(path, "vel_x")
+
+    def test_load_field_rejects_an_unknown_field(self, tmp_path):
+        with pytest.raises(InvalidConfig):
+            snapshots.load_field(tmp_path / "unread.romf", "pressure")
+
+    @pytest.mark.parametrize("field", ["all", "tracer"])
+    def test_desk_load_holds_little_beyond_what_it_keeps(self, tmp_path,
+                                                         field):
+        # the desk matrix, 600 x 3072: a load allocates the matrix once, and
+        # a one-field read a third of it; the other records pass in blocks
+        snap = snapshots.generate(snapshots.GeneratorConfig())
+        path = tmp_path / "desk.romf"
+        snap.save(path)
+        kept = snap.field(field).nbytes
+        del snap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tracemalloc.start()
+            try:
+                block = (snapshots.SnapshotMatrix.load(path).data
+                         if field == "all"
+                         else snapshots.load_field(path, field))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert block.nbytes == kept
+        assert peak <= 1.25 * kept + (2 << 20)
+
     def test_load_empty_container_rejected(self, tmp_path):
         path = tmp_path / "empty.romf"
         romf.write_arrays(path, {})
@@ -316,6 +361,8 @@ class TestSnapshotMatrix:
             romf.write_arrays(path, arrays)
             with pytest.raises(romf.FormatError, match=name):
                 snapshots.SnapshotMatrix.load(path)
+            with pytest.raises(romf.FormatError, match=name):
+                snapshots.load_field(path, "vel_y")
 
 
 class TestScaler:
