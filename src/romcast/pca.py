@@ -7,23 +7,30 @@ so fitted bases are reproducible.
 
 The fit uses the method of snapshots (Sirovich, Q. Appl. Math. 45, 1987)
 on the Gram matrix G of the shorter side of the centered n x m matrix X:
-X X^T when n <= m, X^T X otherwise. Its eigenvalues, from ``eigvalsh``,
-are the squared singular values of X and set the rank and tau. Only the
-tau kept eigenvectors are formed, by block subspace iteration on G
-(Halko, Martinsson & Tropp, SIAM Rev. 53(2), 2011): a fixed-seed
-Gaussian block of width p = 2 tau, orthonormalised by QR after each of k
-multiplies, k the least with (lambda_{p+1} / lambda_tau)^k <= 1e-12 (1
-when lambda_{p+1} = 0), and the ``eigh`` of Q^T G Q picks the leading
-tau. Past p = size/8, or past size/(2p) steps (where ``eigvalsh`` and
-the iteration together would cost more than ``eigh``), the step is the
-``eigh`` of G itself, so tau = rank is exact; when tau is given that
-wide, or the variance fraction is 1, that one ``eigh`` also gives the
-spectrum in place of ``eigvalsh``. One more Rayleigh-Ritz step turns the
-kept eigenvectors into EOFs: with Q an orthonormal m x tau basis of
-their span (the QR factor of X^T V_tau, or V_tau itself when n > m), the
-SVD of the small n x tau matrix X Q rotates Q into the EOF rows, which
-are thus orthonormal to machine precision even when the subspace takes
-in a null direction. Forming the Gram matrix squares the condition
+X X^T when n <= m, X^T X otherwise. Its eigenvalues are the squared
+singular values of X and set the rank and tau. Snapshot matrices are
+nearly low-rank, so one Lanczos run on G (Lanczos, J. Res. NBS 45, 1950;
+Parlett, The Symmetric Eigenvalue Problem, 1998) resolves the spectrum
+in about as many steps as its numerical rank. It starts from a
+fixed-seed Gaussian vector, orthogonalises each new vector twice against
+all earlier ones, and stops once the residual beta_k and the trace left
+over, trace(G) - sum(alpha_j), are both at most size * eps * trace(G).
+Then G differs from Q T Q^T, T the k x k tridiagonal, by at most twice
+that in norm, so by Weyl's inequality each stored eigenvalue, a Ritz
+value or one of the zeros that pad the k Ritz values out to min(n, m),
+lies within 2 * size * eps * trace(G) of the computed Gram's: the order
+of the Gram's own rounding. One ``eigh`` of G gives spectrum and vectors
+instead when the variance fraction is 1, when no certificate comes
+within size // 4 steps (a spectrum that is not low-rank), when beta
+reaches 0 before the trace is spent (the start vector spans an invariant
+subspace that misses some of the spectrum), or when tau is past the
+steps taken. A run that fails after size // 4 steps costs about 0.6 of
+that ``eigh`` (600 x 600, one thread). One more Rayleigh-Ritz step turns
+the tau kept eigenvectors into EOFs: with Q an orthonormal m x tau basis
+of their span (the QR factor of X^T V_tau, or V_tau itself when n > m),
+the SVD of the small n x tau matrix X Q rotates Q into the EOF rows,
+which are thus orthonormal to machine precision even when the subspace
+takes in a null direction. Forming the Gram matrix squares the condition
 number, so the tail singular values are accurate in energy (sigma^2 to
 about n * eps * sigma_1^2), not relative to their own size;
 explained-variance fractions, the only use of the tail, need no more.
@@ -82,6 +89,10 @@ class PcaBasis:
         for name in ("mean", "eofs", "singular_values"):
             if not np.isfinite(getattr(self, name)).all():
                 raise NonFiniteInput(f"basis {name!r} holds NaN/Inf")
+        values = self.singular_values
+        if np.any(values < 0) or np.any(np.diff(values) > 0):
+            raise InvalidConfig("basis singular values must be nonnegative "
+                                "and nonincreasing")
 
     @property
     def tau(self):
@@ -149,17 +160,17 @@ def fit(data, tau=None, variance=None):
     centered = data - mean
     wide = n <= m
     gram = centered @ centered.T if wide else centered.T @ centered
-    # one eigh gives spectrum and vectors when the block is known to be too
-    # wide to iterate before the spectrum is: 2 tau past the widest block,
-    # or all the variance, which keeps the whole rank
-    if variance == 1.0 or 2 * (tau or 0) > _MAX_WIDTH * gram.shape[0]:
+    trace = np.trace(gram)
+    # all the variance keeps the whole rank, so only eigh has its vectors
+    ritz = None if variance == 1.0 else _lanczos(gram, trace)
+    if ritz is None or (tau or 0) > ritz[1].shape[1]:
         energy, vecs = _solve("eigh", np.linalg.eigh, gram)
+        energy, vecs = energy[::-1], vecs[:, ::-1]
     else:
-        energy, vecs = _solve("eigvalsh", np.linalg.eigvalsh, gram), None
-    energy = np.clip(energy[::-1], 0.0, None)
-    s = np.sqrt(energy)
+        energy, vecs = ritz
+    s = np.sqrt(np.clip(energy, 0.0, None))
     rounding = n * np.finfo(np.float64).eps * np.sqrt(n) * (
-        np.linalg.norm(mean) + np.sqrt(np.trace(gram)))
+        np.linalg.norm(mean) + np.sqrt(trace))
     if not s[0] > rounding:
         raise DegenerateData(f"sigma_1 = {s[0]:.3g} is within the rounding "
                              f"of the centring ({rounding:.3g}): the data do "
@@ -175,8 +186,7 @@ def fit(data, tau=None, variance=None):
             raise InvalidConfig(f"tau={tau} outside [1, {s.size}]")
 
     # Rayleigh-Ritz on the kept subspace, spanned by the orthonormal q (m, tau)
-    kept = (_leading_eigenvectors(gram, energy, tau) if vecs is None
-            else vecs[:, :-tau - 1:-1])
+    kept = vecs[:, :tau]
     q = _solve("QR of X^T V", np.linalg.qr, centered.T @ kept)[0] \
         if wide else kept
     eofs = _solve("Rayleigh-Ritz SVD", np.linalg.svd, centered @ q,
@@ -200,30 +210,45 @@ def check_truncation(tau=None, variance=None):
         raise InvalidConfig(f"tau={tau} must be at least 1")
 
 
-# subspace iteration: the start block's seed and the shrink factor of the
-# unwanted directions. With ``eigvalsh`` it costs no more than ``eigh`` for
-# a block at most an eighth of the Gram's size wide whose steps times its
-# width are at most half that size: the multiplies then take about size^3
-# flops, under the back-transform of the eigenvectors that eigvalsh skips.
-_SEED, _TOLERANCE, _MAX_WIDTH = 0, 1e-12, 1 / 8
+# the seed of the Lanczos start vector
+_SEED = 0
 
 
-def _leading_eigenvectors(gram, energy, tau):
-    """The ``tau`` leading eigenvectors (columns) of ``gram``, of spectrum
-    ``energy`` (descending), by block subspace iteration."""
-    size, width = gram.shape[0], 2 * tau
-    steps = 0
-    if width <= _MAX_WIDTH * size:
-        ratio = energy[width] / energy[tau - 1] if energy[width] > 0 else 0.0
-        steps = next((k for k in range(1, size // (2 * width) + 1)
-                      if ratio**k <= _TOLERANCE), 0)
-    if not steps:  # the block is the whole space
-        return _solve("eigh", np.linalg.eigh, gram)[1][:, :-tau - 1:-1]
-    q = np.random.default_rng(_SEED).standard_normal((size, width))
-    for _ in range(steps):
-        q = _solve("QR of the iterated block", np.linalg.qr, gram @ q)[0]
-    ritz = _solve("Rayleigh-Ritz eigh", np.linalg.eigh, q.T @ gram @ q)[1]
-    return q @ ritz[:, :-tau - 1:-1]
+def _lanczos(gram, trace):
+    """The spectrum of ``gram`` (descending, padded with zeros to its
+    order) and its Ritz vectors (columns, in the same order), by Lanczos
+    with full reorthogonalisation; None when no certificate comes within
+    a quarter of the order in steps, or an invariant subspace comes
+    before the trace is spent."""
+    size = gram.shape[0]
+    tol = size * np.finfo(np.float64).eps * trace
+    most = size // 4
+    q = np.empty((most + 1, size))
+    alpha, beta = np.empty(most), np.empty(most)
+    start = np.random.default_rng(_SEED).standard_normal(size)
+    q[0] = start / np.linalg.norm(start)
+    for k in range(most):
+        done = q[:k + 1]
+        w = gram @ q[k]
+        coef = done @ w
+        alpha[k] = coef[k]
+        w -= coef @ done
+        w -= (done @ w) @ done
+        beta[k] = np.linalg.norm(w)
+        if beta[k] <= tol and trace - alpha[:k + 1].sum() <= tol:
+            break
+        if beta[k] == 0.0:
+            return None  # the start vector misses some of the trace
+        q[k + 1] = w / beta[k]
+    else:
+        return None
+    steps = k + 1
+    off = beta[:k]
+    t = np.diag(alpha[:steps]) + np.diag(off, 1) + np.diag(off, -1)
+    theta, y = _solve("tridiagonal eigh", np.linalg.eigh, t)
+    energy = np.zeros(size)
+    energy[:steps] = theta[::-1]
+    return energy, q[:steps].T @ y[:, ::-1]
 
 
 def _solve(step, routine, *args, **kwargs):

@@ -212,21 +212,76 @@ class TestFit:
 
 
 class TestSubspaceIteration:
-    """The kept eigenvectors come from block iteration on the Gram matrix,
-    or from a full ``eigh`` when the spectrum is too flat at tau for the
-    steps the block's width allows or the block would be wider than an
-    eighth of the Gram."""
+    """The stored spectrum and the kept eigenvectors come from one Lanczos
+    run on the Gram matrix, certified when both its residual and the trace
+    it leaves are within size * eps * trace(G), or else from one ``eigh``
+    of the Gram: for all the variance, with no certificate within a
+    quarter of the Gram's order in steps, when the start vector spans an
+    invariant subspace short of the trace, or for tau past the steps."""
 
     def test_desk_tracer_scores_match_svd_oracle(self, eigh_sizes):
         data = snapshots.generate(snapshots.GeneratorConfig()).field("tracer")
         basis = pca.fit(data, tau=16)
-        assert eigh_sizes == [32]  # one Rayleigh-Ritz step on a 2 tau block
+        # one eigh, of the Lanczos tridiagonal, never of the 600 x 600 Gram
+        assert len(eigh_sizes) == 1 and eigh_sizes[0] <= 600 // 4
         scores, rows = svd_oracle(data)
         err = np.abs(pca.project(basis, data) - scores[:, :16]).max()
         assert err <= 1e-9 * np.abs(scores).max()
-        # the EOFs themselves: the iteration's 1e-12 target leaves them
-        # about 1e-14 from the SVD's rows, a 1e-6 target about 5e-11
+        # the EOFs themselves, about 1e-14 from the SVD's rows
         assert np.abs(basis.eofs - rows[:16]).max() < 1e-11
+
+    def test_modulated_all_fields_scores_match_svd_oracle(self, eigh_sizes):
+        # the forecast workload's input, 600 x 3072
+        data = snapshots.generate(snapshots.GeneratorConfig(
+            modulate_velocity=True)).data
+        basis = pca.fit(data, tau=16)
+        assert len(eigh_sizes) == 1 and eigh_sizes[0] <= 600 // 4
+        scores = svd_oracle(data)[0][:, :16]
+        err = np.abs(pca.project(basis, data) - scores).max()
+        assert err <= 1e-9 * np.abs(scores).max()
+
+    def test_certified_spectrum_of_exact_rank(self, eigh_sizes):
+        values = np.linspace(10.0, 1.0, 12)
+        data = spectral_matrix(values, n=80)  # an 80 x 80 Gram of rank 12
+        basis = pca.fit(data, tau=4)
+        (steps,) = eigh_sizes  # the k x k tridiagonal alone
+        assert 12 <= steps <= 80 // 4
+        energy = basis.singular_values**2
+        oracle = np.zeros(80)
+        oracle[:12] = values**2
+        trace = np.sum(values**2)
+        bound = 2 * 80 * np.finfo(np.float64).eps * trace
+        assert np.abs(energy - oracle).max() <= bound
+        assert np.all(energy[steps:] == 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_start_on_an_eigenvector_takes_full_eigh(self, monkeypatch,
+                                                     eigh_sizes):
+        # 16 x 8, columns of a Sylvester-Hadamard matrix times 1..8: zero
+        # mean, so the 8 x 8 Gram is exactly diag(16 j^2), of full rank
+        hadamard = np.ones((1, 1))
+        for _ in range(4):
+            hadamard = np.block([[hadamard, hadamard],
+                                 [hadamard, -hadamard]])
+        data = hadamard[:, 1:9] * np.arange(1.0, 9.0)
+
+        class FirstAxis:  # a start vector on e_1, so beta_1 is exactly 0
+            def __init__(self, seed):
+                pass
+
+            def standard_normal(self, size):
+                return np.eye(size)[0]
+
+        monkeypatch.setattr(np.random, "default_rng", FirstAxis)
+        basis = pca.fit(data, tau=3)
+        assert eigh_sizes == [8]
+        assert np.allclose(basis.singular_values**2,
+                           16.0 * np.arange(8.0, 0.0, -1.0) ** 2,
+                           rtol=1e-14, atol=0.0)
+        rec = pca.reconstruct(basis, pca.project(basis, data))
+        expected = np.sqrt(16.0 * np.sum(np.arange(1.0, 6.0) ** 2))
+        assert np.linalg.norm(rec - data) == pytest.approx(expected,
+                                                           rel=1e-12)
 
     def test_zero_tail_matches_eckart_young(self, eigh_sizes):
         values = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
@@ -237,23 +292,24 @@ class TestSubspaceIteration:
             err = np.linalg.norm(rec - data)
             expected = np.sqrt(np.sum(values[tau:] ** 2))
             assert err == pytest.approx(expected, rel=1e-8, abs=1e-12)
-        assert eigh_sizes == [6, 10]  # each a block, never the whole Gram
+        # each the tridiagonal of a run certified past rank 5, never the Gram
+        assert eigh_sizes == [eigh_sizes[0]] * 2 and 5 <= eigh_sizes[0] < 80
 
     def test_flat_spectrum_at_tau_takes_full_eigh(self, eigh_sizes):
         values = np.array([9.0, 7.0, 5.0, 3.0] + [1.0] * 30)
         data = spectral_matrix(values, n=80)
         basis = pca.fit(data, tau=4)
-        assert eigh_sizes == [80]  # 13 steps needed, 80 // (2 * 8) = 5 allowed
+        assert eigh_sizes == [80]  # rank 34, no certificate in 80 // 4 steps
         rec = pca.reconstruct(basis, pca.project(basis, data))
         expected = np.sqrt(np.sum(values[4:] ** 2))
         assert np.linalg.norm(rec - data) == pytest.approx(expected, rel=1e-8)
         assert np.abs(basis.eofs @ basis.eofs.T - np.eye(4)).max() < 1e-12
 
-    def test_narrow_block_takes_more_steps(self, eigh_sizes):
+    def test_flat_tail_at_tau_two_takes_full_eigh(self, eigh_sizes):
         values = np.array([8.0, 7.0] + [1.0] * 30)
         data = spectral_matrix(values, n=80)
         basis = pca.fit(data, tau=2)
-        assert eigh_sizes == [4]  # 8 steps needed, 80 // (2 * 4) = 10 allowed
+        assert eigh_sizes == [80]  # rank 32, no certificate in 80 // 4 steps
         rec = pca.reconstruct(basis, pca.project(basis, data))
         expected = np.sqrt(np.sum(values[2:] ** 2))
         assert np.linalg.norm(rec - data) == pytest.approx(expected, rel=1e-8)
@@ -261,7 +317,7 @@ class TestSubspaceIteration:
         err = np.abs(pca.project(basis, data) - scores).max()
         assert err <= 1e-9 * np.abs(scores).max()
 
-    def test_block_wider_than_an_eighth_of_the_gram_takes_one_eigh(
+    def test_uncertified_spectrum_and_tau_past_the_steps_take_one_eigh(
             self, monkeypatch, eigh_sizes):
         eigvalsh_calls, eigvalsh = [], np.linalg.eigvalsh
 
@@ -270,30 +326,34 @@ class TestSubspaceIteration:
             return eigvalsh(matrix)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        data = spectral_matrix(2.0 ** -np.arange(40.0), n=80)  # 80 x 80 Gram
+        # 80 x 80 Gram with 23 eigenvalues above the certificate's floor
+        data = spectral_matrix(2.0 ** -np.arange(40.0), n=80)
         scores = svd_oracle(data)[0][:, :5]
         for kwargs in ({"tau": 5}, {"tau": 6}, {"variance": 1.0}):
             basis = pca.fit(data, **kwargs)
             err = np.abs(pca.project(basis, data)[:, :5] - scores).max()
             assert err <= 1e-9 * np.abs(scores).max()
-        # 2 tau = 10 iterates; 2 tau = 12, and all the variance, take one
+        # no certificate in 80 // 4 steps, and all the variance, take one
         # eigh of the Gram for the spectrum and the vectors alike
-        assert eigh_sizes == [10, 80, 80]
-        assert eigvalsh_calls == [80]
+        assert eigh_sizes == [80, 80, 80]
+        # rank 5 certifies in 6 steps, short of tau 7
+        eigh_sizes.clear()
+        pca.fit(spectral_matrix(np.arange(5.0, 0.0, -1.0), n=80), tau=7)
+        assert eigh_sizes == [6, 80]
+        assert eigvalsh_calls == []
 
     def test_two_fits_give_identical_bytes(self):
-        data = spectral_matrix(2.0 ** -np.arange(40.0), n=80)
-        first, second = pca.fit(data, tau=5), pca.fit(data, tau=5)
-        assert first.eofs.tobytes() == second.eofs.tobytes()
-        assert first.singular_values.tobytes() == \
-            second.singular_values.tobytes()
+        for values in (2.0 ** -np.arange(40.0), np.linspace(10.0, 1.0, 12)):
+            data = spectral_matrix(values, n=80)
+            first, second = pca.fit(data, tau=5), pca.fit(data, tau=5)
+            assert first.eofs.tobytes() == second.eofs.tobytes()
+            assert first.singular_values.tobytes() == \
+                second.singular_values.tobytes()
 
     @pytest.mark.parametrize("routine, step, tau", [
-        ("eigvalsh", "eigvalsh", 5),
-        ("qr", "QR of the iterated block", 5),
-        ("eigh", "Rayleigh-Ritz eigh", 5),
+        ("qr", "QR of X^T V", 5),
         ("svd", "Rayleigh-Ritz SVD", 5),
-        ("eigh", "eigh", 6),  # a block too wide to iterate: the Gram's eigh
+        ("eigh", "eigh", 6),  # no certificate: the Gram's eigh
     ])
     def test_linalg_error_is_numerical_failure(self, monkeypatch, routine,
                                                step, tau):
@@ -302,8 +362,19 @@ class TestSubspaceIteration:
 
         data = spectral_matrix(2.0 ** -np.arange(40.0), n=80)
         monkeypatch.setattr(np.linalg, routine, failing)
-        with pytest.raises(NumericalFailure, match=f"^{step} failed"):
+        with pytest.raises(NumericalFailure,
+                           match=f"^{re.escape(step)} failed"):
             pca.fit(data, tau=tau)
+
+    def test_tridiagonal_eigh_error_is_numerical_failure(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        data = spectral_matrix(np.linspace(10.0, 1.0, 12), n=80)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NumericalFailure,
+                           match="^tridiagonal eigh failed"):
+            pca.fit(data, tau=5)
 
 
 class TestProjectReconstruct:
@@ -439,10 +510,14 @@ def test_load_field_of_wrong_type_is_format_error(tmp_path, value):
     ({"singular_values": np.ones(2)}, "tau=3 outside"),
     ({"mean": np.zeros(49)}, "mean"),
     ({"eofs": np.ones(50)}, "eofs"),
+    # explained_variance would leave [0, 1] on either
+    ({"singular_values": np.linspace(1.0, -1.0, 20)}, "nonnegative"),
+    ({"singular_values": np.linspace(1.0, 2.0, 20)}, "nonincreasing"),
 ])
 def test_load_inconsistent_arrays_is_format_error(tmp_path, arrays, message):
     path = tmp_path / "basis.romf"
     pca.fit(random_matrix(17), tau=3).save(path)
     _rewrite(path, **arrays)
-    with pytest.raises(romf.FormatError, match=message):
+    with pytest.raises(romf.FormatError, match=message) as caught:
         pca.PcaBasis.load(path)
+    assert str(path) in str(caught.value)
