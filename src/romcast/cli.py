@@ -24,8 +24,11 @@ and a command applies its options to them through ``replace``.
 
 A manifest records the tool version, seed, config hash and the content
 hashes of its inputs, whose paths are stored relative to the artifact's
-directory. A command hashes each file it reads or writes once, checks
-every manifest record against that hash and refuses to run on a stale
+directory. Its ``environment`` records what can move the artifact's
+bytes by rounding: the Python and numpy versions, the BLAS name and
+version, ``os.cpu_count()`` and every ``*_NUM_THREADS`` variable set.
+A command hashes each file it reads or writes once, checks every
+manifest record against that hash and refuses to run on a stale
 pipeline; no command writes over one of its inputs, or writes two
 outputs to one file.
 
@@ -103,6 +106,25 @@ def _dir_of(artifact):
     return os.path.dirname(os.path.abspath(artifact))
 
 
+def _environment():
+    import platform
+
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy that only prints its config
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+        "threads": {name: value for name, value in sorted(os.environ.items())
+                    if name.endswith("_NUM_THREADS")},
+    }
+
+
 def write_manifest(artifact, seed=None, config=None, inputs=None, meta=None):
     manifest = {
         "tool_version": __version__,
@@ -117,6 +139,7 @@ def write_manifest(artifact, seed=None, config=None, inputs=None, meta=None):
             for name, path in (inputs or {}).items()
         },
         "meta": meta or {},
+        "environment": _environment(),
     }
     with open(_manifest_path(artifact), "w") as fh:
         json.dump(manifest, fh, indent=2)

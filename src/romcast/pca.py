@@ -9,22 +9,31 @@ The fit uses the method of snapshots (Sirovich, Q. Appl. Math. 45, 1987)
 on the Gram matrix G of the shorter side of the centered n x m matrix X:
 X X^T when n <= m, X^T X otherwise. Its eigenvalues are the squared
 singular values of X and set the rank and tau. Snapshot matrices are
-nearly low-rank, so one Lanczos run on G (Lanczos, J. Res. NBS 45, 1950;
-Parlett, The Symmetric Eigenvalue Problem, 1998) resolves the spectrum
-in about as many steps as its numerical rank. It starts from a
-fixed-seed Gaussian vector, orthogonalises each new vector twice against
-all earlier ones, and stops once the residual beta_k and the trace left
-over, trace(G) - sum(alpha_j), are both at most size * eps * trace(G).
-Then G differs from Q T Q^T, T the k x k tridiagonal, by at most twice
-that in norm, so by Weyl's inequality each stored eigenvalue, a Ritz
-value or one of the zeros that pad the k Ritz values out to min(n, m),
-lies within 2 * size * eps * trace(G) of the computed Gram's: the order
-of the Gram's own rounding. One ``eigh`` of G gives spectrum and vectors
-instead when the variance fraction is 1, when no certificate comes
-within size // 4 steps (a spectrum that is not low-rank), when beta
-reaches 0 before the trace is spent (the start vector spans an invariant
-subspace that misses some of the spectrum), or when tau is past the
-steps taken. A run that fails after size // 4 steps costs about 0.6 of
+nearly low-rank, so a pivoted Cholesky factor G ~ L L^T (Harbrecht,
+Peters & Schneider, Appl. Numer. Math. 62, 2012) resolves the spectrum
+in as many steps as its numerical rank. Each step pivots on the largest
+residual diagonal p, takes the next column of L as G[:, p] - L L[p]^T
+over the square root of that pivot, and subtracts its square from the
+residual diagonal; the run stops once trace(G) - ||L||_F^2 is at most
+size * eps * trace(G). What is left, S = G - L L^T, is the Schur
+complement, positive semidefinite, so its 2-norm is at most that trace
+(and the method is stable on such matrices: Higham, Reliable Numerical
+Computation, 1990). One Rayleigh-Ritz step on the range of L then gives
+the k eigenpairs: with Q its orthonormal basis (the QR factor of L), the
+eigenpairs (theta, y) of the small Q^T G Q give (theta, Q y). As
+Q Q^T G Q Q^T = L L^T + Q Q^T S Q Q^T, each of these lies between
+L L^T's and G's (Weyl's monotonicity and Cauchy's interlacing), so each
+stored eigenvalue, one of the k or one of the zeros that pad them out to
+min(n, m), lies within 2 * size * eps * trace(G) of the computed Gram's:
+the order of the Gram's own rounding. Each vector u, of eigenvalue
+lambda, is as accurate as the range of L holds it, about
+||S u|| / lambda; L L^T's own mix neighbours by ||S|| over their gap.
+One ``eigh`` of G gives spectrum and vectors instead when the variance
+fraction is 1, when no certificate comes within size // 4 steps (a
+spectrum that is not low-rank), when a pivot is not positive before the
+trace is spent (in exact arithmetic the residual diagonal sums to the
+trace left, so only rounding can do this), or when tau is past the steps
+taken. A run that fails after size // 4 steps costs about a twentieth of
 that ``eigh`` (600 x 600, one thread). One more Rayleigh-Ritz step turns
 the tau kept eigenvectors into EOFs: with Q an orthonormal m x tau basis
 of their span (the QR factor of X^T V_tau, or V_tau itself when n > m),
@@ -162,7 +171,7 @@ def fit(data, tau=None, variance=None):
     gram = centered @ centered.T if wide else centered.T @ centered
     trace = np.trace(gram)
     # all the variance keeps the whole rank, so only eigh has its vectors
-    ritz = None if variance == 1.0 else _lanczos(gram, trace)
+    ritz = None if variance == 1.0 else _cholesky(gram, trace)
     if ritz is None or (tau or 0) > ritz[1].shape[1]:
         energy, vecs = _solve("eigh", np.linalg.eigh, gram)
         energy, vecs = energy[::-1], vecs[:, ::-1]
@@ -210,45 +219,36 @@ def check_truncation(tau=None, variance=None):
         raise InvalidConfig(f"tau={tau} must be at least 1")
 
 
-# the seed of the Lanczos start vector
-_SEED = 0
-
-
-def _lanczos(gram, trace):
+def _cholesky(gram, trace):
     """The spectrum of ``gram`` (descending, padded with zeros to its
-    order) and its Ritz vectors (columns, in the same order), by Lanczos
-    with full reorthogonalisation; None when no certificate comes within
-    a quarter of the order in steps, or an invariant subspace comes
-    before the trace is spent."""
+    order) and an orthonormal eigenvector for each step's value (columns,
+    in the same order), by Rayleigh-Ritz on the range of a pivoted
+    Cholesky factor; None when the trace is not spent within a quarter of
+    the order in steps, or a pivot is not positive before it is."""
     size = gram.shape[0]
     tol = size * np.finfo(np.float64).eps * trace
-    most = size // 4
-    q = np.empty((most + 1, size))
-    alpha, beta = np.empty(most), np.empty(most)
-    start = np.random.default_rng(_SEED).standard_normal(size)
-    q[0] = start / np.linalg.norm(start)
-    for k in range(most):
-        done = q[:k + 1]
-        w = gram @ q[k]
-        coef = done @ w
-        alpha[k] = coef[k]
-        w -= coef @ done
-        w -= (done @ w) @ done
-        beta[k] = np.linalg.norm(w)
-        if beta[k] <= tol and trace - alpha[:k + 1].sum() <= tol:
+    factor = np.empty((size // 4, size))  # row k: column k of L
+    residual = np.diag(gram).copy()
+    left = trace
+    for k in range(len(factor)):
+        p = np.argmax(residual)
+        if not residual[p] > 0.0:
+            return None
+        factor[k] = (gram[p] - factor[:k, p] @ factor[:k]) \
+            / np.sqrt(residual[p])
+        square = factor[k] ** 2
+        residual -= square
+        left -= square.sum()
+        if left <= tol:
             break
-        if beta[k] == 0.0:
-            return None  # the start vector misses some of the trace
-        q[k + 1] = w / beta[k]
     else:
         return None
-    steps = k + 1
-    off = beta[:k]
-    t = np.diag(alpha[:steps]) + np.diag(off, 1) + np.diag(off, -1)
-    theta, y = _solve("tridiagonal eigh", np.linalg.eigh, t)
+    basis = _solve("QR of L", np.linalg.qr, factor[:k + 1].T)[0]
+    theta, y = _solve("eigh of Q^T G Q", np.linalg.eigh,
+                      basis.T @ (gram @ basis))
     energy = np.zeros(size)
-    energy[:steps] = theta[::-1]
-    return energy, q[:steps].T @ y[:, ::-1]
+    energy[:k + 1] = theta[::-1]
+    return energy, basis @ y[:, ::-1]
 
 
 def _solve(step, routine, *args, **kwargs):

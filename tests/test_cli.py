@@ -1,6 +1,7 @@
 import glob
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -577,6 +578,33 @@ class TestPcaCommand:
         manifest = read_json("basis.romf.manifest.json")
         assert manifest["meta"]["tau"] == 4
         assert manifest["inputs"]["snapshots"]["path"] == "snap.romf"
+
+    def test_manifests_record_the_numeric_environment(self, workdir,
+                                                      monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.setenv("ROMCAST_NUM_THREADS_X", "")  # a name, not a count
+        pipeline(workdir)
+        for path in ("snap.romf", "basis.romf", "scaler.romf", "classic.romf"):
+            manifest = cli.verify_artifact(path)
+            env = manifest["environment"]
+            assert env["python"] == platform.python_version()
+            assert env["numpy"] == np.__version__
+            assert env["cpu_count"] == os.cpu_count()
+            assert sorted(env["blas"]) == ["name", "version"]
+            assert env["threads"]["OMP_NUM_THREADS"] == "3"
+            assert "ROMCAST_NUM_THREADS_X" not in env["threads"]
+            assert all(name.endswith("_NUM_THREADS") for name in env["threads"])
+        # the meta records stay as they were
+        assert sorted(read_json("basis.romf.manifest.json")["meta"]) == [
+            "field", "rank", "tau"]
+
+    def test_numpy_without_config_dicts_records_no_blas(self, workdir,
+                                                        monkeypatch):
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        run("generate", "--config", "config.json", "--out", "snap.romf")
+        env = cli.verify_artifact("snap.romf")["environment"]
+        assert env["blas"] == {"name": None, "version": None}
+        assert env["numpy"] == np.__version__
 
     @pytest.mark.parametrize("field, digest", [
         ("tracer", "f38b9cd38c423404fa5c4753b54d7829418ea04bbb0a6fd631ecdd95"

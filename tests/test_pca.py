@@ -212,18 +212,21 @@ class TestFit:
 
 
 class TestSubspaceIteration:
-    """The stored spectrum and the kept eigenvectors come from one Lanczos
-    run on the Gram matrix, certified when both its residual and the trace
-    it leaves are within size * eps * trace(G), or else from one ``eigh``
-    of the Gram: for all the variance, with no certificate within a
-    quarter of the Gram's order in steps, when the start vector spans an
-    invariant subspace short of the trace, or for tau past the steps."""
+    """The stored spectrum and the kept eigenvectors come from a pivoted
+    Cholesky factor L of the Gram matrix, certified once the trace it
+    leaves, trace(G) - ||L||_F^2, is within size * eps * trace(G), and one
+    ``eigh`` of the small Q^T G Q, Q an orthonormal basis of L's range; or
+    else from one ``eigh`` of the Gram: for all the variance, with no
+    certificate within a quarter of the Gram's order in steps, when a
+    pivot is not positive before the trace is spent, or for tau past the
+    steps."""
 
     def test_desk_tracer_scores_match_svd_oracle(self, eigh_sizes):
         data = snapshots.generate(snapshots.GeneratorConfig()).field("tracer")
         basis = pca.fit(data, tau=16)
-        # one eigh, of the Lanczos tridiagonal, never of the 600 x 600 Gram
-        assert len(eigh_sizes) == 1 and eigh_sizes[0] <= 600 // 4
+        # one eigh, of the factor's Q^T G Q, never of the 600 x 600 Gram: the
+        # trace is spent in 51 steps
+        assert len(eigh_sizes) == 1 and 16 <= eigh_sizes[0] <= 60
         scores, rows = svd_oracle(data)
         err = np.abs(pca.project(basis, data) - scores[:, :16]).max()
         assert err <= 1e-9 * np.abs(scores).max()
@@ -244,7 +247,7 @@ class TestSubspaceIteration:
         values = np.linspace(10.0, 1.0, 12)
         data = spectral_matrix(values, n=80)  # an 80 x 80 Gram of rank 12
         basis = pca.fit(data, tau=4)
-        (steps,) = eigh_sizes  # the k x k tridiagonal alone
+        (steps,) = eigh_sizes  # the k x k Q^T G Q alone
         assert 12 <= steps <= 80 // 4
         energy = basis.singular_values**2
         oracle = np.zeros(80)
@@ -255,33 +258,28 @@ class TestSubspaceIteration:
         assert np.all(energy[steps:] == 0.0)
 
     @pytest.mark.filterwarnings("error")
-    def test_start_on_an_eigenvector_takes_full_eigh(self, monkeypatch,
-                                                     eigh_sizes):
-        # 16 x 8, columns of a Sylvester-Hadamard matrix times 1..8: zero
-        # mean, so the 8 x 8 Gram is exactly diag(16 j^2), of full rank
+    def test_non_positive_pivot_takes_full_eigh(self, monkeypatch,
+                                                eigh_sizes):
+        # 16 x 12: two columns of a Sylvester-Hadamard matrix times 1 and 2,
+        # then zeros; zero mean, so the 12 x 12 Gram is exactly diag(16,
+        # 64, 0, ...) and its factor is exact. In exact arithmetic the
+        # residual diagonal sums to the trace left, so only rounding can
+        # spend it first; a trace stated twice too large stands in for that
         hadamard = np.ones((1, 1))
         for _ in range(4):
             hadamard = np.block([[hadamard, hadamard],
                                  [hadamard, -hadamard]])
-        data = hadamard[:, 1:9] * np.arange(1.0, 9.0)
-
-        class FirstAxis:  # a start vector on e_1, so beta_1 is exactly 0
-            def __init__(self, seed):
-                pass
-
-            def standard_normal(self, size):
-                return np.eye(size)[0]
-
-        monkeypatch.setattr(np.random, "default_rng", FirstAxis)
-        basis = pca.fit(data, tau=3)
-        assert eigh_sizes == [8]
-        assert np.allclose(basis.singular_values**2,
-                           16.0 * np.arange(8.0, 0.0, -1.0) ** 2,
-                           rtol=1e-14, atol=0.0)
+        data = np.zeros((16, 12))
+        data[:, :2] = hadamard[:, 1:3] * [1.0, 2.0]
+        trace = np.trace
+        monkeypatch.setattr(np, "trace", lambda a: 2.0 * trace(a))
+        basis = pca.fit(data, tau=2)
+        # the third pivot is 0: no division, one eigh of the Gram
+        assert eigh_sizes == [12]
+        assert np.allclose(basis.singular_values**2, [64.0, 16.0] + [0.0] * 10,
+                           rtol=1e-14, atol=1e-13)
         rec = pca.reconstruct(basis, pca.project(basis, data))
-        expected = np.sqrt(16.0 * np.sum(np.arange(1.0, 6.0) ** 2))
-        assert np.linalg.norm(rec - data) == pytest.approx(expected,
-                                                           rel=1e-12)
+        assert np.abs(rec - data).max() < 1e-13
 
     def test_zero_tail_matches_eckart_young(self, eigh_sizes):
         values = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
@@ -292,8 +290,8 @@ class TestSubspaceIteration:
             err = np.linalg.norm(rec - data)
             expected = np.sqrt(np.sum(values[tau:] ** 2))
             assert err == pytest.approx(expected, rel=1e-8, abs=1e-12)
-        # each the tridiagonal of a run certified past rank 5, never the Gram
-        assert eigh_sizes == [eigh_sizes[0]] * 2 and 5 <= eigh_sizes[0] < 80
+        # each the Q^T G Q of a run certified at rank 5, never the Gram
+        assert eigh_sizes == [5, 5]
 
     def test_flat_spectrum_at_tau_takes_full_eigh(self, eigh_sizes):
         values = np.array([9.0, 7.0, 5.0, 3.0] + [1.0] * 30)
@@ -336,10 +334,10 @@ class TestSubspaceIteration:
         # no certificate in 80 // 4 steps, and all the variance, take one
         # eigh of the Gram for the spectrum and the vectors alike
         assert eigh_sizes == [80, 80, 80]
-        # rank 5 certifies in 6 steps, short of tau 7
+        # rank 5 certifies in 5 steps, short of tau 7
         eigh_sizes.clear()
         pca.fit(spectral_matrix(np.arange(5.0, 0.0, -1.0), n=80), tau=7)
-        assert eigh_sizes == [6, 80]
+        assert eigh_sizes == [5, 80]
         assert eigvalsh_calls == []
 
     def test_two_fits_give_identical_bytes(self):
@@ -366,15 +364,61 @@ class TestSubspaceIteration:
                            match=f"^{re.escape(step)} failed"):
             pca.fit(data, tau=tau)
 
-    def test_tridiagonal_eigh_error_is_numerical_failure(self, monkeypatch):
+    def test_factor_eigh_error_is_numerical_failure(self, monkeypatch):
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
         data = spectral_matrix(np.linspace(10.0, 1.0, 12), n=80)
         monkeypatch.setattr(np.linalg, "eigh", failing)
         with pytest.raises(NumericalFailure,
-                           match="^tridiagonal eigh failed"):
+                           match=f"^{re.escape('eigh of Q^T G Q')} failed"):
             pca.fit(data, tau=5)
+
+    def test_noisy_desk_tracer_gives_up_to_the_eigh_route(self, monkeypatch,
+                                                          eigh_sizes):
+        # white noise of a tenth of the tracer's std: a full-rank spectrum,
+        # whose trace is not spent within 600 // 4 steps
+        data = snapshots.generate(snapshots.GeneratorConfig()).field("tracer")
+        data = data + 0.1 * data.std() * np.random.default_rng(0) \
+            .standard_normal(data.shape)
+        fits = [pca.fit(data, tau=16), pca.fit(data, variance=0.99)]
+        assert eigh_sizes == [600, 600]  # no Q^T G Q: no certificate
+        monkeypatch.setattr(pca, "_cholesky", lambda gram, trace: None)
+        for basis, kwargs in zip(fits, ({"tau": 16}, {"variance": 0.99})):
+            oracle = pca.fit(data, **kwargs)
+            assert basis.tau == oracle.tau
+            assert np.abs(basis.eofs - oracle.eofs).max() <= 1e-12
+            assert np.abs(basis.singular_values - oracle.singular_values) \
+                .max() <= 1e-12 * oracle.singular_values[0]
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(20, 120), st.booleans(), st.data())
+    def test_low_rank_spectrum_certifies_within_its_rank(self, size, wide,
+                                                         draw):
+        rank = draw.draw(st.integers(1, size // 4))
+        seed = draw.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        # singular values within a factor 100 of each other, at any scale:
+        # the smallest energy is 1e-4 of the largest, far above the bound
+        values = np.sort(10.0 ** rng.uniform(-2.0, 0.0, rank))[::-1] \
+            * 10.0 ** rng.uniform(-3.0, 3.0)
+        other = size + int(rng.integers(1, 60))
+        n, m = (size, other) if wide else (other, size)
+        data = spectral_matrix(values, n=n, m=m, seed=seed)
+        centered = data - data.mean(axis=0)
+        gram = centered @ centered.T if wide else centered.T @ centered
+        trace = np.trace(gram)
+        factored = pca._cholesky(gram, trace)
+        assert factored is not None and factored[1].shape[1] <= rank
+        tau = draw.draw(st.integers(1, rank))
+        basis, again = pca.fit(data, tau=tau), pca.fit(data, tau=tau)
+        bound = 2 * size * np.finfo(np.float64).eps * trace
+        oracle = np.linalg.eigvalsh(gram)[::-1]
+        assert np.abs(basis.singular_values**2 - oracle).max() <= bound
+        assert np.abs(basis.eofs @ basis.eofs.T - np.eye(tau)).max() <= 1e-12
+        assert basis.eofs.tobytes() == again.eofs.tobytes()
+        assert basis.singular_values.tobytes() == \
+            again.singular_values.tobytes()
 
 
 class TestProjectReconstruct:
