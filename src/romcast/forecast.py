@@ -1,8 +1,10 @@
 """Autoregressive rollout, ensemble error evaluation and timing.
 
-Rollouts feed each prediction back as input for the next step. Errors are
-L2 norms in unscaled PC space at each horizon step; the ensemble report
-aggregates them over start points for the classic/adversarial pair.
+Rollouts feed each prediction back as input for the next step, and run
+in float32, the dtype the models are trained in (``_roll``). Errors are
+L2 norms in unscaled PC space at each horizon step, taken in float64;
+the ensemble report aggregates them over start points for the
+classic/adversarial pair.
 """
 
 import time
@@ -12,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import snapshots
-from .errors import InvalidConfig, ShapeMismatch, StartOutOfRange
+from .errors import (
+    InvalidConfig,
+    NonFiniteInput,
+    ShapeMismatch,
+    StartOutOfRange,
+)
 from .neural import forecaster_step
 
 
@@ -89,14 +96,21 @@ class EnsembleReport:
 
 
 def _roll(model, windows, horizon):
-    """Roll a (B, N, tau) batch of scaled windows, which it never writes.
+    """Roll a (B, N, tau) batch of scaled windows, which it never writes,
+    in float32, the dtype the models are trained in.
 
-    One (B, N + H, tau) buffer holds the windows, then the predictions:
-    step h predicts from the view ``buf[:, h:h + N]`` into
-    ``buf[:, N + h]``, so no window is shifted. Returns the (B, H, tau)
-    scaled predictions, a view into the buffer, and per row the step
-    where its prediction first went non-finite (``horizon`` if never),
-    from which its predictions are NaN.
+    The model and the windows are narrowed to float32 once, which is
+    exact for a trained model's weights (``training._train`` keeps
+    float32 master weights). One (B, N + H, tau) float32 buffer holds the
+    windows, then the predictions: step h predicts from the view
+    ``buf[:, h:h + N]`` into ``buf[:, N + h]``, so no window is shifted.
+    Returns the (B, H, tau) scaled predictions, widened to float64, and
+    per row the step where its prediction first went non-finite
+    (``horizon`` if never), from which its predictions are NaN. A window
+    value or a weight that is finite but past float32's range (3.4e38)
+    is a NonFiniteInput naming it, raised before any step, so a
+    divergence is what the rollout itself did: float32 overflow, or a
+    NaN that the inputs already held.
 
     No arithmetic of the kernel mixes rows, so a diverged row runs on,
     unchecked, and leaves the others bit-identical; the overflow and
@@ -109,12 +123,23 @@ def _roll(model, windows, horizon):
     if tau != model.lstm.input_dim:
         raise ShapeMismatch(f"windows hold {tau} PCs, the model takes "
                             f"{model.lstm.input_dim}")
-    buf = np.empty((batch, lag + horizon, tau))
-    buf[:, :lag] = windows
+    if model.flat.dtype != np.float32:
+        model = model.astype(np.float32)
+    buf = np.empty((batch, lag + horizon, tau), np.float32)
+    seeds = buf[:, :lag]
+    with np.errstate(over="ignore"):
+        seeds[...] = windows
+    past = np.isinf(seeds) & np.isfinite(windows)
+    if past.any():
+        row, step, pc = np.argwhere(past)[0]
+        raise NonFiniteInput(
+            f"window {row} holds {windows[row, step, pc]:.3g} at row {step}, "
+            f"PC {pc}: past float32's range (largest "
+            f"{np.finfo(np.float32).max:.3g})")
     with np.errstate(over="ignore", invalid="ignore"):
         for h in range(horizon):
             buf[:, lag + h] = forecaster_step(model, buf[:, h:h + lag])
-    preds = buf[:, lag:]
+    preds = buf[:, lag:].astype(np.float64)
     alive = np.logical_and.accumulate(np.isfinite(preds).all(axis=2), axis=1)
     preds[~alive] = np.nan
     return preds, alive.sum(axis=1)

@@ -9,12 +9,18 @@ axis: sequences are (B, T, D); only ``forecaster_step`` also takes one
 Dtype. A model computes in the dtype of its parameter buffer: every
 array a forward or backward pass allocates, the dropout mask and the
 gradient buffer take it, and inputs are cast to it. ``model.astype``
-makes a copy in another dtype. Training works on float32 copies, which
-run elementwise passes and small GEMMs several times faster, and hands
-out every model widened back to float64, which is exact. Saved files,
-loaded models and inference stay float64: a rollout feeds each
-prediction back for tens of steps, and a reported metric is recomputed
-from the saved model to 1e-12.
+makes a copy in another dtype, by one cast of the buffer. Float32 runs
+elementwise passes and GEMMs several times faster, so training works on
+float32 copies and ``forecast._roll`` rolls every forecast out on one:
+a batch of 50 to 141 windows, as ``bench`` and ``evaluate`` roll, steps
+about twice as fast and one window about as fast, and over 50 steps the
+scaled predictions of desk models stay within about 1e-7 of float64's.
+Training hands out every model widened back to float64, which is exact,
+and ``save_model`` stores those float32 values as float32 records;
+``load_model`` widens them again. So a loaded model is float64, and
+``forecaster_forward``, ``forecaster_step`` and validation on it compute
+in float64: a reported validation MSE is recomputed from the saved model
+to 1e-12.
 
 Layout (fused gates, as in cuDNN). An LSTM keeps W (4H x D), U (4H x H)
 and b (4H), each stacking its gates in the order i, f, o, g. A model
@@ -59,7 +65,8 @@ lives in the loss (``optim.bce``). Its backward hands dL/d(logit)
 straight to the head's weights and the LSTM, with no activation factor.
 """
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,20 +150,37 @@ class _Network:
                                     f"expected {shape}")
             if not np.isfinite(blocks[key]).all():
                 raise NonFiniteInput(f"{key!r} holds NaN/Inf")
-        self._params = FlatParams.pack(blocks)
-        self.flat = self._params.flat
-        W, U, b, weight, bias = self._params.values()
+        self._lay(FlatParams.pack(blocks))
+
+    def _lay(self, params):
+        """Take ``params`` as the buffer, and ``lstm`` and ``head`` as
+        views into it."""
+        self._params, self.flat = params, params.flat
+        W, U, b, weight, bias = params.values()
         self.lstm, self.head = LstmParams(W, U, b), DenseParams(weight, bias)
 
     def params(self):
         return self._params
 
     def astype(self, dtype):
-        """A copy of the network with its parameters cast to ``dtype``."""
-        lstm, head = (type(part)(*(block.astype(dtype)
-                                   for block in vars(part).values()))
-                      for part in (self.lstm, self.head))
-        return replace(self, lstm=lstm, head=head)
+        """A copy of the network with its parameters cast to ``dtype``:
+        one cast of the buffer, with the views laid over it again; the
+        shapes and settings are this network's, so nothing is rechecked
+        but the cast. A weight that it takes past ``dtype``'s range is a
+        NonFiniteInput naming its block; one that is NaN or Inf already
+        (written after construction) stays so."""
+        with np.errstate(over="ignore"):
+            flat = self.flat.astype(dtype)
+        params = FlatParams(flat, self._params.layout)
+        if not np.isfinite(flat).all():
+            for key, block in params.items():
+                if np.any(np.isinf(block) & np.isfinite(self._params[key])):
+                    raise NonFiniteInput(
+                        f"{key!r} holds a weight past {flat.dtype.name}'s "
+                        f"range (largest {np.finfo(flat.dtype).max:.3g})")
+        net = copy.copy(self)
+        net._lay(params)
+        return net
 
 
 @dataclass
@@ -619,15 +643,22 @@ _FORECASTER_META = {"output_activation": str, "dropout_rate": (int, float),
 
 def save_model(path, model, seed=None):
     """Persist a forecaster's weights, plus what their shapes cannot
-    tell, in one ROMF file."""
+    tell, in one ROMF file: as float32 records when every weight is a
+    float32 value, as a trained model's are, which halves the file, and
+    as float64 records otherwise. ``load_model`` gives back the same
+    float64 model either way."""
+    with np.errstate(over="ignore"):
+        exact = np.array_equal(model.flat.astype(np.float32), model.flat)
     romf.write_arrays(path, model.params(), {
         "kind": "forecaster", "seed": seed,
         "output_activation": model.output_activation,
-        "dropout_rate": model.dropout_rate, "time_lag": model.time_lag})
+        "dropout_rate": model.dropout_rate, "time_lag": model.time_lag},
+        romf.DTYPE_F32 if exact else romf.DTYPE_F64)
 
 
 def load_model(path):
-    """Load a forecaster saved by ``save_model``; returns (model, meta, {}).
+    """Load a forecaster saved by ``save_model``; returns (model, meta, {}),
+    the model float64, widened exactly from float32 records.
 
     A file of another kind, such as a discriminator, is a FormatError. A
     model file holds no arrays beyond the model's; the empty third item

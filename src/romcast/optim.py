@@ -65,8 +65,8 @@ def bce_grad(logits, label):
 
 class FlatParams(Mapping):
     """Named arrays laid out one after another in one buffer, of their
-    common floating dtype (float64 for models on disk and in inference,
-    float32 while training).
+    common floating dtype (float64 for loaded models, float32 while
+    training and rolling out).
 
     ``flat`` is the buffer and ``self[name]`` a view into it, so writing
     either writes both. ``layout`` maps each name to its (offset, shape);

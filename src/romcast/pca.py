@@ -34,17 +34,19 @@ spectrum that is not low-rank), when a pivot is not positive before the
 trace is spent (in exact arithmetic the residual diagonal sums to the
 trace left, so only rounding can do this), or when tau is past the steps
 taken. A run that fails after size // 4 steps costs about a twentieth of
-that ``eigh`` (600 x 600, one thread). One more Rayleigh-Ritz step turns
-the tau kept eigenvectors into EOFs: with Q an orthonormal m x tau basis
-of their span (the QR factor of X^T V_tau, or V_tau itself when n > m),
-the SVD of the small n x tau matrix X Q rotates Q into the EOF rows,
-which are thus orthonormal to machine precision even when the subspace
-takes in a null direction. Forming the Gram matrix squares the condition
+that ``eigh`` (600 x 600, one thread). Each fit names the route it took,
+and why, in one INFO line on the ``romcast`` logger (``ROMCAST_LOG=INFO``).
+One more Rayleigh-Ritz step turns the tau kept eigenvectors into EOFs:
+with Q an orthonormal m x tau basis of their span (the QR factor of
+X^T V_tau, or V_tau itself when n > m), the SVD of the small n x tau
+matrix X Q rotates Q into the EOF rows, which are thus orthonormal to
+machine precision even when the subspace takes in a null direction. Forming the Gram matrix squares the condition
 number, so the tail singular values are accurate in energy (sigma^2 to
 about n * eps * sigma_1^2), not relative to their own size;
 explained-variance fractions, the only use of the tail, need no more.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +60,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .snapshots import check_field, check_scaler_range
+
+log = logging.getLogger("romcast")
 
 
 @dataclass(frozen=True)
@@ -171,12 +175,19 @@ def fit(data, tau=None, variance=None):
     gram = centered @ centered.T if wide else centered.T @ centered
     trace = np.trace(gram)
     # all the variance keeps the whole rank, so only eigh has its vectors
-    ritz = None if variance == 1.0 else _cholesky(gram, trace)
-    if ritz is None or (tau or 0) > ritz[1].shape[1]:
+    ritz = "all the variance is kept" if variance == 1.0 \
+        else _cholesky(gram, trace)
+    if not isinstance(ritz, str) and (tau or 0) > ritz[1].shape[1]:
+        ritz = f"tau {tau} is past the {ritz[1].shape[1]} steps taken"
+    if isinstance(ritz, str):
+        log.info("pca.fit: one eigh of the %d x %d Gram: %s", len(gram),
+                 len(gram), ritz)
         energy, vecs = _solve("eigh", np.linalg.eigh, gram)
         energy, vecs = energy[::-1], vecs[:, ::-1]
     else:
         energy, vecs = ritz
+        log.info("pca.fit: spectrum certified by pivoted Cholesky in %d "
+                 "steps", vecs.shape[1])
     s = np.sqrt(np.clip(energy, 0.0, None))
     rounding = n * np.finfo(np.float64).eps * np.sqrt(n) * (
         np.linalg.norm(mean) + np.sqrt(trace))
@@ -223,8 +234,9 @@ def _cholesky(gram, trace):
     """The spectrum of ``gram`` (descending, padded with zeros to its
     order) and an orthonormal eigenvector for each step's value (columns,
     in the same order), by Rayleigh-Ritz on the range of a pivoted
-    Cholesky factor; None when the trace is not spent within a quarter of
-    the order in steps, or a pivot is not positive before it is."""
+    Cholesky factor; or, when there is no certificate, a str saying why:
+    the trace is not spent within a quarter of the order in steps, or a
+    pivot is not positive before it is."""
     size = gram.shape[0]
     tol = size * np.finfo(np.float64).eps * trace
     factor = np.empty((size // 4, size))  # row k: column k of L
@@ -233,7 +245,8 @@ def _cholesky(gram, trace):
     for k in range(len(factor)):
         p = np.argmax(residual)
         if not residual[p] > 0.0:
-            return None
+            return (f"pivot {k + 1} is {residual[p]:.3g}, not positive, "
+                    f"with {left:.3g} of the trace left")
         factor[k] = (gram[p] - factor[:k, p] @ factor[:k]) \
             / np.sqrt(residual[p])
         square = factor[k] ** 2
@@ -242,7 +255,8 @@ def _cholesky(gram, trace):
         if left <= tol:
             break
     else:
-        return None
+        return (f"the trace is not spent after {len(factor)} steps "
+                f"({left:.3g} of {trace:.3g} left)")
     basis = _solve("QR of L", np.linalg.qr, factor[:k + 1].T)[0]
     theta, y = _solve("eigh of Q^T G Q", np.linalg.eigh,
                       basis.T @ (gram @ basis))

@@ -1,4 +1,4 @@
-"""ROMF container: a minimal little-endian file format for named f64
+"""ROMF container: a minimal little-endian file format for named float
 arrays and the metadata that belongs with them.
 
 Layout (version 2): magic ``ROMF``, format version (u32), then the
@@ -6,8 +6,10 @@ metadata record ``meta_len:u32, meta:utf-8`` holding one JSON object
 (``{}`` when there is none; keys sorted, so rewrites are byte-identical),
 then a sequence of array records, each ``name_len:u32, name:utf-8,
 dtype_code:u32, rank:u32, dims:u32..., payload`` with the payload stored
-as little-endian float64. Files of other versions (version 1 had no
-metadata record) are rejected.
+as little-endian float64 (``DTYPE_F64``, 0) or float32 (``DTYPE_F32``, 1);
+any other code is rejected. A writer picks one dtype for all its records;
+a reader always hands out float64, which holds every float32 exactly.
+Files of other versions (version 1 had no metadata record) are rejected.
 
 Payloads stream between file and array in C-order runs of at most
 ``_BLOCK`` bytes, so neither direction makes a temporary the size of a
@@ -28,9 +30,10 @@ from .errors import InvalidConfig, NonFiniteInput, RomcastError, ShapeMismatch
 MAGIC = b"ROMF"
 VERSION = 2
 DTYPE_F64 = 0
+DTYPE_F32 = 1
 
 _U32 = struct.Struct("<I")
-_F64 = np.dtype("<f8")
+_STORED = {DTYPE_F64: np.dtype("<f8"), DTYPE_F32: np.dtype("<f4")}
 _BLOCK = 1 << 20
 
 
@@ -38,14 +41,16 @@ class FormatError(RomcastError):
     """File is not a valid ROMF container."""
 
 
-def write_arrays(path, arrays, meta=None):
+def write_arrays(path, arrays, meta=None, code=DTYPE_F64):
     """Write an ordered mapping of name -> ndarray, and the JSON object
     ``meta``, to ``path``.
 
-    Arrays of any strides are stored in C order as little-endian
-    float64, a run of at most ``_BLOCK`` bytes at a time; order is
-    preserved.
+    Arrays of any strides are stored in C order in the little-endian
+    dtype of ``code``, a run of at most ``_BLOCK`` bytes at a time; order
+    is preserved. ``DTYPE_F32`` rounds what float32 does not hold, so a
+    caller asks for it only for values that are float32 already.
     """
+    stored = _STORED[code]
     record = json.dumps(meta or {}, sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
@@ -58,17 +63,17 @@ def write_arrays(path, arrays, meta=None):
             encoded = name.encode("utf-8")
             fh.write(_U32.pack(len(encoded)))
             fh.write(encoded)
-            fh.write(_U32.pack(DTYPE_F64))
+            fh.write(_U32.pack(code))
             fh.write(_U32.pack(data.ndim))
             for dim in data.shape:
                 fh.write(_U32.pack(dim))
-            for run in _runs(data, "readonly"):
+            for run in _runs(data, "readonly", stored):
                 fh.write(run)
 
 
 def read_arrays(path, into=None):
     """Read a ROMF container back into (dict of name -> float64 ndarray,
-    metadata dict).
+    metadata dict); float32 records are widened, exactly.
 
     ``into(name, dims)``, when given, says where each record's payload
     goes before it is read: a writable float64 array of shape ``dims``,
@@ -102,21 +107,22 @@ def read_arrays(path, into=None):
                 raise FormatError(f"{path}: a second record {name!r}")
             names.add(name)
             dtype_code = _read_u32(fh, path)
-            if dtype_code != DTYPE_F64:
+            stored = _STORED.get(dtype_code)
+            if stored is None:
                 raise FormatError(f"{path}: unknown dtype code {dtype_code}")
             rank = _read_u32(fh, path)
             _check_left(fh, size, 4 * rank, path, f"dims of {name!r}")
             dims = tuple(_read_u32(fh, path) for _ in range(rank))
-            nbytes = 8 * math.prod(dims)
+            nbytes = stored.itemsize * math.prod(dims)
             _check_left(fh, size, nbytes, path, f"payload of {name!r}")
             try:
                 out = into(name, dims) if into else np.empty(dims)
             except ValueError as exc:  # over 64 dims, or zero-size but overflowing
                 raise FormatError(f"{path}: bad dims {dims} for {name!r}") from exc
             if out is None:
-                _drop_payload(fh, nbytes, path, name)
+                _drop_payload(fh, nbytes, stored, path, name)
                 continue
-            for run in _runs(out, "writeonly"):
+            for run in _runs(out, "writeonly", stored):
                 _read_run(fh, run, path, name)
             arrays[name] = out
         return arrays, meta
@@ -150,14 +156,14 @@ def building(path):
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _runs(arr, flag):
+def _runs(arr, flag, stored):
     """The values of ``arr``, of any strides, in C order as contiguous
-    little-endian float64 runs of at most ``_BLOCK`` bytes: views of
-    ``arr`` where it allows, else one buffer that numpy copies out of
+    runs of the ``stored`` dtype of at most ``_BLOCK`` bytes: views of
+    ``arr`` where it allows, else one buffer that numpy casts out of
     ``arr`` ("readonly") or back into it ("writeonly")."""
     with np.nditer(arr, ["external_loop", "buffered", "zerosize_ok"],
-                   [flag, "contig"], [_F64], order="C", casting="same_kind",
-                   buffersize=_BLOCK // 8) as runs:
+                   [flag, "contig"], [stored], order="C", casting="same_kind",
+                   buffersize=_BLOCK // stored.itemsize) as runs:
         yield from runs
 
 
@@ -166,11 +172,11 @@ def _read_run(fh, run, path, name):
         raise FormatError(f"{path}: truncated payload of {name!r}")
 
 
-def _drop_payload(fh, nbytes, path, name):
-    """Read ``nbytes`` of payload in runs, raising FormatError at a value
-    that is not finite, and keep none of it."""
+def _drop_payload(fh, nbytes, stored, path, name):
+    """Read ``nbytes`` of payload of the ``stored`` dtype in runs, raising
+    FormatError at a value that is not finite, and keep none of it."""
     for start in range(0, nbytes, _BLOCK):
-        run = np.empty(min(_BLOCK, nbytes - start) // 8, _F64)
+        run = np.empty(min(_BLOCK, nbytes - start) // stored.itemsize, stored)
         _read_run(fh, run, path, name)
         if not np.isfinite(run).all():
             raise FormatError(f"{path}: record {name!r} holds NaN/Inf")

@@ -32,12 +32,14 @@ With the default ``d_steps`` = 2, a mini-batch thus runs the LSTM
 kernel seven times: once for the forecaster, and D's prefix and last
 step once per discriminator step and once for the generator step.
 
-Training computes in float32, the one place the dtype is chosen: the
+Training computes in float32, as rollouts do (``forecast._roll``): the
 freshly drawn forecaster and discriminator are rounded to float32 copies
 (``astype``), and the windows and targets are cast once per call; the
 kernel, the losses and Nadam follow the buffers' dtype. Each epoch's
 validation MSE is taken on the float64 widening of the forecaster, the
-model that is returned, so it equals what the saved model scores.
+model that is returned, so it equals what the saved model scores; the
+returned weights are float32 values, which ``save_model`` stores as
+float32 records.
 """
 
 import itertools

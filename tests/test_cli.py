@@ -388,6 +388,29 @@ class TestExitCodes:
         else:
             assert f"missing array {missing}" in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "bench"])
+    def test_model_past_float32_range_is_exit_1(self, workdir, capsys,
+                                                command):
+        # a float64 model file whose weight float32 cannot hold: it loads,
+        # and the rollout's narrowing refuses it before any step
+        pipeline(workdir)
+        arrays, meta = romf.read_arrays("classic.romf")
+        arrays["head.weight"][0, 0] = 1e39
+        romf.write_arrays("big.romf", arrays, meta)
+        cli.write_manifest("big.romf")
+        capsys.readouterr()
+        if command == "evaluate":
+            argv = ["evaluate", *DATA, "--classic", "classic.romf", "--adv",
+                    "big.romf", "--starts", "40..42", "--horizon", "5"]
+        else:
+            argv = ["bench", *CONFIG, "--model", "big.romf", "--scaler",
+                    "scaler.romf", "--horizon", "5"]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "romcast: error: 'head.weight' holds a weight past float32's " \
+            "range" in err
+        assert not os.path.exists("ensemble_report.csv")
+
     def test_bench_of_a_discriminator_is_format_error(self, workdir, capsys):
         pipeline(workdir, ["--adversarial"])
         write_discriminator("classic.disc.romf")

@@ -5,8 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from romcast import forecast, neural, snapshots
-from romcast.errors import InvalidConfig, ShapeMismatch, StartOutOfRange
+from romcast import forecast, neural, pca, snapshots, training
+from romcast.errors import (
+    InvalidConfig,
+    NonFiniteInput,
+    ShapeMismatch,
+    StartOutOfRange,
+)
 
 
 def tiny_setup(seed=0, n=120, tau=3):
@@ -41,9 +46,11 @@ class TestRollout:
     def test_first_step_equals_direct_prediction(self):
         scores, scaler, model = tiny_setup()
         window = scaler.scale(scores)[10:12]
-        direct, _ = neural.forecaster_forward(model, window[None])
+        # the engine rolls the float32 model, and widens what it predicts
+        direct, _ = neural.forecaster_forward(model.astype(np.float32),
+                                              window[None])
         (preds,), _ = forecast._roll(model, window[None].copy(), 5)
-        assert preds[0].tobytes() == direct[0].tobytes()
+        assert preds[0].tobytes() == direct[0].astype(np.float64).tobytes()
         result = forecast.rollout(model, scaler, window, 5)
         assert result.predictions.tobytes() == scaler.invert(preds).tobytes()
 
@@ -180,18 +187,21 @@ class TestEvaluateEnsemble:
 
 
 def reference_errors(model, scores, scaler, starts, horizon):
-    """Per-start rollouts from 2-D ``forecaster_step`` calls: (S, H)."""
+    """Per-start rollouts from 2-D ``forecaster_step`` calls on the
+    float32 model and windows that the engine rolls: (S, H)."""
     scaled = scaler.scale(scores)
     lag = model.time_lag
+    model = model.astype(np.float32)
     errors = []
     for start in starts:
-        window = scaled[start:start + lag].copy()
+        window = scaled[start:start + lag].astype(np.float32)
         row = []
         for h in range(horizon):
             pred = neural.forecaster_step(model, window)
             window = np.vstack([window[1:], pred])
             truth = scores[start + lag + h]
-            row.append(np.linalg.norm(scaler.invert(pred) - truth))
+            row.append(np.linalg.norm(
+                scaler.invert(pred.astype(np.float64)) - truth))
         errors.append(row)
     return np.array(errors)
 
@@ -203,12 +213,16 @@ class TestEngine:
         starts, horizon = range(3, 60), 20
         report = forecast.evaluate_ensemble(model_a, model_b, scores, scaler,
                                             starts, horizon)
+        # a batched float32 GEMM and the per-row ones round apart by an ulp
+        # of a prediction, so the means and stds agree to float32's eps,
+        # as in float64 they agreed to 1e-12
+        rtol = np.finfo(np.float32).eps
         for model, mean, std in ((model_a, report.mean_classic,
                                   report.std_classic),
                                  (model_b, report.mean_adv, report.std_adv)):
             ref = reference_errors(model, scores, scaler, starts, horizon)
-            np.testing.assert_allclose(mean, ref.mean(axis=0), rtol=1e-12)
-            np.testing.assert_allclose(std, ref.std(axis=0), rtol=1e-12)
+            np.testing.assert_allclose(mean, ref.mean(axis=0), rtol=rtol)
+            np.testing.assert_allclose(std, ref.std(axis=0), rtol=rtol)
         assert np.array_equal(report.n_pairs, np.full(horizon, len(starts)))
         assert report.diverged_classic == report.diverged_adv == 0
 
@@ -290,16 +304,17 @@ def saturated_relu_model():
     Every gate but g saturates exactly (i = o = 1, f = 0) and U is zero,
     so a step reads only the last input's q: unit 0 has h = tanh(tanh(q))
     and unit 1 idles at 0. The head predicts q' = relu(h + 0.25), which
-    rises towards a fixed point above 0.82, and p' = relu(1.7e308 h +
-    0.8e308), which overflows to inf once h > 0.5869, that is q > 0.8158.
+    rises towards a fixed point above 0.84, and p' = relu(3.2e38 h +
+    1.52e38), which overflows float32 (3.4028e38) to inf once h > 0.5884,
+    that is q > 0.8204.
     """
     hidden, tau = 2, 2
     W = np.zeros((4 * hidden, tau))
     W[3 * hidden, 1] = 1.0  # g of unit 0 reads q
     b = np.repeat([800.0, -800.0, 800.0, 0.0], hidden)
     lstm = neural.LstmParams(W, np.zeros((4 * hidden, hidden)), b)
-    head = neural.DenseParams(np.array([[1.7e308, 0.0], [1.0, 0.0]]),
-                              np.array([0.8e308, 0.25]))
+    head = neural.DenseParams(np.array([[3.2e38, 0.0], [1.0, 0.0]]),
+                              np.array([1.52e38, 0.25]))
     return neural.LstmForecaster(lstm, head, "relu", 0.0, 2)
 
 
@@ -313,7 +328,8 @@ class TestRollMatchesStepwise:
         model = neural.init_forecaster(3, 8, activation, 0.0, lag, rng)
         windows = rng.uniform(0.1, 0.9, (batch, lag, 3))
         seed = windows.copy()
-        want = stepwise(model, windows, 7)
+        # the engine rolls the float32 model: so does the definition
+        want = stepwise(model.astype(np.float32), windows, 7)
         for horizon in range(8):
             preds, diverged_at = forecast._roll(model, windows, horizon)
             assert preds.shape == (batch, horizon, 3)
@@ -323,7 +339,8 @@ class TestRollMatchesStepwise:
 
     def test_relu_row_overflowing_mid_horizon(self):
         model = saturated_relu_model()
-        # last q of each window: the middle row crosses 0.8158 at step 2,
+        narrow = model.astype(np.float32)
+        # last q of each window: the middle row crosses 0.8204 at step 2,
         # the others only at steps 5 and 6, past the horizon
         windows = np.zeros((3, 2, 2))
         windows[:, -1, 1] = [0.0, 0.7, -10.0]
@@ -333,7 +350,7 @@ class TestRollMatchesStepwise:
         assert np.array_equal(diverged_at, [5, 2, 5])
         assert np.all(np.isnan(preds[1, 2:]))
         with np.errstate(over="ignore"):
-            want = stepwise(model, windows[[1]], 3)[0]
+            want = stepwise(narrow, windows[[1]], 3)[0]
         assert preds[1, :2].tobytes() == want[:2].tobytes()
         assert want[2, 0] == np.inf
         # the other rows: as if rolled alone, and by definition
@@ -341,11 +358,112 @@ class TestRollMatchesStepwise:
         alone, alone_at = forecast._roll(model, windows[others], 5)
         assert preds[others].tobytes() == alone.tobytes()
         assert np.array_equal(alone_at, [5, 5])
-        assert preds[others].tobytes() == stepwise(model, windows[others],
+        assert preds[others].tobytes() == stepwise(narrow, windows[others],
                                                    5).tobytes()
         # finite to the end, the first row within 2% of overflowing
         assert np.all(np.isfinite(preds[others]))
-        assert preds[0, -1, 0] > 1.77e308
+        assert preds[0, -1, 0] > 3.35e38
+
+
+class TestFloat32Narrowing:
+    """The engine narrows the model and the windows to float32 once: a
+    value that narrowing takes past float32's range is bad input, named
+    before any step runs, and not a divergence."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [1e39, -4e38, 1e300])
+    def test_window_past_float32_range_is_non_finite_input(self, monkeypatch,
+                                                           value):
+        calls = []
+        monkeypatch.setattr(forecast, "forecaster_step",
+                            lambda *args: calls.append(args))
+        scores, scaler, model = tiny_setup()
+        windows = np.stack([scaler.scale(scores)[s:s + 2] for s in (0, 5, 9)])
+        windows[2, 1, 0] = value
+        with pytest.raises(NonFiniteInput,
+                           match=r"window 2 holds .* at row 1, PC 0: past "
+                                 r"float32's range"):
+            forecast._roll(model, windows, 4)
+        with pytest.raises(NonFiniteInput, match="window 0 holds"):
+            forecast.rollout(model, snapshots.MinMaxScaler(
+                np.zeros(3), np.ones(3)), windows[2], 4)
+        # through evaluate_ensemble, from a score past the range
+        scores[7, 0] = value * (scaler.maxs[0] - scaler.mins[0])
+        with pytest.raises(NonFiniteInput, match="window 2 holds"):
+            forecast.evaluate_ensemble(model, model, scores, scaler,
+                                       [3, 4, 6], 4)
+        assert calls == []
+
+    def test_largest_float32_window_rolls(self):
+        # float32's largest value narrows to itself, so it is no error:
+        # the sigmoid gates saturate on it and the rollout stays finite
+        scores, scaler, model = tiny_setup()
+        windows = np.stack([scaler.scale(scores)[s:s + 2] for s in (0, 5)])
+        windows[1, 1, 0] = float(np.finfo(np.float32).max)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            preds, diverged_at = forecast._roll(model, windows, 4)
+        assert np.array_equal(diverged_at, [4, 4])
+        assert np.isfinite(preds).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_weight_past_float32_range_is_non_finite_input(self,
+                                                           monkeypatch):
+        calls = []
+        monkeypatch.setattr(forecast, "forecaster_step",
+                            lambda *args: calls.append(args))
+        scores, scaler, model = tiny_setup()
+        model.head.weight[1, 2] = 7e38
+        with pytest.raises(NonFiniteInput, match="'head.weight' holds a "
+                                                 "weight past float32's range"):
+            forecast.evaluate_ensemble(model, model, scores, scaler,
+                                       [3, 4], 5)
+        assert calls == []
+
+    def test_rolls_the_narrowed_model_and_hands_out_float64(self):
+        scores, scaler, model = tiny_setup()
+        windows = np.stack([scaler.scale(scores)[s:s + 2] for s in (0, 5)])
+        preds, _ = forecast._roll(model, windows, 6)
+        narrow, _ = forecast._roll(model.astype(np.float32),
+                                   windows.astype(np.float32), 6)
+        assert preds.dtype == narrow.dtype == np.float64
+        assert preds.tobytes() == narrow.tobytes()
+        assert np.array_equal(preds, preds.astype(np.float32))
+
+
+@pytest.fixture(scope="module")
+def desk_models():
+    """The desk tracer's scaled scores (32 x 32 grid, 600 steps, tau 16)
+    and two desk-sized models trained on them (hidden 64, lag 2): classic
+    for 5 epochs and adversarial for 1."""
+    data = snapshots.generate(snapshots.GeneratorConfig()).field("tracer")
+    scores = pca.project(pca.fit(data, tau=16), data)
+    scaled = snapshots.fit_scaler(scores).scale(scores)
+    dataset = training.make_windows(scaled, 2)
+    classic, _ = training.train_classic(
+        dataset, training.TrainConfig(epochs=5))
+    adv, _, _ = training.train_adversarial(
+        dataset, training.TrainConfig(epochs=1, adversarial=True))
+    return scaled, {"classic": classic, "adv": adv}
+
+
+class TestDeskFloat32Rollouts:
+    @pytest.mark.parametrize("arm", ["classic", "adv"])
+    @pytest.mark.parametrize("batch", [1, 4, 141])
+    def test_within_1e_5_of_float64_over_50_steps(self, desk_models, arm,
+                                                  batch):
+        scaled, models = desk_models
+        model = models[arm]
+        assert model.flat.dtype == np.float64
+        # evaluate's desk starts 400..540, or the first of them
+        starts = np.arange(400, 400 + batch)[:, None]
+        windows = scaled[starts + np.arange(2)]
+        preds, diverged_at = forecast._roll(model, windows, 50)
+        assert np.array_equal(diverged_at, np.full(batch, 50))
+        # the float64 reference: forecaster_forward on windows shifted by
+        # hand, in the loaded model's dtype
+        want = stepwise(model, windows, 50)
+        assert np.abs(preds - want).max() <= 1e-5
 
 
 class TestPairedAccounting:
@@ -354,6 +472,9 @@ class TestPairedAccounting:
     def run(self, monkeypatch, plan, starts=range(10, 16), horizon=8):
         scores, scaler, classic = tiny_setup(seed=1)
         _, _, adv = tiny_setup(seed=2)
+        # float32 models, which the engine rolls as they are, so the stub
+        # sees these very objects
+        classic, adv = classic.astype(np.float32), adv.astype(np.float32)
         drift = {id(classic): 0.0, id(adv): 0.02}
         rows = {id(classic): plan["classic"], id(adv): plan["adv"]}
         calls = collections.Counter()
@@ -372,14 +493,20 @@ class TestPairedAccounting:
             warnings.simplefilter("error")
             report = forecast.evaluate_ensemble(classic, adv, scores, scaler,
                                                 starts, horizon)
-        # the stub's rollouts in closed form: last seed row plus drift
-        scaled = scaler.scale(scores)
-        steps = np.arange(1, horizon + 1)[:, None]
+        # the stub's rollouts: the last seed row plus drift, added step by
+        # step in the engine's float32
+        scaled = scaler.scale(scores).astype(np.float32)
         errors, alive = [], []
         for name, model in (("classic", classic), ("adv", adv)):
-            err = np.array([np.linalg.norm(
-                scaler.invert(scaled[s + 1] + drift[id(model)] * steps)
-                - scores[s + 2:s + 2 + horizon], axis=1) for s in starts])
+            rows = np.empty((len(starts), horizon, scaled.shape[1]))
+            for i, s in enumerate(starts):
+                row = scaled[s + 1]
+                for h in range(horizon):
+                    row = row + drift[id(model)]
+                    rows[i, h] = row
+            err = np.linalg.norm(scaler.invert(rows)
+                                 - scores[np.array(starts)[:, None] + 2
+                                          + np.arange(horizon)], axis=2)
             at = [plan[name].get(i, horizon) for i in range(len(starts))]
             errors.append(err)
             alive.append(np.arange(horizon) < np.array(at)[:, None])
@@ -475,8 +602,10 @@ class TestReportArithmetic:
         # from step 5 on every classic row has diverged
         scores = np.arange(64.0)[:, None] / 64.0 * np.ones(3)
         scaler = snapshots.MinMaxScaler(np.zeros(3), np.ones(3))
-        _, _, classic = tiny_setup(seed=1)
-        _, _, adv = tiny_setup(seed=2)
+        # float32 models, which the engine rolls as they are, so the stub
+        # sees these very objects
+        classic, adv = (tiny_setup(seed=seed)[2].astype(np.float32)
+                        for seed in (1, 2))
         calls = collections.Counter()
 
         def stub(model_, windows):

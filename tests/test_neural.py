@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 from dataclasses import replace
 
@@ -508,6 +509,57 @@ class TestFloat32:
         assert wide.flat.dtype == np.float64
         assert np.array_equal(wide.flat, narrow.flat)
 
+    @pytest.mark.parametrize("kind", ["forecaster", "discriminator"])
+    def test_astype_narrow_widen_narrow_bit_for_bit(self, kind):
+        rng = np.random.default_rng(32)
+        net = (neural.init_forecaster(5, 7, "sigmoid", 0.2, 2, rng)
+               if kind == "forecaster"
+               else neural.init_discriminator(5, 7, rng))
+        narrow = net.astype(np.float32)
+        wide = narrow.astype(np.float64)
+        again = wide.astype(np.float32)
+        assert type(again) is type(net)
+        assert again.flat.tobytes() == narrow.flat.tobytes()
+        assert wide.flat.tobytes() == narrow.flat.astype(np.float64).tobytes()
+        for copy in (narrow, wide, again):
+            assert copy.params().layout == net.params().layout
+            for key, block in copy.params().items():
+                assert block.dtype == copy.flat.dtype
+                assert np.shares_memory(block, copy.flat)
+            assert np.shares_memory(copy.lstm.W, copy.flat)
+            assert np.shares_memory(copy.head.bias, copy.flat)
+            assert not np.shares_memory(copy.flat, net.flat)
+        if kind == "forecaster":
+            # the same float32 values compute the same in either copy
+            windows = rng.uniform(0, 1, (3, 2, 5)).astype(np.float32)
+            a = neural.forecaster_step(narrow, windows)
+            b = neural.forecaster_step(again, windows)
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key, value", [
+        ("lstm.U", 1e39), ("head.bias", -3.5e38), ("lstm.b", 1e300)])
+    def test_weight_past_float32_range_is_non_finite_input(self, key, value):
+        model = neural.init_forecaster(3, 4, "relu", 0.0, 2,
+                                       np.random.default_rng(33))
+        model.params()[key].flat[1] = value
+        with pytest.raises(NonFiniteInput, match=f"'{key}' holds a weight "
+                                                 "past float32's range"):
+            model.astype(np.float32)
+        # the largest float32 itself narrows
+        model.params()[key].flat[1] = float(np.finfo(np.float32).max)
+        assert np.isfinite(model.astype(np.float32).flat).all()
+
+    def test_astype_carries_a_nan_weight(self):
+        # construction refuses a NaN; one written after it is carried, so
+        # a rollout records what it does
+        model = neural.init_forecaster(3, 4, "sigmoid", 0.0, 2,
+                                       np.random.default_rng(34))
+        model.head.bias[0] = np.nan
+        narrow = model.astype(np.float32)
+        assert np.isnan(narrow.head.bias[0])
+        assert np.isfinite(narrow.flat[:-3]).all()
+
     @staticmethod
     def _forecaster_grads(model, windows, targets):
         pred, tape = neural.forecaster_head(
@@ -602,6 +654,30 @@ class TestFlatLayout:
         single = neural.forecaster_step(model, windows[2])
         direct, _ = neural.forecaster_forward(model, windows[2:3])
         assert single.tobytes() == direct[0].tobytes()
+
+
+@pytest.mark.parametrize("narrow", [True, False], ids=["float32", "float64"])
+def test_saved_records_are_float32_when_exact(tmp_path, narrow):
+    model = neural.init_forecaster(3, 5, "relu", 0.0, 2,
+                                   np.random.default_rng(14))
+    if narrow:  # a trained model's weights: float32 values, held in float64
+        model = model.astype(np.float32).astype(np.float64)
+    path = tmp_path / "model.romf"
+    neural.save_model(path, model)
+    raw = path.read_bytes()
+    code = romf.DTYPE_F32 if narrow else romf.DTYPE_F64
+    for key in model.params():
+        name = key.encode()
+        header = struct.pack("<I", len(name)) + name + struct.pack("<I", code)
+        assert header in raw
+    # float32 records save 4 bytes a weight against float64 ones
+    wide = tmp_path / "wide.romf"
+    romf.write_arrays(wide, model.params(), romf.read_arrays(path)[1])
+    assert wide.stat().st_size - len(raw) == \
+        (4 * model.flat.size if narrow else 0)
+    loaded, _, _ = neural.load_model(path)
+    assert loaded.flat.dtype == np.float64
+    assert loaded.flat.tobytes() == model.flat.tobytes()
 
 
 def test_save_load_round_trip(tmp_path):

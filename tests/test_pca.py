@@ -1,3 +1,4 @@
+import logging
 import re
 from dataclasses import replace
 
@@ -259,7 +260,7 @@ class TestSubspaceIteration:
 
     @pytest.mark.filterwarnings("error")
     def test_non_positive_pivot_takes_full_eigh(self, monkeypatch,
-                                                eigh_sizes):
+                                                eigh_sizes, caplog):
         # 16 x 12: two columns of a Sylvester-Hadamard matrix times 1 and 2,
         # then zeros; zero mean, so the 12 x 12 Gram is exactly diag(16,
         # 64, 0, ...) and its factor is exact. In exact arithmetic the
@@ -273,9 +274,13 @@ class TestSubspaceIteration:
         data[:, :2] = hadamard[:, 1:3] * [1.0, 2.0]
         trace = np.trace
         monkeypatch.setattr(np, "trace", lambda a: 2.0 * trace(a))
-        basis = pca.fit(data, tau=2)
+        with caplog.at_level(logging.INFO, logger="romcast"):
+            basis = pca.fit(data, tau=2)
         # the third pivot is 0: no division, one eigh of the Gram
         assert eigh_sizes == [12]
+        assert [r.getMessage() for r in caplog.records] == [
+            "pca.fit: one eigh of the 12 x 12 Gram: pivot 3 is 0, not "
+            "positive, with 80 of the trace left"]
         assert np.allclose(basis.singular_values**2, [64.0, 16.0] + [0.0] * 10,
                            rtol=1e-14, atol=1e-13)
         rec = pca.reconstruct(basis, pca.project(basis, data))
@@ -340,6 +345,29 @@ class TestSubspaceIteration:
         assert eigh_sizes == [5, 80]
         assert eigvalsh_calls == []
 
+    @pytest.mark.parametrize("values, kwargs, message", [
+        (np.arange(5.0, 0.0, -1.0), {"tau": 3},
+         "spectrum certified by pivoted Cholesky in 5 steps"),
+        (np.arange(5.0, 0.0, -1.0), {"tau": 7},
+         "one eigh of the 80 x 80 Gram: tau 7 is past the 5 steps taken"),
+        (np.arange(5.0, 0.0, -1.0), {"variance": 1.0},
+         "one eigh of the 80 x 80 Gram: all the variance is kept"),
+        (np.array([9.0, 7.0, 5.0, 3.0] + [1.0] * 30), {"tau": 4},
+         "one eigh of the 80 x 80 Gram: the trace is not spent after 20 "
+         "steps"),
+    ], ids=["certified", "tau_past_steps", "all_variance", "unspent"])
+    def test_route_is_one_info_line(self, caplog, values, kwargs, message):
+        data = spectral_matrix(values, n=80)
+        with caplog.at_level(logging.INFO, logger="romcast"):
+            basis = pca.fit(data, **kwargs)
+        (record,) = caplog.records
+        assert record.name == "romcast" and record.levelno == logging.INFO
+        assert record.getMessage().startswith("pca.fit: " + message)
+        # the line changes nothing that is fitted
+        caplog.clear()
+        quiet = pca.fit(data, **kwargs)
+        assert quiet.eofs.tobytes() == basis.eofs.tobytes()
+
     def test_two_fits_give_identical_bytes(self):
         for values in (2.0 ** -np.arange(40.0), np.linspace(10.0, 1.0, 12)):
             data = spectral_matrix(values, n=80)
@@ -383,7 +411,8 @@ class TestSubspaceIteration:
             .standard_normal(data.shape)
         fits = [pca.fit(data, tau=16), pca.fit(data, variance=0.99)]
         assert eigh_sizes == [600, 600]  # no Q^T G Q: no certificate
-        monkeypatch.setattr(pca, "_cholesky", lambda gram, trace: None)
+        monkeypatch.setattr(pca, "_cholesky",
+                            lambda gram, trace: "no certificate")
         for basis, kwargs in zip(fits, ({"tau": 16}, {"variance": 0.99})):
             oracle = pca.fit(data, **kwargs)
             assert basis.tau == oracle.tau
@@ -409,7 +438,7 @@ class TestSubspaceIteration:
         gram = centered @ centered.T if wide else centered.T @ centered
         trace = np.trace(gram)
         factored = pca._cholesky(gram, trace)
-        assert factored is not None and factored[1].shape[1] <= rank
+        assert not isinstance(factored, str) and factored[1].shape[1] <= rank
         tau = draw.draw(st.integers(1, rank))
         basis, again = pca.fit(data, tau=tau), pca.fit(data, tau=tau)
         bound = 2 * size * np.finfo(np.float64).eps * trace

@@ -117,6 +117,60 @@ def test_exact_byte_layout(tmp_path):
     assert raw == expected
 
 
+def test_float32_records_round_trip_widened(tmp_path):
+    path = tmp_path / "f32.romf"
+    values = np.linspace(-1, 1, 12).astype(np.float32)
+    arrays = {"w": values.reshape(3, 4), "b": values[::-3],
+              "huge": np.array([np.finfo(np.float32).max, 2.0 ** -149]),
+              "empty": np.zeros((0, 2))}
+    romf.write_arrays(path, arrays, {"kind": "x"}, romf.DTYPE_F32)
+    loaded, meta = romf.read_arrays(path)
+    assert meta == {"kind": "x"} and list(loaded) == list(arrays)
+    for name, arr in arrays.items():
+        assert loaded[name].dtype == np.float64
+        assert loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.astype(np.float64).tobytes()
+    # half the payload bytes of float64 records, the same header
+    wide = tmp_path / "f64.romf"
+    romf.write_arrays(wide, arrays, {"kind": "x"})
+    payload = sum(arr.size for arr in arrays.values())
+    assert wide.stat().st_size - path.stat().st_size == 4 * payload
+    assert np.ascontiguousarray(arrays["huge"], "<f4").tobytes() \
+        in path.read_bytes()
+    # into a strided block of the caller's, and dropped
+    target = np.zeros((3, 8))[:, ::2]
+    loaded, _ = romf.read_arrays(
+        path, lambda name, dims: target if name == "w" else None)
+    assert list(loaded) == ["w"] and loaded["w"] is target
+    assert np.array_equal(target, arrays["w"])
+
+
+def test_truncated_float32_payload_rejected(tmp_path):
+    path = tmp_path / "cut.romf"
+    romf.write_arrays(path, {"x": np.arange(10.0)}, code=romf.DTYPE_F32)
+    raw = path.read_bytes()
+    assert len(raw) == len(_container(b"x", [10], b"")) + 40
+    # one float32 short; and a float64 payload's length under the code
+    path.write_bytes(raw[:-4])
+    with pytest.raises(romf.FormatError, match="truncated payload of 'x'"):
+        romf.read_arrays(path)
+    path.write_bytes(_container(b"x", [10], b"\0" * 40)[:-4])
+    with pytest.raises(romf.FormatError, match="truncated payload of 'x'"):
+        romf.read_arrays(path)
+
+
+@pytest.mark.parametrize("code", [2, 3, 2**32 - 1])
+def test_unknown_dtype_code_rejected(tmp_path, code):
+    path = tmp_path / "code.romf"
+    raw = bytearray(_container(b"x", [1]))
+    offset = 14 + 4 + len(b"x")  # header, name length, name
+    assert raw[offset:offset + 4] == struct.pack("<I", romf.DTYPE_F64)
+    raw[offset:offset + 4] = struct.pack("<I", code)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(romf.FormatError, match=f"unknown dtype code {code}"):
+        romf.read_arrays(path)
+
+
 def test_repeated_record_name_rejected(tmp_path):
     # a second record of one name appended: no reader may take either
     path = tmp_path / "twice.romf"
