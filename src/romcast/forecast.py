@@ -101,9 +101,11 @@ def _roll(model, windows, horizon):
 
     The model and the windows are narrowed to float32 once, which is
     exact for a trained model's weights (``training._train`` keeps
-    float32 master weights). One (B, N + H, tau) float32 buffer holds the
-    windows, then the predictions: step h predicts from the view
-    ``buf[:, h:h + N]`` into ``buf[:, N + h]``, so no window is shifted.
+    float32 master weights); a float32 model or float32 windows, which a
+    caller narrowed already, are used as they are. One (B, N + H, tau)
+    float32 buffer holds the windows, then the predictions: step h
+    predicts from the view ``buf[:, h:h + N]`` into ``buf[:, N + h]``, so
+    no window is shifted.
     Returns the (B, H, tau) scaled predictions, widened to float64, and
     per row the step where its prediction first went non-finite
     (``horizon`` if never), from which its predictions are NaN. A window
@@ -125,17 +127,11 @@ def _roll(model, windows, horizon):
                             f"{model.lstm.input_dim}")
     if model.flat.dtype != np.float32:
         model = model.astype(np.float32)
+    if windows.dtype != np.float32:
+        windows = _narrow(windows,
+                          lambda row, step: f"window {row}, row {step}")
     buf = np.empty((batch, lag + horizon, tau), np.float32)
-    seeds = buf[:, :lag]
-    with np.errstate(over="ignore"):
-        seeds[...] = windows
-    past = np.isinf(seeds) & np.isfinite(windows)
-    if past.any():
-        row, step, pc = np.argwhere(past)[0]
-        raise NonFiniteInput(
-            f"window {row} holds {windows[row, step, pc]:.3g} at row {step}, "
-            f"PC {pc}: past float32's range (largest "
-            f"{np.finfo(np.float32).max:.3g})")
+    buf[:, :lag] = windows
     with np.errstate(over="ignore", invalid="ignore"):
         for h in range(horizon):
             buf[:, lag + h] = forecaster_step(model, buf[:, h:h + lag])
@@ -143,6 +139,21 @@ def _roll(model, windows, horizon):
     alive = np.logical_and.accumulate(np.isfinite(preds).all(axis=2), axis=1)
     preds[~alive] = np.nan
     return preds, alive.sum(axis=1)
+
+
+def _narrow(windows, where):
+    """A (B, N, tau) batch of windows as float32. A value that is finite
+    but past float32's range (3.4e38) is a NonFiniteInput naming its
+    window row by ``where(row, step)``, and its PC."""
+    with np.errstate(over="ignore"):
+        narrow = windows.astype(np.float32)
+    past = np.isinf(narrow) & np.isfinite(windows)
+    if past.any():
+        row, step, pc = np.argwhere(past)[0]
+        raise NonFiniteInput(
+            f"{where(row, step)}, PC {pc} holds {windows[row, step, pc]:.3g}: "
+            f"past float32's range (largest {np.finfo(np.float32).max:.3g})")
+    return narrow
 
 
 def _norms(diff):
@@ -165,7 +176,8 @@ def rollout(model, scaler, seed_window, horizon):
         raise ShapeMismatch(
             f"seed window must be {model.time_lag} x tau, got {window.shape}"
         )
-    (preds,), (done,) = _roll(model, window[None], horizon)
+    window = _narrow(window[None], lambda row, step: f"seed window row {step}")
+    (preds,), (done,) = _roll(model, window, horizon)
     preds[:done] = scaler.invert(preds[:done])
     return RolloutResult(horizon=horizon, predictions=preds,
                          diverged_at=None if done == horizon else int(done))
@@ -208,7 +220,8 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, starts,
             f"start {bad[0]} + lag {lag} + horizon {horizon} exceeds {n} steps")
     starts = np.array(starts)[:, None]
     # only the window rows; the scaler maps each element on its own
-    windows = scaler.scale(scores[starts + np.arange(lag)])  # (S, N, tau)
+    windows = _narrow(scaler.scale(scores[starts + np.arange(lag)]),
+                      lambda row, step: f"start {starts[row, 0]} + row {step}")
     preds, diverged_at = zip(*(_roll(model, windows, horizon)
                                for model in (model_classic, model_adv)))
     truth = scores[starts + lag + np.arange(horizon)]  # (S, H, tau)
@@ -262,8 +275,11 @@ def timing_benchmark(model, generator_config, horizon, ensemble_width):
     """
     if horizon < 1 or ensemble_width < 1:
         raise InvalidConfig("horizon and ensemble width must be >= 1")
+    # narrowed once, before any timing: a model float32 cannot hold is
+    # refused first, and the timed calls run the rollout alone
+    model = model.astype(np.float32)
     tau = model.head.weight.shape[0]
-    windows = np.full((ensemble_width, model.time_lag, tau), 0.5)
+    windows = np.full((ensemble_width, model.time_lag, tau), 0.5, np.float32)
 
     sim_per_step = _timed(
         lambda: snapshots.generate(generator_config)

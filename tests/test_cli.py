@@ -390,14 +390,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["evaluate", "bench"])
     def test_model_past_float32_range_is_exit_1(self, workdir, capsys,
-                                                command):
+                                                monkeypatch, command):
         # a float64 model file whose weight float32 cannot hold: it loads,
-        # and the rollout's narrowing refuses it before any step
+        # and the narrowing refuses it before any step or solve
         pipeline(workdir)
         arrays, meta = romf.read_arrays("classic.romf")
         arrays["head.weight"][0, 0] = 1e39
         romf.write_arrays("big.romf", arrays, meta)
         cli.write_manifest("big.romf")
+        solves = []
+        monkeypatch.setattr(snapshots, "generate",
+                            lambda *args: solves.append(args))
         capsys.readouterr()
         if command == "evaluate":
             argv = ["evaluate", *DATA, "--classic", "classic.romf", "--adv",
@@ -410,6 +413,7 @@ class TestExitCodes:
         assert "romcast: error: 'head.weight' holds a weight past float32's " \
             "range" in err
         assert not os.path.exists("ensemble_report.csv")
+        assert solves == []
 
     def test_bench_of_a_discriminator_is_format_error(self, workdir, capsys):
         pipeline(workdir, ["--adversarial"])

@@ -186,24 +186,30 @@ class TestEvaluateEnsemble:
         assert np.isnan(loaded.reduction_pct[1])
 
 
-def reference_errors(model, scores, scaler, starts, horizon):
-    """Per-start rollouts from 2-D ``forecaster_step`` calls on the
-    float32 model and windows that the engine rolls: (S, H)."""
-    scaled = scaler.scale(scores)
+def reference_predictions(model, scaled, starts, horizon):
+    """Per-start float32 rollouts from 2-D ``forecaster_step`` calls on
+    the float32 model and windows that the engine rolls: (S, H, tau)."""
     lag = model.time_lag
     model = model.astype(np.float32)
-    errors = []
+    rollouts = []
     for start in starts:
         window = scaled[start:start + lag].astype(np.float32)
         row = []
-        for h in range(horizon):
+        for _ in range(horizon):
             pred = neural.forecaster_step(model, window)
             window = np.vstack([window[1:], pred])
-            truth = scores[start + lag + h]
-            row.append(np.linalg.norm(
-                scaler.invert(pred.astype(np.float64)) - truth))
-        errors.append(row)
-    return np.array(errors)
+            row.append(pred)
+        rollouts.append(row)
+    return np.array(rollouts)
+
+
+def errors_of(preds, scores, scaler, starts, lag):
+    """(S, H) unscaled L2 errors, one ``np.linalg.norm`` each, of the
+    (S, H, tau) scaled predictions rolled from the windows at ``starts``."""
+    return np.array([
+        [np.linalg.norm(scaler.invert(pred) - scores[start + lag + h])
+         for h, pred in enumerate(rolled.astype(np.float64))]
+        for start, rolled in zip(starts, preds)])
 
 
 class TestEngine:
@@ -213,16 +219,28 @@ class TestEngine:
         starts, horizon = range(3, 60), 20
         report = forecast.evaluate_ensemble(model_a, model_b, scores, scaler,
                                             starts, horizon)
-        # a batched float32 GEMM and the per-row ones round apart by an ulp
-        # of a prediction, so the means and stds agree to float32's eps,
-        # as in float64 they agreed to 1e-12
-        rtol = np.finfo(np.float32).eps
+        scaled = scaler.scale(scores)
+        windows = np.stack([scaled[s:s + 2] for s in starts])
         for model, mean, std in ((model_a, report.mean_classic,
                                   report.std_classic),
                                  (model_b, report.mean_adv, report.std_adv)):
-            ref = reference_errors(model, scores, scaler, starts, horizon)
-            np.testing.assert_allclose(mean, ref.mean(axis=0), rtol=rtol)
-            np.testing.assert_allclose(std, ref.std(axis=0), rtol=rtol)
+            # the report's means and stds are those of the batch's errors
+            preds, _ = forecast._roll(model, windows, horizon)
+            errors = errors_of(preds, scores, scaler, starts, 2)
+            np.testing.assert_allclose(mean, errors.mean(axis=0), rtol=1e-12)
+            np.testing.assert_allclose(std, errors.std(axis=0), rtol=1e-12)
+            # and the batch rolls each start as a loop over it does, but
+            # that a batched float32 GEMM and the per-row ones may round a
+            # prediction an ulp apart (seen: 1 ulp, in under 1% of them),
+            # which moves the means by 1.9e-9 and the stds by 1.1e-8
+            ref = reference_predictions(model, scaled, starts, horizon)
+            np.testing.assert_array_max_ulp(preds.astype(np.float32), ref,
+                                            maxulp=2)
+            ref_errors = errors_of(ref, scores, scaler, starts, 2)
+            np.testing.assert_allclose(mean, ref_errors.mean(axis=0),
+                                       rtol=5e-8)
+            np.testing.assert_allclose(std, ref_errors.std(axis=0),
+                                       rtol=5e-8)
         assert np.array_equal(report.n_pairs, np.full(horizon, len(starts)))
         assert report.diverged_classic == report.diverged_adv == 0
 
@@ -381,15 +399,18 @@ class TestFloat32Narrowing:
         windows = np.stack([scaler.scale(scores)[s:s + 2] for s in (0, 5, 9)])
         windows[2, 1, 0] = value
         with pytest.raises(NonFiniteInput,
-                           match=r"window 2 holds .* at row 1, PC 0: past "
+                           match=r"window 2, row 1, PC 0 holds .*: past "
                                  r"float32's range"):
             forecast._roll(model, windows, 4)
-        with pytest.raises(NonFiniteInput, match="window 0 holds"):
+        with pytest.raises(NonFiniteInput,
+                           match="seed window row 1, PC 0 holds"):
             forecast.rollout(model, snapshots.MinMaxScaler(
                 np.zeros(3), np.ones(3)), windows[2], 4)
-        # through evaluate_ensemble, from a score past the range
+        # through evaluate_ensemble, from a score past the range: named by
+        # the start whose window holds it, not by its index in the batch
         scores[7, 0] = value * (scaler.maxs[0] - scaler.mins[0])
-        with pytest.raises(NonFiniteInput, match="window 2 holds"):
+        with pytest.raises(NonFiniteInput,
+                           match=r"start 6 \+ row 1, PC 0 holds"):
             forecast.evaluate_ensemble(model, model, scores, scaler,
                                        [3, 4, 6], 4)
         assert calls == []
