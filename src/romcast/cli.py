@@ -366,7 +366,7 @@ def cmd_pca(args):
     write_manifest(out, config=section, inputs=inputs,
                    meta={"field": field, "tau": basis.tau, "rank": basis.rank})
     scores = pca.project(basis, data)
-    scaler = snapshots.fit_scaler(scores, lo=pcfg.scale_lo, hi=pcfg.scale_hi)
+    scaler = snapshots.fit_scaler(scores)
     scaler.save(scaler_out)
     write_manifest(scaler_out, config=section,
                    inputs={**inputs, "basis": out},

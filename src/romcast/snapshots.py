@@ -2,11 +2,15 @@
 
 A 2D regular-grid explicit finite-difference solver (first-order upwind
 advection in flux form, second-order central diffusion, sinusoidal point
-source, periodic boundaries) stands in for the full CFD model. Each time
-step is vectorised into one row of the snapshot matrix: tracer nodes,
-then velocity nodes. The solver steps the tracer on contiguous 1-D slices
-of one flat padded buffer, because numpy runs a slice of a 2-D array row
-by row, at several times the cost of one flat span (``generate``).
+source, periodic boundaries) stands in for the full CFD model. It works
+in grid units: a cell is 1 wide, so u0 is in cells per second and kappa
+in cells^2 per second. A uniform spacing h is the unit-spacing run with
+u0 / h and kappa / h^2, since the rotating field's shape does not depend
+on scale and the source is added per cell. Each time step is vectorised
+into one row of the snapshot matrix: tracer nodes, then velocity nodes.
+The solver steps the tracer on contiguous 1-D slices of one flat padded
+buffer, because numpy runs a slice of a 2-D array row by row, at several
+times the cost of one flat span (``generate``).
 
 A snapshot file moves between disk and memory once: ``SnapshotMatrix.load``
 reads each field's record straight into its column block of the matrix,
@@ -16,7 +20,6 @@ in bounded runs (``romf``).
 """
 
 import math
-import warnings
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
@@ -35,10 +38,13 @@ FIELD_NAMES = ("tracer", "vel_x", "vel_y")
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Parameters of the synthetic solver run.
+    """Parameters of the synthetic solver run, in grid units: ``u0``, the
+    peak speed, in cells per second and ``kappa`` in cells^2 per second.
 
     ``dt`` must satisfy the explicit-scheme stability bounds
-    ``dt <= min(dx, dy) / max|u|`` and ``dt <= min(dx, dy)^2 / (4 kappa)``.
+    ``dt <= 1 / |u0|`` and ``dt <= 1 / (4 kappa)``. A uniform spacing h
+    is this run with u0 / h and kappa / h^2, whose bounds are then
+    ``dt <= h / |u0|`` and ``dt <= h^2 / (4 kappa)``.
     ``source_period`` is the period (seconds) of the sinusoidal background
     pollution pulse injected at ``source_center``; the source term is
     ``amplitude * (1 + sin(2 pi t / period)) / 2`` so it stays nonnegative.
@@ -48,8 +54,6 @@ class GeneratorConfig:
 
     grid_nx: int = 32
     grid_ny: int = 32
-    dx: float = 1.0
-    dy: float = 1.0
     dt: float = 0.2
     n_steps: int = 600
     kappa: float = 0.02
@@ -70,7 +74,7 @@ class GeneratorConfig:
             raise InvalidConfig("grid_nx and grid_ny must be >= 2")
         if self.n_steps < 2:  # a snapshot matrix has n >= 2 rows
             raise InvalidConfig("n_steps must be >= 2")
-        for name in ("dx", "dy", "dt", "source_period"):
+        for name in ("dt", "source_period"):
             if getattr(self, name) <= 0:
                 raise InvalidConfig(f"{name} must be positive")
         for name in ("seed", "kappa", "source_amplitude", "init_amplitude"):
@@ -79,16 +83,15 @@ class GeneratorConfig:
         ix, iy = self.source_center
         if not (0 <= ix < self.grid_nx and 0 <= iy < self.grid_ny):
             raise InvalidConfig("source_center outside the grid")
-        h = min(self.dx, self.dy)
         speed = abs(self.u0)
-        if speed > 0 and self.dt > h / speed:
+        if speed > 0 and self.dt > 1.0 / speed:
             raise StabilityViolation(
-                f"dt={self.dt} violates advection CFL bound {h / speed:.6g}"
+                f"dt={self.dt} violates advection CFL bound {1.0 / speed:.6g}"
             )
-        if self.kappa > 0 and self.dt > h * h / (4.0 * self.kappa):
+        if self.kappa > 0 and self.dt > 1.0 / (4.0 * self.kappa):
             raise StabilityViolation(
                 f"dt={self.dt} violates diffusion bound "
-                f"{h * h / (4.0 * self.kappa):.6g}"
+                f"{1.0 / (4.0 * self.kappa):.6g}"
             )
 
 
@@ -162,11 +165,6 @@ def _check_columns(data, m):
         raise InvalidConfig("snapshot matrix needs n >= 2 rows, m >= 1 columns")
     if not np.all(np.isfinite(data)):
         raise NonFiniteInput("snapshot matrix contains NaN/Inf")
-    if data.shape[0] >= m:
-        warnings.warn(
-            "snapshot matrix has n >= m; the expected regime is n < m",
-            stacklevel=3,
-        )
 
 
 def _read_fields(path, names):
@@ -204,9 +202,10 @@ def check_field(name):
 
 def _velocity_field(config):
     """Prescribed velocity on the grid, shape (ny, nx) per component: a
-    solid-body rotation about the domain centre, peak speed u0."""
-    x = np.arange(config.grid_nx) * config.dx
-    y = np.arange(config.grid_ny) * config.dy
+    solid-body rotation about the domain centre, in cell indices, peak
+    speed u0."""
+    x = np.arange(config.grid_nx)
+    y = np.arange(config.grid_ny)
     xc, yc = x.mean(), y.mean()
     xx, yy = np.meshgrid(x - xc, y - yc)
     rmax = np.sqrt(xx**2 + yy**2).max()
@@ -256,7 +255,8 @@ def _upwind(ufx, ufy, w):
 
 
 def _advance(cp, ufx, ufy, upx, upy, config):
-    """One explicit step: upwind advection + central diffusion, flux form.
+    """One explicit step: upwind advection + central diffusion, flux form,
+    in grid units, so no difference is divided by a spacing.
 
     ``cp`` is the tracer padded by one cell, its halo filled by
     ``_fill_halo``; ``ufx`` and ``ufy`` are the face velocities
@@ -264,21 +264,21 @@ def _advance(cp, ufx, ufy, upx, upy, config):
     Updates the flat span from the first interior cell to the last in
     place; the halo cells inside it take finite junk.
     """
-    dx, dy, dt, kappa = config.dx, config.dy, config.dt, config.kappa
+    dt, kappa = config.dt, config.kappa
     w = cp.shape[1]
     cf = cp.ravel()  # a view: cp is contiguous
     flux_x = cf.take(upx)
     flux_x *= ufx
-    dcdx_flux = kappa * (cf[w + 1:-w] - cf[w:-w - 1]) / dx
+    dcdx_flux = kappa * (cf[w + 1:-w] - cf[w:-w - 1])
     flux_y = cf.take(upy)
     flux_y *= ufy
-    dcdy_flux = kappa * (cf[w + 1:-1] - cf[1:-w - 1]) / dy
+    dcdy_flux = kappa * (cf[w + 1:-1] - cf[1:-w - 1])
 
     # cell k's faces are x faces k and k + 1, y faces k and k + w
-    adv = ((flux_x[1:] - flux_x[:-1]) / dx
-           + (flux_y[w:] - flux_y[:-w]) / dy)
-    diff = ((dcdx_flux[1:] - dcdx_flux[:-1]) / dx
-            + (dcdy_flux[w:] - dcdy_flux[:-w]) / dy)
+    adv = flux_x[1:] - flux_x[:-1]
+    adv += flux_y[w:] - flux_y[:-w]
+    diff = dcdx_flux[1:] - dcdx_flux[:-1]
+    diff += dcdy_flux[w:] - dcdy_flux[:-w]
     # c + dt * (diff - adv), in place
     diff -= adv
     diff *= dt
@@ -357,28 +357,20 @@ def generate(config, initial_tracer=None):
     return SnapshotMatrix(rows)
 
 
-def check_scaler_range(lo, hi):
-    """Raise InvalidConfig unless [lo, hi], the range a MinMaxScaler maps
-    onto, is finite with hi > lo."""
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise InvalidConfig(f"scaler range [{lo}, {hi}] needs finite bounds "
-                            "with hi > lo")
-
-
 @dataclass(frozen=True)
 class MinMaxScaler:
-    """Column-affine map onto [lo, hi]; constant columns map to the midpoint."""
+    """Column-affine map onto [0, 1], the range of the forecaster's
+    default sigmoid head; constant columns map to the midpoint, 0.5. Its
+    file holds the records ``mins`` and ``maxs`` alone, or ``load``
+    raises FormatError."""
 
     mins: np.ndarray
     maxs: np.ndarray
-    lo: float = 0.0
-    hi: float = 1.0
 
     def __post_init__(self):
         if np.ndim(self.mins) != 1 or np.shape(self.mins) != np.shape(self.maxs):
             raise ShapeMismatch(f"scaler mins {np.shape(self.mins)} and maxs "
                                 f"{np.shape(self.maxs)} are not 1-D of one size")
-        check_scaler_range(self.lo, self.hi)
         if not (np.isfinite(self.mins).all() and np.isfinite(self.maxs).all()):
             raise InvalidConfig("scaler bounds must be finite")
         if np.any(self.mins > self.maxs):
@@ -396,42 +388,35 @@ class MinMaxScaler:
         return data, span > 0, np.where(span > 0, span, 1.0)
 
     def scale(self, data):
-        """Map (..., columns) data onto [lo, hi], column by column."""
+        """Map (..., columns) data onto [0, 1], column by column."""
         data, varies, span = self._check(data)
-        scaled = self.lo + (data - self.mins) * (self.hi - self.lo) / span
-        return np.where(varies, scaled, 0.5 * (self.lo + self.hi))
+        return np.where(varies, (data - self.mins) / span, 0.5)
 
     def invert(self, data):
         """The inverse of ``scale``; a constant column maps to its value."""
         data, varies, span = self._check(data)
-        raw = self.mins + (data - self.lo) * span / (self.hi - self.lo)
-        return np.where(varies, raw, self.mins)
+        return np.where(varies, self.mins + data * span, self.mins)
 
     def save(self, path):
-        romf.write_arrays(path, {
-            "mins": self.mins,
-            "maxs": self.maxs,
-            "range": np.array([self.lo, self.hi]),
-        })
+        romf.write_arrays(path, {"mins": self.mins, "maxs": self.maxs})
 
     @classmethod
     def load(cls, path):
         arrays, _ = romf.read_arrays(path)
-        romf.require(arrays, ["mins", "maxs", "range"], path)
-        if arrays["range"].shape != (2,):
-            raise romf.FormatError(f"{path}: 'range' must hold (lo, hi)")
-        lo, hi = arrays["range"]
+        romf.require(arrays, ["mins", "maxs"], path)
+        extra = [name for name in arrays if name not in ("mins", "maxs")]
+        if extra:
+            raise romf.FormatError(f"{path}: a scaler file holds mins and "
+                                   f"maxs alone, not {extra[0]!r}")
         with romf.building(path):
-            return cls(mins=arrays["mins"], maxs=arrays["maxs"], lo=lo, hi=hi)
+            return cls(mins=arrays["mins"], maxs=arrays["maxs"])
 
 
-def fit_scaler(data, lo=0.0, hi=1.0):
+def fit_scaler(data):
     """Fit per-column min/max from the rows of an (n, columns) matrix."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ShapeMismatch("a scaler is fitted on an (n, columns) matrix")
     if data.size == 0:
         raise EmptyInput("cannot fit a scaler on empty data")
-    return MinMaxScaler(
-        mins=data.min(axis=0), maxs=data.max(axis=0), lo=float(lo), hi=float(hi)
-    )
+    return MinMaxScaler(mins=data.min(axis=0), maxs=data.max(axis=0))

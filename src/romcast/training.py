@@ -79,8 +79,10 @@ GRID_KEYS = ("dropout", "hidden_nodes", "batch_size", "output_activation",
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one training run. A config checks itself when
-    built, and so on ``replace``, raising InvalidConfig."""
+    """Hyperparameters of one training run. Nadam's constants, beta1,
+    beta2 and eps, are not among them: they are ``optim.NadamState``'s
+    defaults. A config checks itself when built, and so on ``replace``,
+    raising InvalidConfig."""
 
     batch_size: int = 32
     hidden_nodes: int = 64
@@ -94,9 +96,6 @@ class TrainConfig:
     adv_weight: float = 1.0
     lr: float = 1e-3
     d_lr: float = 3e-3  # discriminator Nadam rate; D must outpace the generator
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     d_steps: int = 2  # discriminator updates per generator update
 
     def __post_init__(self):
@@ -108,12 +107,9 @@ class TrainConfig:
                 raise InvalidConfig(f"{name} must be >= 1")
         if not 0.0 <= self.adv_weight < math.inf:
             raise InvalidConfig("adv_weight must be finite and >= 0")
-        for name in ("lr", "d_lr", "eps"):
+        for name in ("lr", "d_lr"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise InvalidConfig(f"{name} must be finite and positive")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise InvalidConfig(f"{name} must lie in [0, 1)")
         if not 0.0 <= self.dropout < 1.0:
             raise InvalidConfig("dropout must lie in [0, 1)")
         if self.output_activation not in ACTIVATIONS:
@@ -170,7 +166,7 @@ class TrainReport:
     epoch_seconds: list = field(default_factory=list)
 
 
-def make_windows(scores, time_lag, train_fraction=0.9):
+def make_windows(scores, time_lag, train_fraction):
     """Build k = n - N windows (stride 1) with a chronological split."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
@@ -258,14 +254,12 @@ def _train(dataset, config):
     ).astype(np.float32)
     train_inputs = dataset.train_inputs.astype(np.float32)
     train_targets = dataset.train_targets.astype(np.float32)
-    opt_g = NadamState(lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-                       eps=config.eps)
+    opt_g = NadamState(lr=config.lr)
     disc = opt_d = None
     if config.adversarial:
         disc = init_discriminator(tau, config.hidden_nodes,
                                   streams["disc"]).astype(np.float32)
-        opt_d = NadamState(lr=config.d_lr, beta1=config.beta1,
-                           beta2=config.beta2, eps=config.eps)
+        opt_d = NadamState(lr=config.d_lr)
     report = TrainReport(
         d_loss=[] if config.adversarial else None,
         g_adv_loss=[] if config.adversarial else None,

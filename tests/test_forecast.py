@@ -460,7 +460,7 @@ def desk_models():
     data = snapshots.generate(snapshots.GeneratorConfig()).field("tracer")
     scores = pca.project(pca.fit(data, tau=16), data)
     scaled = snapshots.fit_scaler(scores).scale(scores)
-    dataset = training.make_windows(scaled, 2)
+    dataset = training.make_windows(scaled, 2, 0.9)
     classic, _ = training.train_classic(
         dataset, training.TrainConfig(epochs=5))
     adv, _, _ = training.train_adversarial(

@@ -536,17 +536,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name, value", [
         ("lr", math.nan), ("lr", math.inf), ("lr", 0.0), ("lr", -1e-3),
         ("d_lr", math.nan), ("d_lr", -1.0), ("d_lr", 0.0),
-        ("eps", 0.0), ("eps", math.nan), ("eps", math.inf),
-        ("beta1", 1.5), ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
-        ("beta2", 1.0), ("beta2", math.nan),
         ("adv_weight", math.nan), ("adv_weight", math.inf),
     ])
     def test_bad_optimizer_number(self, name, value):
         with pytest.raises(InvalidConfig, match=name):
             quick_config(**{name: value})
 
-    @pytest.mark.parametrize("name, value", [
-        ("beta1", 0.0), ("beta2", 0.0), ("adv_weight", 0.0),
-    ])
+    @pytest.mark.parametrize("name, value", [("adv_weight", 0.0)])
     def test_edge_optimizer_number_accepted(self, name, value):
         quick_config(**{name: value})
