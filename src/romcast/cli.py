@@ -29,7 +29,9 @@ bytes by rounding: the Python and numpy versions, the BLAS name and
 version, ``os.cpu_count()`` and every ``*_NUM_THREADS`` variable set.
 A command hashes each file it reads or writes once, checks every
 manifest record against that hash and refuses to run on a stale
-pipeline; no command writes over one of its inputs, or writes two
+pipeline, or on a mismatched one: an input whose manifest records
+another basis or scaler than the one given (snapshots may be another
+run's). No command writes over one of its inputs, or writes two
 outputs to one file.
 
 Exit codes: 0 on success; 1 for a runtime or format failure, such as a
@@ -293,7 +295,8 @@ def _verify_io(inputs, outputs):
     verify each input against its manifest (``verify_artifact``).
 
     ``inputs`` maps an input's name to its path, as a manifest records
-    it, and ``outputs`` maps an option to the path it writes.
+    it, and ``outputs`` maps an option to the path it writes; returns
+    the inputs' manifests by name.
     """
     claimed = {}
     for name, path in inputs.items():
@@ -311,8 +314,20 @@ def _verify_io(inputs, outputs):
             raise InvalidConfig(f"{option} {path} is the same file as "
                                 f"{claimed[key]}; give it another path")
         claimed[key] = option
-    for path in inputs.values():
-        verify_artifact(path)
+    return {name: verify_artifact(path) for name, path in inputs.items()}
+
+
+def _check_one_rom(inputs, manifests):
+    """Raise HashMismatch, naming both files, when an input's manifest
+    records another basis or scaler than the one given; snapshots are
+    exempt. Called once the inputs have loaded, so that a file of the
+    wrong kind is named as such first."""
+    for name, manifest in manifests.items():
+        for rom, entry in manifest.get("inputs", {}).items():
+            if rom in ("basis", "scaler") and rom in inputs \
+                    and entry["sha256"] != _digest(inputs[rom]):
+                raise HashMismatch(f"{inputs[name]} was built on another "
+                                   f"{rom} than {inputs[rom]}")
 
 
 # the inputs that train, gridsearch and evaluate take their scores from
@@ -383,8 +398,9 @@ def cmd_train(args):
     out = args.out or ("model_adv.romf" if tcfg.adversarial else
                        "model_classic.romf")
     inputs = _data_inputs(args)
-    _verify_io(inputs, {"--out": out})
+    manifests = _verify_io(inputs, {"--out": out})
     scaler, scores, field = _load_scores(inputs)
+    _check_one_rom(inputs, manifests)
     dataset = training.make_windows(scaler.scale(scores), tcfg.time_lag,
                                     tcfg.train_fraction)
     adversarial_curves = {}
@@ -417,8 +433,9 @@ def cmd_gridsearch(args):
     epochs = config["search_epochs"] if args.epochs is None else args.epochs
     replace(base, epochs=epochs)  # checks the budget before any work
     inputs = _data_inputs(args)
-    _verify_io(inputs, {"--out": out})
+    manifests = _verify_io(inputs, {"--out": out})
     scaler, scores, _ = _load_scores(inputs)
+    _check_one_rom(inputs, manifests)
     best, results = training.grid_search(scaler.scale(scores), grid, base,
                                          search_epochs=epochs)
     axes = list(grid)
@@ -458,10 +475,11 @@ def cmd_evaluate(args):
     if args.horizon < 1:
         raise InvalidConfig("--horizon must be >= 1")
     inputs = {**_data_inputs(args), "classic": args.classic, "adv": args.adv}
-    _verify_io(inputs, {"--out": out})
+    manifests = _verify_io(inputs, {"--out": out})
     scaler, scores, _ = _load_scores(inputs)
     classic, _, _ = load_model(args.classic)
     adv, _, _ = load_model(args.adv)
+    _check_one_rom(inputs, manifests)
     report = forecast.evaluate_ensemble(classic, adv, scores, scaler, starts,
                                         args.horizon)
     report.to_csv(out)
@@ -522,8 +540,10 @@ def cmd_bench(args):
     gen = load_config(args.config)["data"]
     if min(args.horizon, args.ensemble) < 1:
         raise InvalidConfig("--horizon and --ensemble must be >= 1")
-    _verify_io({"model": args.model, "scaler": args.scaler}, {})
+    inputs = {"model": args.model, "scaler": args.scaler}
+    manifests = _verify_io(inputs, {})
     model, _, _ = load_model(args.model)
+    _check_one_rom(inputs, manifests)
     timing = forecast.timing_benchmark(model, gen, args.horizon, args.ensemble)
     sim = timing.sim_seconds_per_step
     single = timing.forecast_seconds_per_step
@@ -549,7 +569,8 @@ def build_parser():
     p = sub.add_parser("generate", help="run the synthetic solver")
     p.add_argument("--config")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="draws the initial tracer "
+                   "alone: with init_amplitude 0, the default, no byte moves")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("pca", help="fit the truncated PCA basis and scaler")

@@ -57,14 +57,12 @@ class EnsembleReport:
         return _reduction(*self.aggregate)
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(
-                "horizon,mean_classic,std_classic,mean_adv,std_adv,"
-                "error_reduction_pct\n"
-            )
-            for row in zip(self.horizons, self.mean_classic, self.std_classic,
-                           self.mean_adv, self.std_adv, self.reduction_pct):
-                fh.write(",".join(f"{value:.6g}" for value in row) + "\n")
+        table = np.column_stack([self.horizons, self.mean_classic,
+                                 self.std_classic, self.mean_adv,
+                                 self.std_adv, self.reduction_pct])
+        np.savetxt(path, table, fmt="%.6g", delimiter=",", comments="",
+                   header="horizon,mean_classic,std_classic,mean_adv,"
+                          "std_adv,error_reduction_pct")
 
     @classmethod
     def from_csv(cls, path):

@@ -57,7 +57,8 @@ Sequences that share a prefix (the discriminator's real and fake inputs
 in training) share its work: ``discriminator_branches`` runs the prefix
 once and each last step from its final state, through the starting
 state (h0, c0) that ``_recur`` takes and ``_lstm_backward`` returns the
-gradient of. It is the discriminator's one forward path, and
+gradient of. It is the discriminator's path in training, which the
+tests hold to ``discriminator_forward``'s whole-sequence run;
 ``_param_grads`` is every model's one backward path.
 
 The discriminator's head is linear: it emits a logit, and the sigmoid
@@ -550,22 +551,19 @@ def forecaster_step(model, windows):
 
 
 def discriminator_forward(disc, sequence):
-    """Score (B, T, D) sequences; returns logits (B,) and the tape.
-
-    Each sequence's last step is the one candidate of
-    ``discriminator_branches``, scored from the state its first T - 1
-    steps leave.
-    """
-    seq = _check_sequence(sequence, disc.lstm)
-    logits, tape = discriminator_branches(disc, seq[:, :-1], seq[None, :, -1])
-    return logits[0], tape
+    """Score (B, T, D) sequences, each as one run from a zero state;
+    returns logits (B,) and the tape. Training scores through
+    ``discriminator_branches``, which the tests hold to this."""
+    lstm_tape = _recur(disc.lstm, _check_sequence(sequence, disc.lstm))
+    logits, tape = _head(disc, lstm_tape)
+    return logits[:, 0], tape
 
 
 def discriminator_branches(disc, prefix, candidates):
     """Score each sequence [prefix, candidate] for k candidate batches
     that share one prefix; returns logits (k, B) and the tape.
 
-    This is the discriminator's one forward path. ``prefix`` is
+    This is the discriminator's path in training. ``prefix`` is
     (B, N, D) with N >= 0 and ``candidates`` is (k, B, D). The prefix
     runs once from a zero state; the last step then runs for all k*B
     sequences from its final (h, c). With N = 0 the candidates are

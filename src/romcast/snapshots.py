@@ -48,6 +48,8 @@ class GeneratorConfig:
     ``source_period`` is the period (seconds) of the sinusoidal background
     pollution pulse injected at ``source_center``; the source term is
     ``amplitude * (1 + sin(2 pi t / period)) / 2`` so it stays nonnegative.
+    ``seed`` draws the initial tracer alone, so with ``init_amplitude``
+    0, the default, it changes no byte.
     A config checks itself when built, and so on ``replace``, raising
     InvalidConfig; ``source_center`` is stored as a tuple.
     """
@@ -285,12 +287,12 @@ def _advance(cp, ufx, ufy, upx, upy, config):
     cf[w + 1:-w - 1] += diff
 
 
-def generate(config, initial_tracer=None):
+def generate(config):
     """Run the solver and return the snapshot matrix (one row per step).
 
     Row t holds the state at time t*dt: tracer first, then vel_x, vel_y.
-    Deterministic given the config (the seed drives the optional random
-    initial tracer). A bad initial tracer raises before the solve.
+    Deterministic given the config: the initial tracer is
+    ``init_amplitude`` times uniform noise drawn from ``PCG64(seed)``.
 
     What does not change between steps is computed once: the padded
     velocities, their face velocities and each face's upwind cell. With
@@ -314,19 +316,7 @@ def generate(config, initial_tracer=None):
     """
     ny, nx = config.grid_ny, config.grid_nx
     rng = np.random.default_rng(np.random.PCG64(config.seed))
-    if initial_tracer is not None:
-        c = np.array(initial_tracer, dtype=np.float64)
-        if c.shape != (ny, nx):
-            raise ShapeMismatch(
-                f"initial tracer shape {c.shape} != grid ({ny}, {nx})"
-            )
-        if not np.all(np.isfinite(c)):
-            raise NonFiniteInput("initial tracer contains NaN/Inf")
-        if np.any(c < 0):
-            raise InvalidConfig("initial tracer must be nonnegative")
-    else:
-        c = config.init_amplitude * rng.random((ny, nx))
-    cp = _padded(c)
+    cp = _padded(config.init_amplitude * rng.random((ny, nx)))
     c = cp[1:-1, 1:-1]
 
     vx, vy = _velocity_field(config)

@@ -129,10 +129,6 @@ class WindowedDataset:
     split: int  # first `split` samples are training
 
     @property
-    def k(self):
-        return self.inputs.shape[0]
-
-    @property
     def time_lag(self):
         return self.inputs.shape[1]
 
@@ -167,7 +163,8 @@ class TrainReport:
 
 
 def make_windows(scores, time_lag, train_fraction):
-    """Build k = n - N windows (stride 1) with a chronological split."""
+    """Build k = n - N windows (stride 1), split in time: the first
+    int(k * train_fraction) < k train, so at least one validates."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise InvalidConfig("scores must be an n x tau matrix")
@@ -228,13 +225,6 @@ def _discriminator_step(disc, opt, windows, targets, fake):
     grads, _ = _param_grads(tape, np.stack([d_real, d_fake]).reshape(-1, 1))
     nadam_step(opt, disc.params(), grads)
     return loss_real + loss_fake
-
-
-def _validation_loss(model, dataset):
-    if dataset.val_inputs.shape[0] == 0:
-        return float("nan")
-    pred, _ = forecaster_forward(model, dataset.val_inputs)
-    return mse(pred, dataset.val_targets)
 
 
 def _train(dataset, config):
@@ -303,7 +293,8 @@ def _train(dataset, config):
         report.train_loss.append(sq_sum / k_train)
         # validate the float64 model that is handed out
         wide = model.astype(np.float64)
-        report.val_loss.append(_validation_loss(wide, dataset))
+        pred, _ = forecaster_forward(wide, dataset.val_inputs)
+        report.val_loss.append(mse(pred, dataset.val_targets))
         if config.adversarial:
             report.d_loss.append(d_sum / (n_batches * config.d_steps))
             report.g_adv_loss.append(adv_sum / n_batches)

@@ -540,7 +540,7 @@ class TestExitCodes:
     def test_model_and_basis_of_other_sizes_is_runtime_error(self, workdir,
                                                              capsys):
         # the models take 4 PCs; a basis and scaler of 2 must not reach
-        # the kernel's matmul
+        # the kernel's matmul: the models were trained on another basis
         pipeline(workdir)
         assert run("pca", "--config", "config.json", "--snapshots",
                    "snap.romf", "--tau", "2", "--out", "basis2.romf",
@@ -550,7 +550,73 @@ class TestExitCodes:
                    "classic.romf", "--snapshots", "snap.romf", "--basis",
                    "basis2.romf", "--scaler", "scaler2.romf", "--starts",
                    "40..42", "--horizon", "5") == 1
-        assert "2 PCs, the model takes 4" in capsys.readouterr().err
+        assert ("romcast: error: classic.romf was built on another basis "
+                "than basis2.romf") in capsys.readouterr().err
+        assert not os.path.exists("ensemble_report.csv")
+
+    @pytest.mark.parametrize("argv, built, rom, given", [
+        pytest.param(
+            ["evaluate", "--classic", "classic.romf", "--adv", "classic.romf",
+             "--snapshots", "snap.romf", "--basis", "other_basis.romf",
+             "--scaler", "other_scaler.romf", "--starts", "40..42",
+             "--horizon", "5"], "classic.romf", "basis", "other_basis.romf",
+            id="evaluate-other_rom"),
+        pytest.param(
+            ["evaluate", "--classic", "classic.romf", "--adv", "classic.romf",
+             "--snapshots", "snap.romf", "--basis", "basis.romf", "--scaler",
+             "other_scaler.romf", "--starts", "40..42", "--horizon", "5"],
+            "other_scaler.romf", "basis", "basis.romf",
+            id="evaluate-other_scaler"),
+        pytest.param(
+            ["train", *CONFIG, "--snapshots", "snap.romf", "--basis",
+             "basis.romf", "--scaler", "other_scaler.romf", "--out",
+             "again.romf"], "other_scaler.romf", "basis", "basis.romf",
+            id="train-other_scaler"),
+        pytest.param(
+            ["gridsearch", *CONFIG, "--snapshots", "snap.romf", "--basis",
+             "other_basis.romf", "--scaler", "scaler.romf", "--out",
+             "grid.csv"], "scaler.romf", "basis", "other_basis.romf",
+            id="gridsearch-other_basis"),
+        pytest.param(
+            ["bench", *CONFIG, "--model", "classic.romf", "--scaler",
+             "other_scaler.romf", "--horizon", "5"], "classic.romf",
+            "scaler", "other_scaler.romf", id="bench-other_scaler"),
+    ])
+    def test_foreign_basis_or_scaler_is_hash_mismatch(
+            self, workdir, capsys, monkeypatch, argv, built, rom, given):
+        # a basis and scaler fitted on another run, each hash-consistent
+        # with its own manifest: the command refuses the mix, naming the
+        # input built on the other reduced model and the file given
+        pipeline(workdir)
+        assert run("generate", *CONFIG, "--seed", "8", "--out",
+                   "other.romf") == 0
+        assert run("pca", *CONFIG, "--snapshots", "other.romf", "--out",
+                   "other_basis.romf", "--scaler-out",
+                   "other_scaler.romf") == 0
+        for module, name in [(training, "_train"),
+                             (forecast, "evaluate_ensemble"),
+                             (forecast, "timing_benchmark")]:
+            monkeypatch.setattr(module, name, refuse_work)
+        before = sorted(os.listdir())
+        capsys.readouterr()
+        assert run(*argv) == 1
+        out, err = capsys.readouterr()
+        assert err == (f"romcast: error: {built} was built on another "
+                       f"{rom} than {given}\n")
+        assert out == ""
+        assert sorted(os.listdir()) == before
+
+    def test_models_evaluate_on_other_snapshots(self, workdir, capsys):
+        # another run's snapshots through the models' own basis and
+        # scaler: the reduced model matches, so this is no mismatch
+        pipeline(workdir)
+        assert run("generate", *CONFIG, "--seed", "8", "--out",
+                   "other.romf") == 0
+        assert run("evaluate", "--classic", "classic.romf", "--adv",
+                   "classic.romf", "--snapshots", "other.romf", "--basis",
+                   "basis.romf", "--scaler", "scaler.romf", "--starts",
+                   "40..42", "--horizon", "5") == 0
+        assert os.path.exists("ensemble_report.csv")
 
     @pytest.mark.parametrize("argv", [
         ["train", *CONFIG, *DATA, "--out", "basis.romf"],

@@ -3,7 +3,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from romcast import neural, optim, training
@@ -36,7 +36,7 @@ class TestMakeWindows:
     def test_window_arithmetic(self):
         scores = np.arange(8.0).reshape(4, 2)
         ds = training.make_windows(scores, 2, 0.9)
-        assert ds.k == 2
+        assert len(ds.inputs) == len(ds.targets) == 2
         assert np.array_equal(ds.inputs[0], scores[0:2])
         assert np.array_equal(ds.targets[0], scores[2])
         assert np.array_equal(ds.inputs[1], scores[1:3])
@@ -44,17 +44,27 @@ class TestMakeWindows:
 
     def test_single_sample_boundary(self):
         ds = training.make_windows(np.zeros((3, 2)), 2, 0.5)
-        assert ds.k == 1
+        assert len(ds.inputs) == len(ds.targets) == 1
 
     def test_paper_scale_split(self):
         ds = training.make_windows(np.zeros((1500, 2)), 2, 0.9)
-        assert ds.k == 1498
+        assert len(ds.inputs) == len(ds.targets) == 1498
         assert ds.split == 1348
-        assert ds.k - ds.split == 150
+        assert len(ds.val_inputs) == len(ds.val_targets) == 150
 
     def test_too_few_steps(self):
         with pytest.raises(TooFewSteps):
             training.make_windows(np.zeros((2, 3)), 2, 0.9)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 5), st.integers(1, 400),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(lag=1, k=400, fraction=math.nextafter(1.0, 0.0))
+    def test_a_window_is_always_left_to_validate(self, lag, k, fraction):
+        # n = lag + k rows give k windows, and int(k * f) < k for
+        # 0 < f < 1, which validation relies on
+        ds = training.make_windows(np.zeros((lag + k, 1)), lag, fraction)
+        assert len(ds.val_inputs) == len(ds.val_targets) >= 1
 
     def test_chronological_split(self):
         ds = training.make_windows(wave_scores(), 2, 0.8)
@@ -78,7 +88,7 @@ class TestMakeWindows:
             return
         scores = np.arange(float(n * 2)).reshape(n, 2)
         ds = training.make_windows(scores, lag, 0.7)
-        for i in range(ds.k - 1):
+        for i in range(len(ds.inputs) - 1):
             assert np.array_equal(ds.targets[i], ds.inputs[i + 1][-1])
 
 
