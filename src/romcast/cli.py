@@ -455,6 +455,9 @@ def cmd_gridsearch(args):
 
 
 def _parse_starts(text):
+    """The starts of ``--starts`` A..B or a comma list, and their text as
+    ``evaluate`` prints it: A..B, or the list. A start given twice would
+    count twice in every mean, so it is refused."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
@@ -466,12 +469,18 @@ def _parse_starts(text):
     if not starts or min(starts) < 0:
         raise InvalidConfig("--starts must be A..B with 0 <= A <= B or a "
                             f"comma list of integers >= 0, got {text!r}")
-    return starts
+    if len(set(starts)) < len(starts):
+        repeated = next(s for i, s in enumerate(starts) if s in starts[:i])
+        raise InvalidConfig(f"--starts gives start {repeated} more than "
+                            f"once, got {text!r}")
+    if ".." in text:
+        return starts, f"{starts[0]}..{starts[-1]}"
+    return starts, ",".join(map(str, starts))
 
 
 def cmd_evaluate(args):
     out = args.out or "ensemble_report.csv"
-    starts = _parse_starts(args.starts)
+    starts, shown = _parse_starts(args.starts)
     if args.horizon < 1:
         raise InvalidConfig("--horizon must be >= 1")
     inputs = {**_data_inputs(args), "classic": args.classic, "adv": args.adv}
@@ -492,7 +501,7 @@ def cmd_evaluate(args):
               "diverged_adv": report.diverged_adv,
               "n_pairs": report.n_pairs.tolist()},
     )
-    print(f"evaluate: {out} starts={starts[0]}..{starts[-1]} "
+    print(f"evaluate: {out} starts={shown} "
           f"horizon={args.horizon} "
           f"aggregate_reduction={report.aggregate_reduction_pct:.2f}%")
     return 0

@@ -1,9 +1,15 @@
 """Autoregressive rollout, ensemble error evaluation and timing.
 
 Rollouts feed each prediction back as input for the next step, and run
-in float32, the dtype the models are trained in (``_roll``). Errors are
-L2 norms in unscaled PC space at each horizon step, taken in float64;
-the ensemble report aggregates them over start points for the
+in float32, the dtype the models are trained in. There is one rollout
+path, ``_roll``, and it rolls a ``neural.ForecasterStack``: models with
+a leading model axis, stepped through one kernel pass for all of them.
+``evaluate_ensemble`` stacks its two arms when they share a
+``neural.layout``, which halves the numpy calls of each step, and rolls
+each arm as a stack of one otherwise; ``rollout`` and ``bench`` roll a
+stack of one. Each model's predictions are the same bits either way.
+Errors are L2 norms in unscaled PC space at each horizon step, taken in
+float64; the ensemble report aggregates them over start points for the
 classic/adversarial pair.
 """
 
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import snapshots
+from . import neural, snapshots
 from .errors import (
     InvalidConfig,
     NonFiniteInput,
@@ -93,50 +99,52 @@ class EnsembleReport:
         )
 
 
-def _roll(model, windows, horizon):
-    """Roll a (B, N, tau) batch of scaled windows, which it never writes,
-    in float32, the dtype the models are trained in.
+def _roll(stack, windows, horizon):
+    """Roll a ``neural.ForecasterStack`` of M models from one (B, N, tau)
+    batch of scaled windows, which it never writes, in float32, the dtype
+    the models are trained in.
 
-    The model and the windows are narrowed to float32 once, which is
-    exact for a trained model's weights (``training._train`` keeps
-    float32 master weights); a float32 model or float32 windows, which a
-    caller narrowed already, are used as they are. One (B, N + H, tau)
-    float32 buffer holds the windows, then the predictions: step h
-    predicts from the view ``buf[:, h:h + N]`` into ``buf[:, N + h]``, so
-    no window is shifted.
-    Returns the (B, H, tau) scaled predictions, widened to float64, and
-    per row the step where its prediction first went non-finite
-    (``horizon`` if never), from which its predictions are NaN. A window
-    value or a weight that is finite but past float32's range (3.4e38)
-    is a NonFiniteInput naming it, raised before any step, so a
-    divergence is what the rollout itself did: float32 overflow, or a
-    NaN that the inputs already held.
+    The stack holds the models narrowed to float32 once, which is exact
+    for a trained model's weights (``training._train`` keeps float32
+    master weights); the windows are narrowed here unless a caller
+    narrowed them already. One (M, B, N + H, tau) float32 buffer holds
+    the windows for every model, then the predictions: step h predicts
+    from the view ``buf[:, :, h:h + N]`` into ``buf[:, :, N + h]``, for
+    all M models in one kernel pass, so no window is shifted.
+    Returns the (M, B, H, tau) scaled predictions, widened to float64,
+    and per model and row the step where its prediction first went
+    non-finite (``horizon`` if never), from which its predictions are
+    NaN. A window value that is finite but past float32's range (3.4e38)
+    is a NonFiniteInput naming it, raised before any step, as a weight
+    past it is by ``neural.stack``; so a divergence is what the rollout
+    itself did: float32 overflow, or a NaN that the inputs already held.
 
-    No arithmetic of the kernel mixes rows, so a diverged row runs on,
-    unchecked, and leaves the others bit-identical; the overflow and
-    invalid flags it raises are ignored, so divergence is recorded, not
-    warned about or raised.
+    No arithmetic of the kernel mixes models or rows, so a diverged row
+    runs on, unchecked, and leaves every other row of every model
+    bit-identical; the overflow and invalid flags it raises are ignored,
+    so divergence is recorded, not warned about or raised.
     """
     if horizon < 0:
         raise InvalidConfig("horizon must be >= 0")
     batch, lag, tau = windows.shape
-    if tau != model.lstm.input_dim:
+    if tau != stack.lstm.input_dim:
         raise ShapeMismatch(f"windows hold {tau} PCs, the model takes "
-                            f"{model.lstm.input_dim}")
-    if model.flat.dtype != np.float32:
-        model = model.astype(np.float32)
+                            f"{stack.lstm.input_dim}")
+    if batch != stack.batch:
+        raise ShapeMismatch(f"{batch} windows for a stack laid out for "
+                            f"{stack.batch}")
     if windows.dtype != np.float32:
         windows = _narrow(windows,
                           lambda row, step: f"window {row}, row {step}")
-    buf = np.empty((batch, lag + horizon, tau), np.float32)
-    buf[:, :lag] = windows
+    buf = np.empty((len(stack.models), batch, lag + horizon, tau), np.float32)
+    buf[:, :, :lag] = windows
     with np.errstate(over="ignore", invalid="ignore"):
         for h in range(horizon):
-            buf[:, lag + h] = forecaster_step(model, buf[:, h:h + lag])
-    preds = buf[:, lag:].astype(np.float64)
-    alive = np.logical_and.accumulate(np.isfinite(preds).all(axis=2), axis=1)
+            buf[:, :, lag + h] = forecaster_step(stack, buf[:, :, h:h + lag])
+    preds = buf[:, :, lag:].astype(np.float64)
+    alive = np.logical_and.accumulate(np.isfinite(preds).all(axis=3), axis=2)
     preds[~alive] = np.nan
-    return preds, alive.sum(axis=1)
+    return preds, alive.sum(axis=2)
 
 
 def _narrow(windows, where):
@@ -175,7 +183,8 @@ def rollout(model, scaler, seed_window, horizon):
             f"seed window must be {model.time_lag} x tau, got {window.shape}"
         )
     window = _narrow(window[None], lambda row, step: f"seed window row {step}")
-    (preds,), (done,) = _roll(model, window, horizon)
+    preds, done = _roll(neural.stack([model], 1), window, horizon)
+    preds, done = preds[0, 0], done[0, 0]
     preds[:done] = scaler.invert(preds[:done])
     return RolloutResult(horizon=horizon, predictions=preds,
                          diverged_at=None if done == horizon else int(done))
@@ -196,10 +205,14 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, starts,
 
     ``scores`` is the full unscaled n x tau score matrix (ground truth);
     a start step t seeds the window with rows [t, t+N) and forecasts rows
-    [t+N, t+N+horizon). At each horizon step both models are averaged
-    over the same starts: those where neither has diverged yet
-    (``n_pairs``), so a model that diverges more often cannot look better
-    by dropping its worst runs. Where no pair is left the means are NaN.
+    [t+N, t+N+horizon). Both models must take tau PCs, which is checked,
+    naming the arm, before any rollout. Two models of one
+    ``neural.layout`` roll as one stack, through one kernel pass per
+    step; otherwise each rolls as a stack of one, with the same results.
+    At each horizon step both models are averaged over the same starts:
+    those where neither has diverged yet (``n_pairs``), so a model that
+    diverges more often cannot look better by dropping its worst runs.
+    Where no pair is left the means are NaN.
     """
     if model_classic.time_lag != model_adv.time_lag:
         raise InvalidConfig("models must share the time lag for a fair ensemble")
@@ -207,7 +220,12 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, starts,
         raise InvalidConfig("horizon must be >= 1")
     scores = np.asarray(scores, dtype=np.float64)
     lag = model_classic.time_lag
-    n = scores.shape[0]
+    n, tau = scores.shape
+    arms = (model_classic, model_adv)
+    for name, model in zip(("classic", "adv"), arms):
+        if model.lstm.input_dim != tau:
+            raise ShapeMismatch(f"scores hold {tau} PCs, the {name} model "
+                                f"takes {model.lstm.input_dim}")
     starts = [int(s) for s in starts]
     if not starts:
         raise StartOutOfRange("no start steps given")
@@ -220,11 +238,15 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, starts,
     # only the window rows; the scaler maps each element on its own
     windows = _narrow(scaler.scale(scores[starts + np.arange(lag)]),
                       lambda row, step: f"start {starts[row, 0]} + row {step}")
-    preds, diverged_at = zip(*(_roll(model, windows, horizon)
-                               for model in (model_classic, model_adv)))
+    if neural.layout(model_classic) == neural.layout(model_adv):
+        groups = [arms]
+    else:
+        groups = [arms[:1], arms[1:]]
+    preds, diverged_at = map(np.concatenate, zip(*(
+        _roll(neural.stack(group, len(windows)), windows, horizon)
+        for group in groups)))  # (2, S, H, tau) and (2, S)
     truth = scores[starts + lag + np.arange(horizon)]  # (S, H, tau)
-    errors = _norms(scaler.invert(np.stack(preds)) - truth)  # (2, S, H)
-    diverged_at = np.stack(diverged_at)  # (2, S)
+    errors = _norms(scaler.invert(preds) - truth)  # (2, S, H)
     paired = np.all(np.arange(horizon) < diverged_at[..., None], axis=0)
     n_pairs = paired.sum(axis=0)
     with np.errstate(invalid="ignore"):
@@ -273,18 +295,20 @@ def timing_benchmark(model, generator_config, horizon, ensemble_width):
     """
     if horizon < 1 or ensemble_width < 1:
         raise InvalidConfig("horizon and ensemble width must be >= 1")
-    # narrowed once, before any timing: a model float32 cannot hold is
-    # refused first, and the timed calls run the rollout alone
-    model = model.astype(np.float32)
-    tau = model.head.weight.shape[0]
+    # stacked, and so narrowed, once, before any timing: a model float32
+    # cannot hold is refused first, and the timed calls run the rollout
+    # alone
+    one, width = (neural.stack([model], batch)
+                  for batch in (1, ensemble_width))
+    tau = model.lstm.input_dim
     windows = np.full((ensemble_width, model.time_lag, tau), 0.5, np.float32)
 
     sim_per_step = _timed(
         lambda: snapshots.generate(generator_config)
     ) / generator_config.n_steps
-    single = _timed(lambda: _roll(model, windows[:1], horizon)) / horizon
+    single = _timed(lambda: _roll(one, windows[:1], horizon)) / horizon
     batched = _timed(
-        lambda: _roll(model, windows, horizon)
+        lambda: _roll(width, windows, horizon)
     ) / (horizon * ensemble_width)
     return TimingReport(
         sim_seconds_per_step=sim_per_step,

@@ -11,10 +11,11 @@ array a forward or backward pass allocates, the dropout mask and the
 gradient buffer take it, and inputs are cast to it. ``model.astype``
 makes a copy in another dtype, by one cast of the buffer. Float32 runs
 elementwise passes and GEMMs several times faster, so training works on
-float32 copies and ``forecast._roll`` rolls every forecast out on one:
-a batch of 50 to 141 windows, as ``bench`` and ``evaluate`` roll, steps
-about twice as fast and one window about as fast, and over 50 steps the
-scaled predictions of desk models stay within about 1e-7 of float64's.
+float32 copies and ``forecast._roll`` rolls every forecast out on a
+float32 ``stack`` of one or more models: a batch of 50 to 141 windows,
+as ``bench`` and ``evaluate`` roll, steps about twice as fast and one
+window about as fast, and over 50 steps the scaled predictions of desk
+models stay within about 1e-7 of float64's.
 Training hands out every model widened back to float64, which is exact,
 and ``save_model`` stores those float32 values as float32 records;
 ``load_model`` widens them again. So a loaded model is float64, and
@@ -29,7 +30,13 @@ order W, U, b, head.weight, head.bias; ``model.params()`` maps the keys
 ``lstm.W``, ``lstm.U``, ``lstm.b``, ``head.weight`` and ``head.bias`` to
 views into it, and a saved model stores these five blocks under the same
 keys. Gradients come back in the same layout, so Nadam and clipping act
-on the whole buffer at once.
+on the whole buffer at once. A ``ForecasterStack`` (``stack``) holds M
+forecasters of one ``layout`` (input size, hidden size, lag and head
+activation) with a leading model axis: W (M, 4H, D), U (M, 4H, H) and
+the head's weight (M, D, H), each model's float32 block in order, and
+the biases broadcast to the batch of B windows it rolls, b (M, 4H, B)
+and the head's (M, B, D). It is for inference only; no tape of it is
+replayed.
 
 Construction alone checks a network's shapes (``ShapeMismatch``) and
 that its weights are finite (``NonFiniteInput``), and copies the blocks
@@ -45,13 +52,20 @@ a step is one contiguous (H, B) block. A step's input projection is
 W @ x_t and its recurrence U @ h_t. Nearly all of a step's work is
 elementwise passes over the gates, which on batch-major (B, 4H) rows
 would each stride over a column block; here each is one contiguous
-pass. The tape only keeps references to what the run computes anyway,
-so inference pays for no copy that only backward needs. Backward
-stacks the states and hands on dL/d(gates) as one (4H, T*B) matrix,
-from which dW, dU and the input gradient are one GEMM each. Only the
-kernel's tape sees this layout: ``lstm_forward`` returns (B, T, H) and
-(B, H) arrays, predictions are (B, O), input gradients (B, T, D) and
-dropout masks (B, H).
+pass. A stack runs through the same code with its gates model-major,
+(T, M, 4H, B), and its states (M, H, B): each product is then one
+batched matmul of M GEMMs, each as the model's own, and each
+elementwise pass covers all M models at once. No arithmetic mixes
+models, so each model's outputs are bit for bit what it gives alone; a
+forecast step costs about 25 numpy calls on small blocks, whatever the
+batch, and a stack pays them once for M models, as cuDNN runs
+independent small recurrences in fewer, larger calls. The tape only
+keeps references to what the run computes anyway, so inference pays for
+no copy that only backward needs. Backward stacks the states and hands
+on dL/d(gates) as one (4H, T*B) matrix, from which dW, dU and the input
+gradient are one GEMM each. Only the kernel's tape sees this layout:
+``lstm_forward`` returns (B, T, H) and (B, H) arrays, predictions are
+(B, O), input gradients (B, T, D) and dropout masks (B, H).
 
 Sequences that share a prefix (the discriminator's real and fake inputs
 in training) share its work: ``discriminator_branches`` runs the prefix
@@ -67,6 +81,8 @@ straight to the head's weights and the LSTM, with no activation factor.
 """
 
 import copy
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,11 +123,11 @@ class LstmParams:
 
     @property
     def input_dim(self):
-        return self.W.shape[1]
+        return self.W.shape[-1]
 
     @property
     def hidden_dim(self):
-        return self.U.shape[1]
+        return self.U.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -226,6 +242,66 @@ class Discriminator(_Network):
             raise InvalidConfig("discriminator head must output a scalar")
 
 
+def layout(model):
+    """What forecasters must share to run as one ``ForecasterStack``:
+    input size, hidden size, lag and head activation."""
+    return (model.lstm.input_dim, model.lstm.hidden_dim, model.time_lag,
+            model.output_activation)
+
+
+@dataclass(frozen=True, eq=False)
+class ForecasterStack:
+    """M forecasters of one ``layout`` as one network with a leading
+    model axis, for batches of ``batch`` windows (see ``stack``).
+
+    ``lstm`` holds W (M, 4H, D), U (M, 4H, H) and b (M, 4H, B), and
+    ``head`` weight (M, D, H) and bias (M, B, D): each model's float32
+    blocks, with both biases broadcast to the batch, so that each bias
+    add is one contiguous pass (the head's is laid out (M, D, B), as the
+    head's GEMM writes its result). ``models`` are the forecasters
+    stacked, in order, as they were given."""
+
+    models: tuple
+    lstm: LstmParams
+    head: DenseParams
+
+    @property
+    def output_activation(self):
+        return self.models[0].output_activation
+
+    @property
+    def batch(self):
+        return self.lstm.b.shape[-1]
+
+
+def stack(models, batch):
+    """The forecasters ``models``, which must share one ``layout``
+    (``ShapeMismatch`` otherwise), as a ForecasterStack for batches of
+    ``batch`` windows. Their weights are narrowed to float32 once; a
+    weight that this takes past float32's range is a NonFiniteInput
+    naming its block, as ``astype`` names it, and one that is NaN or Inf
+    already stays so."""
+    layouts = {layout(model) for model in models}
+    if len(layouts) != 1:
+        raise ShapeMismatch(f"forecasters of layouts {sorted(layouts)} "
+                            f"(input, hidden, lag, activation) do not stack")
+    models = tuple(models)
+    # one cast of the M buffers, into one copy; each block is then a view
+    # of its columns
+    with np.errstate(over="ignore"):
+        flat = np.array([model.flat for model in models], np.float32)
+    if not np.isfinite(flat).all():
+        for model in models:
+            model.astype(np.float32)  # names a block taken past the range
+    W, U, b, weight, bias = (
+        flat[:, offset:offset + math.prod(shape)].reshape(-1, *shape)
+        for offset, shape in models[0].params().layout.values())
+    b = np.repeat(b[:, :, None], batch, axis=2)
+    bias = np.repeat(bias[:, :, None], batch, axis=2).swapaxes(1, 2)
+    return ForecasterStack(models, LstmParams(W, U, b),
+                           DenseParams(weight, bias))
+
+
 @dataclass(slots=True, eq=False)
 class LstmTape:
     """One run of the kernel, as backward reads it.
@@ -310,9 +386,21 @@ def _check_sequence(sequence, lstm):
     return seq
 
 
+@functools.lru_cache(maxsize=8)
+def _gate_rows(hidden):
+    """Indices of the gates i, f, o and g, and of i, f, o together, in a
+    step's (4H, B) gates or a stack's (M, 4H, B): made once per hidden
+    size, since on the kernel's small blocks making an index costs about
+    as much as the pass that takes it."""
+    return tuple((Ellipsis, slice(lo * hidden, hi * hidden), slice(None))
+                 for lo, hi in ((0, 1), (1, 2), (2, 3), (3, 4), (0, 3)))
+
+
 def _recur(lstm, seq, h0=None, c0=None):
     """The one LSTM kernel: the recurrence over a (B, T, D) sequence, for
-    training and inference alike.
+    training and inference alike, or over (M, B, T, D) sequences for a
+    stack's (M, ...) blocks, whose gates and states gain the leading
+    model axis.
 
     It starts from a zero state, or from the state (h0, c0), each
     (H, B), when given: a run then continues one that ended there, as
@@ -326,28 +414,30 @@ def _recur(lstm, seq, h0=None, c0=None):
     inference runs this kernel as training does and drops the tape.
     """
     hidden = lstm.hidden_dim
-    n3 = 3 * hidden
     seq = np.asarray(seq, dtype=lstm.W.dtype)
-    gates = np.matmul(lstm.W, seq.transpose(1, 2, 0))
-    gates += lstm.b[:, None]
+    # (B, T, D) -> (T, D, B), or (M, B, T, D) -> (T, M, D, B)
+    axes = (1, 2, 0) if seq.ndim == 3 else (2, 0, 3, 1)
+    gates = np.matmul(lstm.W, seq.transpose(axes))
+    gates += lstm.b[:, None] if lstm.b.ndim == 1 else lstm.b
+    i, f, o, g, ifo = _gate_rows(hidden)
     h, c, tc = [h0], [c0], []
     for a in gates:
         c_t = c[-1]  # None for the zero state
         if c_t is not None:
             a += lstm.U @ h[-1]
         # i, f, o through sigmoid(z) = 0.5 (1 + tanh(z / 2)), g through tanh
-        sig = a[:n3]
+        sig = a[ifo]
         sig *= 0.5
         np.tanh(a, out=a)
         sig += 1.0
         sig *= 0.5
         if c_t is None:
-            c_t = a[:hidden] * a[n3:]
+            c_t = a[i] * a[g]
         else:
-            c_t = a[hidden:2 * hidden] * c_t
-            c_t += a[:hidden] * a[n3:]
+            c_t = a[f] * c_t
+            c_t += a[i] * a[g]
         tc_t = np.tanh(c_t)
-        h.append(a[2 * hidden:n3] * tc_t)
+        h.append(a[o] * tc_t)
         c.append(c_t)
         tc.append(tc_t)
     return LstmTape(lstm, seq, gates, h, c, tc)
@@ -468,7 +558,7 @@ def _head(model, lstm_tape, mask=None, prefix=None):
     result, so the logits are not kept: backward needs only the output.
     """
     h = lstm_tape.h[-1] if mask is None else lstm_tape.h[-1] * mask.T
-    pred = (model.head.weight @ h).T
+    pred = (model.head.weight @ h).swapaxes(-1, -2)
     pred += model.head.bias
     ACTIVATIONS[model.output_activation](pred, out=pred)
     return pred, HeadTape(model, lstm_tape, prefix, h, mask, pred)
@@ -538,7 +628,8 @@ def forecaster_head(model, lstm_tape, rng=None):
 
 def forecaster_step(model, windows):
     """Inference: predictions (B, tau) for a (B, N, tau) window batch, or
-    (tau,) for one N x tau window.
+    (tau,) for one N x tau window; for a ``ForecasterStack``, (M, B, tau)
+    for its (M, B, N, tau) windows.
 
     Runs the kernel and head of ``forecaster_forward``, so outputs are
     bit-identical, and drops their tapes. It skips input validation, and

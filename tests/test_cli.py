@@ -356,6 +356,32 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not os.path.exists("ensemble_report.csv")
 
+    def test_repeated_start_is_usage_error_before_any_read(
+            self, workdir, capsys, monkeypatch):
+        # a start given twice would count twice in every mean
+        pipeline(workdir)
+        monkeypatch.setattr(cli, "_sha256", refuse_work)
+        monkeypatch.setattr(romf, "read_arrays", refuse_work)
+        capsys.readouterr()
+        assert run("evaluate", "--classic", "classic.romf", "--adv",
+                   "classic.romf", *DATA, "--starts", "40,41,40",
+                   "--horizon", "5") == 2
+        err = capsys.readouterr().err
+        assert "--starts gives start 40 more than once" in err
+        assert not os.path.exists("ensemble_report.csv")
+
+    @pytest.mark.parametrize("starts, shown", [
+        ("40,50,45", "40,50,45"), ("40..42", "40..42"), ("45,,40", "45,40")])
+    def test_evaluate_prints_the_starts_as_given(self, workdir, capsys,
+                                                 starts, shown):
+        pipeline(workdir)
+        capsys.readouterr()
+        assert run("evaluate", "--classic", "classic.romf", "--adv",
+                   "classic.romf", *DATA, "--starts", starts,
+                   "--horizon", "5") == 0
+        out = capsys.readouterr().out
+        assert f" starts={shown} horizon=5 " in out
+
     @pytest.mark.parametrize("flag", ["--horizon", "--ensemble"])
     def test_bench_of_zero_is_usage_error(self, workdir, capsys, monkeypatch,
                                           flag):

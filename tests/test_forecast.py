@@ -24,6 +24,24 @@ def tiny_setup(seed=0, n=120, tau=3):
     return scores, scaler, model
 
 
+def roll(model, windows, horizon):
+    """``forecast._roll`` of one model, as a stack of one: its (B, H, tau)
+    predictions and (B,) divergence steps."""
+    preds, diverged_at = forecast._roll(neural.stack([model], len(windows)),
+                                        windows, horizon)
+    return preds[0], diverged_at[0]
+
+
+def per_model(stub):
+    """A stand-in for ``forecaster_step`` in the engine, which steps a
+    stack of models at once: ``stub(model, windows)`` for each model of
+    the stack, on its (B, N, tau) windows."""
+    def step(stack, windows):
+        return np.stack([stub(model, part)
+                         for model, part in zip(stack.models, windows)])
+    return step
+
+
 class TestRollout:
     def test_zero_horizon(self):
         scores, scaler, model = tiny_setup()
@@ -40,7 +58,7 @@ class TestRollout:
 
         monkeypatch.setattr(forecast, "forecaster_step", last_row)
         window = scaler.scale(scores)[:2]
-        (preds,), _ = forecast._roll(model, window[None].copy(), 7)
+        (preds,), _ = roll(model, window[None].copy(), 7)
         assert np.allclose(preds, np.tile(window[-1], (7, 1)))
 
     def test_first_step_equals_direct_prediction(self):
@@ -49,7 +67,7 @@ class TestRollout:
         # the engine rolls the float32 model, and widens what it predicts
         direct, _ = neural.forecaster_forward(model.astype(np.float32),
                                               window[None])
-        (preds,), _ = forecast._roll(model, window[None].copy(), 5)
+        (preds,), _ = roll(model, window[None].copy(), 5)
         assert preds[0].tobytes() == direct[0].astype(np.float64).tobytes()
         result = forecast.rollout(model, scaler, window, 5)
         assert result.predictions.tobytes() == scaler.invert(preds).tobytes()
@@ -135,6 +153,22 @@ class TestEvaluateEnsemble:
         other = neural.init_forecaster(3, 8, "sigmoid", 0.0, 3, rng)
         with pytest.raises(InvalidConfig):
             forecast.evaluate_ensemble(model, other, scores, scaler, [5], 10)
+
+    @pytest.mark.parametrize("wide_arm", ["classic", "adv"])
+    def test_arm_of_other_width_named_before_any_rollout(self, monkeypatch,
+                                                         wide_arm):
+        calls = []
+        monkeypatch.setattr(forecast, "forecaster_step",
+                            lambda *args: calls.append(args))
+        scores, scaler, model = tiny_setup(tau=3)
+        wide = neural.init_forecaster(4, 8, "sigmoid", 0.0, 2,
+                                      np.random.default_rng(3))
+        arms = {"classic": model, "adv": model, wide_arm: wide}
+        with pytest.raises(ShapeMismatch, match=f"scores hold 3 PCs, the "
+                                                f"{wide_arm} model takes 4"):
+            forecast.evaluate_ensemble(arms["classic"], arms["adv"], scores,
+                                       scaler, range(3, 8), 5)
+        assert calls == []
 
     def test_csv_round_trip(self, tmp_path):
         scores, scaler, model = tiny_setup()
@@ -225,7 +259,7 @@ class TestEngine:
                                   report.std_classic),
                                  (model_b, report.mean_adv, report.std_adv)):
             # the report's means and stds are those of the batch's errors
-            preds, _ = forecast._roll(model, windows, horizon)
+            preds, _ = roll(model, windows, horizon)
             errors = errors_of(preds, scores, scaler, starts, 2)
             np.testing.assert_allclose(mean, errors.mean(axis=0), rtol=1e-12)
             np.testing.assert_allclose(std, errors.std(axis=0), rtol=1e-12)
@@ -250,10 +284,10 @@ class TestEngine:
         windows = np.stack([scaled[s:s + 2] for s in range(10, 16)])
         spoiled = windows.copy()
         spoiled[2, 0, 1] = np.nan
-        clean_preds, clean_at = forecast._roll(model, windows, 9)
+        clean_preds, clean_at = roll(model, windows, 9)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            preds, diverged_at = forecast._roll(model, spoiled, 9)
+            preds, diverged_at = roll(model, spoiled, 9)
         others = [0, 1, 3, 4, 5]
         assert preds[others].tobytes() == clean_preds[others].tobytes()
         assert np.array_equal(diverged_at, [9, 9, 0, 9, 9, 9])
@@ -271,11 +305,11 @@ class TestEngine:
             return pred
 
         scores, scaler, model = tiny_setup()
-        monkeypatch.setattr(forecast, "forecaster_step", stub)
+        monkeypatch.setattr(forecast, "forecaster_step", per_model(stub))
         windows = np.stack([scaler.scale(scores)[s:s + 2] for s in (0, 5, 9)])
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            preds, diverged_at = forecast._roll(model, windows, 6)
+            preds, diverged_at = roll(model, windows, 6)
         assert calls == [3] * 6
         assert np.array_equal(diverged_at, [6, 3, 6])
         assert np.all(np.isfinite(preds[1, :3]))
@@ -296,7 +330,7 @@ class TestEngine:
         scaler = snapshots.fit_scaler(narrow)
         windows = scaler.scale(narrow)[None, :2]
         with pytest.raises(ShapeMismatch, match="2 PCs"):
-            forecast._roll(model, windows, 5)
+            roll(model, windows, 5)
         with pytest.raises(ShapeMismatch, match="2 PCs"):
             forecast.rollout(model, scaler, windows[0], 5)
         with pytest.raises(ShapeMismatch, match="2 PCs"):
@@ -349,7 +383,7 @@ class TestRollMatchesStepwise:
         # the engine rolls the float32 model: so does the definition
         want = stepwise(model.astype(np.float32), windows, 7)
         for horizon in range(8):
-            preds, diverged_at = forecast._roll(model, windows, horizon)
+            preds, diverged_at = roll(model, windows, horizon)
             assert preds.shape == (batch, horizon, 3)
             assert preds.tobytes() == want[:, :horizon].tobytes(), horizon
             assert np.array_equal(diverged_at, np.full(batch, horizon))
@@ -364,7 +398,7 @@ class TestRollMatchesStepwise:
         windows[:, -1, 1] = [0.0, 0.7, -10.0]
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            preds, diverged_at = forecast._roll(model, windows, 5)
+            preds, diverged_at = roll(model, windows, 5)
         assert np.array_equal(diverged_at, [5, 2, 5])
         assert np.all(np.isnan(preds[1, 2:]))
         with np.errstate(over="ignore"):
@@ -373,7 +407,7 @@ class TestRollMatchesStepwise:
         assert want[2, 0] == np.inf
         # the other rows: as if rolled alone, and by definition
         others = [0, 2]
-        alone, alone_at = forecast._roll(model, windows[others], 5)
+        alone, alone_at = roll(model, windows[others], 5)
         assert preds[others].tobytes() == alone.tobytes()
         assert np.array_equal(alone_at, [5, 5])
         assert preds[others].tobytes() == stepwise(narrow, windows[others],
@@ -381,6 +415,102 @@ class TestRollMatchesStepwise:
         # finite to the end, the first row within 2% of overflowing
         assert np.all(np.isfinite(preds[others]))
         assert preds[0, -1, 0] > 3.35e38
+
+
+class TestStackedPass:
+    """Models of one layout roll as one stack, through one kernel pass per
+    step, and each gives the bits it gives rolled alone."""
+
+    @pytest.mark.parametrize("batch", [1, 4, 141])
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu"])
+    @pytest.mark.parametrize("lag", [1, 2, 3])
+    def test_each_arm_as_rolled_alone(self, lag, activation, batch):
+        rng = np.random.default_rng(100 * lag + batch)
+        arms = [neural.init_forecaster(16, 64, activation, 0.0, lag, rng)
+                for _ in range(2)]
+        windows = rng.uniform(0.1, 0.9, (batch, lag, 16))
+        seed = windows.copy()
+        preds, diverged_at = forecast._roll(neural.stack(arms, batch),
+                                            windows, 12)
+        assert preds.shape == (2, batch, 12, 16)
+        for arm, got, got_at in zip(arms, preds, diverged_at):
+            alone, alone_at = roll(arm, windows, 12)
+            assert got.tobytes() == alone.tobytes()
+            assert np.array_equal(got_at, alone_at)
+        assert windows.tobytes() == seed.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 4, 141])
+    def test_desk_arms_as_rolled_alone(self, desk_models, batch):
+        scaled, models = desk_models
+        arms = [models["classic"], models["adv"]]
+        windows = scaled[np.arange(400, 400 + batch)[:, None] + np.arange(2)]
+        preds, diverged_at = forecast._roll(neural.stack(arms, batch),
+                                            windows, 50)
+        for arm, got, got_at in zip(arms, preds, diverged_at):
+            alone, alone_at = roll(arm, windows, 50)
+            assert got.tobytes() == alone.tobytes()
+            assert np.array_equal(got_at, alone_at)
+
+    def test_row_overflowing_in_one_arm_leaves_the_rest(self):
+        model = saturated_relu_model()
+        # its layout, with a head that cannot overflow: p' = relu(h / 2)
+        head = neural.DenseParams(np.array([[0.5, 0.0], [1.0, 0.0]]),
+                                  np.array([0.0, 0.25]))
+        other = neural.LstmForecaster(model.lstm, head, "relu", 0.0, 2)
+        windows = np.zeros((3, 2, 2))
+        windows[:, -1, 1] = [0.0, 0.7, -10.0]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            preds, diverged_at = forecast._roll(
+                neural.stack([model, other], 3), windows, 5)
+        # the middle row of the first arm overflows at step 2, as alone
+        assert np.array_equal(diverged_at, [[5, 2, 5], [5, 5, 5]])
+        assert np.all(np.isnan(preds[0, 1, 2:]))
+        assert np.all(np.isfinite(preds[0, 1, :2]))
+        assert preds[0].tobytes() == roll(model, windows, 5)[0].tobytes()
+        # its other rows: as rolled without the overflowing one
+        others = [0, 2]
+        without, _ = roll(model, windows[others], 5)
+        assert preds[0, others].tobytes() == without.tobytes()
+        # every row of the other arm: as rolled alone, and finite
+        alone, _ = roll(other, windows, 5)
+        assert preds[1].tobytes() == alone.tobytes()
+        assert np.all(np.isfinite(preds[1]))
+
+    def test_stack_keeps_its_models_and_narrows_their_blocks(self):
+        _, _, model = tiny_setup()
+        narrow = model.astype(np.float32)
+        stack = neural.stack([narrow, model], 4)
+        assert stack.models[0] is narrow and stack.models[1] is model
+        # each model's float32 blocks, the biases broadcast to the batch
+        W, U, b, weight, bias = narrow.params().values()
+        for got, want in ((stack.lstm.W, W), (stack.lstm.U, U),
+                          (stack.lstm.b, np.repeat(b[:, None], 4, axis=1)),
+                          (stack.head.weight, weight),
+                          (stack.head.bias, np.repeat(bias[None], 4, axis=0))):
+            assert got.dtype == np.float32
+            assert got.shape == (2, *want.shape)
+            for arm in got:
+                assert arm.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("other", [{"hidden": 5}, {"activation": "relu"},
+                                       {"lag": 3}, {"tau": 4}])
+    def test_other_layouts_do_not_stack(self, other):
+        _, _, model = tiny_setup()
+        settings = {"tau": 3, "hidden": 8, "activation": "sigmoid", "lag": 2,
+                    **other}
+        odd = neural.init_forecaster(settings["tau"], settings["hidden"],
+                                     settings["activation"], 0.0,
+                                     settings["lag"], np.random.default_rng(4))
+        with pytest.raises(ShapeMismatch, match="do not stack"):
+            neural.stack([model, odd], 4)
+
+    def test_batch_other_than_the_stacks_is_shape_mismatch(self):
+        scores, scaler, model = tiny_setup()
+        windows = np.stack([scaler.scale(scores)[s:s + 2] for s in (0, 5)])
+        with pytest.raises(ShapeMismatch, match="2 windows for a stack "
+                                                "laid out for 3"):
+            forecast._roll(neural.stack([model], 3), windows, 4)
 
 
 class TestFloat32Narrowing:
@@ -401,7 +531,7 @@ class TestFloat32Narrowing:
         with pytest.raises(NonFiniteInput,
                            match=r"window 2, row 1, PC 0 holds .*: past "
                                  r"float32's range"):
-            forecast._roll(model, windows, 4)
+            roll(model, windows, 4)
         with pytest.raises(NonFiniteInput,
                            match="seed window row 1, PC 0 holds"):
             forecast.rollout(model, snapshots.MinMaxScaler(
@@ -423,7 +553,7 @@ class TestFloat32Narrowing:
         windows[1, 1, 0] = float(np.finfo(np.float32).max)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            preds, diverged_at = forecast._roll(model, windows, 4)
+            preds, diverged_at = roll(model, windows, 4)
         assert np.array_equal(diverged_at, [4, 4])
         assert np.isfinite(preds).all()
 
@@ -444,9 +574,9 @@ class TestFloat32Narrowing:
     def test_rolls_the_narrowed_model_and_hands_out_float64(self):
         scores, scaler, model = tiny_setup()
         windows = np.stack([scaler.scale(scores)[s:s + 2] for s in (0, 5)])
-        preds, _ = forecast._roll(model, windows, 6)
-        narrow, _ = forecast._roll(model.astype(np.float32),
-                                   windows.astype(np.float32), 6)
+        preds, _ = roll(model, windows, 6)
+        narrow, _ = roll(model.astype(np.float32), windows.astype(np.float32),
+                         6)
         assert preds.dtype == narrow.dtype == np.float64
         assert preds.tobytes() == narrow.tobytes()
         assert np.array_equal(preds, preds.astype(np.float32))
@@ -479,7 +609,7 @@ class TestDeskFloat32Rollouts:
         # evaluate's desk starts 400..540, or the first of them
         starts = np.arange(400, 400 + batch)[:, None]
         windows = scaled[starts + np.arange(2)]
-        preds, diverged_at = forecast._roll(model, windows, 50)
+        preds, diverged_at = roll(model, windows, 50)
         assert np.array_equal(diverged_at, np.full(batch, 50))
         # the float64 reference: forecaster_forward on windows shifted by
         # hand, in the loaded model's dtype
@@ -509,7 +639,7 @@ class TestPairedAccounting:
                     pred[row] = np.nan
             return pred
 
-        monkeypatch.setattr(forecast, "forecaster_step", stub)
+        monkeypatch.setattr(forecast, "forecaster_step", per_model(stub))
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             report = forecast.evaluate_ensemble(classic, adv, scores, scaler,
@@ -578,7 +708,7 @@ def old_report_arithmetic(model_classic, model_adv, scores, scaler, starts,
     lag = model_classic.time_lag
     starts = np.array(starts)[:, None]
     windows = scaler.scale(scores)[starts + np.arange(lag)]
-    preds, diverged_at = zip(*(forecast._roll(model, windows.copy(), horizon)
+    preds, diverged_at = zip(*(roll(model, windows.copy(), horizon)
                                for model in (model_classic, model_adv)))
     truth = scores[starts + lag + np.arange(horizon)]
     errors = forecast._norms(scaler.invert(np.stack(preds)) - truth)
@@ -641,7 +771,7 @@ class TestReportArithmetic:
                 pred[::2] += 0.02
             return pred
 
-        monkeypatch.setattr(forecast, "forecaster_step", stub)
+        monkeypatch.setattr(forecast, "forecaster_step", per_model(stub))
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             report = self.check(classic, adv, scores, scaler, range(5, 11), 8,
@@ -652,6 +782,34 @@ class TestReportArithmetic:
         assert np.all(np.isfinite(report.reduction_pct[3:5]))
         assert np.array_equal(report.n_pairs, [6, 6, 6, 6, 6, 0, 0, 0])
         assert np.all(np.isnan(report.reduction_pct[5:]))
+
+    @pytest.mark.parametrize("other, stacks", [
+        ({}, [2] * 20),
+        ({"hidden": 5}, [1] * 40),
+        ({"activation": "relu"}, [1] * 40),
+    ])
+    def test_arms_of_one_or_two_layouts(self, monkeypatch, other, stacks):
+        # arms of one layout take the stacked pass, one step for both;
+        # of two, each arm rolls alone, and the report is the same either
+        # way
+        scores, scaler, classic = tiny_setup(seed=1)
+        adv = neural.init_forecaster(3, other.get("hidden", 8),
+                                     other.get("activation", "sigmoid"), 0.0,
+                                     2, np.random.default_rng(2))
+        seen = []
+
+        def step(stack, windows):
+            seen.append(len(stack.models))
+            return neural.forecaster_step(stack, windows)
+
+        monkeypatch.setattr(forecast, "forecaster_step", step)
+        for arms in ((classic, adv), (adv, classic)):
+            seen.clear()
+            report = forecast.evaluate_ensemble(*arms, scores, scaler,
+                                                range(3, 60), 20)
+            assert seen == stacks
+            self.check(*arms, scores, scaler, range(3, 60), 20)
+            assert np.all(np.isfinite(report.reduction_pct))
 
 
 class TestTimed:
