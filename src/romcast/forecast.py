@@ -2,14 +2,18 @@
 
 Rollouts feed each prediction back as input for the next step, and run
 in float32, the dtype the models are trained in. There is one rollout
-path, ``_roll``, and it rolls a ``neural.ForecasterStack``: models with
-a leading model axis, stepped through one kernel pass for all of them.
-``evaluate_ensemble`` stacks its two arms when they share a
-``neural.layout``, which halves the numpy calls of each step, and rolls
-each arm as a stack of one otherwise; ``rollout`` and ``bench`` roll a
-stack of one. Each model's predictions are the same bits either way.
-Errors are L2 norms in unscaled PC space at each horizon step, taken in
-float64; the ensemble report aggregates them over start points for the
+path, ``_roll``, and it rolls a ``neural.ForecasterStack``: M models
+side by side in the batch columns, so that a step of M models on B
+windows is one kernel pass laid out as one network's at batch M*B, and
+each of its elementwise passes is one contiguous block. The stack's
+step arrays are reused by every step; ``_roll`` copies each step's
+predictions into its own buffer at once. ``evaluate_ensemble`` stacks
+its two arms when they share a ``neural.layout``, which halves the numpy
+calls of each step, and rolls each arm as a stack of one otherwise;
+``rollout`` and ``bench`` roll a stack of one. Each model's predictions
+are the same bits either way. Errors are L2 norms in unscaled PC space
+at each horizon step, taken in float64; the ensemble report aggregates
+them over start points, each an integer given once, for the
 classic/adversarial pair.
 """
 
@@ -110,7 +114,9 @@ def _roll(stack, windows, horizon):
     narrowed them already. One (M, B, N + H, tau) float32 buffer holds
     the windows for every model, then the predictions: step h predicts
     from the view ``buf[:, :, h:h + N]`` into ``buf[:, :, N + h]``, for
-    all M models in one kernel pass, so no window is shifted.
+    all M models in one kernel pass, so no window is shifted; the step's
+    predictions are a view of the stack's step arrays, copied into the
+    buffer before the next step overwrites them.
     Returns the (M, B, H, tau) scaled predictions, widened to float64,
     and per model and row the step where its prediction first went
     non-finite (``horizon`` if never), from which its predictions are
@@ -205,8 +211,9 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, starts,
 
     ``scores`` is the full unscaled n x tau score matrix (ground truth);
     a start step t seeds the window with rows [t, t+N) and forecasts rows
-    [t+N, t+N+horizon). Both models must take tau PCs, which is checked,
-    naming the arm, before any rollout. Two models of one
+    [t+N, t+N+horizon). Both models must take tau PCs, and each start
+    must be an integer (not a bool) given once, which is checked, naming
+    the arm or the start, before any rollout. Two models of one
     ``neural.layout`` roll as one stack, through one kernel pass per
     step; otherwise each rolls as a stack of one, with the same results.
     At each horizon step both models are averaged over the same starts:
@@ -219,6 +226,9 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, starts,
     if horizon < 1:
         raise InvalidConfig("horizon must be >= 1")
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2:
+        raise ShapeMismatch(f"scores of shape {scores.shape} are not an "
+                            f"n x tau matrix")
     lag = model_classic.time_lag
     n, tau = scores.shape
     arms = (model_classic, model_adv)
@@ -226,9 +236,18 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, starts,
         if model.lstm.input_dim != tau:
             raise ShapeMismatch(f"scores hold {tau} PCs, the {name} model "
                                 f"takes {model.lstm.input_dim}")
-    starts = [int(s) for s in starts]
+    starts = list(starts)
     if not starts:
         raise StartOutOfRange("no start steps given")
+    seen = set()
+    for start in starts:
+        if isinstance(start, (bool, np.bool_)) or not isinstance(
+                start, (int, np.integer)):
+            raise InvalidConfig(f"start {start!r} is not an integer")
+        if start in seen:
+            raise InvalidConfig(f"start {start} is given more than once")
+        seen.add(start)
+    starts = [int(s) for s in starts]
     bad = [s for s in starts if s < 0 or s + lag + horizon > n]
     if bad:
         raise StartOutOfRange(

@@ -32,11 +32,12 @@ views into it, and a saved model stores these five blocks under the same
 keys. Gradients come back in the same layout, so Nadam and clipping act
 on the whole buffer at once. A ``ForecasterStack`` (``stack``) holds M
 forecasters of one ``layout`` (input size, hidden size, lag and head
-activation) with a leading model axis: W (M, 4H, D), U (M, 4H, H) and
-the head's weight (M, D, H), each model's float32 block in order, and
-the biases broadcast to the batch of B windows it rolls, b (M, 4H, B)
-and the head's (M, B, D). It is for inference only; no tape of it is
-replayed.
+activation) side by side in the batch columns, for batches of B
+windows: W (M, 4H, D), U (M, 4H, H) and the head's weight (M, D, H)
+hold each model's float32 block in order, and the biases are broadcast
+to their model's columns, b (4H, M*B) and the head's (D, M*B), with
+model m in columns m*B ... (m+1)*B. It is for inference only; no tape
+of it is replayed, so it keeps its step arrays and reuses them.
 
 Construction alone checks a network's shapes (``ShapeMismatch``) and
 that its weights are finite (``NonFiniteInput``), and copies the blocks
@@ -48,24 +49,30 @@ One kernel, ``_recur``, runs every LSTM pass, for training and
 inference alike. Its activations are gate-major, as cuDNN lays them out
 (Appleyard et al. 2016, arXiv:1604.01946): the gates of a run are
 (T, 4H, B) and each step's h, c and tanh(c) are (H, B), so each gate of
-a step is one contiguous (H, B) block. A step's input projection is
+a step is one contiguous block of rows. A step's input projection is
 W @ x_t and its recurrence U @ h_t. Nearly all of a step's work is
 elementwise passes over the gates, which on batch-major (B, 4H) rows
 would each stride over a column block; here each is one contiguous
-pass. A stack runs through the same code with its gates model-major,
-(T, M, 4H, B), and its states (M, H, B): each product is then one
-batched matmul of M GEMMs, each as the model's own, and each
-elementwise pass covers all M models at once. No arithmetic mixes
-models, so each model's outputs are bit for bit what it gives alone; a
-forecast step costs about 25 numpy calls on small blocks, whatever the
-batch, and a stack pays them once for M models, as cuDNN runs
-independent small recurrences in fewer, larger calls. The tape only
-keeps references to what the run computes anyway, so inference pays for
-no copy that only backward needs. Backward stacks the states and hands
-on dL/d(gates) as one (4H, T*B) matrix, from which dW, dU and the input
-gradient are one GEMM each. Only the kernel's tape sees this layout:
-``lstm_forward`` returns (B, T, H) and (B, H) arrays, predictions are
-(B, O), input gradients (B, T, D) and dropout masks (B, H).
+pass. A stack runs through the same code in the column layout: its
+gates are (T, 4H, M*B) and its states (H, M*B), exactly one network's
+at batch M*B, so every elementwise pass of a step covers all M models
+in one contiguous pass. Each of its three products is one batched
+matmul of M GEMMs, each the model's own, which writes model m's result
+into its columns through an (M, rows, B) view of the (rows, M*B) array:
+BLAS's output row stride places it, and nothing is laid out again. No
+arithmetic mixes models, so each model's outputs are bit for bit what
+it gives alone; a forecast step costs about 25 numpy calls on small
+blocks, whatever the batch, and a stack pays them once for M models, as
+cuDNN runs independent small recurrences in fewer, larger calls. A
+network's step arrays are fresh each step, and the tape only keeps
+references to what the run computes anyway, so inference pays for no
+copy that only backward needs; a stack's step overwrites the arrays it
+owns, so a stack is not shared between threads. Backward stacks the
+states and hands on dL/d(gates) as one (4H, T*B) matrix, from which dW,
+dU and the input gradient are one GEMM each. Only the kernel's tape sees
+this layout: ``lstm_forward`` returns (B, T, H) and (B, H) arrays,
+predictions are (B, O), input gradients (B, T, D) and dropout masks
+(B, H); a stacked step returns (M, B, O).
 
 Sequences that share a prefix (the discriminator's real and fake inputs
 in training) share its work: ``discriminator_branches`` runs the prefix
@@ -81,14 +88,19 @@ straight to the head's weights and the LSTM, with no activation factor.
 """
 
 import copy
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import romf
-from .errors import InvalidConfig, NonFiniteInput, ShapeMismatch, TapeMismatch
+from .errors import (
+    EmptyInput,
+    InvalidConfig,
+    NonFiniteInput,
+    ShapeMismatch,
+    TapeMismatch,
+)
 from .optim import FlatParams
 
 
@@ -147,6 +159,7 @@ class _Network:
 
     lstm: LstmParams
     head: DenseParams
+    steps = None  # a class constant: a network owns no step arrays
 
     def __post_init__(self):
         blocks = {f"{part}.{name}": block for part in ("lstm", "head")
@@ -249,21 +262,61 @@ def layout(model):
             model.output_activation)
 
 
+class _StackSteps:
+    """A stack's step arrays, in the column layout: each is (rows, M*B),
+    with model m in columns m*B ... (m+1)*B. ``gates`` (N, 4H, M*B) holds
+    a step's gates, ``product`` U @ h, ``c``, ``tc`` and ``h`` the state,
+    and ``pred`` (D, M*B) the head's output. Each ``*_m`` is an
+    (M, rows, B) view of its array, model m's columns as its own block
+    with a row stride of M*B: a batched matmul that writes into one
+    through ``out=`` puts each model's GEMM into its own columns by
+    BLAS's output row stride, so nothing is laid out again. ``preds`` is
+    the (M, B, D) view of ``pred`` that a stacked step returns, and
+    ``rows`` the ``_gate_rows`` of the gates.
+
+    All are made once, with the stack, and every step overwrites the
+    arrays; no stacked tape is replayed, so none is kept. On a one-window
+    step, making the five row slices costs about 1% of the step."""
+
+    __slots__ = ("gates", "gates_m", "product", "product_m", "c", "tc", "h",
+                 "h_m", "pred", "pred_m", "preds", "rows")
+
+    def __init__(self, models, batch, lag, hidden, dim):
+        def block(*rows):
+            cols = np.empty((*rows, models * batch), np.float32)
+            return cols, cols.reshape(*rows, models, batch).swapaxes(-3, -2)
+
+        self.gates, self.gates_m = block(lag, 4 * hidden)
+        self.product, self.product_m = block(4 * hidden)
+        self.h, self.h_m = block(hidden)
+        self.c, _ = block(hidden)
+        self.tc, _ = block(hidden)
+        self.pred, self.pred_m = block(dim)
+        self.preds = self.pred_m.swapaxes(1, 2)
+        self.rows = _gate_rows(hidden)
+
+
 @dataclass(frozen=True, eq=False)
 class ForecasterStack:
-    """M forecasters of one ``layout`` as one network with a leading
-    model axis, for batches of ``batch`` windows (see ``stack``).
+    """M forecasters of one ``layout`` side by side in the batch columns,
+    for batches of ``batch`` windows (see ``stack``): a stacked step is
+    exactly one network's step at batch M*B, with model m in columns
+    m*B ... (m+1)*B of each (rows, M*B) array.
 
-    ``lstm`` holds W (M, 4H, D), U (M, 4H, H) and b (M, 4H, B), and
-    ``head`` weight (M, D, H) and bias (M, B, D): each model's float32
-    blocks, with both biases broadcast to the batch, so that each bias
-    add is one contiguous pass (the head's is laid out (M, D, B), as the
-    head's GEMM writes its result). ``models`` are the forecasters
-    stacked, in order, as they were given."""
+    ``lstm`` holds W (M, 4H, D), U (M, 4H, H) and b (4H, M*B), and
+    ``head`` weight (M, D, H) and bias (D, M*B): each model's float32
+    blocks, with both biases broadcast to their model's columns, so that
+    each bias add is one contiguous pass over all M models. ``steps``
+    holds the step arrays that every step of the stack overwrites
+    (``_StackSteps``); so a stack is not shared between threads, and
+    what a stacked step returns is a view that holds until the stack's
+    next step. ``models`` are the forecasters stacked, in order, as they
+    were given."""
 
     models: tuple
     lstm: LstmParams
     head: DenseParams
+    steps: _StackSteps
 
     @property
     def output_activation(self):
@@ -271,21 +324,23 @@ class ForecasterStack:
 
     @property
     def batch(self):
-        return self.lstm.b.shape[-1]
+        return self.lstm.b.shape[-1] // len(self.models)
 
 
 def stack(models, batch):
     """The forecasters ``models``, which must share one ``layout``
-    (``ShapeMismatch`` otherwise), as a ForecasterStack for batches of
-    ``batch`` windows. Their weights are narrowed to float32 once; a
-    weight that this takes past float32's range is a NonFiniteInput
-    naming its block, as ``astype`` names it, and one that is NaN or Inf
-    already stays so."""
+    (``ShapeMismatch`` otherwise; ``EmptyInput`` for none), as a
+    ForecasterStack for batches of ``batch`` windows. Their weights are
+    narrowed to float32 once; a weight that this takes past float32's
+    range is a NonFiniteInput naming its block, as ``astype`` names it,
+    and one that is NaN or Inf already stays so."""
+    models = tuple(models)
+    if not models:
+        raise EmptyInput("no forecasters to stack")
     layouts = {layout(model) for model in models}
     if len(layouts) != 1:
         raise ShapeMismatch(f"forecasters of layouts {sorted(layouts)} "
                             f"(input, hidden, lag, activation) do not stack")
-    models = tuple(models)
     # one cast of the M buffers, into one copy; each block is then a view
     # of its columns
     with np.errstate(over="ignore"):
@@ -296,10 +351,12 @@ def stack(models, batch):
     W, U, b, weight, bias = (
         flat[:, offset:offset + math.prod(shape)].reshape(-1, *shape)
         for offset, shape in models[0].params().layout.values())
-    b = np.repeat(b[:, :, None], batch, axis=2)
-    bias = np.repeat(bias[:, :, None], batch, axis=2).swapaxes(1, 2)
+    # (M, rows) -> (rows, M*B): model m's bias in columns m*B ... (m+1)*B
+    b, bias = (np.repeat(block.T, batch, axis=1) for block in (b, bias))
+    dim, hidden, lag, _ = layouts.pop()
     return ForecasterStack(models, LstmParams(W, U, b),
-                           DenseParams(weight, bias))
+                           DenseParams(weight, bias),
+                           _StackSteps(len(models), batch, lag, hidden, dim))
 
 
 @dataclass(slots=True, eq=False)
@@ -386,21 +443,19 @@ def _check_sequence(sequence, lstm):
     return seq
 
 
-@functools.lru_cache(maxsize=8)
 def _gate_rows(hidden):
-    """Indices of the gates i, f, o and g, and of i, f, o together, in a
-    step's (4H, B) gates or a stack's (M, 4H, B): made once per hidden
-    size, since on the kernel's small blocks making an index costs about
-    as much as the pass that takes it."""
-    return tuple((Ellipsis, slice(lo * hidden, hi * hidden), slice(None))
-                 for lo, hi in ((0, 1), (1, 2), (2, 3), (3, 4), (0, 3)))
+    """The rows of the gates i, f, o and g, and of i, f, o together, in a
+    step's (4H, B) gates or a stack's (4H, M*B): plain row slices, which
+    a network's run makes and a stack keeps."""
+    return (slice(0, hidden), slice(hidden, 2 * hidden),
+            slice(2 * hidden, 3 * hidden), slice(3 * hidden, 4 * hidden),
+            slice(0, 3 * hidden))
 
 
-def _recur(lstm, seq, h0=None, c0=None):
+def _recur(lstm, seq, h0=None, c0=None, steps=None):
     """The one LSTM kernel: the recurrence over a (B, T, D) sequence, for
-    training and inference alike, or over (M, B, T, D) sequences for a
-    stack's (M, ...) blocks, whose gates and states gain the leading
-    model axis.
+    training and inference alike, or over a stack's (M, B, T, D)
+    sequences, with its (M, ...) blocks and its ``steps``.
 
     It starts from a zero state, or from the state (h0, c0), each
     (H, B), when given: a run then continues one that ended there, as
@@ -409,22 +464,38 @@ def _recur(lstm, seq, h0=None, c0=None):
     batched matmul on a (T, D, B) view of the sequence, which may be any
     strided (B, T, D) array, such as a window of a rollout's buffer. The
     loop keeps U @ h_t and f c_t, which step 0 skips from a zero state:
-    c_1 = i g there. Each step's c, tanh(c) and h are fresh (H, B)
-    arrays that the tape lists, so recording costs a list append, and
-    inference runs this kernel as training does and drops the tape.
+    c_1 = i g there. A network's c, tanh(c) and h are fresh (H, B)
+    arrays each step that the tape lists, so recording costs a list
+    append, and inference runs this kernel as training does and drops
+    the tape. A stack's gates and states are (rows, M*B) and the same
+    steps run on them: its two products write each model's GEMMs into
+    that model's columns, and every step overwrites its ``steps``. A
+    stack's run starts from the zero state.
     """
     hidden = lstm.hidden_dim
     seq = np.asarray(seq, dtype=lstm.W.dtype)
-    # (B, T, D) -> (T, D, B), or (M, B, T, D) -> (T, M, D, B)
-    axes = (1, 2, 0) if seq.ndim == 3 else (2, 0, 3, 1)
-    gates = np.matmul(lstm.W, seq.transpose(axes))
-    gates += lstm.b[:, None] if lstm.b.ndim == 1 else lstm.b
-    i, f, o, g, ifo = _gate_rows(hidden)
+    if steps is None:
+        # (B, T, D) -> (T, D, B)
+        gates = np.matmul(lstm.W, seq.transpose(1, 2, 0))
+        gates += lstm.b[:, None]
+        c_out = tc_out = h_out = None
+        i, f, o, g, ifo = _gate_rows(hidden)
+    else:
+        # (M, B, T, D) -> (T, M, D, B), into (T, M, 4H, B) column blocks
+        gates = steps.gates
+        np.matmul(lstm.W, seq.transpose(2, 0, 3, 1), out=steps.gates_m)
+        gates += lstm.b
+        c_out, tc_out, h_out = steps.c, steps.tc, steps.h
+        i, f, o, g, ifo = steps.rows
     h, c, tc = [h0], [c0], []
     for a in gates:
         c_t = c[-1]  # None for the zero state
         if c_t is not None:
-            a += lstm.U @ h[-1]
+            if steps is None:
+                a += lstm.U @ h[-1]
+            else:
+                np.matmul(lstm.U, steps.h_m, out=steps.product_m)
+                a += steps.product
         # i, f, o through sigmoid(z) = 0.5 (1 + tanh(z / 2)), g through tanh
         sig = a[ifo]
         sig *= 0.5
@@ -432,12 +503,13 @@ def _recur(lstm, seq, h0=None, c0=None):
         sig += 1.0
         sig *= 0.5
         if c_t is None:
-            c_t = a[i] * a[g]
+            c_t = np.multiply(a[i], a[g], out=c_out)
         else:
-            c_t = a[f] * c_t
-            c_t += a[i] * a[g]
-        tc_t = np.tanh(c_t)
-        h.append(a[o] * tc_t)
+            c_t = np.multiply(a[f], c_t, out=c_out)
+            # a stack's tc holds i g until tanh(c) overwrites it
+            c_t += np.multiply(a[i], a[g], out=tc_out)
+        tc_t = np.tanh(c_t, out=tc_out)
+        h.append(np.multiply(a[o], tc_t, out=h_out))
         c.append(c_t)
         tc.append(tc_t)
     return LstmTape(lstm, seq, gates, h, c, tc)
@@ -552,15 +624,23 @@ def _head(model, lstm_tape, mask=None, prefix=None):
     """The dense head and ``model.output_activation`` on the final hidden
     state (times the dropout mask, if any); returns (output, tape), the
     output (B, O) from the kernel's (H, B) state. ``prefix`` is the tape
-    of the shared run that ``lstm_tape`` continues, if any.
+    of the shared run that ``lstm_tape`` continues, if any. A stack's
+    head writes each model's GEMM into its columns of ``steps.pred``, and
+    its output is the (M, B, O) view ``steps.preds``.
 
-    The bias and the activation apply in place, on the transposed GEMM
-    result, so the logits are not kept: backward needs only the output.
+    The bias and the activation apply in place, on the GEMM's result
+    (``block``, whose transpose or view is the output), so the logits are
+    not kept: backward needs only the output.
     """
     h = lstm_tape.h[-1] if mask is None else lstm_tape.h[-1] * mask.T
-    pred = (model.head.weight @ h).swapaxes(-1, -2)
-    pred += model.head.bias
-    ACTIVATIONS[model.output_activation](pred, out=pred)
+    steps = model.steps
+    if steps is None:
+        pred = block = (model.head.weight @ h).swapaxes(-1, -2)
+    else:
+        np.matmul(model.head.weight, steps.h_m, out=steps.pred_m)
+        pred, block = steps.preds, steps.pred
+    block += model.head.bias
+    ACTIVATIONS[model.output_activation](block, out=block)
     return pred, HeadTape(model, lstm_tape, prefix, h, mask, pred)
 
 
@@ -629,7 +709,8 @@ def forecaster_head(model, lstm_tape, rng=None):
 def forecaster_step(model, windows):
     """Inference: predictions (B, tau) for a (B, N, tau) window batch, or
     (tau,) for one N x tau window; for a ``ForecasterStack``, (M, B, tau)
-    for its (M, B, N, tau) windows.
+    for its (M, B, N, tau) windows, as a view of the stack's step arrays
+    that holds until its next step.
 
     Runs the kernel and head of ``forecaster_forward``, so outputs are
     bit-identical, and drops their tapes. It skips input validation, and
@@ -638,7 +719,7 @@ def forecaster_step(model, windows):
     """
     if windows.ndim == 2:
         return forecaster_step(model, windows[None])[0]
-    return _head(model, _recur(model.lstm, windows))[0]
+    return _head(model, _recur(model.lstm, windows, steps=model.steps))[0]
 
 
 def discriminator_forward(disc, sequence):

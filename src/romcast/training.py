@@ -164,10 +164,15 @@ class TrainReport:
 
 def make_windows(scores, time_lag, train_fraction):
     """Build k = n - N windows (stride 1), split in time: the first
-    int(k * train_fraction) < k train, so at least one validates."""
+    int(k * train_fraction) < k train, so at least one validates. The lag
+    N must be an integer >= 1, and not a bool: InvalidConfig otherwise."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise InvalidConfig("scores must be an n x tau matrix")
+    if (isinstance(time_lag, (bool, np.bool_))
+            or not isinstance(time_lag, (int, np.integer)) or time_lag < 1):
+        raise InvalidConfig(f"time_lag must be an integer >= 1, got "
+                            f"{time_lag!r}")
     if not 0.0 < train_fraction < 1.0:
         raise InvalidConfig("train_fraction must lie in (0, 1)")
     n = scores.shape[0]

@@ -1,4 +1,5 @@
 import collections
+import re
 import types
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 
 from romcast import forecast, neural, pca, snapshots, training
 from romcast.errors import (
+    EmptyInput,
     InvalidConfig,
     NonFiniteInput,
     ShapeMismatch,
@@ -146,6 +148,46 @@ class TestEvaluateEnsemble:
         with pytest.raises(StartOutOfRange, match="start -3 is negative"):
             forecast.evaluate_ensemble(model, model, scores, scaler,
                                        [-3, 2], 10)
+
+    def test_repeated_start_refused_before_any_rollout(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(forecast, "forecaster_step",
+                            lambda *args: calls.append(args))
+        scores, scaler, model = tiny_setup()
+        with pytest.raises(InvalidConfig,
+                           match="start 3 is given more than once"):
+            forecast.evaluate_ensemble(model, model, scores, scaler,
+                                       [5, 3, np.int64(3)], 2)
+        assert calls == []
+
+    @pytest.mark.parametrize("start", [3.9, 3.0, True, np.True_, "3",
+                                       np.float64(3.0)])
+    def test_start_that_is_not_an_integer_refused(self, monkeypatch, start):
+        calls = []
+        monkeypatch.setattr(forecast, "forecaster_step",
+                            lambda *args: calls.append(args))
+        scores, scaler, model = tiny_setup()
+        with pytest.raises(InvalidConfig, match=re.escape(
+                f"start {start!r} is not an integer")):
+            forecast.evaluate_ensemble(model, model, scores, scaler,
+                                       [5, start], 2)
+        assert calls == []
+
+    def test_numpy_integer_starts_are_the_int_starts(self):
+        scores, scaler, model = tiny_setup()
+        want = forecast.evaluate_ensemble(model, model, scores, scaler,
+                                          [3, 7], 4)
+        got = forecast.evaluate_ensemble(model, model, scores, scaler,
+                                         np.array([3, 7]), 4)
+        assert got.mean_classic.tobytes() == want.mean_classic.tobytes()
+        assert np.array_equal(got.n_pairs, [2] * 4)
+
+    @pytest.mark.parametrize("shape", [(120,), (2, 120, 3), ()])
+    def test_scores_not_2d_are_shape_mismatch(self, shape):
+        _, scaler, model = tiny_setup()
+        with pytest.raises(ShapeMismatch, match="not an n x tau matrix"):
+            forecast.evaluate_ensemble(model, model, np.zeros(shape), scaler,
+                                       [3], 2)
 
     def test_mismatched_lags_rejected(self):
         scores, scaler, model = tiny_setup()
@@ -421,8 +463,8 @@ class TestStackedPass:
     """Models of one layout roll as one stack, through one kernel pass per
     step, and each gives the bits it gives rolled alone."""
 
-    @pytest.mark.parametrize("batch", [1, 4, 141])
-    @pytest.mark.parametrize("activation", ["sigmoid", "relu"])
+    @pytest.mark.parametrize("batch", [1, 2, 4, 141])
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu", "linear"])
     @pytest.mark.parametrize("lag", [1, 2, 3])
     def test_each_arm_as_rolled_alone(self, lag, activation, batch):
         rng = np.random.default_rng(100 * lag + batch)
@@ -439,7 +481,7 @@ class TestStackedPass:
             assert np.array_equal(got_at, alone_at)
         assert windows.tobytes() == seed.tobytes()
 
-    @pytest.mark.parametrize("batch", [1, 4, 141])
+    @pytest.mark.parametrize("batch", [1, 2, 4, 141])
     def test_desk_arms_as_rolled_alone(self, desk_models, batch):
         scaled, models = desk_models
         arms = [models["classic"], models["adv"]]
@@ -450,6 +492,57 @@ class TestStackedPass:
             alone, alone_at = roll(arm, windows, 50)
             assert got.tobytes() == alone.tobytes()
             assert np.array_equal(got_at, alone_at)
+
+    @pytest.mark.parametrize("batch", [1, 2, 4, 141])
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu", "linear"])
+    def test_three_models_each_as_rolled_alone(self, activation, batch):
+        rng = np.random.default_rng(batch)
+        models = [neural.init_forecaster(16, 64, activation, 0.0, 2, rng)
+                  for _ in range(3)]
+        windows = rng.uniform(0.1, 0.9, (batch, 2, 16))
+        preds, diverged_at = forecast._roll(neural.stack(models, batch),
+                                            windows, 12)
+        assert preds.shape == (3, batch, 12, 16)
+        for model, got, got_at in zip(models, preds, diverged_at):
+            alone, alone_at = roll(model, windows, 12)
+            assert got.tobytes() == alone.tobytes()
+            assert np.array_equal(got_at, alone_at)
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_a_stack_rolled_again_carries_nothing_over(self, desk_models,
+                                                       batch):
+        # the stack's step arrays are reused by every step of every roll:
+        # a roll on other windows in between, and a longer one, leave the
+        # next roll's bytes as the first's
+        scaled, models = desk_models
+        stack = neural.stack([models["classic"], models["adv"]], batch)
+        windows = scaled[np.arange(400, 400 + batch)[:, None] + np.arange(2)]
+        others = scaled[np.arange(100, 100 + batch)[:, None] + np.arange(2)]
+        first = forecast._roll(stack, windows, 50)
+        forecast._roll(stack, others, 80)
+        again = forecast._roll(stack, windows, 50)
+        for got, want in zip(again, first):
+            assert got.tobytes() == want.tobytes()
+        fresh = forecast._roll(neural.stack([models["classic"],
+                                             models["adv"]], batch),
+                               windows, 50)
+        assert fresh[0].tobytes() == first[0].tobytes()
+
+    def test_a_stacked_step_returns_a_view_until_the_next(self):
+        # forecaster_step on a stack hands out its prediction block, which
+        # the stack's next step overwrites; _roll copies it out each step
+        _, _, model = tiny_setup()
+        stack = neural.stack([model, model], 3)
+        rng = np.random.default_rng(5)
+        first, second = (rng.uniform(0.1, 0.9, (2, 3, 2, 3)).astype(np.float32)
+                         for _ in range(2))
+        pred = neural.forecaster_step(stack, first)
+        kept = pred.copy()
+        assert pred.shape == (2, 3, 3)
+        assert np.shares_memory(pred, stack.steps.pred)
+        neural.forecaster_step(stack, second)
+        assert pred.tobytes() != kept.tobytes()
+        assert neural.forecaster_step(stack, first).tobytes() == kept.tobytes()
 
     def test_row_overflowing_in_one_arm_leaves_the_rest(self):
         model = saturated_relu_model()
@@ -482,16 +575,27 @@ class TestStackedPass:
         narrow = model.astype(np.float32)
         stack = neural.stack([narrow, model], 4)
         assert stack.models[0] is narrow and stack.models[1] is model
-        # each model's float32 blocks, the biases broadcast to the batch
+        assert stack.batch == 4
         W, U, b, weight, bias = narrow.params().values()
+        # each model's float32 weight blocks along the leading model axis
         for got, want in ((stack.lstm.W, W), (stack.lstm.U, U),
-                          (stack.lstm.b, np.repeat(b[:, None], 4, axis=1)),
-                          (stack.head.weight, weight),
-                          (stack.head.bias, np.repeat(bias[None], 4, axis=0))):
+                          (stack.head.weight, weight)):
             assert got.dtype == np.float32
             assert got.shape == (2, *want.shape)
             for arm in got:
                 assert arm.tobytes() == want.tobytes()
+        # each model's float32 biases, side by side in the batch columns:
+        # model m's broadcast to its columns 4m ... 4m + 3
+        for got, want in ((stack.lstm.b, b), (stack.head.bias, bias)):
+            assert got.dtype == np.float32
+            assert got.shape == (len(want), 2 * 4)
+            for arm in range(2):
+                assert got[:, 4 * arm:4 * (arm + 1)].tobytes() == \
+                    np.repeat(want[:, None], 4, axis=1).tobytes()
+
+    def test_no_forecasters_is_empty_input(self):
+        with pytest.raises(EmptyInput, match="no forecasters"):
+            neural.stack([], 4)
 
     @pytest.mark.parametrize("other", [{"hidden": 5}, {"activation": "relu"},
                                        {"lag": 3}, {"tau": 4}])

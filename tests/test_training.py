@@ -52,6 +52,20 @@ class TestMakeWindows:
         assert ds.split == 1348
         assert len(ds.val_inputs) == len(ds.val_targets) == 150
 
+    @pytest.mark.parametrize("lag", [0, -1, 2.5, 2.0, True, "2",
+                                     np.float64(2.0)])
+    def test_lag_that_is_not_an_integer_from_one_is_invalid(self, lag):
+        with pytest.raises(InvalidConfig, match="time_lag must be an "
+                                                "integer >= 1"):
+            training.make_windows(np.zeros((8, 2)), lag, 0.9)
+
+    def test_numpy_integer_lag_is_the_int_lag(self):
+        scores = wave_scores(n=20)
+        want = training.make_windows(scores, 2, 0.9)
+        got = training.make_windows(scores, np.int64(2), 0.9)
+        assert got.inputs.tobytes() == want.inputs.tobytes()
+        assert got.split == want.split
+
     def test_too_few_steps(self):
         with pytest.raises(TooFewSteps):
             training.make_windows(np.zeros((2, 3)), 2, 0.9)
