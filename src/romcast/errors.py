@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer checks of
+its settings and sizes."""
+
+import numbers
 
 
 class RomcastError(Exception):
@@ -59,3 +62,17 @@ class MissingArtifact(RomcastError):
 
 class HashMismatch(RomcastError):
     """A pipeline artifact changed after a downstream artifact was built."""
+
+
+def is_integer(value):
+    """Whether ``value`` is an integer, a Python or numpy one, and not a
+    bool: the test that every integer setting and size passes."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_size(name, value, least):
+    """Raise InvalidConfig naming ``name`` unless ``value`` is an integer
+    (``is_integer``) of at least ``least``."""
+    if not is_integer(value) or value < least:
+        raise InvalidConfig(f"{name} must be an integer >= {least}, got "
+                            f"{value!r}")

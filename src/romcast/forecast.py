@@ -5,16 +5,19 @@ in float32, the dtype the models are trained in. There is one rollout
 path, ``_roll``, and it rolls a ``neural.ForecasterStack``: M models
 side by side in the batch columns, so that a step of M models on B
 windows is one kernel pass laid out as one network's at batch M*B, and
-each of its elementwise passes is one contiguous block. The stack's
-step arrays are reused by every step; ``_roll`` copies each step's
-predictions into its own buffer at once. ``evaluate_ensemble`` stacks
+each of its elementwise passes is one contiguous block. Its rows live
+in one buffer in that layout, and each row's input projection is made
+once, when the row joins, into the stack's ring; a step
+(``neural.stack_step``) runs from the ring and its head writes the next
+row in place, so no step copies anything. ``evaluate_ensemble`` stacks
 its two arms when they share a ``neural.layout``, which halves the numpy
 calls of each step, and rolls each arm as a stack of one otherwise;
 ``rollout`` and ``bench`` roll a stack of one. Each model's predictions
-are the same bits either way. Errors are L2 norms in unscaled PC space
-at each horizon step, taken in float64; the ensemble report aggregates
-them over start points, each an integer given once, for the
-classic/adversarial pair.
+are the same bits either way. Horizons and ensemble widths are integers
+(a bool is not one), checked before any step. Errors are L2 norms in
+unscaled PC space at each horizon step, taken in float64; the ensemble
+report aggregates them over start points, each an integer given once,
+for the classic/adversarial pair.
 """
 
 import time
@@ -29,8 +32,12 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
     StartOutOfRange,
+    check_size,
+    is_integer,
 )
-from .neural import forecaster_step
+# forecaster_step is not called here: the benchmark's batched-step check
+# (perfbench/run.py) reads it as ``forecast.forecaster_step``
+from .neural import forecaster_step, stack_step  # noqa: F401
 
 
 @dataclass
@@ -106,17 +113,20 @@ class EnsembleReport:
 def _roll(stack, windows, horizon):
     """Roll a ``neural.ForecasterStack`` of M models from one (B, N, tau)
     batch of scaled windows, which it never writes, in float32, the dtype
-    the models are trained in.
+    the models are trained in, for ``horizon`` steps, an integer >= 0
+    (``InvalidConfig`` otherwise, before any step).
 
     The stack holds the models narrowed to float32 once, which is exact
     for a trained model's weights (``training._train`` keeps float32
     master weights); the windows are narrowed here unless a caller
-    narrowed them already. One (M, B, N + H, tau) float32 buffer holds
-    the windows for every model, then the predictions: step h predicts
-    from the view ``buf[:, :, h:h + N]`` into ``buf[:, :, N + h]``, for
-    all M models in one kernel pass, so no window is shifted; the step's
-    predictions are a view of the stack's step arrays, copied into the
-    buffer before the next step overwrites them.
+    narrowed them already. One (N + H, tau, M*B) float32 buffer in the
+    stack's column layout (``neural.stack_rows``) holds the windows for
+    every model, then the predictions. Each row's input projection
+    W x + b is made once, when the row joins: the N window rows up
+    front, and each prediction after the head writes it into the
+    buffer's next row. Step h (``stack_step``) runs all M models in one
+    kernel pass from the projections of rows h ... h + N - 1, so no
+    window is shifted and nothing is copied between steps.
     Returns the (M, B, H, tau) scaled predictions, widened to float64,
     and per model and row the step where its prediction first went
     non-finite (``horizon`` if never), from which its predictions are
@@ -130,8 +140,7 @@ def _roll(stack, windows, horizon):
     bit-identical; the overflow and invalid flags it raises are ignored,
     so divergence is recorded, not warned about or raised.
     """
-    if horizon < 0:
-        raise InvalidConfig("horizon must be >= 0")
+    check_size("horizon", horizon, 0)
     batch, lag, tau = windows.shape
     if tau != stack.lstm.input_dim:
         raise ShapeMismatch(f"windows hold {tau} PCs, the model takes "
@@ -142,12 +151,12 @@ def _roll(stack, windows, horizon):
     if windows.dtype != np.float32:
         windows = _narrow(windows,
                           lambda row, step: f"window {row}, row {step}")
-    buf = np.empty((len(stack.models), batch, lag + horizon, tau), np.float32)
-    buf[:, :, :lag] = windows
     with np.errstate(over="ignore", invalid="ignore"):
-        for h in range(horizon):
-            buf[:, :, lag + h] = forecaster_step(stack, buf[:, :, h:h + lag])
-    preds = buf[:, :, lag:].astype(np.float64)
+        rows, cols = neural.stack_rows(stack, windows, horizon)
+        for step in range(horizon):
+            stack_step(stack, rows, cols, step)
+    # (H, M, tau, B) -> (M, B, H, tau)
+    preds = cols[lag:].transpose(1, 3, 0, 2).astype(np.float64, order="C")
     alive = np.logical_and.accumulate(np.isfinite(preds).all(axis=3), axis=2)
     preds[~alive] = np.nan
     return preds, alive.sum(axis=2)
@@ -182,7 +191,9 @@ def rollout(model, scaler, seed_window, horizon):
     rollout and is recorded, not raised: ``diverged_at`` is its step,
     from which the predictions are NaN, and None when every step is
     finite. Errors against ground truth are ``evaluate_ensemble``'s.
+    The horizon is an integer >= 0, as ``_roll`` checks it.
     """
+    check_size("horizon", horizon, 0)
     window = np.asarray(seed_window, dtype=np.float64)
     if window.ndim != 2 or window.shape[0] != model.time_lag:
         raise ShapeMismatch(
@@ -212,10 +223,11 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, starts,
     ``scores`` is the full unscaled n x tau score matrix (ground truth);
     a start step t seeds the window with rows [t, t+N) and forecasts rows
     [t+N, t+N+horizon). Both models must take tau PCs, and each start
-    must be an integer (not a bool) given once, which is checked, naming
-    the arm or the start, before any rollout. Two models of one
-    ``neural.layout`` roll as one stack, through one kernel pass per
-    step; otherwise each rolls as a stack of one, with the same results.
+    must be an integer (not a bool) given once, and the horizon an
+    integer >= 1, which is checked, naming the arm or the start, before
+    any rollout. Two models of one ``neural.layout`` roll as one stack,
+    through one kernel pass per step; otherwise each rolls as a stack of
+    one, with the same results.
     At each horizon step both models are averaged over the same starts:
     those where neither has diverged yet (``n_pairs``), so a model that
     diverges more often cannot look better by dropping its worst runs.
@@ -223,8 +235,7 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, starts,
     """
     if model_classic.time_lag != model_adv.time_lag:
         raise InvalidConfig("models must share the time lag for a fair ensemble")
-    if horizon < 1:
-        raise InvalidConfig("horizon must be >= 1")
+    check_size("horizon", horizon, 1)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ShapeMismatch(f"scores of shape {scores.shape} are not an "
@@ -241,8 +252,7 @@ def evaluate_ensemble(model_classic, model_adv, scores, scaler, starts,
         raise StartOutOfRange("no start steps given")
     seen = set()
     for start in starts:
-        if isinstance(start, (bool, np.bool_)) or not isinstance(
-                start, (int, np.integer)):
+        if not is_integer(start):
             raise InvalidConfig(f"start {start!r} is not an integer")
         if start in seen:
             raise InvalidConfig(f"start {start} is given more than once")
@@ -311,9 +321,11 @@ def timing_benchmark(model, generator_config, horizon, ensemble_width):
     Both forecast numbers time the rollout engine on scaled windows: one
     trajectory, and ``ensemble_width`` trajectories in one batch (the
     shape of a Fig.-2-style ensemble evaluation) divided by the width.
+    The horizon and the width are integers >= 1 (``InvalidConfig``
+    otherwise, before any timing).
     """
-    if horizon < 1 or ensemble_width < 1:
-        raise InvalidConfig("horizon and ensemble width must be >= 1")
+    check_size("horizon", horizon, 1)
+    check_size("ensemble width", ensemble_width, 1)
     # stacked, and so narrowed, once, before any timing: a model float32
     # cannot hold is refused first, and the timed calls run the rollout
     # alone

@@ -36,8 +36,11 @@ activation) side by side in the batch columns, for batches of B
 windows: W (M, 4H, D), U (M, 4H, H) and the head's weight (M, D, H)
 hold each model's float32 block in order, and the biases are broadcast
 to their model's columns, b (4H, M*B) and the head's (D, M*B), with
-model m in columns m*B ... (m+1)*B. It is for inference only; no tape
-of it is replayed, so it keeps its step arrays and reuses them.
+model m in columns m*B ... (m+1)*B. The i, f and o rows of W, U and b,
+and a sigmoid head's weight and bias, are stored times 0.5, which is
+exact short of float32 underflow. It is for inference only; no tape of
+it is replayed, so it keeps its step arrays, and a ring of its
+rollout's input projections, and reuses them.
 
 Construction alone checks a network's shapes (``ShapeMismatch``) and
 that its weights are finite (``NonFiniteInput``), and copies the blocks
@@ -46,33 +49,41 @@ Dropout has one entry point, ``forecaster_head`` given an rng (training
 mode); ``forecaster_forward`` and ``forecaster_step`` are inference.
 
 One kernel, ``_recur``, runs every LSTM pass, for training and
-inference alike. Its activations are gate-major, as cuDNN lays them out
-(Appleyard et al. 2016, arXiv:1604.01946): the gates of a run are
-(T, 4H, B) and each step's h, c and tanh(c) are (H, B), so each gate of
-a step is one contiguous block of rows. A step's input projection is
-W @ x_t and its recurrence U @ h_t. Nearly all of a step's work is
-elementwise passes over the gates, which on batch-major (B, 4H) rows
-would each stride over a column block; here each is one contiguous
-pass. A stack runs through the same code in the column layout: its
-gates are (T, 4H, M*B) and its states (H, M*B), exactly one network's
-at batch M*B, so every elementwise pass of a step covers all M models
-in one contiguous pass. Each of its three products is one batched
-matmul of M GEMMs, each the model's own, which writes model m's result
-into its columns through an (M, rows, B) view of the (rows, M*B) array:
-BLAS's output row stride places it, and nothing is laid out again. No
-arithmetic mixes models, so each model's outputs are bit for bit what
-it gives alone; a forecast step costs about 25 numpy calls on small
-blocks, whatever the batch, and a stack pays them once for M models, as
-cuDNN runs independent small recurrences in fewer, larger calls. A
-network's step arrays are fresh each step, and the tape only keeps
-references to what the run computes anyway, so inference pays for no
-copy that only backward needs; a stack's step overwrites the arrays it
-owns, so a stack is not shared between threads. Backward stacks the
-states and hands on dL/d(gates) as one (4H, T*B) matrix, from which dW,
-dU and the input gradient are one GEMM each. Only the kernel's tape sees
-this layout: ``lstm_forward`` returns (B, T, H) and (B, H) arrays,
-predictions are (B, O), input gradients (B, T, D) and dropout masks
-(B, H); a stacked step returns (M, B, O).
+inference alike, from the input projections W @ x_t + b of its steps.
+Its activations are gate-major, as cuDNN lays them out (Appleyard et
+al. 2016, arXiv:1604.01946): the gates of a run are (T, 4H, B) and each
+step's h, c and tanh(c) are (H, B), so each gate of a step is one
+contiguous block of rows. A network projects its whole sequence in one
+batched matmul and activates the result in place; its loop adds the
+recurrence U @ h_t. Nearly all of a step's work is elementwise passes
+over the gates, which on batch-major (B, 4H) rows would each stride over
+a column block; here each is one contiguous pass. A stack runs through
+the same code in the column layout: its gates are (T, 4H, M*B) and its
+states (H, M*B), exactly one network's at batch M*B, so every
+elementwise pass of a step covers all M models in one contiguous pass.
+Each of its products is one batched matmul of M GEMMs, each the model's
+own, which writes model m's result into its columns through an
+(M, rows, B) view of the (rows, M*B) array: BLAS's output row stride
+places it, and nothing is laid out again. A stacked rollout keeps its
+rows in one (N + H, tau, M*B) buffer in the same layout
+(``stack_rows``), and projects each row once, when it joins, into the
+stack's ring of N projections, as Appleyard et al. hoist the input
+GEMM out of the recurrence: a step (``stack_step``) runs the kernel from
+the ring, and its head writes the prediction straight into the buffer's
+next row. The halved gate rows let each sigmoid take z / 2 as it comes.
+No arithmetic mixes models, so each model's outputs are bit for bit what
+it gives alone; a stacked step costs 10 N + 3 numpy calls on small
+blocks (23 at the desk lag of 2), whatever the batch, and pays them once
+for M models, as cuDNN runs independent small recurrences in fewer,
+larger calls. A network's step arrays are fresh each step, and the tape
+only keeps references to what the run computes anyway, so inference
+pays for no copy that only backward needs; a stack's step overwrites
+the arrays it owns, so a stack is not shared between threads. Backward
+stacks the states and hands on dL/d(gates) as one (4H, T*B) matrix,
+from which dW, dU and the input gradient are one GEMM each. Only the
+kernel's tape sees this layout: ``lstm_forward`` returns (B, T, H) and
+(B, H) arrays, predictions are (B, O), input gradients (B, T, D) and
+dropout masks (B, H); a stacked rollout's rows are (tau, M*B).
 
 Sequences that share a prefix (the discriminator's real and fake inputs
 in training) share its work: ``discriminator_branches`` runs the prefix
@@ -100,6 +111,7 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
     TapeMismatch,
+    check_size,
 )
 from .optim import FlatParams
 
@@ -107,8 +119,14 @@ from .optim import FlatParams
 def sigmoid(x, out=None):
     """Logistic function as 0.5 (1 + tanh(x / 2)), which cannot overflow;
     into ``out`` when given, which may be ``x`` itself."""
-    out = np.multiply(x, 0.5, out=out)
-    np.tanh(out, out=out)
+    half = np.multiply(x, 0.5, out=out)
+    return _sigmoid_of_half(half, out=half)
+
+
+def _sigmoid_of_half(z, out=None):
+    """sigmoid(2 z) as 0.5 (1 + tanh(z)): the activation of a stack's
+    sigmoid head, whose weights ``stack`` halves."""
+    out = np.tanh(z, out=out)
     out += 1.0
     out *= 0.5
     return out
@@ -159,7 +177,6 @@ class _Network:
 
     lstm: LstmParams
     head: DenseParams
-    steps = None  # a class constant: a network owns no step arrays
 
     def __post_init__(self):
         blocks = {f"{part}.{name}": block for part in ("lstm", "head")
@@ -264,35 +281,37 @@ def layout(model):
 
 class _StackSteps:
     """A stack's step arrays, in the column layout: each is (rows, M*B),
-    with model m in columns m*B ... (m+1)*B. ``gates`` (N, 4H, M*B) holds
-    a step's gates, ``product`` U @ h, ``c``, ``tc`` and ``h`` the state,
-    and ``pred`` (D, M*B) the head's output. Each ``*_m`` is an
-    (M, rows, B) view of its array, model m's columns as its own block
-    with a row stride of M*B: a batched matmul that writes into one
-    through ``out=`` puts each model's GEMM into its own columns by
-    BLAS's output row stride, so nothing is laid out again. ``preds`` is
-    the (M, B, D) view of ``pred`` that a stacked step returns, and
-    ``rows`` the ``_gate_rows`` of the gates.
+    with model m in columns m*B ... (m+1)*B. ``ring`` (N, 4H, M*B) holds
+    the input projections W x + b of the last N rows that a rollout
+    added, its row r in slot r % N, and ``windows[k]`` lists the N slots
+    in the order that a step reads them when its first row is in slot k.
+    ``gates`` (N, 4H, M*B) holds a step's gates, ``product`` U @ h, and
+    ``c``, ``tc`` and ``h`` the state. Each ``*_m`` is an (M, rows, B)
+    view of its array, model m's columns as its own block with a row
+    stride of M*B: a batched matmul that writes into one through
+    ``out=`` puts each model's GEMM into its own columns by BLAS's output
+    row stride, so nothing is laid out again. ``rows`` are the
+    ``_gate_rows`` of the gates.
 
     All are made once, with the stack, and every step overwrites the
-    arrays; no stacked tape is replayed, so none is kept. On a one-window
-    step, making the five row slices costs about 1% of the step."""
+    arrays; no stacked tape is replayed, so none is kept."""
 
-    __slots__ = ("gates", "gates_m", "product", "product_m", "c", "tc", "h",
-                 "h_m", "pred", "pred_m", "preds", "rows")
+    __slots__ = ("ring", "ring_m", "windows", "gates", "product", "product_m",
+                 "c", "tc", "h", "h_m", "rows")
 
-    def __init__(self, models, batch, lag, hidden, dim):
+    def __init__(self, models, batch, lag, hidden):
         def block(*rows):
             cols = np.empty((*rows, models * batch), np.float32)
             return cols, cols.reshape(*rows, models, batch).swapaxes(-3, -2)
 
-        self.gates, self.gates_m = block(lag, 4 * hidden)
+        self.ring, self.ring_m = block(lag, 4 * hidden)
+        self.windows = [tuple(self.ring[(first + t) % lag]
+                              for t in range(lag)) for first in range(lag)]
+        self.gates, _ = block(lag, 4 * hidden)
         self.product, self.product_m = block(4 * hidden)
         self.h, self.h_m = block(hidden)
         self.c, _ = block(hidden)
         self.tc, _ = block(hidden)
-        self.pred, self.pred_m = block(dim)
-        self.preds = self.pred_m.swapaxes(1, 2)
         self.rows = _gate_rows(hidden)
 
 
@@ -306,21 +325,20 @@ class ForecasterStack:
     ``lstm`` holds W (M, 4H, D), U (M, 4H, H) and b (4H, M*B), and
     ``head`` weight (M, D, H) and bias (D, M*B): each model's float32
     blocks, with both biases broadcast to their model's columns, so that
-    each bias add is one contiguous pass over all M models. ``steps``
-    holds the step arrays that every step of the stack overwrites
-    (``_StackSteps``); so a stack is not shared between threads, and
-    what a stacked step returns is a view that holds until the stack's
-    next step. ``models`` are the forecasters stacked, in order, as they
-    were given."""
+    each bias add is one contiguous pass over all M models. The i, f and
+    o rows of W, U and b are halved, and so are a sigmoid head's weight
+    and bias: a step's sigmoids then take z / 2 as it comes, and
+    ``activation`` is the head's activation on its halved logits.
+    ``steps`` holds the ring of input projections and the step arrays
+    that every step of the stack overwrites (``_StackSteps``); so a stack
+    is not shared between threads. ``models`` are the forecasters
+    stacked, in order, as they were given."""
 
     models: tuple
     lstm: LstmParams
     head: DenseParams
+    activation: object
     steps: _StackSteps
-
-    @property
-    def output_activation(self):
-        return self.models[0].output_activation
 
     @property
     def batch(self):
@@ -330,17 +348,24 @@ class ForecasterStack:
 def stack(models, batch):
     """The forecasters ``models``, which must share one ``layout``
     (``ShapeMismatch`` otherwise; ``EmptyInput`` for none), as a
-    ForecasterStack for batches of ``batch`` windows. Their weights are
-    narrowed to float32 once; a weight that this takes past float32's
-    range is a NonFiniteInput naming its block, as ``astype`` names it,
-    and one that is NaN or Inf already stays so."""
+    ForecasterStack for batches of ``batch`` windows, an integer >= 1
+    (``InvalidConfig`` otherwise). Their weights are narrowed to float32
+    once; a weight that this takes past float32's range is a
+    NonFiniteInput naming its block, as ``astype`` names it, and one that
+    is NaN or Inf already stays so.
+
+    The halved rows are exact: a power of two commutes with every
+    rounding, so each halved gate or logit is the bits of the model's
+    own times 0.5, short of float32 underflow (below 1.2e-38)."""
     models = tuple(models)
     if not models:
         raise EmptyInput("no forecasters to stack")
+    check_size("batch", batch, 1)
     layouts = {layout(model) for model in models}
     if len(layouts) != 1:
         raise ShapeMismatch(f"forecasters of layouts {sorted(layouts)} "
                             f"(input, hidden, lag, activation) do not stack")
+    dim, hidden, lag, activation = layouts.pop()
     # one cast of the M buffers, into one copy; each block is then a view
     # of its columns
     with np.errstate(over="ignore"):
@@ -351,12 +376,54 @@ def stack(models, batch):
     W, U, b, weight, bias = (
         flat[:, offset:offset + math.prod(shape)].reshape(-1, *shape)
         for offset, shape in models[0].params().layout.values())
+    for block in (W, U, b):
+        block[:, :3 * hidden] *= 0.5
+    head = ACTIVATIONS[activation]
+    if activation == "sigmoid":
+        weight *= 0.5
+        bias *= 0.5
+        head = _sigmoid_of_half
     # (M, rows) -> (rows, M*B): model m's bias in columns m*B ... (m+1)*B
     b, bias = (np.repeat(block.T, batch, axis=1) for block in (b, bias))
-    dim, hidden, lag, _ = layouts.pop()
     return ForecasterStack(models, LstmParams(W, U, b),
-                           DenseParams(weight, bias),
-                           _StackSteps(len(models), batch, lag, hidden, dim))
+                           DenseParams(weight, bias), head,
+                           _StackSteps(len(models), batch, lag, hidden))
+
+
+def stack_rows(stack, windows, horizon):
+    """A stacked rollout's buffer for ``horizon`` steps from ``windows``, a
+    (B, N, tau) float32 batch: (rows, cols), ``rows`` (N + H, tau, M*B)
+    in the column layout and ``cols`` its (N + H, M, tau, B) view, model
+    m's columns as its own block. Rows 0 ... N - 1 hold the windows, for
+    every model, and their input projections fill the stack's ring, in
+    one batched matmul; step h of ``stack_step`` writes row N + h."""
+    batch, lag, tau = windows.shape
+    models = len(stack.models)
+    rows = np.empty((lag + horizon, tau, models * batch), np.float32)
+    cols = rows.reshape(lag + horizon, tau, models, batch).swapaxes(1, 2)
+    cols[:lag] = windows.transpose(1, 2, 0)[:, None]  # (N, 1, tau, B)
+    steps = stack.steps
+    np.matmul(stack.lstm.W, cols[:lag], out=steps.ring_m)
+    steps.ring += stack.lstm.b
+    return rows, cols
+
+
+def stack_step(stack, rows, cols, step):
+    """Step ``step`` of a stacked rollout in the buffer (rows, cols) of
+    ``stack_rows``: the kernel from the ring's projections of rows
+    step ... step + N - 1, and the head straight into row N + step, whose
+    projection W x + b then takes the ring slot of row step, which no
+    later step reads. So no step copies a window, a state or a
+    prediction."""
+    steps = stack.steps
+    lag = len(steps.windows)
+    slot = step % lag
+    row, row_m = rows[lag + step], cols[lag + step]
+    _head(stack, _recur(stack.lstm, steps.windows[slot], steps=steps),
+          out=(row, row_m))
+    np.matmul(stack.lstm.W, row_m, out=steps.ring_m[slot])
+    projection = steps.ring[slot]
+    projection += stack.lstm.b
 
 
 @dataclass(slots=True, eq=False)
@@ -454,52 +521,56 @@ def _gate_rows(hidden):
 
 def _recur(lstm, seq, h0=None, c0=None, steps=None):
     """The one LSTM kernel: the recurrence over a (B, T, D) sequence, for
-    training and inference alike, or over a stack's (M, B, T, D)
-    sequences, with its (M, ...) blocks and its ``steps``.
+    training and inference alike, or, for a stack, over the N input
+    projections of its windows, which it never writes, with the stack's
+    (M, ...) blocks and its ``steps``.
 
     It starts from a zero state, or from the state (h0, c0), each
     (H, B), when given: a run then continues one that ended there, as
     the discriminator's last step continues the prefix it shares with
-    other sequences. The input projection W @ x_t of all steps is one
-    batched matmul on a (T, D, B) view of the sequence, which may be any
-    strided (B, T, D) array, such as a window of a rollout's buffer. The
-    loop keeps U @ h_t and f c_t, which step 0 skips from a zero state:
-    c_1 = i g there. A network's c, tanh(c) and h are fresh (H, B)
-    arrays each step that the tape lists, so recording costs a list
-    append, and inference runs this kernel as training does and drops
-    the tape. A stack's gates and states are (rows, M*B) and the same
-    steps run on them: its two products write each model's GEMMs into
-    that model's columns, and every step overwrites its ``steps``. A
-    stack's run starts from the zero state.
+    other sequences. A network projects all steps of its sequence,
+    W @ x_t + b, in one batched matmul on a (T, D, B) view of it, which
+    may be any strided (B, T, D) array, and activates the result in
+    place as its gates. A stack's projections are the (4H, M*B) blocks
+    of its ring (``steps.windows``), each made once, when its row joined
+    the rollout; its gates go to ``steps.gates``. The loop keeps U @ h_t
+    and f c_t, which step 0 skips from a zero state: c_1 = i g there. A
+    network's c, tanh(c) and h are fresh (H, B) arrays each step that the
+    tape lists, so recording costs a list append, and inference runs
+    this kernel as training does and drops the tape. A stack's gates and
+    states are (rows, M*B) and the same steps run on them: its product
+    writes each model's GEMM into that model's columns, its i, f and o
+    rows come halved, so their sigmoids skip z / 2, and every step
+    overwrites its ``steps``. A stack's run starts from the zero state.
     """
     hidden = lstm.hidden_dim
-    seq = np.asarray(seq, dtype=lstm.W.dtype)
     if steps is None:
+        seq = np.asarray(seq, dtype=lstm.W.dtype)
         # (B, T, D) -> (T, D, B)
         gates = np.matmul(lstm.W, seq.transpose(1, 2, 0))
         gates += lstm.b[:, None]
+        projections = gates
         c_out = tc_out = h_out = None
         i, f, o, g, ifo = _gate_rows(hidden)
     else:
-        # (M, B, T, D) -> (T, M, D, B), into (T, M, 4H, B) column blocks
-        gates = steps.gates
-        np.matmul(lstm.W, seq.transpose(2, 0, 3, 1), out=steps.gates_m)
-        gates += lstm.b
+        projections, gates = seq, steps.gates
         c_out, tc_out, h_out = steps.c, steps.tc, steps.h
         i, f, o, g, ifo = steps.rows
     h, c, tc = [h0], [c0], []
-    for a in gates:
+    for x, a in zip(projections, gates):
         c_t = c[-1]  # None for the zero state
         if c_t is not None:
             if steps is None:
-                a += lstm.U @ h[-1]
+                x += lstm.U @ h[-1]
             else:
                 np.matmul(lstm.U, steps.h_m, out=steps.product_m)
-                a += steps.product
-        # i, f, o through sigmoid(z) = 0.5 (1 + tanh(z / 2)), g through tanh
+                x = np.add(x, steps.product, out=a)
+        # i, f, o through sigmoid(z) = 0.5 (1 + tanh(z / 2)), g through
+        # tanh; a network's x is a, and a stack's ifo rows hold z / 2
         sig = a[ifo]
-        sig *= 0.5
-        np.tanh(a, out=a)
+        if steps is None:
+            sig *= 0.5
+        np.tanh(x, out=a)
         sig += 1.0
         sig *= 0.5
         if c_t is None:
@@ -620,27 +691,30 @@ def _flat_grads(head_tape, d_ylin, segments):
     return FlatParams(flat, model.params().layout)
 
 
-def _head(model, lstm_tape, mask=None, prefix=None):
+def _head(model, lstm_tape, mask=None, prefix=None, out=None):
     """The dense head and ``model.output_activation`` on the final hidden
     state (times the dropout mask, if any); returns (output, tape), the
     output (B, O) from the kernel's (H, B) state. ``prefix`` is the tape
     of the shared run that ``lstm_tape`` continues, if any. A stack's
-    head writes each model's GEMM into its columns of ``steps.pred``, and
-    its output is the (M, B, O) view ``steps.preds``.
+    head is given ``out``: a (D, M*B) row of its rollout's buffer and
+    that row's (M, D, B) view, into which each model's GEMM writes its
+    columns; its output is the view, and its activation the stack's own
+    (``ForecasterStack.activation``).
 
     The bias and the activation apply in place, on the GEMM's result
     (``block``, whose transpose or view is the output), so the logits are
     not kept: backward needs only the output.
     """
     h = lstm_tape.h[-1] if mask is None else lstm_tape.h[-1] * mask.T
-    steps = model.steps
-    if steps is None:
+    if out is None:
         pred = block = (model.head.weight @ h).swapaxes(-1, -2)
+        activation = ACTIVATIONS[model.output_activation]
     else:
-        np.matmul(model.head.weight, steps.h_m, out=steps.pred_m)
-        pred, block = steps.preds, steps.pred
+        block, pred = out
+        np.matmul(model.head.weight, model.steps.h_m, out=pred)
+        activation = model.activation
     block += model.head.bias
-    ACTIVATIONS[model.output_activation](block, out=block)
+    activation(block, out=block)
     return pred, HeadTape(model, lstm_tape, prefix, h, mask, pred)
 
 
@@ -708,18 +782,16 @@ def forecaster_head(model, lstm_tape, rng=None):
 
 def forecaster_step(model, windows):
     """Inference: predictions (B, tau) for a (B, N, tau) window batch, or
-    (tau,) for one N x tau window; for a ``ForecasterStack``, (M, B, tau)
-    for its (M, B, N, tau) windows, as a view of the stack's step arrays
-    that holds until its next step.
+    (tau,) for one N x tau window, of one network; rollouts step a
+    ``ForecasterStack`` through ``stack_step``.
 
     Runs the kernel and head of ``forecaster_forward``, so outputs are
     bit-identical, and drops their tapes. It skips input validation, and
-    takes windows of any strides, such as views into a rollout's buffer;
-    it never writes them.
+    takes windows of any strides; it never writes them.
     """
     if windows.ndim == 2:
         return forecaster_step(model, windows[None])[0]
-    return _head(model, _recur(model.lstm, windows, steps=model.steps))[0]
+    return _head(model, _recur(model.lstm, windows))[0]
 
 
 def discriminator_forward(disc, sequence):

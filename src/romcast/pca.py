@@ -58,6 +58,7 @@ from .errors import (
     NonFiniteInput,
     NumericalFailure,
     ShapeMismatch,
+    is_integer,
 )
 from .snapshots import check_field
 
@@ -218,12 +219,15 @@ def fit(data, tau=None, variance=None):
 
 
 def check_truncation(tau=None, variance=None):
-    """Raise InvalidConfig unless exactly one of tau >= 1 and variance in
-    (0, 1] is given; ``fit`` checks tau against the rank."""
+    """Raise InvalidConfig unless exactly one of tau, an integer >= 1 (a
+    numpy one included, a bool not), and variance in (0, 1] is given;
+    ``fit`` checks tau against the rank."""
     if (tau is None) == (variance is None):
         raise InvalidConfig("give exactly one of tau or variance")
     if variance is not None and not 0.0 < variance <= 1.0:
         raise InvalidConfig("variance fraction must lie in (0, 1]")
+    if tau is not None and not is_integer(tau):
+        raise InvalidConfig(f"tau={tau!r} must be an integer")
     if tau is not None and tau < 1:
         raise InvalidConfig(f"tau={tau} must be at least 1")
 

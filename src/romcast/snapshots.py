@@ -31,6 +31,7 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
     StabilityViolation,
+    is_integer,
 )
 
 FIELD_NAMES = ("tracer", "vel_x", "vel_y")
@@ -51,7 +52,9 @@ class GeneratorConfig:
     ``seed`` draws the initial tracer alone, so with ``init_amplitude``
     0, the default, it changes no byte.
     A config checks itself when built, and so on ``replace``, raising
-    InvalidConfig; ``source_center`` is stored as a tuple.
+    InvalidConfig. Each int field must be an integer, a numpy one
+    included, and not a bool, and ``source_center`` exactly two, stored
+    as a tuple of ints.
     """
 
     grid_nx: int = 32
@@ -68,9 +71,20 @@ class GeneratorConfig:
     init_amplitude: float = 0.0  # scale of the seeded random initial tracer
 
     def __post_init__(self):
-        object.__setattr__(self, "source_center", tuple(self.source_center))
+        try:
+            center = tuple(self.source_center)
+        except TypeError:  # not iterable
+            center = ()
+        if len(center) != 2 or not all(map(is_integer, center)):
+            raise InvalidConfig(f"source_center must be two integers "
+                                f"(ix, iy), got {self.source_center!r}")
+        object.__setattr__(self, "source_center", tuple(map(int, center)))
         for f in dataclass_fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if f.type is int and not is_integer(value):
+                raise InvalidConfig(f"{f.name} must be an integer, got "
+                                    f"{value!r}")
+            if f.type is float and not math.isfinite(value):
                 raise InvalidConfig(f"{f.name} must be finite")
         if self.grid_nx < 2 or self.grid_ny < 2:
             raise InvalidConfig("grid_nx and grid_ny must be >= 2")

@@ -49,7 +49,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig, NonFiniteLoss, TooFewSteps
+from .errors import (
+    EmptyInput,
+    InvalidConfig,
+    NonFiniteLoss,
+    TooFewSteps,
+    check_size,
+    is_integer,
+)
 from .neural import (
     ACTIVATIONS,
     _param_grads,
@@ -82,7 +89,8 @@ class TrainConfig:
     """Hyperparameters of one training run. Nadam's constants, beta1,
     beta2 and eps, are not among them: they are ``optim.NadamState``'s
     defaults. A config checks itself when built, and so on ``replace``,
-    raising InvalidConfig."""
+    raising InvalidConfig; each int field must be an integer, a numpy one
+    included, and not a bool."""
 
     batch_size: int = 32
     hidden_nodes: int = 64
@@ -101,6 +109,11 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidConfig("train_fraction must lie in (0, 1)")
+        for name in ("batch_size", "epochs", "hidden_nodes", "time_lag",
+                     "d_steps", "seed"):
+            if not is_integer(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be an integer, got "
+                                    f"{getattr(self, name)!r}")
         for name in ("batch_size", "epochs", "hidden_nodes", "time_lag",
                      "d_steps"):
             if getattr(self, name) < 1:
@@ -169,10 +182,7 @@ def make_windows(scores, time_lag, train_fraction):
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise InvalidConfig("scores must be an n x tau matrix")
-    if (isinstance(time_lag, (bool, np.bool_))
-            or not isinstance(time_lag, (int, np.integer)) or time_lag < 1):
-        raise InvalidConfig(f"time_lag must be an integer >= 1, got "
-                            f"{time_lag!r}")
+    check_size("time_lag", time_lag, 1)
     if not 0.0 < train_fraction < 1.0:
         raise InvalidConfig("train_fraction must lie in (0, 1)")
     n = scores.shape[0]

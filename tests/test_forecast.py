@@ -35,12 +35,15 @@ def roll(model, windows, horizon):
 
 
 def per_model(stub):
-    """A stand-in for ``forecaster_step`` in the engine, which steps a
-    stack of models at once: ``stub(model, windows)`` for each model of
-    the stack, on its (B, N, tau) windows."""
-    def step(stack, windows):
-        return np.stack([stub(model, part)
-                         for model, part in zip(stack.models, windows)])
+    """A stand-in for ``stack_step`` in the engine, which steps a stack of
+    models at once in its rollout's buffer: ``stub(model, windows)`` for
+    each model of the stack, on its (B, N, tau) windows, written into the
+    buffer's next row."""
+    def step(stack, rows, cols, step):
+        lag = stack.models[0].time_lag
+        for m, model in enumerate(stack.models):
+            windows = cols[step:step + lag, m].transpose(2, 0, 1)
+            cols[lag + step, m] = stub(model, windows).T
     return step
 
 
@@ -58,7 +61,7 @@ class TestRollout:
         def last_row(model_, windows):
             return windows[..., -1, :]
 
-        monkeypatch.setattr(forecast, "forecaster_step", last_row)
+        monkeypatch.setattr(forecast, "stack_step", per_model(last_row))
         window = scaler.scale(scores)[:2]
         (preds,), _ = roll(model, window[None].copy(), 7)
         assert np.allclose(preds, np.tile(window[-1], (7, 1)))
@@ -151,7 +154,7 @@ class TestEvaluateEnsemble:
 
     def test_repeated_start_refused_before_any_rollout(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(forecast, "forecaster_step",
+        monkeypatch.setattr(forecast, "stack_step",
                             lambda *args: calls.append(args))
         scores, scaler, model = tiny_setup()
         with pytest.raises(InvalidConfig,
@@ -164,7 +167,7 @@ class TestEvaluateEnsemble:
                                        np.float64(3.0)])
     def test_start_that_is_not_an_integer_refused(self, monkeypatch, start):
         calls = []
-        monkeypatch.setattr(forecast, "forecaster_step",
+        monkeypatch.setattr(forecast, "stack_step",
                             lambda *args: calls.append(args))
         scores, scaler, model = tiny_setup()
         with pytest.raises(InvalidConfig, match=re.escape(
@@ -200,7 +203,7 @@ class TestEvaluateEnsemble:
     def test_arm_of_other_width_named_before_any_rollout(self, monkeypatch,
                                                          wide_arm):
         calls = []
-        monkeypatch.setattr(forecast, "forecaster_step",
+        monkeypatch.setattr(forecast, "stack_step",
                             lambda *args: calls.append(args))
         scores, scaler, model = tiny_setup(tau=3)
         wide = neural.init_forecaster(4, 8, "sigmoid", 0.0, 2,
@@ -347,7 +350,7 @@ class TestEngine:
             return pred
 
         scores, scaler, model = tiny_setup()
-        monkeypatch.setattr(forecast, "forecaster_step", per_model(stub))
+        monkeypatch.setattr(forecast, "stack_step", per_model(stub))
         windows = np.stack([scaler.scale(scores)[s:s + 2] for s in (0, 5, 9)])
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
@@ -365,7 +368,7 @@ class TestEngine:
         # a model trained on 3 PCs against a basis of 2: checked once per
         # call, before any step runs, in every caller of the engine
         calls = []
-        monkeypatch.setattr(forecast, "forecaster_step",
+        monkeypatch.setattr(forecast, "stack_step",
                             lambda *args: calls.append(args))
         scores, _, model = tiny_setup(tau=3)
         narrow = scores[:, :2]
@@ -413,23 +416,34 @@ def saturated_relu_model():
 
 
 class TestRollMatchesStepwise:
-    @pytest.mark.parametrize("batch", [1, 5])
-    @pytest.mark.parametrize("activation", ["sigmoid", "relu"])
+    @pytest.mark.parametrize("batch", [1, 5, 141])
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu", "linear"])
     @pytest.mark.parametrize("lag", [1, 2, 3])
     def test_roll_equals_forward_on_shifted_windows(self, lag, activation,
                                                      batch):
         rng = np.random.default_rng(10 * lag + batch)
-        model = neural.init_forecaster(3, 8, activation, 0.0, lag, rng)
-        windows = rng.uniform(0.1, 0.9, (batch, lag, 3))
-        seed = windows.copy()
-        # the engine rolls the float32 model: so does the definition
-        want = stepwise(model.astype(np.float32), windows, 7)
-        for horizon in range(8):
-            preds, diverged_at = roll(model, windows, horizon)
-            assert preds.shape == (batch, horizon, 3)
-            assert preds.tobytes() == want[:, :horizon].tobytes(), horizon
-            assert np.array_equal(diverged_at, np.full(batch, horizon))
-        assert windows.tobytes() == seed.tobytes()
+        # past 2N steps, so that the ring of N input projections wraps
+        horizon = 2 * lag + 3
+        for tau, hidden in ((3, 8), (16, 64)):
+            models = [neural.init_forecaster(tau, hidden, activation, 0.0,
+                                             lag, rng) for _ in range(2)]
+            windows = rng.uniform(0.1, 0.9, (batch, lag, tau))
+            seed = windows.copy()
+            # the engine rolls the float32 model: so does the definition
+            wants = [stepwise(model.astype(np.float32), windows, horizon)
+                     for model in models]
+            for steps in range(horizon + 1):
+                preds, diverged_at = roll(models[0], windows, steps)
+                assert preds.shape == (batch, steps, tau)
+                assert preds.tobytes() == wants[0][:, :steps].tobytes(), steps
+                assert np.array_equal(diverged_at, np.full(batch, steps))
+            # two distinct models in one stack: each is its own network
+            preds, diverged_at = forecast._roll(neural.stack(models, batch),
+                                                windows, horizon)
+            for got, want in zip(preds, wants):
+                assert got.tobytes() == want.tobytes()
+            assert np.array_equal(diverged_at, np.full((2, batch), horizon))
+            assert windows.tobytes() == seed.tobytes()
 
     def test_relu_row_overflowing_mid_horizon(self):
         model = saturated_relu_model()
@@ -528,21 +542,38 @@ class TestStackedPass:
                                windows, 50)
         assert fresh[0].tobytes() == first[0].tobytes()
 
-    def test_a_stacked_step_returns_a_view_until_the_next(self):
-        # forecaster_step on a stack hands out its prediction block, which
-        # the stack's next step overwrites; _roll copies it out each step
+    def test_a_stacked_step_writes_its_row_and_ring_slot_alone(self):
+        # the head writes straight into the buffer's next row, and that
+        # row's projection takes the ring slot of the row the window left
         _, _, model = tiny_setup()
-        stack = neural.stack([model, model], 3)
+        models = [model, tiny_setup(seed=3)[2]]
+        stack = neural.stack(models, 3)
         rng = np.random.default_rng(5)
-        first, second = (rng.uniform(0.1, 0.9, (2, 3, 2, 3)).astype(np.float32)
-                         for _ in range(2))
-        pred = neural.forecaster_step(stack, first)
-        kept = pred.copy()
-        assert pred.shape == (2, 3, 3)
-        assert np.shares_memory(pred, stack.steps.pred)
-        neural.forecaster_step(stack, second)
-        assert pred.tobytes() != kept.tobytes()
-        assert neural.forecaster_step(stack, first).tobytes() == kept.tobytes()
+        windows = rng.uniform(0.1, 0.9, (3, 2, 3)).astype(np.float32)
+        rows, cols = neural.stack_rows(stack, windows, 4)
+        assert np.shares_memory(rows, cols)
+        for m in range(2):
+            assert cols[:2, m].transpose(2, 0, 1).tobytes() == \
+                windows.tobytes()
+        neural.stack_step(stack, rows, cols, 0)
+        kept_rows, kept_ring = rows.copy(), stack.steps.ring.copy()
+        neural.stack_step(stack, rows, cols, 1)
+        for r in (0, 1, 2, 4):
+            assert rows[r].tobytes() == kept_rows[r].tobytes(), r
+        assert stack.steps.ring[0].tobytes() == kept_ring[0].tobytes()
+        # row 3 holds each network's step on the window of rows 1 and 2
+        window = cols[1:3].transpose(1, 3, 0, 2)  # (M, B, N, tau)
+        for m, alone in enumerate(models):
+            want = neural.forecaster_step(alone.astype(np.float32),
+                                          window[m])
+            assert cols[3, m].T.tobytes() == want.tobytes()
+        # and ring slot 1 the projection of row 3, as a window row's is
+        for m in range(2):
+            fresh = neural.stack(models, 3)
+            neural.stack_rows(fresh, cols[2:4, m].transpose(2, 0, 1), 0)
+            columns = slice(3 * m, 3 * (m + 1))
+            assert stack.steps.ring[1][:, columns].tobytes() == \
+                fresh.steps.ring[1][:, columns].tobytes()
 
     def test_row_overflowing_in_one_arm_leaves_the_rest(self):
         model = saturated_relu_model()
@@ -577,6 +608,14 @@ class TestStackedPass:
         assert stack.models[0] is narrow and stack.models[1] is model
         assert stack.batch == 4
         W, U, b, weight, bias = narrow.params().values()
+        # the gates' i, f and o rows and the sigmoid head halved, which is
+        # exact: a step's sigmoids then skip z / 2
+        ifo = slice(0, 3 * model.lstm.hidden_dim)
+        W, U, b = (block.copy() for block in (W, U, b))
+        for block in (W, U, b):
+            block[ifo] = block[ifo] * np.float32(0.5)
+        weight, bias = weight * np.float32(0.5), bias * np.float32(0.5)
+        assert stack.activation is neural._sigmoid_of_half
         # each model's float32 weight blocks along the leading model axis
         for got, want in ((stack.lstm.W, W), (stack.lstm.U, U),
                           (stack.head.weight, weight)):
@@ -592,6 +631,26 @@ class TestStackedPass:
             for arm in range(2):
                 assert got[:, 4 * arm:4 * (arm + 1)].tobytes() == \
                     np.repeat(want[:, None], 4, axis=1).tobytes()
+        # and the halving is exact: twice each halved row is the model's
+        assert (stack.lstm.W[0, ifo] * 2).tobytes() == \
+            narrow.lstm.W[ifo].tobytes()
+        assert (stack.head.bias[:, 0] * 2).tobytes() == \
+            narrow.head.bias.tobytes()
+
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    def test_only_a_sigmoid_head_is_halved(self, activation):
+        model = neural.init_forecaster(3, 8, activation, 0.0, 2,
+                                       np.random.default_rng(6))
+        narrow = model.astype(np.float32)
+        stack = neural.stack([model], 2)
+        assert stack.activation is neural.ACTIVATIONS[activation]
+        assert stack.head.weight[0].tobytes() == \
+            narrow.head.weight.tobytes()
+        assert stack.head.bias.tobytes() == \
+            np.repeat(narrow.head.bias[:, None], 2, axis=1).tobytes()
+        assert (stack.lstm.U[0, :24] * 2).tobytes() == \
+            narrow.lstm.U[:24].tobytes()
+        assert stack.lstm.U[0, 24:].tobytes() == narrow.lstm.U[24:].tobytes()
 
     def test_no_forecasters_is_empty_input(self):
         with pytest.raises(EmptyInput, match="no forecasters"):
@@ -627,7 +686,7 @@ class TestFloat32Narrowing:
     def test_window_past_float32_range_is_non_finite_input(self, monkeypatch,
                                                            value):
         calls = []
-        monkeypatch.setattr(forecast, "forecaster_step",
+        monkeypatch.setattr(forecast, "stack_step",
                             lambda *args: calls.append(args))
         scores, scaler, model = tiny_setup()
         windows = np.stack([scaler.scale(scores)[s:s + 2] for s in (0, 5, 9)])
@@ -665,7 +724,7 @@ class TestFloat32Narrowing:
     def test_weight_past_float32_range_is_non_finite_input(self,
                                                            monkeypatch):
         calls = []
-        monkeypatch.setattr(forecast, "forecaster_step",
+        monkeypatch.setattr(forecast, "stack_step",
                             lambda *args: calls.append(args))
         scores, scaler, model = tiny_setup()
         model.head.weight[1, 2] = 7e38
@@ -743,7 +802,7 @@ class TestPairedAccounting:
                     pred[row] = np.nan
             return pred
 
-        monkeypatch.setattr(forecast, "forecaster_step", per_model(stub))
+        monkeypatch.setattr(forecast, "stack_step", per_model(stub))
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             report = forecast.evaluate_ensemble(classic, adv, scores, scaler,
@@ -875,7 +934,7 @@ class TestReportArithmetic:
                 pred[::2] += 0.02
             return pred
 
-        monkeypatch.setattr(forecast, "forecaster_step", per_model(stub))
+        monkeypatch.setattr(forecast, "stack_step", per_model(stub))
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             report = self.check(classic, adv, scores, scaler, range(5, 11), 8,
@@ -902,11 +961,11 @@ class TestReportArithmetic:
                                      2, np.random.default_rng(2))
         seen = []
 
-        def step(stack, windows):
+        def counted(stack, rows, cols, step):
             seen.append(len(stack.models))
-            return neural.forecaster_step(stack, windows)
+            neural.stack_step(stack, rows, cols, step)
 
-        monkeypatch.setattr(forecast, "forecaster_step", step)
+        monkeypatch.setattr(forecast, "stack_step", counted)
         for arms in ((classic, adv), (adv, classic)):
             seen.clear()
             report = forecast.evaluate_ensemble(*arms, scores, scaler,
@@ -914,6 +973,77 @@ class TestReportArithmetic:
             assert seen == stacks
             self.check(*arms, scores, scaler, range(3, 60), 20)
             assert np.all(np.isfinite(report.reduction_pct))
+
+
+NOT_INTEGERS = [2.5, 2.0, True, np.True_, np.float64(2.0), "2"]
+
+
+class TestRolloutSizes:
+    """A horizon, an ensemble width and a stack's batch are integers, a
+    numpy one included: anything else is InvalidConfig, before any step
+    (a horizon of 2.5 used to be a bare TypeError, and True rolled one
+    step)."""
+
+    @pytest.fixture
+    def no_steps(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(forecast, "stack_step",
+                            lambda *args: calls.append(args))
+        monkeypatch.setattr(forecast.snapshots, "generate",
+                            lambda *args: calls.append(args))
+        yield
+        assert calls == []
+
+    @pytest.mark.parametrize("horizon", NOT_INTEGERS)
+    def test_horizon_that_is_not_an_integer_refused(self, no_steps,
+                                                    horizon):
+        scores, scaler, model = tiny_setup()
+        window = scaler.scale(scores)[:2]
+        config = snapshots.GeneratorConfig(grid_nx=16, grid_ny=16,
+                                           n_steps=40, source_period=4.0)
+        def refused(least):
+            return pytest.raises(InvalidConfig, match=re.escape(
+                f"horizon must be an integer >= {least}, got {horizon!r}"))
+
+        with refused(0):
+            roll(model, window[None], horizon)
+        with refused(0):
+            forecast.rollout(model, scaler, window, horizon)
+        with refused(1):
+            forecast.evaluate_ensemble(model, model, scores, scaler, [3, 4],
+                                       horizon)
+        with refused(1):
+            forecast.timing_benchmark(model, config, horizon, 4)
+
+    @pytest.mark.parametrize("width", [*NOT_INTEGERS, 0])
+    def test_ensemble_width_that_is_not_an_integer_refused(self, no_steps,
+                                                           width):
+        _, _, model = tiny_setup()
+        config = snapshots.GeneratorConfig(grid_nx=16, grid_ny=16,
+                                           n_steps=40, source_period=4.0)
+        with pytest.raises(InvalidConfig, match=re.escape(
+                f"ensemble width must be an integer >= 1, got {width!r}")):
+            forecast.timing_benchmark(model, config, 5, width)
+
+    @pytest.mark.parametrize("batch", [*NOT_INTEGERS, 0, -1])
+    def test_stack_batch_that_is_not_an_integer_from_one_refused(self,
+                                                                 batch):
+        _, _, model = tiny_setup()
+        with pytest.raises(InvalidConfig, match=re.escape(
+                f"batch must be an integer >= 1, got {batch!r}")):
+            neural.stack([model], batch)
+
+    def test_numpy_integer_sizes_are_the_int_sizes(self):
+        scores, scaler, model = tiny_setup()
+        windows = np.stack([scaler.scale(scores)[s:s + 2] for s in (0, 5)])
+        want = forecast._roll(neural.stack([model], 2), windows, 6)
+        got = forecast._roll(neural.stack([model], np.int64(2)), windows,
+                             np.int64(6))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        report = forecast.evaluate_ensemble(model, model, scores, scaler,
+                                            [3, 4], np.int32(4))
+        assert np.array_equal(report.horizons, [1, 2, 3, 4])
 
 
 class TestTimed:

@@ -159,6 +159,21 @@ class TestFit:
         with pytest.raises(InvalidConfig):
             pca.fit(np.full((5, 4), np.nan), **kwargs)
 
+    @pytest.mark.parametrize("tau", [2.5, 2.0, True, np.True_,
+                                     np.float64(2.0), "2"])
+    def test_tau_that_is_not_an_integer_refused(self, tau):
+        # tau=2.5 used to keep 2 PCs, and tau=True 1
+        with pytest.raises(InvalidConfig, match=re.escape(
+                f"tau={tau!r} must be an integer")):
+            pca.fit(random_matrix(1), tau=tau)
+        with pytest.raises(InvalidConfig, match="must be an integer"):
+            pca.PcaConfig(tau=tau)
+
+    def test_numpy_integer_tau_is_the_int_tau(self):
+        want = pca.fit(random_matrix(1), tau=3)
+        got = pca.fit(random_matrix(1), tau=np.int64(3))
+        assert got.eofs.tobytes() == want.eofs.tobytes()
+
     def test_exactly_one_truncation_argument(self):
         with pytest.raises(InvalidConfig):
             pca.fit(random_matrix(1))

@@ -75,6 +75,31 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig, match="n_steps"):
             small_config(n_steps=1)
 
+    @pytest.mark.parametrize("name", ["grid_nx", "grid_ny", "n_steps",
+                                      "seed"])
+    def test_integer_field_refuses_a_float_or_a_bool(self, name):
+        # grid_nx=8.5 used to end in a bare TypeError
+        for value in (16.5, 16.0, True, np.True_, np.float64(16.0), "16"):
+            with pytest.raises(InvalidConfig, match=f"{name} must be an "
+                                                    f"integer, got"):
+                small_config(**{name: value})
+        assert getattr(small_config(**{name: np.int64(12)}), name) == 12
+
+    @pytest.mark.parametrize("center", [(1.5, 2), (1, 2, 3), (1,), (),
+                                        (True, 2), (np.float64(1.0), 2), 5,
+                                        "12", None])
+    def test_source_center_that_is_not_two_integers_refused(self, center):
+        # (1.5, 2) used to end in an IndexError and (1, 2, 3) in a
+        # ValueError
+        with pytest.raises(InvalidConfig, match="source_center must be two "
+                                                "integers"):
+            small_config(source_center=center)
+
+    def test_numpy_integer_source_center_is_stored_as_ints(self):
+        config = small_config(source_center=np.array([3, 4]))
+        assert config.source_center == (3, 4)
+        assert all(type(i) is int for i in config.source_center)
+
 
 class TestGenerate:
     def test_no_transport_no_source_keeps_state_constant(self):

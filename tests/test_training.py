@@ -569,3 +569,15 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name, value", [("adv_weight", 0.0)])
     def test_edge_optimizer_number_accepted(self, name, value):
         quick_config(**{name: value})
+
+    @pytest.mark.parametrize("name", ["batch_size", "hidden_nodes",
+                                      "time_lag", "epochs", "d_steps",
+                                      "seed"])
+    def test_integer_field_refuses_a_float_or_a_bool(self, name):
+        # each used to construct and end in a bare TypeError in training
+        for value in (2.5, 2.0, True, np.True_, np.float64(2.0), "2"):
+            with pytest.raises(InvalidConfig, match=f"{name} must be an "
+                                                    f"integer, got"):
+                quick_config(**{name: value})
+        # a numpy integer is an integer
+        assert getattr(quick_config(**{name: np.int64(2)}), name) == 2
